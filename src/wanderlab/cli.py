@@ -11,7 +11,6 @@ import os
 import sys
 from pathlib import Path
 
-from .pixmap import render_pixmap  # re-export; part of the CLI surface
 from .scenario import (
     ScenarioError,
     bundled_scenarios,
@@ -20,7 +19,7 @@ from .scenario import (
     run_scenario,
 )
 
-__all__ = ["main", "entry", "list_suites", "render_pixmap"]
+__all__ = ["main", "entry", "list_suites"]
 
 
 def list_suites(stream=None) -> int:

@@ -1,12 +1,15 @@
-"""Meromorphic map families as expression trees.
+"""Meromorphic map families as expression trees, run from one op table.
 
-A map is a finite tree over {variable, constants, named parameters,
-+, -, *, /, negation, exp, sin, integer powers}.  The same tree drives
-three evaluators: floating scalar (orbit iteration), vectorized numpy
-(rasters, winding samples), and rigorous rectangle enclosure
-(certificates).  Division nodes identify the pole locus; each bundled
-family also declares its exact poles so orbit code can bail out
-deterministically near them.
+``OPS`` gives each node class one row: its prefix-text word, its child
+fields and the names of its scalar, numpy and box ops.  The parser, the
+printer and the compiler read it.  Each map's tree is compiled once into a
+post-order tape in which equal subtrees share one slot, and one
+interpreter runs the tape for floating scalar (orbit iteration),
+vectorized numpy (rasters, winding samples) and rigorous rectangle
+enclosure (certificates).  It looks the ops up by name in this module when
+an evaluation starts, so a map holds no function.  Division nodes identify
+the pole locus; each bundled family also declares its exact poles so orbit
+code can bail out deterministically near them.
 
 There is deliberately no cosine node: cos u is written sin(u + pi/2),
 which keeps the differentiation rules closed over the vocabulary.
@@ -16,7 +19,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add as _plus, mul as _times, neg as _negate, pow as _power, sub as _minus
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,6 +136,45 @@ class IntPow(Node):
             raise ValueError("integer power requires exponent >= 2")
 
 
+# ---------------------------------------------------------------------------
+# The op table.
+# ---------------------------------------------------------------------------
+
+class Op(NamedTuple):
+    """How a node class is parsed, printed and run.  A backend column names a
+    function of this module taking the children's values, then the data;
+    leaves have none, as the interpreter fills their slots."""
+    name: str | None     # prefix-text word; None for constants and parameters
+    fields: tuple        # child-node fields, in argument order
+    data: tuple = ()     # other fields, passed and printed after the children
+    scalar: str = ""
+    vec: str = ""
+    box: str = ""
+    nary: bool = False   # the parser folds (name a b c ...) to the left
+
+
+OPS = {
+    Var: Op("z", ()),
+    Const: Op(None, (), ("value",)),
+    ParamRef: Op(None, (), ("name",)),
+    Add: Op("add", ("a", "b"), (), "_plus", "_plus", "box_add", nary=True),
+    Sub: Op("sub", ("a", "b"), (), "_minus", "_minus", "box_sub"),
+    Mul: Op("mul", ("a", "b"), (), "_times", "_times", "box_mul", nary=True),
+    Div: Op("div", ("num", "den"), (), "_div_scalar", "_div_vec", "box_div"),
+    Neg: Op("neg", ("a",), (), "_negate", "_negate", "box_neg"),
+    Exp: Op("exp", ("a",), (), "_exp_scalar", "_exp_vec", "box_exp"),
+    Sin: Op("sin", ("a",), (), "_sin_scalar", "_sin_vec", "box_sin"),
+    IntPow: Op("pow", ("base",), ("k",), "_power", "_power", "box_pow_int"),
+}
+
+
+def _op(n: Node) -> Op:
+    try:
+        return OPS[type(n)]
+    except KeyError:
+        raise TypeError(f"not a map node: {n!r}") from None
+
+
 def _is_const(n: Node, v: complex) -> bool:
     return isinstance(n, Const) and n.value == v
 
@@ -188,6 +232,7 @@ class MeromorphicMap:
     params: dict
     declared_poles: tuple
     family_id: str
+    tape: Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family_id not in FAMILY_IDS:
@@ -195,6 +240,7 @@ class MeromorphicMap:
         object.__setattr__(self, "declared_poles",
                            tuple(complex(p) for p in self.declared_poles))
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "tape", _compile(self.expr))
 
     def pole_snap_radius(self, pole: complex) -> float:
         return POLE_SNAP_RELATIVE * (1.0 + abs(pole))
@@ -306,8 +352,7 @@ def ex2_g_map() -> MeromorphicMap:
 _TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
-_OPERATORS = {"add", "sub", "mul", "div", "neg", "exp", "sin", "pow"}
-_RESERVED = _OPERATORS | {"z", "i", "pi"}
+_OPERATORS = {op.name: cls for cls, op in OPS.items() if op.fields}
 
 
 def _tokenize(text: str):
@@ -341,9 +386,10 @@ def _parse(tokens) -> tuple[Node, list]:
         return _atom(tok, pos), tokens[1:]
     if len(tokens) < 2:
         raise ParseError("unclosed '('", pos)
-    op, op_pos = tokens[1]
-    if op not in _OPERATORS:
-        raise ParseError(f"unknown operator {op!r}", op_pos)
+    name, op_pos = tokens[1]
+    cls = _OPERATORS.get(name)
+    if cls is None:
+        raise ParseError(f"unknown operator {name!r}", op_pos)
     rest = tokens[2:]
     args: list[Node] = []
     while True:
@@ -355,7 +401,8 @@ def _parse(tokens) -> tuple[Node, list]:
         node, rest = _parse(rest)
         args.append(node)
 
-    if op == "pow":
+    op = OPS[cls]
+    if cls is IntPow:
         if len(args) != 2:
             raise ParseError("pow needs a base and an integer exponent", op_pos)
         k_node = args[1]
@@ -366,26 +413,22 @@ def _parse(tokens) -> tuple[Node, list]:
         if k < 2:
             raise ParseError("pow exponent must be >= 2", op_pos)
         return IntPow(args[0], k), rest
-    if op == "neg":
+    if len(op.fields) == 1:
         if len(args) != 1:
-            raise ParseError("neg takes one argument", op_pos)
-        return Neg(args[0]), rest
-    if op in ("exp", "sin"):
-        if len(args) != 1:
-            raise ParseError(f"{op} takes one argument", op_pos)
-        return (Exp if op == "exp" else Sin)(args[0]), rest
+            raise ParseError(f"{name} takes one argument", op_pos)
+        return cls(args[0]), rest
     if len(args) < 2:
-        raise ParseError(f"{op} takes at least two arguments", op_pos)
-    if op in ("sub", "div") and len(args) != 2:
-        raise ParseError(f"{op} takes exactly two arguments", op_pos)
+        raise ParseError(f"{name} takes at least two arguments", op_pos)
+    if not op.nary and len(args) != 2:
+        raise ParseError(f"{name} takes exactly two arguments", op_pos)
     acc = args[0]
     for nxt in args[1:]:
-        acc = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[op](acc, nxt)
+        acc = cls(acc, nxt)
     return acc, rest
 
 
 def _atom(tok: str, pos: int) -> Node:
-    if tok == "z":
+    if tok == OPS[Var].name:
         return Var()
     if tok == "i":
         return Const(1j)
@@ -400,41 +443,121 @@ def _atom(tok: str, pos: int) -> Node:
 
 def to_sexpr(node: Node) -> str:
     """Inverse of parse_expr up to constant formatting."""
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Const):
-        v = node.value
-        if v == 1j:
-            return "i"
-        if v.imag == 0.0:
-            return repr(v.real)
-        return f"(add {v.real!r} (mul {v.imag!r} i))"
-    if isinstance(node, ParamRef):
-        return node.name
-    if isinstance(node, Add):
-        return f"(add {to_sexpr(node.a)} {to_sexpr(node.b)})"
-    if isinstance(node, Sub):
-        return f"(sub {to_sexpr(node.a)} {to_sexpr(node.b)})"
-    if isinstance(node, Mul):
-        return f"(mul {to_sexpr(node.a)} {to_sexpr(node.b)})"
-    if isinstance(node, Div):
-        return f"(div {to_sexpr(node.num)} {to_sexpr(node.den)})"
-    if isinstance(node, Neg):
-        return f"(neg {to_sexpr(node.a)})"
-    if isinstance(node, Exp):
-        return f"(exp {to_sexpr(node.a)})"
-    if isinstance(node, Sin):
-        return f"(sin {to_sexpr(node.a)})"
-    if isinstance(node, IntPow):
-        return f"(pow {to_sexpr(node.base)} {node.k})"
-    raise TypeError(f"not a map node: {node!r}")
+    op = _op(node)
+    words = [to_sexpr(getattr(node, f)) for f in op.fields]
+    words += [_literal(getattr(node, d)) for d in op.data]
+    if not op.fields:
+        return words[0] if words else op.name
+    return f"({op.name} {' '.join(words)})"
+
+
+def _literal(v) -> str:
+    if type(v) is not complex:  # a parameter name or an exponent
+        return str(v)
+    if v == 1j:
+        return "i"
+    if v.imag == 0.0:
+        return repr(v.real)
+    return f"(add {v.real!r} (mul {v.imag!r} i))"
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation: one compiler, one interpreter, and the ops the table names.
 # ---------------------------------------------------------------------------
+
+class Tape(NamedTuple):
+    """Slot 0 is the variable, then one slot per leaf, then one per step."""
+    leaves: tuple  # (parameter name, None) or (None, constant value)
+    steps: tuple   # (op row, argument slots, data, slots last read here)
+
+
+def _const_key(v: complex):
+    """Bit-exact slot key: 0.0 and -0.0 differ, and a NaN matches nothing."""
+    return object() if cmath.isnan(v) else (v.real.hex(), v.imag.hex())
+
+
+def _compile(expr: Node) -> Tape:
+    """Post-order tape of expr in which equal subtrees share one slot."""
+    slots = {(Var, (), ()): 0}
+    leaves, steps = [], []
+
+    def visit(n: Node) -> int:
+        # Steps get provisional slots -1, -2, ... until the leaves are counted.
+        op = _op(n)
+        args = tuple(visit(getattr(n, f)) for f in op.fields)
+        data = tuple(getattr(n, d) for d in op.data)
+        key = (type(n), args, _const_key(n.value) if type(n) is Const else data)
+        if key not in slots:
+            if op.fields:
+                slots[key] = -1 - len(steps)
+                steps.append((op, args, data))
+            else:
+                slots[key] = 1 + len(leaves)
+                leaves.append((n.name, None) if type(n) is ParamRef else (None, n.value))
+        return slots[key]
+
+    visit(expr)
+    n = len(leaves)
+    steps = [(op, tuple(s if s >= 0 else n - s for s in args), data) for op, args, data in steps]
+    # Freeing each slot after its last read keeps numpy temporaries as short-lived
+    # as in a recursive walk.
+    last = {s: j for j, (_, args, _) in enumerate(steps) for s in args}
+    return Tape(tuple(leaves), tuple((op, args, data, tuple({s for s in args if last[s] == j}))
+                                     for j, (op, args, data) in enumerate(steps)))
+
+
+_SCALAR, _VEC, _BOX = (Op._fields.index(c) for c in ("scalar", "vec", "box"))
+
+
+def _run(m: MeromorphicMap, column: int, x, lift):
+    """Value of m at x in one backend column; lift makes a constant's value."""
+    ns, params = globals(), m.params
+    vals = [x]
+    for name, value in m.tape.leaves:
+        vals.append(lift(value if name is None else complex(params[name])))
+    for op, args, data, dead in m.tape.steps:
+        if len(args) == 2:
+            vals.append(ns[op[column]](vals[args[0]], vals[args[1]]))
+        else:
+            vals.append(ns[op[column]](vals[args[0]], *data))
+        for i in dead:
+            vals[i] = None
+    return vals[-1]
+
 
 _DIV_FLOOR = 1e-300  # treat true underflow of a denominator as a pole hit
+_EXP_CAP = 700.0     # cmath overflows past this; the true value is huge
+_HUGE = complex(math.inf, math.inf)
+_NAN = complex(math.nan, math.nan)
+
+
+def _div_scalar(num: complex, den: complex) -> complex:
+    if abs(den) < _DIV_FLOOR:
+        raise ZeroDivisionError("denominator below the pole floor")
+    return num / den
+
+
+def _exp_scalar(w: complex) -> complex:
+    return _HUGE if w.real > _EXP_CAP else cmath.exp(w)
+
+
+def _sin_scalar(w: complex) -> complex:
+    return _HUGE if abs(w.imag) > _EXP_CAP else cmath.sin(w)
+
+
+# The numpy ops put NaN where the scalar ones raise or overflow; NaN
+# survives every later op, so eval_map_vec flags those entries as bad.
+
+def _div_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(den) < _DIV_FLOOR, _NAN, num / den)
+
+
+def _exp_vec(w: np.ndarray) -> np.ndarray:
+    return np.exp(np.where(w.real > _EXP_CAP, _NAN, w))
+
+
+def _sin_vec(w: np.ndarray) -> np.ndarray:
+    return np.sin(np.where(np.abs(w.imag) > _EXP_CAP, _NAN, w))
 
 
 def eval_map(m: MeromorphicMap, z: complex) -> complex:
@@ -444,46 +567,10 @@ def eval_map(m: MeromorphicMap, z: complex) -> complex:
         if abs(z - p) <= m.pole_snap_radius(p):
             raise PoleHitError(p, z)
     try:
-        return _eval_node(m.expr, m.params, z)
-    except PoleHitError:
+        return _run(m, _SCALAR, z, complex)
+    except ZeroDivisionError:
         nearest = min(m.declared_poles, key=lambda p: abs(z - p)) if m.declared_poles else z
         raise PoleHitError(nearest, z) from None
-
-
-def _eval_node(n: Node, params: dict, z: complex) -> complex:
-    if isinstance(n, Var):
-        return z
-    if isinstance(n, Const):
-        return n.value
-    if isinstance(n, ParamRef):
-        return complex(params[n.name])
-    if isinstance(n, Add):
-        return _eval_node(n.a, params, z) + _eval_node(n.b, params, z)
-    if isinstance(n, Sub):
-        return _eval_node(n.a, params, z) - _eval_node(n.b, params, z)
-    if isinstance(n, Mul):
-        return _eval_node(n.a, params, z) * _eval_node(n.b, params, z)
-    if isinstance(n, Div):
-        num = _eval_node(n.num, params, z)
-        den = _eval_node(n.den, params, z)
-        if abs(den) < _DIV_FLOOR:
-            raise PoleHitError(z, z)
-        return num / den
-    if isinstance(n, Neg):
-        return -_eval_node(n.a, params, z)
-    if isinstance(n, Exp):
-        w = _eval_node(n.a, params, z)
-        if w.real > 700.0:  # cmath.exp overflows; the true value is huge
-            return complex(math.inf, math.inf)
-        return cmath.exp(w)
-    if isinstance(n, Sin):
-        w = _eval_node(n.a, params, z)
-        if abs(w.imag) > 700.0:
-            return complex(math.inf, math.inf)
-        return cmath.sin(w)
-    if isinstance(n, IntPow):
-        return _eval_node(n.base, params, z) ** n.k
-    raise TypeError(f"not a map node: {n!r}")
 
 
 def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,78 +585,14 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
     for p in m.declared_poles:
         bad |= np.abs(zs - p) <= m.pole_snap_radius(p)
     with np.errstate(all="ignore"):
-        vals = _eval_node_vec(m.expr, m.params, zs, bad)
+        vals = _run(m, _VEC, zs, lambda v: np.full(zs.shape, v, dtype=np.complex128))
     bad |= ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
     return vals, bad
 
 
-def _eval_node_vec(n: Node, params: dict, zs: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    if isinstance(n, Var):
-        return zs.copy()
-    if isinstance(n, Const):
-        return np.full(zs.shape, n.value, dtype=np.complex128)
-    if isinstance(n, ParamRef):
-        return np.full(zs.shape, complex(params[n.name]), dtype=np.complex128)
-    if isinstance(n, Add):
-        return _eval_node_vec(n.a, params, zs, bad) + _eval_node_vec(n.b, params, zs, bad)
-    if isinstance(n, Sub):
-        return _eval_node_vec(n.a, params, zs, bad) - _eval_node_vec(n.b, params, zs, bad)
-    if isinstance(n, Mul):
-        return _eval_node_vec(n.a, params, zs, bad) * _eval_node_vec(n.b, params, zs, bad)
-    if isinstance(n, Div):
-        num = _eval_node_vec(n.num, params, zs, bad)
-        den = _eval_node_vec(n.den, params, zs, bad)
-        tiny = np.abs(den) < _DIV_FLOOR
-        bad |= tiny
-        den = np.where(tiny, 1.0, den)
-        return num / den
-    if isinstance(n, Neg):
-        return -_eval_node_vec(n.a, params, zs, bad)
-    if isinstance(n, Exp):
-        w = _eval_node_vec(n.a, params, zs, bad)
-        huge = w.real > 700.0
-        bad |= huge
-        return np.exp(np.where(huge, 0.0, w))
-    if isinstance(n, Sin):
-        w = _eval_node_vec(n.a, params, zs, bad)
-        huge = np.abs(w.imag) > 700.0
-        bad |= huge
-        return np.sin(np.where(huge, 0.0, w))
-    if isinstance(n, IntPow):
-        base = _eval_node_vec(n.base, params, zs, bad)
-        return base ** n.k
-    raise TypeError(f"not a map node: {n!r}")
-
-
 def eval_map_box(m: MeromorphicMap, b: ComplexBox) -> ComplexBox:
     """Rigorous enclosure of the image of a box; PoleIntersect near poles."""
-    return _eval_node_box(m.expr, m.params, b)
-
-
-def _eval_node_box(n: Node, params: dict, b: ComplexBox) -> ComplexBox:
-    if isinstance(n, Var):
-        return b
-    if isinstance(n, Const):
-        return ComplexBox.point(n.value)
-    if isinstance(n, ParamRef):
-        return ComplexBox.point(complex(params[n.name]))
-    if isinstance(n, Add):
-        return box_add(_eval_node_box(n.a, params, b), _eval_node_box(n.b, params, b))
-    if isinstance(n, Sub):
-        return box_sub(_eval_node_box(n.a, params, b), _eval_node_box(n.b, params, b))
-    if isinstance(n, Mul):
-        return box_mul(_eval_node_box(n.a, params, b), _eval_node_box(n.b, params, b))
-    if isinstance(n, Div):
-        return box_div(_eval_node_box(n.num, params, b), _eval_node_box(n.den, params, b))
-    if isinstance(n, Neg):
-        return box_neg(_eval_node_box(n.a, params, b))
-    if isinstance(n, Exp):
-        return box_exp(_eval_node_box(n.a, params, b))
-    if isinstance(n, Sin):
-        return box_sin(_eval_node_box(n.a, params, b))
-    if isinstance(n, IntPow):
-        return box_pow_int(_eval_node_box(n.base, params, b), n.k)
-    raise TypeError(f"not a map node: {n!r}")
+    return _run(m, _BOX, b, ComplexBox.point)
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,6 @@ def iv_neg(a):
     return (-a[1], -a[0])
 
 
-def iv_scale(c: float, a):
-    # c is an exact float scalar
-    if c >= 0.0:
-        return _widen(c * a[0], c * a[1])
-    return _widen(c * a[1], c * a[0])
-
-
 def iv_mul(a, b):
     p0 = a[0] * b[0]
     p1 = a[0] * b[1]
@@ -161,15 +154,6 @@ def iv_sin(a):
 
 def iv_cos(a):
     return _trig_range(a, math.cos, 0.0)
-
-
-def iv_abs(a):
-    lo, hi = a
-    if lo >= 0.0:
-        return (lo, hi)
-    if hi <= 0.0:
-        return (-hi, -lo)
-    return (0.0, max(-lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +281,6 @@ def box_mul(a: ComplexBox, b: ComplexBox) -> ComplexBox:
     # (x1 + i y1)(x2 + i y2) = (x1 x2 - y1 y2) + i (x1 y2 + y1 x2)
     return _cb(iv_sub(iv_mul(a.re, b.re), iv_mul(a.im, b.im)),
                iv_add(iv_mul(a.re, b.im), iv_mul(a.im, b.re)))
-
-
-def box_scale(c: complex, a: ComplexBox) -> ComplexBox:
-    c = complex(c)
-    if c.imag == 0.0:
-        return _cb(iv_scale(c.real, a.re), iv_scale(c.real, a.im))
-    return box_mul(ComplexBox.point(c), a)
 
 
 def box_recip(a: ComplexBox) -> ComplexBox:

@@ -19,18 +19,6 @@ BLUES = ((38, 139, 210), (83, 104, 229), (129, 169, 247), (58, 80, 190))
 GREENS = ((64, 160, 43), (104, 194, 70), (148, 216, 98), (42, 122, 68))
 
 
-def palette_color(label: int, ident: int) -> tuple:
-    if label == ATTRACTED:
-        return BLUES[ident % len(BLUES)]
-    if label == DRIFTING:
-        return GREENS[ident % len(GREENS)]
-    if label == POLE_ADJACENT:
-        return RED
-    if label == JULIA_SUSPECT:
-        return BLACK
-    return GRAY
-
-
 def render_bytes(grid: RasterGrid) -> bytes:
     h, w = grid.labels.shape
     img = np.empty((h, w, 3), dtype=np.uint8)
@@ -46,10 +34,8 @@ def render_bytes(grid: RasterGrid) -> bytes:
     return header + img[::-1].tobytes()
 
 
-def render_pixmap(grid: RasterGrid, cm, path) -> None:
-    """Write the grid as a P6 file; cm, when given, must match the grid."""
-    if cm is not None and cm.labels.shape != grid.labels.shape:
-        raise ValueError("component map does not match the grid dimensions")
+def render_pixmap(grid: RasterGrid, path) -> None:
+    """Write the grid as a P6 file."""
     data = render_bytes(grid)
     with open(path, "wb") as fh:
         fh.write(data)

@@ -497,7 +497,7 @@ def _select_component(cm, selector, grid, env, where):
 
 
 def _run_raster(item, ctx):
-    m, grid = _raster_grid(item, ctx)
+    grid = _raster_grid(item, ctx)
     width, height = grid.width, grid.height
     cm = label_components(grid)
     ok = True
@@ -532,7 +532,7 @@ def _run_raster(item, ctx):
         ok = ok and good
     out = {"matches": matches, "resolution": [width, height]}
     if item.get("monotonicity"):
-        rep = connectivity_monotonicity_check(m, cm, matched_ids)
+        rep = connectivity_monotonicity_check(cm, matched_ids)
         out["monotonicity"] = {
             "sequence": [list(pair) for pair in rep.sequence],
             "non_increasing": rep.non_increasing,
@@ -541,7 +541,7 @@ def _run_raster(item, ctx):
         ok = ok and rep.non_increasing
     if item.get("render") and ctx["out_dir"] is not None:
         path = ctx["out_dir"] / item["render"]
-        render_pixmap(grid, cm, path)
+        render_pixmap(grid, path)
         out["image"] = str(path)
     counts = {}
     for code, name in ((0, "unresolved"), (1, "attracted"), (2, "drifting"),
@@ -595,7 +595,7 @@ def _raster_grid(item, ctx):
     width, height = (int(v) for v in scenario.resolution)
     m = _item_map(item, ctx["map"], ctx["env"], item["id"])
     cfg = _decode_orbit(scenario.orbit, ctx["max_iter"])
-    return m, classify_grid(m, window, width, height, cfg, workers=ctx["threads"])
+    return classify_grid(m, window, width, height, cfg, workers=ctx["threads"])
 
 
 def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> dict:
@@ -605,8 +605,8 @@ def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> di
     if not items:
         raise ScenarioError("scenario declares no raster item", scenario.name)
     ctx = _make_ctx(scenario, threads, None, max_iter, None)
-    _, grid = _raster_grid(items[0], ctx)
-    render_pixmap(grid, label_components(grid), out_path)
+    grid = _raster_grid(items[0], ctx)
+    render_pixmap(grid, out_path)
     return {"width": grid.width, "height": grid.height, "path": str(out_path)}
 
 

@@ -141,7 +141,7 @@ def surrounds(cm: ComponentMap, component_id: int, p: complex) -> bool:
     return any(hole.contains for hole in report.holes)
 
 
-def connectivity_monotonicity_check(m, cm: ComponentMap,
+def connectivity_monotonicity_check(cm: ComponentMap,
                                     orbit_component_ids) -> MonotonicityReport:
     """Connectivity along a tracked component sequence, with the
     non-increasing flag over consecutive bounded components.

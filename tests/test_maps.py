@@ -8,7 +8,10 @@ import random
 import numpy as np
 import pytest
 
+import wanderlab.maps
 from wanderlab.maps import (
+    Add,
+    Const,
     MeromorphicMap,
     ParamConstraintViolation,
     ParseError,
@@ -206,6 +209,37 @@ def test_eval_in_point_box():
             v = eval_map(m, z)
             out = eval_map_box(m, ComplexBox.point(z))
             assert out.contains(v, atol=1e-11 * (1.0 + abs(v)))
+
+
+def test_vec_constant_map_keeps_input_shape():
+    m = custom_map("(exp a)", {"a": 0.5})
+    zs = np.zeros((3, 4), dtype=np.complex128)
+    vals, bad = eval_map_vec(m, zs)
+    assert vals.shape == bad.shape == zs.shape
+    assert not bad.any()
+    assert (vals == cmath.exp(0.5)).all()
+
+
+def test_box_eval_shares_subtrees_and_looks_ops_up_per_call(monkeypatch):
+    # derivative(ex1) holds exp(z) three times and exp(a) once; the tape
+    # evaluates each once, through the box_exp bound in wanderlab.maps now
+    calls = []
+    box_exp = wanderlab.maps.box_exp
+    dm = derivative(build_family("ex1", {"a": A1, "eps": EPS1}))
+    b = ComplexBox.from_center(0.5 + 0.5j, 0.01)
+    want = eval_map_box(dm, b)
+    monkeypatch.setattr(wanderlab.maps, "box_exp",
+                        lambda x: calls.append(x) or box_exp(x))
+    assert eval_map_box(dm, b) == want
+    assert len(calls) == 2
+
+
+def test_constants_share_slots_only_when_bit_identical():
+    # one slot for both zeros would give -0.0 + -0.0 = -0.0
+    assert math.copysign(1.0, eval_map(custom_map("(add -0.0 0.0)"), 1.0).real) == 1.0
+    assert len(custom_map("(add 2.0 2.0)").tape.leaves) == 1
+    nan_map = MeromorphicMap(Add(Const(math.nan), Const(math.nan)), {}, (), "custom")
+    assert len(nan_map.tape.leaves) == 2
 
 
 # ---------------------------------------------------------------------------

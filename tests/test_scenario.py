@@ -267,13 +267,28 @@ def test_render_bytes_all_unresolved():
 
 
 def test_render_bytes_palette_and_row_flip():
-    grid = _grid([[ATTRACTED, DRIFTING], [POLE_ADJACENT, JULIA_SUSPECT]],
-                 ids=[[0, 2], [-1, -1]])
+    # ids past the palette length wrap around: 5 -> BLUES[1], 7 -> GREENS[3]
+    grid = _grid([[ATTRACTED, DRIFTING, ATTRACTED],
+                  [POLE_ADJACENT, JULIA_SUSPECT, DRIFTING]],
+                 ids=[[0, 2, 5], [-1, -1, 7]])
     # files run top-down, the grid bottom-up: row 1 is written first
-    want = (b"P6\n2 2\n255\n"
-            + bytes(pixmap.RED) + bytes(pixmap.BLACK)
-            + bytes(pixmap.BLUES[0]) + bytes(pixmap.GREENS[2]))
+    want = (b"P6\n3 2\n255\n"
+            + bytes(pixmap.RED) + bytes(pixmap.BLACK) + bytes(pixmap.GREENS[3])
+            + bytes(pixmap.BLUES[0]) + bytes(pixmap.GREENS[2]) + bytes(pixmap.BLUES[1]))
     assert pixmap.render_bytes(grid) == want
+
+
+def test_palette_color_cycles():
+    def color(label, ident):
+        data = pixmap.render_bytes(_grid([[label]], ids=[[ident]]))
+        return tuple(data[-3:])
+
+    assert color(ATTRACTED, 0) == pixmap.BLUES[0]
+    assert color(ATTRACTED, 5) == pixmap.BLUES[1]
+    assert color(DRIFTING, 7) == pixmap.GREENS[3]
+    assert color(POLE_ADJACENT, 0) == pixmap.RED
+    assert color(JULIA_SUSPECT, 0) == pixmap.BLACK
+    assert color(0, 0) == pixmap.GRAY
 
 
 def test_render_bytes_deterministic():
@@ -283,22 +298,3 @@ def test_render_bytes_deterministic():
     a = pixmap.render_bytes(_grid(labels, ids))
     b = pixmap.render_bytes(_grid(labels, ids))
     assert a == b
-
-
-def test_palette_color_cycles():
-    assert pixmap.palette_color(ATTRACTED, 0) == pixmap.BLUES[0]
-    assert pixmap.palette_color(ATTRACTED, 5) == pixmap.BLUES[1]
-    assert pixmap.palette_color(DRIFTING, 7) == pixmap.GREENS[3]
-    assert pixmap.palette_color(POLE_ADJACENT, 0) == pixmap.RED
-    assert pixmap.palette_color(JULIA_SUSPECT, 0) == pixmap.BLACK
-    assert pixmap.palette_color(0, 0) == pixmap.GRAY
-
-
-def test_render_pixmap_rejects_mismatched_component_map(tmp_path):
-    grid = _grid(np.zeros((2, 2)))
-
-    class FakeMap:
-        labels = np.zeros((3, 3), dtype=np.int32)
-
-    with pytest.raises(ValueError, match="dimensions"):
-        pixmap.render_pixmap(grid, FakeMap(), tmp_path / "x.ppm")

@@ -139,7 +139,7 @@ def _two_component_map(conn_first: int) -> tuple:
 
 def test_monotonicity_flag_true():
     cm, ids = _two_component_map(2)
-    rep = connectivity_monotonicity_check(None, cm, ids)
+    rep = connectivity_monotonicity_check(cm, ids)
     assert rep.sequence == ((1, 2), (2, 1))
     assert rep.non_increasing
     assert rep.skipped == ()
@@ -147,7 +147,7 @@ def test_monotonicity_flag_true():
 
 def test_monotonicity_flag_false_on_increase():
     cm, ids = _two_component_map(2)
-    rep = connectivity_monotonicity_check(None, cm, list(reversed(ids)))
+    rep = connectivity_monotonicity_check(cm, list(reversed(ids)))
     assert rep.sequence == ((2, 1), (1, 2))
     assert not rep.non_increasing
 
@@ -162,7 +162,7 @@ def test_monotonicity_skips_border_touchers():
     other_id = next(cid for cid, info in cm.component_table.items()
                     if not info.touches_border)
     with pytest.warns(UserWarning, match="touches the raster border"):
-        rep = connectivity_monotonicity_check(None, cm, [border_id, other_id])
+        rep = connectivity_monotonicity_check(cm, [border_id, other_id])
     assert rep.skipped == (border_id,)
     assert rep.sequence == ((other_id, 1),)
     assert rep.non_increasing
@@ -209,7 +209,7 @@ def test_ex2_station_components(ex2_raster, ex2_components):
         assert connectivity(cm, cid).connectivity == 1
         assert cm.component_table[cid].behavior_label == ("drifting", n)
         ids.append(cid)
-    rep = connectivity_monotonicity_check(None, cm, ids)
+    rep = connectivity_monotonicity_check(cm, ids)
     assert rep.non_increasing
     assert rep.skipped == ()
     assert [c for _, c in rep.sequence] == [2, 1, 1, 1]

@@ -104,7 +104,8 @@ def _prove_on_region(region: Region, test, budget: Budget):
     """Prove `test(box)` on every box of an adaptive cover of the region.
 
     test returns True (holds on the whole box), False (undecided), or
-    raises PoleIntersect (undecided because the box straddles a pole).
+    raises PoleIntersect (undecided because the box straddles a pole) or
+    OverflowError (undecided because the box arithmetic overflowed).
     Boxes not provably disjoint from the region are covered — straddling
     boxes are tested in full, which only over-covers (sound).
     """
@@ -135,6 +136,8 @@ def _prove_on_region(region: Region, test, budget: Budget):
                 continue
         except PoleIntersect:
             reason = "pole"
+        except OverflowError:
+            reason = "overflow"
         if depth >= budget.max_depth or exhausted:
             survivors.append((box, depth, reason))
             continue

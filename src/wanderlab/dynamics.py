@@ -1,12 +1,19 @@
-"""Orbit iteration, fixed-point location, and raster classification.
+"""Vectorized orbit verdicts, fixed-point location, and raster classification.
 
-An orbit runs until one of four verdicts triggers: attraction (small
-consecutive steps confirmed by Newton), escape past a modulus threshold,
-a pole hit, or the iteration budget.  The raster classifier runs the
-same state machine vectorized over every pixel center of a window and
-then derives display labels:
+One vectorized state machine, `_orbit_verdicts`, runs a flat array of
+start points to verdicts: attraction (`cycle_window` consecutive steps
+shorter than `attract_tol`), escape past `escape_radius`, a hit on a
+declared pole, station drift, or the iteration budget.  A non-finite
+image also counts as escape, so a pole the map does not declare reads
+as escape to infinity.
 
-* attracted pixels carry a basin id (one id per distinct fixed point),
+`classify_grid` runs that machine over every pixel center of a window,
+confirms each attraction basin once by Newton from the first estimate
+met in scan order (residual at most 1e-12; the pixels of a basin that
+does not confirm fall back to the budget verdict), and derives display
+labels:
+
+* attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id (the corridor index where the
   advancing streak began),
 * pixels whose verdict differs from a 4-neighbour's — behaviour
@@ -77,34 +84,6 @@ class OrbitConfig:
 
 
 @dataclass(frozen=True)
-class Attracted:
-    fixed_point: complex
-    multiplier_modulus: float
-
-
-@dataclass(frozen=True)
-class Escaped:
-    first_exit_index: int
-
-
-@dataclass(frozen=True)
-class PoleHit:
-    index: int
-    pole: complex
-
-
-@dataclass(frozen=True)
-class BudgetExhausted:
-    pass
-
-
-@dataclass
-class Orbit:
-    points: list
-    verdict: object
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
     location: complex
     residual: float
@@ -140,41 +119,23 @@ def _newton_fixed_point(m: MeromorphicMap, dm: MeromorphicMap, z0: complex,
     return z
 
 
-def iterate(m: MeromorphicMap, z0: complex, cfg: OrbitConfig = OrbitConfig()) -> Orbit:
-    """Run one orbit to a verdict; the full point list is recorded."""
-    points = [complex(z0)]
-    consec = 0
-    dm = None
-    for k in range(cfg.max_iter):
-        z = points[-1]
-        try:
-            z1 = eval_map(m, z)
-        except PoleHitError as e:
-            return Orbit(points, PoleHit(index=k, pole=e.pole))
-        points.append(z1)
-        if not (math.isfinite(z1.real) and math.isfinite(z1.imag)) \
-                or abs(z1) > cfg.escape_radius:
-            return Orbit(points, Escaped(first_exit_index=k + 1))
-        consec = consec + 1 if abs(z1 - z) < cfg.attract_tol else 0
-        if consec >= cfg.cycle_window:
-            if dm is None:
-                dm = derivative(m)
-            z_star = _newton_fixed_point(m, dm, z1)
-            if z_star is not None:
-                try:
-                    residual = abs(eval_map(m, z_star) - z_star)
-                    mult = eval_map(dm, z_star)
-                except PoleHitError:
-                    residual, mult = math.inf, complex(math.inf)
-                if residual <= 1e-12:
-                    return Orbit(points, Attracted(z_star, abs(mult)))
-            consec = 0  # confirmation failed; keep iterating
-    return Orbit(points, BudgetExhausted())
+def _confirmed_fixed_point(m: MeromorphicMap, dm: MeromorphicMap,
+                          z0: complex) -> FixedPointReport | None:
+    """Newton from z0, accepted only when |f(z) - z| is at most 1e-12."""
+    z = _newton_fixed_point(m, dm, z0)
+    if z is None:
+        return None
+    try:
+        residual = abs(eval_map(m, z) - z)
+        mult = eval_map(dm, z)
+    except PoleHitError:
+        return None
+    return FixedPointReport(z, residual, mult) if residual <= 1e-12 else None
 
 
 def find_fixed_point(m: MeromorphicMap, seed_region: Region,
                      seed_grid: int = 11) -> FixedPointReport:
-    """Newton from a seed grid; best residual <= 1e-12 inside the region wins."""
+    """Newton from a seed grid; best confirmed fixed point inside the region wins."""
     bb = seed_region.bounding_box()
     xs = np.linspace(bb.re_lo, bb.re_hi, seed_grid)
     ys = np.linspace(bb.im_lo, bb.im_hi, seed_grid)
@@ -185,16 +146,10 @@ def find_fixed_point(m: MeromorphicMap, seed_region: Region,
             seed = complex(x, y)
             if not seed_region.contains(seed):
                 continue
-            z = _newton_fixed_point(m, dm, seed)
-            if z is None or not seed_region.contains(z):
-                continue
-            try:
-                residual = abs(eval_map(m, z) - z)
-                mult = eval_map(dm, z)
-            except PoleHitError:
-                continue
-            if residual <= 1e-12 and (best is None or residual < best.residual):
-                best = FixedPointReport(z, residual, mult)
+            rep = _confirmed_fixed_point(m, dm, seed)
+            if rep is not None and seed_region.contains(rep.location) \
+                    and (best is None or rep.residual < best.residual):
+                best = rep
     if best is None:
         raise NotFound("no seed converged to a fixed point in the region")
     return best
@@ -267,7 +222,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
         run_start = np.full(n, -1, dtype=np.int64)
         prev_idx = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         _station_update(z, st, active, run, run_start, prev_idx,
-                        verdict, track, first=True)
+                        verdict, track, np.arange(n))
 
     snap_poles = [(p, m.pole_snap_radius(p)) for p in m.declared_poles]
 
@@ -301,18 +256,13 @@ def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
             active[idx[conv]] = False
         z[idx] = nxt
         if st is not None:
-            live = idx[~esc & ~conv]
-            if live.size:
-                _station_update(z, st, active, run, run_start, prev_idx,
-                                verdict, track, subset=live)
+            _station_update(z, st, active, run, run_start, prev_idx,
+                            verdict, track, idx[~esc & ~conv])
     return verdict, fixed, track
 
 
 def _station_update(z, st: StationSpec, active, run, run_start, prev_idx,
-                    verdict, track, first: bool = False, subset=None):
-    idx = np.nonzero(active)[0] if subset is None else subset
-    if idx.size == 0:
-        return
+                    verdict, track, idx):
     cur = z[idx]
     approx = np.round((cur.real - st.base.real) / st.step).astype(np.int64)
     centers = st.base + approx * st.step
@@ -324,7 +274,7 @@ def _station_update(z, st: StationSpec, active, run, run_start, prev_idx,
     run[idx] = run_new
     prev_idx[idx] = np.where(inside, approx, np.iinfo(np.int64).min)
     done = run_new >= st.streak
-    if not first and done.any():
+    if done.any():
         sel = idx[done]
         verdict[sel] = _V_DRIFTING
         track[sel] = run_start[sel].astype(np.int32)
@@ -365,20 +315,27 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     fixed = fixed.reshape(height, width)
     track = track.reshape(height, width)
 
-    # basin ids: distinct fixed points in raster scan order
+    # basin ids: distinct fixed-point estimates in raster scan order, each
+    # new one confirmed by Newton; an unconfirmed basin gets no id and its
+    # pixels fall back to the budget verdict
     ids = np.full((height, width), -1, dtype=np.int32)
     basin_tol = max(100.0 * cfg.attract_tol, 1e-7)
-    basins: list[complex] = []
+    basins: list[tuple[complex, int]] = []   # (first estimate, id or -1)
     att = verdict == _V_ATTRACTED
+    dm = derivative(m) if att.any() else None
+    confirmed = 0
     for j, i in zip(*np.nonzero(att)):
         fp = complex(fixed[j, i])
-        for b_id, b in enumerate(basins):
+        for b, b_id in basins:
             if abs(fp - b) < basin_tol * (1.0 + abs(b)):
-                ids[j, i] = b_id
                 break
         else:
-            basins.append(fp)
-            ids[j, i] = len(basins) - 1
+            b_id = -1
+            if _confirmed_fixed_point(m, dm, fp) is not None:
+                b_id, confirmed = confirmed, confirmed + 1
+            basins.append((fp, b_id))
+        ids[j, i] = b_id
+    verdict[att & (ids < 0)] = _V_BUDGET
     dri = verdict == _V_DRIFTING
     ids[dri] = track[dri]
 

@@ -61,9 +61,10 @@ from wanderlab.regions import Annulus, Difference, Disk, HalfStrip
 from wanderlab.topology import (
     connectivity,
     connectivity_monotonicity_check,
-    count_holes_reference,
     surrounds,
 )
+
+from oracles import count_holes_reference
 
 A1 = 2.0 ** -6          # pole offset of the first family
 EPS1 = 2.0 ** -16       # its perturbation weight

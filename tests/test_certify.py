@@ -26,7 +26,6 @@ from wanderlab.certify import (
 from wanderlab.maps import build_family, custom_map, derivative, eval_map, eval_map_vec
 from wanderlab.numerics import quot_exp_tail
 from wanderlab.regions import Annulus, Disk
-from wanderlab.dynamics import iterate  # noqa: F401  (import sanity across modules)
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -72,6 +71,17 @@ def test_budget_exhaustion_flagged():
     assert cert.verdict == "inconclusive"
     assert cert.stats["budget_exhausted"]
     assert any(f["reason"] == "budget" for f in cert.frontier)
+
+
+@pytest.mark.parametrize("m, source", [
+    (build_family("ex5"), Disk(800.0, 1.0, closed=True)),    # exp overflows
+    (custom_map("(sin z)"), Disk(800j, 1.0, closed=True)),   # cosh overflows
+], ids=["ex5-exp", "sin-cosh"])
+def test_overflow_box_is_undecided(m, source):
+    cert = certify_inclusion(m, source, Disk(0j, 1.0),
+                             budget=Budget(max_boxes=2000, max_depth=6))
+    assert cert.verdict == "inconclusive"
+    assert {f["reason"] for f in cert.frontier} == {"overflow"}
 
 
 def test_pole_contact_verdict():

@@ -9,20 +9,19 @@ from wanderlab.dynamics import (
     JULIA_SUSPECT,
     POLE_ADJACENT,
     UNRESOLVED,
-    Attracted,
-    BudgetExhausted,
-    Escaped,
+    _V_ATTRACTED,
+    _V_BUDGET,
+    _V_ESCAPED,
+    _V_POLE,
     NotFound,
-    Orbit,
     OrbitConfig,
-    PoleHit,
     StationSpec,
+    _orbit_verdicts,
     classify_grid,
     find_fixed_point,
-    iterate,
     track_wandering,
 )
-from wanderlab.maps import PoleHitError, build_family, custom_map, eval_map
+from wanderlab.maps import PoleHitError, build_family, custom_map
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
 
@@ -37,51 +36,39 @@ def ex1():
 
 # --- single-orbit verdicts ----------------------------------------------------
 
-def test_orbit_points_chain():
-    m = ex1()
-    orb = iterate(m, 0.01 + 0.01j)
-    for a, b in zip(orb.points, orb.points[1:]):
-        assert eval_map(m, a) == b
+@pytest.mark.parametrize("m, z0, cfg, expected", [
+    # pole at the start: ex1 at a, ex2 at 0
+    (ex1(), complex(A1), OrbitConfig(), _V_POLE),
+    (build_family("ex2", {"eps": EPS2}), 0j, OrbitConfig(), _V_POLE),
+    (custom_map("(pow z 2)"), complex(2.0), OrbitConfig(), _V_ESCAPED),
+    # multiply by i: a 4-cycle, never attracted, never escaping
+    (custom_map("(mul z i)"), complex(1.0), OrbitConfig(max_iter=50), _V_BUDGET),
+    # an undeclared pole reads as escape to infinity
+    (custom_map("(div 1 z)"), 0j, OrbitConfig(), _V_ESCAPED),
+], ids=["ex1-pole", "ex2-pole", "square-escape", "rotation-budget", "undeclared-pole"])
+def test_single_orbit_verdict(m, z0, cfg, expected):
+    verdict, fixed, track = _orbit_verdicts(m, np.array([z0]), cfg)
+    assert verdict.tolist() == [expected]
+    assert np.isnan(fixed[0])
+    assert track.tolist() == [-1]
 
 
 def test_orbit_attracted_matches_fixed_point():
     m = ex1()
-    orb = iterate(m, 0j)
-    assert isinstance(orb.verdict, Attracted)
-    assert orb.verdict.multiplier_modulus < 1.0
+    verdict, fixed, _ = _orbit_verdicts(m, np.array([0j]), OrbitConfig())
+    assert verdict.tolist() == [_V_ATTRACTED]
     rep = find_fixed_point(m, Disk(0j, A1 / 2))
-    assert abs(orb.verdict.fixed_point - rep.location) < 1e-10
-
-
-def test_orbit_pole_hit_at_start():
-    orb = iterate(ex1(), complex(A1))
-    assert orb.verdict == PoleHit(index=0, pole=complex(A1))
-    orb2 = iterate(build_family("ex2", {"eps": EPS2}), 0j)
-    assert isinstance(orb2.verdict, PoleHit)
-    assert orb2.verdict.index == 0
-
-
-def test_orbit_escape_index():
-    orb = iterate(custom_map("(pow z 2)"), complex(2.0))
-    assert isinstance(orb.verdict, Escaped)
-    assert abs(orb.points[orb.verdict.first_exit_index]) > 1e6
-    assert all(abs(p) <= 1e6 for p in orb.points[:orb.verdict.first_exit_index])
-
-
-def test_orbit_budget_on_rotation():
-    # multiply by i: a 4-cycle, never attracted, never escaping
-    orb = iterate(custom_map("(mul z i)"), complex(1.0),
-                  OrbitConfig(max_iter=50))
-    assert isinstance(orb.verdict, BudgetExhausted)
-    assert len(orb.points) == 51
+    assert fixed[0] == rep.location
 
 
 def test_attraction_needs_newton_confirmation():
     # constant drift below the step tolerance: small steps forever but no
-    # fixed point at all — must not be reported as attracted
-    m = custom_map("(add z 1e-10)")
-    orb = iterate(m, 0j, OrbitConfig(max_iter=30))
-    assert isinstance(orb.verdict, BudgetExhausted)
+    # fixed point at all — no pixel may be reported as attracted
+    g = classify_grid(custom_map("(add z 1e-10)"), ComplexBox(0.0, 1e-8, 0.0, 1e-8),
+                      4, 4, OrbitConfig(max_iter=30))
+    assert not (g.labels == ATTRACTED).any()
+    assert (g.labels == JULIA_SUSPECT).all()
+    assert (g.ids == -1).all()
 
 
 # --- fixed points ---------------------------------------------------------------

@@ -11,10 +11,11 @@ from wanderlab.topology import (
     OutOfWindow,
     connectivity,
     connectivity_monotonicity_check,
-    count_holes_reference,
     label_components,
     surrounds,
 )
+
+from oracles import count_holes_reference
 
 
 def grid_of(mask, kind=DRIFTING, ids=None):

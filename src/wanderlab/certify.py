@@ -5,7 +5,20 @@ Three engines share this module:
 * adaptive box subdivision proving set inclusions f(K) subset D and
   pointwise modulus inequalities on K — conservative tests only, so a
   "proved" verdict is a guarantee up to the soundness of the rectangle
-  arithmetic;
+  arithmetic.  The engine is breadth-first: it tests one frontier level
+  at a time, in slices of at most SLICE boxes, each slice four endpoint
+  arrays run through the batched box arithmetic in one pass.  A box fails
+  when the test does not hold on it or its reason code is set (pole: its
+  image touches a pole; overflow: an endpoint went inf or NaN), and a
+  failing box below the depth limit contributes its four quarters to the
+  next level, parent by parent and in reversed split4 order.  Within a
+  depth the boxes thus keep depth-first pre-order, so when no budget runs
+  out the examined set, boxes_examined, max_depth, the survivors and the
+  frontier equal those of a depth-first walk (kept in tests/oracles.py).
+  When the budget runs out, the examined boxes are the first max_boxes in
+  level order; on that last level the failing examined boxes survive with
+  their reasons, before the unexamined ones, which survive as "budget"
+  (the first FRONTIER_KEEP of them are kept, the rest only counted);
 * discrete winding numbers of sampled image curves with an a-posteriori
   validity criterion (minimum distance to the base point, maximum
   argument step), feeding argument-principle zero counts;
@@ -30,13 +43,25 @@ from .maps import (
     eval_map_vec,
     ex2_g_map,
 )
-from .numerics import ComplexBox, PoleIntersect, _out_hi, box_sub
+from .numerics import (
+    NONE,
+    OVERFLOW,
+    POLE,
+    Boxes,
+    ComplexBox,
+    _out_hi,
+    box_mag,
+    box_mig,
+    box_quarters,
+    box_sub,
+)
 from .regions import Disk, Region
 
 _TWO_PI = 2.0 * math.pi
 
 FRONTIER_KEEP = 64          # surviving boxes retained verbatim in a certificate
 ROOT_GRID = 16              # the region bounding box starts as a 16x16 cell grid
+SLICE = 4096                # boxes evaluated per batch of numpy calls
 
 
 @dataclass(frozen=True)
@@ -90,94 +115,118 @@ class CountMismatch(ValueError):
 # The subdivision engine.
 # ---------------------------------------------------------------------------
 
-def _root_cells(bb: ComplexBox) -> list[ComplexBox]:
+_BUDGET = 3                 # reason code of a box left unexamined when the budget ran out
+_REASONS = ("undecided", "pole", "overflow", "budget")   # survivor reason per code
+
+
+def _root_cells(bb: ComplexBox) -> np.ndarray:
+    """The ROOT_GRID x ROOT_GRID cells of bb, row by row, as a (4, n) endpoint array."""
     xs = np.linspace(bb.re_lo, bb.re_hi, ROOT_GRID + 1)
     ys = np.linspace(bb.im_lo, bb.im_hi, ROOT_GRID + 1)
-    cells = []
-    for j in range(ROOT_GRID):
-        for i in range(ROOT_GRID):
-            cells.append(ComplexBox(xs[i], xs[i + 1], ys[j], ys[j + 1]))
-    return cells
+    return np.stack([np.tile(xs[:-1], ROOT_GRID), np.tile(xs[1:], ROOT_GRID),
+                     np.repeat(ys[:-1], ROOT_GRID), np.repeat(ys[1:], ROOT_GRID)])
+
+
+def _batch(ends: np.ndarray) -> Boxes:
+    return Boxes(*ends, np.zeros(ends.shape[1], np.uint8))
+
+
+def _failing(ends: np.ndarray, region: Region, test) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes of a slice that meet the region and fail the test, with their codes."""
+    ends = ends[:, ~region.box_disjoint(_batch(ends))]
+    if not ends.shape[1]:
+        return ends, np.zeros(0, np.uint8)
+    ok, why = test(_batch(ends))
+    fail = ~(ok & (why == NONE))
+    return ends[:, fail], why[fail]
 
 
 def _prove_on_region(region: Region, test, budget: Budget):
-    """Prove `test(box)` on every box of an adaptive cover of the region.
+    """Prove `test` on every box of an adaptive cover of the region.
 
-    test returns True (holds on the whole box), False (undecided), or
-    raises PoleIntersect (undecided because the box straddles a pole) or
-    OverflowError (undecided because the box arithmetic overflowed).
-    Boxes not provably disjoint from the region are covered — straddling
-    boxes are tested in full, which only over-covers (sound).
+    test takes a batch of boxes and returns, per box, whether the claim
+    holds on the whole box and a reason code; a box holds only with code
+    NONE.  Boxes not provably disjoint from the region are covered —
+    straddling boxes are tested in full, which only over-covers (sound).
+    Returns the survivors, as (endpoints, depth, reason codes) chunks in
+    order, and the stats.
     """
     t0 = time.perf_counter()
-    stack = _root_cells(region.bounding_box())
-    stack.reverse()
-    depths = [0] * len(stack)
-    examined = 0
-    deepest = 0
-    survivors: list[tuple[ComplexBox, int, str]] = []
+    level = _root_cells(region.bounding_box())
+    depth = examined = dropped = 0
+    survivors = []
     exhausted = False
-
-    while stack:
-        box = stack.pop()
-        depth = depths.pop()
-        if exhausted:
-            survivors.append((box, depth, "budget"))
-            continue
-        examined += 1
-        deepest = max(deepest, depth)
-        if examined >= budget.max_boxes:
-            exhausted = True
-        if region.box_disjoint(box):
-            continue
-        reason = "undecided"
-        try:
-            if test(box):
-                continue
-        except PoleIntersect:
-            reason = "pole"
-        except OverflowError:
-            reason = "overflow"
-        if depth >= budget.max_depth or exhausted:
-            survivors.append((box, depth, reason))
-            continue
-        for child in box.split4():
-            stack.append(child)
-            depths.append(depth + 1)
+    with np.errstate(all="ignore"):
+        while True:
+            room = budget.max_boxes - examined
+            if level.shape[1] >= room:
+                exhausted = True
+                level, unexamined = level[:, :room], level[:, room:]
+            examined += level.shape[1]
+            last = exhausted or depth >= budget.max_depth
+            # The next level keeps only the boxes the budget can still
+            # examine, plus a frontier's worth; the rest are only counted.
+            cap = budget.max_boxes - examined + FRONTIER_KEEP
+            children, kept, spill = [], 0, 0
+            for s in range(0, level.shape[1], SLICE):
+                ends, why = _failing(level[:, s:s + SLICE], region, test)
+                if last:
+                    survivors.append((ends, depth, why))
+                    continue
+                parents = max(0, -(-(cap - kept) // 4))
+                spill += 4 * max(0, ends.shape[1] - parents)
+                # split4 reversed, parent by parent: the order a depth-first
+                # stack would pop them
+                kids = np.stack(box_quarters(*ends[:, :parents]))[:, :, ::-1].reshape(4, -1)
+                children.append(kids)
+                kept += kids.shape[1]
+            if exhausted:
+                survivors.append((unexamined, depth,
+                                  np.full(unexamined.shape[1], _BUDGET, np.uint8)))
+            if last:
+                break
+            level, dropped = np.concatenate(children, axis=1), spill
+            if not level.shape[1]:
+                break
+            depth += 1
 
     stats = {
         "boxes_examined": examined,
-        "max_depth": deepest,
+        "max_depth": depth,
         "elapsed": time.perf_counter() - t0,
-        "survivors": len(survivors),
+        "survivors": sum(len(why) for _, _, why in survivors) + dropped,
         "budget_exhausted": exhausted,
     }
     return survivors, stats
 
 
 def _finish(statement: dict, survivors, stats) -> Certificate:
-    if not survivors:
+    if not stats["survivors"]:
         verdict = "proved"
-    elif any(reason == "pole" for _, _, reason in survivors):
+    elif any((why == POLE).any() for _, _, why in survivors):
         verdict = "pole_contact"
     else:
         verdict = "inconclusive"
-    frontier = [
-        {"re_lo": b.re_lo, "re_hi": b.re_hi, "im_lo": b.im_lo, "im_hi": b.im_hi,
-         "depth": d, "reason": r}
-        for b, d, r in survivors[:FRONTIER_KEEP]
-    ]
+    frontier = []
+    for ends, depth, why in survivors:
+        k = FRONTIER_KEEP - len(frontier)
+        frontier += [{"re_lo": re_lo, "re_hi": re_hi, "im_lo": im_lo, "im_hi": im_hi,
+                      "depth": depth, "reason": _REASONS[w]}
+                     for (re_lo, re_hi, im_lo, im_hi), w in zip(ends[:, :k].T.tolist(), why[:k])]
     return Certificate(statement, verdict, frontier, stats)
+
+
+def _inclusion_test(m: MeromorphicMap, target: Region):
+    def test(boxes: Boxes):
+        image = eval_map_box(m, boxes)
+        return target.box_inside(image), image.why
+    return test
 
 
 def certify_inclusion(m: MeromorphicMap, source: Region, target: Region,
                       budget: Budget = Budget()) -> Certificate:
     """Prove f(source) subset target by conservative box cover of source."""
-
-    def test(box: ComplexBox) -> bool:
-        return target.box_inside(eval_map_box(m, box))
-
-    survivors, stats = _prove_on_region(source, test, budget)
+    survivors, stats = _prove_on_region(source, _inclusion_test(m, target), budget)
     statement = {"kind": "inclusion", "family": m.family_id,
                  "source": source, "target": target}
     return _finish(statement, survivors, stats)
@@ -186,19 +235,27 @@ def certify_inclusion(m: MeromorphicMap, source: Region, target: Region,
 # ---------------------------------------------------------------------------
 # Modulus bounds for inequality certificates.
 #
-# A Bound assigns to every box a certified upper and/or lower bound of a
-# nonnegative quantity.  The region is passed in so lower bounds of
-# |z - c|-type factors can use the region's distance floor on boxes that
-# straddle the region boundary (where the raw box minimum degenerates).
+# A Bound assigns to every box of a batch a certified upper and/or lower
+# bound of a nonnegative quantity, and a reason code: the bound is
+# certified only where the code is NONE.  The region is passed in so lower
+# bounds of |z - c|-type factors can use the region's distance floor on
+# boxes that straddle the region boundary (where the raw box minimum
+# degenerates).
 # ---------------------------------------------------------------------------
+
+def _checked(values: np.ndarray, why=None) -> tuple[np.ndarray, np.ndarray]:
+    """values with their codes: why where set, else OVERFLOW where not finite."""
+    bad = (~np.isfinite(values)).astype(np.uint8) * OVERFLOW
+    return values, bad if why is None else np.where(why != NONE, why, bad)
+
 
 class Bound:
     label = "bound"
 
-    def upper(self, box: ComplexBox, region: Region) -> float:
+    def upper(self, boxes: Boxes, region: Region) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError(f"{self.label} has no certified upper bound")
 
-    def lower(self, box: ComplexBox, region: Region) -> float:
+    def lower(self, boxes: Boxes, region: Region) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError(f"{self.label} has no certified lower bound")
 
 
@@ -209,11 +266,13 @@ class ExprBound(Bound):
         self.map = m
         self.label = label or "|f(z)|"
 
-    def upper(self, box, region):
-        return eval_map_box(self.map, box).mag()
+    def upper(self, boxes, region):
+        image = eval_map_box(self.map, boxes)
+        return _checked(box_mag(image), image.why)
 
-    def lower(self, box, region):
-        return eval_map_box(self.map, box).mig()
+    def lower(self, boxes, region):
+        image = eval_map_box(self.map, boxes)
+        return _checked(box_mig(image), image.why)
 
 
 class ConstBound(Bound):
@@ -223,11 +282,16 @@ class ConstBound(Bound):
         self.c = float(c)
         self.label = label or repr(c)
 
-    def upper(self, box, region):
-        return self.c
+    def upper(self, boxes, region):
+        return _checked(np.full(len(boxes.why), self.c))
 
-    def lower(self, box, region):
-        return self.c
+    def lower(self, boxes, region):
+        return _checked(np.full(len(boxes.why), self.c))
+
+
+def _down2(v: np.ndarray) -> np.ndarray:
+    """v pushed two ulps toward 0, and not below 0."""
+    return np.maximum(0.0, np.nextafter(np.nextafter(v, 0.0), 0.0))
 
 
 class PowerBound(Bound):
@@ -242,13 +306,12 @@ class PowerBound(Bound):
         self.center = complex(center)
         self.label = label or f"{c}*|z|^{n}"
 
-    def upper(self, box, region):
-        return _out_hi(self.c * box.mag(self.center) ** self.n, ulps=2)
+    def upper(self, boxes, region):
+        return _checked(_out_hi(self.c * box_mag(boxes, self.center) ** self.n, ulps=2))
 
-    def lower(self, box, region):
-        d = max(box.mig(self.center), region.min_dist_bound(self.center))
-        v = self.c * d ** self.n
-        return max(0.0, math.nextafter(math.nextafter(v, 0.0), 0.0))
+    def lower(self, boxes, region):
+        d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
+        return _checked(_down2(self.c * d ** self.n))
 
 
 class QuotientSeriesBound(Bound):
@@ -256,7 +319,8 @@ class QuotientSeriesBound(Bound):
 
     This is how a difference whose leading Taylor terms cancel is bounded
     without catastrophic loss: the cancellation is performed symbolically
-    and only the analytic quotient is evaluated on the box.
+    and only the analytic quotient is evaluated on the box.  quot_fn takes
+    and returns Boxes.
     """
 
     def __init__(self, c: float, power: int, quot_fn, center: complex = 0j,
@@ -269,21 +333,20 @@ class QuotientSeriesBound(Bound):
         self.center = complex(center)
         self.label = label or f"{c}*|z|^{power}*|series|"
 
-    def _shifted(self, box: ComplexBox) -> ComplexBox:
-        if self.center == 0j:
-            return box
-        return box_sub(box, ComplexBox.point(self.center))
+    def _quotient(self, boxes: Boxes) -> Boxes:
+        if self.center != 0j:
+            boxes = box_sub(boxes, Boxes.point(self.center, len(boxes.why)))
+        return self.quot_fn(boxes)
 
-    def upper(self, box, region):
-        q = self.quot_fn(self._shifted(box))
-        v = self.c * box.mag(self.center) ** self.power * q.mag()
-        return _out_hi(v, ulps=2)
+    def upper(self, boxes, region):
+        q = self._quotient(boxes)
+        v = self.c * box_mag(boxes, self.center) ** self.power * box_mag(q)
+        return _checked(_out_hi(v, ulps=2), q.why)
 
-    def lower(self, box, region):
-        q = self.quot_fn(self._shifted(box))
-        d = max(box.mig(self.center), region.min_dist_bound(self.center))
-        v = self.c * d ** self.power * q.mig()
-        return max(0.0, math.nextafter(math.nextafter(v, 0.0), 0.0))
+    def lower(self, boxes, region):
+        q = self._quotient(boxes)
+        d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
+        return _checked(_down2(self.c * d ** self.power * box_mig(q)), q.why)
 
 
 class SumBound(Bound):
@@ -295,14 +358,29 @@ class SumBound(Bound):
         self.parts = parts
         self.label = label or " + ".join(p.label for p in parts)
 
-    def upper(self, box, region):
-        return _out_hi(sum(p.upper(box, region) for p in self.parts), ulps=2)
+    def upper(self, boxes, region):
+        total, why = 0.0, np.zeros(len(boxes.why), np.uint8)
+        for p in self.parts:
+            v, w = p.upper(boxes, region)
+            total = total + v
+            why = np.where(why != NONE, why, w)
+        return _checked(_out_hi(total, ulps=2), why)
 
 
 _CMP = {
     "<": lambda lo_rhs, hi_lhs: hi_lhs < lo_rhs,
     "<=": lambda lo_rhs, hi_lhs: hi_lhs <= lo_rhs,
 }
+
+
+def _inequality_test(small: Bound, big: Bound, region: Region, op: str):
+    decide = _CMP[op]
+
+    def test(boxes: Boxes):
+        lo, why_lo = big.lower(boxes, region)
+        hi, why_hi = small.upper(boxes, region)
+        return decide(lo, hi), np.where(why_lo != NONE, why_lo, why_hi)
+    return test
 
 
 def certify_inequality(lhs: Bound | MeromorphicMap, rhs: Bound | MeromorphicMap,
@@ -324,12 +402,8 @@ def certify_inequality(lhs: Bound | MeromorphicMap, rhs: Bound | MeromorphicMap,
         small, big, op = rhs, lhs, "<" if cmp == ">" else "<="
     else:
         raise ValueError(f"unknown comparison {cmp!r}")
-    decide = _CMP[op]
-
-    def test(box: ComplexBox) -> bool:
-        return decide(big.lower(box, region), small.upper(box, region))
-
-    survivors, stats = _prove_on_region(region, test, budget)
+    survivors, stats = _prove_on_region(region, _inequality_test(small, big, region, op),
+                                        budget)
     statement = {"kind": "inequality", "lhs": lhs.label, "cmp": cmp,
                  "rhs": rhs.label, "region": region}
     return _finish(statement, survivors, stats)

@@ -6,10 +6,10 @@ printer and the compiler read it.  Each map's tree is compiled once into a
 post-order tape in which equal subtrees share one slot, and one
 interpreter runs the tape for floating scalar (orbit iteration),
 vectorized numpy (rasters, winding samples) and rigorous rectangle
-enclosure (certificates).  It looks the ops up by name in this module when
-an evaluation starts, so a map holds no function.  Division nodes identify
-the pole locus; each bundled family also declares its exact poles so orbit
-code can bail out deterministically near them.
+enclosure of box batches (certificates).  It looks the ops up by name in
+this module when an evaluation starts, so a map holds no function.
+Division nodes identify the pole locus; each bundled family also declares
+its exact poles so orbit code can bail out deterministically near them.
 
 There is deliberately no cosine node: cos u is written sin(u + pi/2),
 which keeps the differentiation rules closed over the vocabulary.
@@ -26,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
+    NONE,
+    Boxes,
     ComplexBox,
     box_add,
     box_div,
@@ -509,8 +511,10 @@ def _compile(expr: Node) -> Tape:
 _SCALAR, _VEC, _BOX = (Op._fields.index(c) for c in ("scalar", "vec", "box"))
 
 
-def _run(m: MeromorphicMap, column: int, x, lift):
-    """Value of m at x in one backend column; lift makes a constant's value."""
+def _run(m: MeromorphicMap, column: int, x, lift, note=None):
+    """Value of m at x in one backend column; lift makes a constant's value.
+
+    note, if given, is called with each step's value in tape order."""
     ns, params = globals(), m.params
     vals = [x]
     for name, value in m.tape.leaves:
@@ -520,6 +524,8 @@ def _run(m: MeromorphicMap, column: int, x, lift):
             vals.append(ns[op[column]](vals[args[0]], vals[args[1]]))
         else:
             vals.append(ns[op[column]](vals[args[0]], *data))
+        if note is not None:
+            note(vals[-1])
         for i in dead:
             vals[i] = None
     return vals[-1]
@@ -590,9 +596,25 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vals, bad
 
 
-def eval_map_box(m: MeromorphicMap, b: ComplexBox) -> ComplexBox:
-    """Rigorous enclosure of the image of a box; PoleIntersect near poles."""
-    return _run(m, _BOX, b, ComplexBox.point)
+def eval_map_box(m: MeromorphicMap, b: Boxes | ComplexBox) -> Boxes | ComplexBox:
+    """Rigorous enclosure of the image of each box of a batch.
+
+    Each box's reason code is that of the first step, in tape order, whose
+    value has one: POLE where a division's denominator box touches 0,
+    OVERFLOW where an endpoint is inf or NaN.  A single ComplexBox is run
+    as a batch of one and raises PoleIntersect or OverflowError instead.
+    """
+    if isinstance(b, ComplexBox):
+        return eval_map_box(m, Boxes.of([b])).one()
+    n = len(b.why)
+    why = b.why.copy()
+
+    def note(step: Boxes) -> None:
+        np.copyto(why, step.why, where=why == NONE)
+
+    with np.errstate(all="ignore"):
+        out = _run(m, _BOX, b, lambda v: Boxes.point(v, n), note)
+    return out._replace(why=why)
 
 
 # ---------------------------------------------------------------------------

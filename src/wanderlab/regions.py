@@ -5,6 +5,10 @@ differences.  Each shape answers three questions about an axis-aligned box:
 is the box certainly inside, certainly disjoint, or undecided.  Both box
 tests are conservative — a *true* answer is a guarantee, a *false* answer
 only means "could not tell at this box size" and invites subdivision.
+They answer a whole batch of boxes (`Boxes`) at once, one bool per box,
+or a single ComplexBox with one bool; unions and differences combine their
+parts' answers with | and &.  Bounding boxes are rounded outward, so the
+cover they start from contains the exact region.
 
 The open/closed flag matters at the certificate layer: proving an image
 lands in an *open* disk needs strict inequalities on the box bounds.
@@ -12,9 +16,11 @@ lands in an *open* disk needs strict inequalities on the box bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
-from .numerics import ComplexBox, _out_hi, _out_lo
+from .numerics import ComplexBox, _out_hi, _out_lo, box_mag, box_mig
 
 _INF = math.inf
 
@@ -23,15 +29,23 @@ class UnboundedRegionError(ValueError):
     """A bounding box was requested for a region of infinite extent."""
 
 
+def _cover(center: complex, r: float) -> ComplexBox:
+    """A box containing the closed disk of radius r about center, rounded outward."""
+    return ComplexBox(_out_lo(center.real - r), _out_hi(center.real + r),
+                      _out_lo(center.imag - r), _out_hi(center.imag + r))
+
+
 @dataclass(frozen=True)
 class Region:
     def contains(self, z: complex) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def box_inside(self, b: ComplexBox) -> bool:  # pragma: no cover - abstract
+    def box_inside(self, b):  # pragma: no cover - abstract
+        """Per box of b (Boxes or one ComplexBox): certainly inside?"""
         raise NotImplementedError
 
-    def box_disjoint(self, b: ComplexBox) -> bool:  # pragma: no cover - abstract
+    def box_disjoint(self, b):  # pragma: no cover - abstract
+        """Per box of b (Boxes or one ComplexBox): certainly disjoint?"""
         raise NotImplementedError
 
     def bounding_box(self) -> ComplexBox:  # pragma: no cover - abstract
@@ -64,16 +78,16 @@ class Disk(Region):
         d = abs(complex(z) - self.center)
         return d <= self.radius if self.closed else d < self.radius
 
-    def box_inside(self, b: ComplexBox) -> bool:
-        m = b.mag(self.center)
+    def box_inside(self, b):
+        m = box_mag(b, self.center)
         return m <= self.radius if self.closed else m < self.radius
 
-    def box_disjoint(self, b: ComplexBox) -> bool:
-        m = b.mig(self.center)
+    def box_disjoint(self, b):
+        m = box_mig(b, self.center)
         return m > self.radius if self.closed else m >= self.radius
 
     def bounding_box(self) -> ComplexBox:
-        return ComplexBox.from_center(self.center, _out_hi(self.radius))
+        return _cover(self.center, self.radius)
 
     def min_dist_bound(self, p: complex) -> float:
         d = abs(complex(p) - self.center) - self.radius
@@ -100,22 +114,22 @@ class Annulus(Region):
             return self.r_in <= d <= self.r_out
         return self.r_in < d < self.r_out
 
-    def box_inside(self, b: ComplexBox) -> bool:
-        lo = b.mig(self.center)
-        hi = b.mag(self.center)
+    def box_inside(self, b):
+        lo = box_mig(b, self.center)
+        hi = box_mag(b, self.center)
         if self.closed:
-            return lo >= self.r_in and hi <= self.r_out
-        return lo > self.r_in and hi < self.r_out
+            return (lo >= self.r_in) & (hi <= self.r_out)
+        return (lo > self.r_in) & (hi < self.r_out)
 
-    def box_disjoint(self, b: ComplexBox) -> bool:
-        lo = b.mig(self.center)
-        hi = b.mag(self.center)
+    def box_disjoint(self, b):
+        lo = box_mig(b, self.center)
+        hi = box_mag(b, self.center)
         if self.closed:
-            return hi < self.r_in or lo > self.r_out
-        return hi <= self.r_in or lo >= self.r_out
+            return (hi < self.r_in) | (lo > self.r_out)
+        return (hi <= self.r_in) | (lo >= self.r_out)
 
     def bounding_box(self) -> ComplexBox:
-        return ComplexBox.from_center(self.center, _out_hi(self.r_out))
+        return _cover(self.center, self.r_out)
 
     def min_dist_bound(self, p: complex) -> float:
         d = abs(complex(p) - self.center)
@@ -154,19 +168,19 @@ class HalfStrip(Region):
         return (self.re_lo < z.real < self.re_hi
                 and self.im_lo < z.imag < self.im_hi)
 
-    def box_inside(self, b: ComplexBox) -> bool:
+    def box_inside(self, b):
         if self.closed:
-            return (self.re_lo <= b.re_lo and b.re_hi <= self.re_hi
-                    and self.im_lo <= b.im_lo and b.im_hi <= self.im_hi)
-        return (self.re_lo < b.re_lo and b.re_hi < self.re_hi
-                and self.im_lo < b.im_lo and b.im_hi < self.im_hi)
+            return ((self.re_lo <= b.re_lo) & (b.re_hi <= self.re_hi)
+                    & (self.im_lo <= b.im_lo) & (b.im_hi <= self.im_hi))
+        return ((self.re_lo < b.re_lo) & (b.re_hi < self.re_hi)
+                & (self.im_lo < b.im_lo) & (b.im_hi < self.im_hi))
 
-    def box_disjoint(self, b: ComplexBox) -> bool:
+    def box_disjoint(self, b):
         if self.closed:
-            return (b.re_hi < self.re_lo or b.re_lo > self.re_hi
-                    or b.im_hi < self.im_lo or b.im_lo > self.im_hi)
-        return (b.re_hi <= self.re_lo or b.re_lo >= self.re_hi
-                or b.im_hi <= self.im_lo or b.im_lo >= self.im_hi)
+            return ((b.re_hi < self.re_lo) | (b.re_lo > self.re_hi)
+                    | (b.im_hi < self.im_lo) | (b.im_lo > self.im_hi))
+        return ((b.re_hi <= self.re_lo) | (b.re_lo >= self.re_hi)
+                | (b.im_hi <= self.im_lo) | (b.im_lo >= self.im_hi))
 
     def bounding_box(self) -> ComplexBox:
         if math.isinf(self.re_lo) or math.isinf(self.re_hi) \
@@ -198,13 +212,13 @@ class Union(Region):
     def contains(self, z: complex) -> bool:
         return any(p.contains(z) for p in self.parts)
 
-    def box_inside(self, b: ComplexBox) -> bool:
+    def box_inside(self, b):
         # conservative: a box covered jointly by two parts but by neither
         # alone reports False and gets subdivided
-        return any(p.box_inside(b) for p in self.parts)
+        return reduce(operator.or_, (p.box_inside(b) for p in self.parts))
 
-    def box_disjoint(self, b: ComplexBox) -> bool:
-        return all(p.box_disjoint(b) for p in self.parts)
+    def box_disjoint(self, b):
+        return reduce(operator.and_, (p.box_disjoint(b) for p in self.parts))
 
     def bounding_box(self) -> ComplexBox:
         acc = self.parts[0].bounding_box()
@@ -226,11 +240,11 @@ class Difference(Region):
     def contains(self, z: complex) -> bool:
         return self.minuend.contains(z) and not self.subtrahend.contains(z)
 
-    def box_inside(self, b: ComplexBox) -> bool:
-        return self.minuend.box_inside(b) and self.subtrahend.box_disjoint(b)
+    def box_inside(self, b):
+        return self.minuend.box_inside(b) & self.subtrahend.box_disjoint(b)
 
-    def box_disjoint(self, b: ComplexBox) -> bool:
-        return self.minuend.box_disjoint(b) or self.subtrahend.box_inside(b)
+    def box_disjoint(self, b):
+        return self.minuend.box_disjoint(b) | self.subtrahend.box_inside(b)
 
     def bounding_box(self) -> ComplexBox:
         return self.minuend.bounding_box()

@@ -1,7 +1,11 @@
 """Slow reference implementations that cross-check the library in tests."""
+import time
 from collections import deque
 
 import numpy as np
+
+from wanderlab.certify import FRONTIER_KEEP, Certificate, _root_cells
+from wanderlab.numerics import ComplexBox, PoleIntersect
 
 
 def count_holes_reference(mask: np.ndarray) -> int:
@@ -52,3 +56,75 @@ def count_holes_reference(mask: np.ndarray) -> int:
                                 rest[jj, ii] = False
                                 dq.append((jj, ii))
     return holes
+
+
+def prove_on_region_reference(region, test, budget):
+    """The depth-first subdivision engine, one box at a time.
+
+    test(box) returns True (holds on the whole box), False (undecided), or
+    raises PoleIntersect or OverflowError (undecided, with that reason).
+    Returns the survivors as (box, depth, reason) in the order found, and
+    the stats, as wanderlab.certify._prove_on_region does.
+    """
+    t0 = time.perf_counter()
+    stack = [ComplexBox(*(float(e) for e in cell))
+             for cell in _root_cells(region.bounding_box()).T]
+    stack.reverse()
+    depths = [0] * len(stack)
+    examined = 0
+    deepest = 0
+    survivors = []
+    exhausted = False
+
+    while stack:
+        box = stack.pop()
+        depth = depths.pop()
+        if exhausted:
+            survivors.append((box, depth, "budget"))
+            continue
+        examined += 1
+        deepest = max(deepest, depth)
+        if examined >= budget.max_boxes:
+            exhausted = True
+        if region.box_disjoint(box):
+            continue
+        reason = "undecided"
+        try:
+            if test(box):
+                continue
+        except PoleIntersect:
+            reason = "pole"
+        except OverflowError:
+            reason = "overflow"
+        if depth >= budget.max_depth or exhausted:
+            survivors.append((box, depth, reason))
+            continue
+        for child in box.split4():
+            stack.append(child)
+            depths.append(depth + 1)
+
+    stats = {
+        "boxes_examined": examined,
+        "max_depth": deepest,
+        "elapsed": time.perf_counter() - t0,
+        "survivors": len(survivors),
+        "budget_exhausted": exhausted,
+    }
+    return survivors, stats
+
+
+def certificate_reference(statement, region, test, budget):
+    """The Certificate the depth-first engine gives for test on region."""
+    survivors, stats = prove_on_region_reference(region, test, budget)
+    if not survivors:
+        verdict = "proved"
+    elif any(reason == "pole" for _, _, reason in survivors):
+        verdict = "pole_contact"
+    else:
+        verdict = "inconclusive"
+    frontier = [
+        {"re_lo": b.re_lo, "re_hi": b.re_hi, "im_lo": b.im_lo, "im_hi": b.im_hi,
+         "depth": d, "reason": r}
+        for b, d, r in survivors[:FRONTIER_KEEP]
+    ]
+    return Certificate(statement, verdict, frontier, stats)

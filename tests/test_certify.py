@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from oracles import certificate_reference
 from wanderlab.certify import (
     Budget,
     ConstBound,
@@ -22,10 +24,25 @@ from wanderlab.certify import (
     winding_number,
     _circle,
     _discrete_winding,
+    _inequality_test,
 )
-from wanderlab.maps import build_family, custom_map, derivative, eval_map, eval_map_vec
-from wanderlab.numerics import quot_exp_tail
-from wanderlab.regions import Annulus, Disk
+from wanderlab.maps import (
+    build_family,
+    custom_map,
+    derivative,
+    eval_map,
+    eval_map_box,
+    eval_map_vec,
+)
+from wanderlab.numerics import (
+    OVERFLOW,
+    POLE,
+    Boxes,
+    DomainError,
+    PoleIntersect,
+    quot_exp_tail,
+)
+from wanderlab.regions import Annulus, Difference, Disk
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -91,6 +108,107 @@ def test_pole_contact_verdict():
                              budget=Budget(max_boxes=50_000, max_depth=8))
     assert cert.verdict == "pole_contact"
     assert any(f["reason"] == "pole" for f in cert.frontier)
+
+
+def test_inf_minus_inf_box_is_undecided():
+    # e^800 overflows to inf inside the products, and inf - inf is NaN: the
+    # boxes must be undecided with reason overflow, not crash the certificate
+    m = custom_map("(sub (mul (exp z) (exp z)) (mul (exp z) (exp z)))")
+    cert = certify_inclusion(m, Disk(400.0, 1.0, closed=True), Disk(0j, 1.0),
+                             Budget(200, 3))
+    assert cert.verdict == "inconclusive"
+    assert {f["reason"] for f in cert.frontier} == {"overflow"}
+
+
+def test_budget_exhaustion_examines_level_order():
+    # the first max_boxes boxes in level order are examined; the examined
+    # survivors come before the unexamined (budget) ones
+    cert = certify_inclusion(custom_map("z"), Disk(0j, 1.0), Disk(0j, 0.5),
+                             budget=Budget(max_boxes=300, max_depth=6))
+    assert cert.stats["boxes_examined"] == 300
+    assert cert.stats["max_depth"] == 1
+    assert cert.stats["budget_exhausted"]
+    reasons = [f["reason"] for f in cert.frontier]
+    assert "budget" in reasons and reasons[0] == "undecided"
+    assert reasons == sorted(reasons, key=lambda r: r == "budget")
+    assert all(f["depth"] == 1 for f in cert.frontier)
+
+
+def test_budget_exhaustion_counts_every_unexamined_box():
+    # the children of every failing root cell are survivors: the one that
+    # was examined, and the unexamined ones, kept or only counted
+    m, source, target = custom_map("z"), Disk(0j, 1.0), Disk(0j, 0.5)
+    failing_roots = certify_inclusion(m, source, target, Budget(1000, 0)).stats["survivors"]
+    assert failing_roots > 64
+    cert = certify_inclusion(m, source, target, Budget(257, 6))
+    examined_failed = cert.frontier[0]["reason"] != "budget"
+    assert cert.stats["survivors"] == examined_failed + 4 * failing_roots - 1
+    assert len(cert.frontier) == 64
+
+
+def _single_box_inclusion(m, target):
+    def test(box):
+        return target.box_inside(eval_map_box(m, box))
+    return test
+
+
+def _single_box(batch_test):
+    """A batch test run on a batch of one, raising from the reason code."""
+    def test(box):
+        ok, why = batch_test(Boxes.of([box]))
+        if why[0] == POLE:
+            raise PoleIntersect("pole")
+        if why[0] == OVERFLOW:
+            raise OverflowError("overflow")
+        return bool(ok[0])
+    return test
+
+
+def _without_elapsed(cert):
+    stats = {k: v for k, v in cert.stats.items() if k != "elapsed"}
+    return dataclasses.replace(cert, stats=stats)
+
+
+_CORE = Difference(Disk(0j, 2.0 * A1, closed=True), Disk(complex(A1), A1 / 2))
+
+
+@pytest.mark.parametrize("m, source, target, budget, verdict", [
+    (ex1(), _CORE, Disk(0j, A1 / 2), Budget(), "proved"),
+    (custom_map("z"), Disk(0j, 1.0, closed=True), Disk(0j, 1.0), Budget(50_000, 4),
+     "inconclusive"),
+    (ex2(), Disk(0j, 0.01), Disk(0j, 1e9), Budget(50_000, 8), "pole_contact"),
+    (build_family("ex5"), Disk(800.0, 1.0, closed=True), Disk(0j, 1.0), Budget(50_000, 1),
+     "inconclusive"),
+], ids=["proved", "depth", "pole", "overflow"])
+def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, verdict):
+    cert = certify_inclusion(m, source, target, budget)
+    statement = {"kind": "inclusion", "family": m.family_id,
+                 "source": source, "target": target}
+    ref = certificate_reference(statement, source, _single_box_inclusion(m, target), budget)
+    assert not ref.stats["budget_exhausted"]
+    assert ref.verdict == verdict
+    assert _without_elapsed(cert) == _without_elapsed(ref)
+
+
+_POLE_TERM = custom_map("(div eps (sub (exp z) (exp a)))",
+                        params={"eps": EPS1, "a": A1}, declared_poles=(complex(A1),))
+
+
+@pytest.mark.parametrize("rhs, region, budget, verdict", [
+    (ConstBound(A1 / 4), Annulus(complex(A1), A1 / 2, 0.5, closed=True), Budget(), "proved"),
+    (PowerBound(0.5, 1, complex(A1)), Annulus(complex(A1), A1 / 4, 0.05, closed=True),
+     Budget(50_000, 3), "inconclusive"),
+], ids=["proved", "depth"])
+def test_inequality_engine_matches_depth_first_oracle(rhs, region, budget, verdict):
+    lhs = ExprBound(_POLE_TERM)
+    cert = certify_inequality(lhs, rhs, region, budget, cmp="<=")
+    statement = {"kind": "inequality", "lhs": lhs.label, "cmp": "<=",
+                 "rhs": rhs.label, "region": region}
+    ref = certificate_reference(statement, region,
+                                _single_box(_inequality_test(lhs, rhs, region, "<=")), budget)
+    assert not ref.stats["budget_exhausted"]
+    assert ref.verdict == verdict
+    assert _without_elapsed(cert) == _without_elapsed(ref)
 
 
 def test_ex1_core_inclusion():
@@ -159,6 +277,14 @@ def test_pole_term_inequality():
                               Annulus(complex(A1), A1 / 2, 0.5, closed=True),
                               cmp="<=")
     assert cert.proved
+
+
+def test_series_tail_domain_error_propagates():
+    # a box too large for the series tail is an error, not an undecided box
+    lhs = QuotientSeriesBound(1.0, 2, lambda b: quot_exp_tail(b, drop=2))
+    with pytest.raises(DomainError):
+        certify_inequality(lhs, PowerBound(2.0, 2), Disk(0j, 40.0, closed=True),
+                           Budget(1000, 2))
 
 
 def test_inequality_rejects_unknown_cmp():

@@ -27,7 +27,7 @@ from wanderlab.maps import (
     solve_ex2_params,
     to_sexpr,
 )
-from wanderlab.numerics import ComplexBox, PoleIntersect
+from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, PoleIntersect
 
 RNG = random.Random(365214)
 
@@ -200,6 +200,48 @@ def test_box_eval_pole_intersect():
     m = build_family("ex2", {"eps": EPS2})
     with pytest.raises(PoleIntersect):
         eval_map_box(m, ComplexBox.from_center(0j, 0.1))
+
+
+def _mixed_boxes(rng: random.Random, n: int) -> list[ComplexBox]:
+    """Ordinary boxes, boxes around the pole at 0, and boxes where exp or
+    sin overflows, interleaved."""
+    out = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        elif kind == 1:
+            c = complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        elif kind == 2:
+            c = complex(rng.uniform(690, 730), rng.uniform(-3, 3))
+        else:
+            c = complex(rng.uniform(-3, 3), rng.uniform(690, 730))
+        out.append(ComplexBox.from_center(c, rng.uniform(0.0, 0.1)))
+    return out
+
+
+@pytest.mark.parametrize("m", [
+    custom_map("(add (div 1 z) (mul z (exp z)))", declared_poles=(0j,)),
+    build_family("ex2", {"eps": 1e-5}),
+    custom_map("(sub (mul (exp z) (exp z)) (mul (exp z) (exp z)))"),
+], ids=["pole-exp", "ex2", "inf-minus-inf"])
+def test_box_eval_batch_matches_single_boxes(m):
+    # a box's enclosure and reason code do not depend on the batch around it
+    boxes = _mixed_boxes(random.Random(9001), 1000)
+    batch = eval_map_box(m, Boxes.of(boxes))
+    assert {int(w) for w in batch.why} >= {NONE, OVERFLOW}
+    for i, b in enumerate(boxes):
+        alone = eval_map_box(m, Boxes.of([b]))
+        assert alone.why[0] == batch.why[i]
+        assert (np.array([e[0] for e in alone[:4]]).tobytes()
+                == np.array([e[i] for e in batch[:4]]).tobytes())
+        if batch.why[i] == NONE:
+            assert eval_map_box(m, b) == ComplexBox(*(float(e[i]) for e in batch[:4]))
+        else:
+            with pytest.raises(PoleIntersect if batch.why[i] == POLE else OverflowError):
+                eval_map_box(m, b)
+    if m.declared_poles:
+        assert (batch.why == POLE).any()
 
 
 def test_eval_in_point_box():

@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,6 +163,41 @@ def test_inclusion_monotone_under_subdivision():
         for q in b.split4():
             child = box_exp(q)
             assert child.subset_of(parent.inflate(1e-13 * (1.0 + parent.mag())))
+
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("exp", -700.0, 709.0),
+    ("sin", -1e3, 1e3),
+    ("cos", -1e3, 1e3),
+    ("sin", -1e15, 1e15),
+    ("cos", -1e15, 1e15),
+    ("cosh", -709.0, 709.0),
+    ("sinh", -709.0, 709.0),
+    ("sinh", -2.0, 2.0),
+])
+def test_numpy_transcendentals_within_one_ulp_of_mpmath(name, lo, hi):
+    # the premise of the 2-ulp widening around every libm call
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.random.default_rng(20261018).uniform(lo, hi, 2000)
+    values = getattr(np, name)(xs)
+    exact = getattr(mpmath, name)
+    with mpmath.workprec(200):
+        for x, v in zip(xs, values):
+            y = exact(mpmath.mpf(float(x)))
+            assert mpmath.mpf(float(np.nextafter(v, -np.inf))) <= y
+            assert y <= mpmath.mpf(float(np.nextafter(v, np.inf)))
+
+
+def test_numpy_hypot_within_one_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    xs, ys = (rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-20, 20, 2000)
+              for _ in range(2))
+    with mpmath.workprec(200):
+        for x, y, v in zip(xs, ys, np.hypot(xs, ys)):
+            h = mpmath.sqrt(mpmath.mpf(float(x)) ** 2 + mpmath.mpf(float(y)) ** 2)
+            assert mpmath.mpf(float(np.nextafter(v, -np.inf))) <= h
+            assert h <= mpmath.mpf(float(np.nextafter(v, np.inf)))
 
 
 # ---------------------------------------------------------------------------

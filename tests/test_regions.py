@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,3 +166,17 @@ def test_min_dist_bound_annulus_hole():
     assert 0.49 < f <= 0.5
     f2 = ann.min_dist_bound(3.0 + 0j)
     assert 0.99 < f2 <= 1.0
+
+
+def test_bounding_box_contains_exact_extreme_points():
+    # the cover of a disk or annulus contains the exact points c +- r and
+    # c +- i r, checked in exact rational arithmetic
+    rng = random.Random(20261018)
+    for _ in range(10_000):
+        c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        r = rng.uniform(0.0, 5.0)
+        for region in (Disk(c, r, closed=True), Annulus(c, 0.5 * r, r)):
+            bb = region.bounding_box()
+            x, y, rr = Fraction(c.real), Fraction(c.imag), Fraction(r)
+            assert Fraction(bb.re_lo) <= x - rr and x + rr <= Fraction(bb.re_hi)
+            assert Fraction(bb.im_lo) <= y - rr and y + rr <= Fraction(bb.im_hi)

@@ -1,10 +1,15 @@
 """Scenario loading, execution, report shape, CLI exit codes, pixmap bytes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wanderlab
 from wanderlab import pixmap
 from wanderlab.cli import main
 from wanderlab.dynamics import (
@@ -205,6 +210,17 @@ def test_cli_suites_lists_bundles_and_anchors(capsys):
     for needle in ("ex1-core", "ex2-core", "ex34-models", "ex5-strip",
                    "Eq-4.1", "Lemma-4.1a", "Cor-2-raster", "Omega-inclusion"):
         assert needle in out
+
+
+def test_cli_module_runs_as_a_script():
+    src = str(Path(wanderlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "wanderlab.cli", "suites"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("ex1-core", "ex2-core", "ex34-models", "ex5-strip"):
+        assert name in done.stdout
 
 
 def test_cli_run_writes_report(tmp_path, capsys):

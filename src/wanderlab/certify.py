@@ -11,7 +11,7 @@ Three engines share this module:
   when the test does not hold on it or its reason code is set (pole: its
   image touches a pole; overflow: an endpoint went inf or NaN), and a
   failing box below the depth limit contributes its four quarters to the
-  next level, parent by parent and in reversed split4 order.  Within a
+  next level, parent by parent and in reversed box_quarters order.  Within a
   depth the boxes thus keep depth-first pre-order, so when no budget runs
   out the examined set, boxes_examined, max_depth, the survivors and the
   frontier equal those of a depth-first walk (kept in tests/oracles.py).
@@ -175,7 +175,7 @@ def _prove_on_region(region: Region, test, budget: Budget):
                     continue
                 parents = max(0, -(-(cap - kept) // 4))
                 spill += 4 * max(0, ends.shape[1] - parents)
-                # split4 reversed, parent by parent: the order a depth-first
+                # quarters reversed, parent by parent: the order a depth-first
                 # stack would pop them
                 kids = np.stack(box_quarters(*ends[:, :parents]))[:, :, ::-1].reshape(4, -1)
                 children.append(kids)

@@ -28,7 +28,6 @@ import numpy as np
 from .numerics import (
     NONE,
     Boxes,
-    ComplexBox,
     box_add,
     box_div,
     box_exp,
@@ -596,16 +595,13 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vals, bad
 
 
-def eval_map_box(m: MeromorphicMap, b: Boxes | ComplexBox) -> Boxes | ComplexBox:
+def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     """Rigorous enclosure of the image of each box of a batch.
 
     Each box's reason code is that of the first step, in tape order, whose
     value has one: POLE where a division's denominator box touches 0,
-    OVERFLOW where an endpoint is inf or NaN.  A single ComplexBox is run
-    as a batch of one and raises PoleIntersect or OverflowError instead.
+    OVERFLOW where an endpoint is inf or NaN.
     """
-    if isinstance(b, ComplexBox):
-        return eval_map_box(m, Boxes.of([b])).one()
     n = len(b.why)
     why = b.why.copy()
 

@@ -14,10 +14,11 @@ float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
 or NaN).  An op's result carries, per box, the first code set among its
 arguments, else its own; endpoints of a box with a code are unspecified.
-A single `ComplexBox` is a batch of one: the `box_*` ops and the series
-quotients accept one and return one, raising PoleIntersect or
-OverflowError from its code.  Intervals of the `iv_*` layer are (lo, hi)
-pairs of arrays or of floats.
+The `box_*` ops and the series quotients take and return `Boxes` only; a
+single box is a batch of one (`Boxes.of([box])`).  `ComplexBox` is the
+plain record of one rectangle, for raster windows and region bounding
+boxes.  Intervals of the `iv_*` layer are (lo, hi) pairs of arrays or of
+floats.
 
 Also provided: closed-form series-tail bounds for exp, and box enclosures
 of the analytic quotients left over when leading Taylor terms are removed
@@ -28,7 +29,6 @@ precision there.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -165,18 +165,18 @@ def iv_cos(a):
 
 
 # ---------------------------------------------------------------------------
-# Boxes: one ComplexBox, or a batch of them.
+# Boxes: the record of one rectangle, and a batch of them.
 # ---------------------------------------------------------------------------
 
-def box_mag(b, center: complex = 0j):
-    """Upper bound for |z - center| over each box (a ComplexBox or Boxes)."""
+def box_mag(b: Boxes, center: complex = 0j) -> np.ndarray:
+    """Upper bound for |z - center| over each box of a batch."""
     c = complex(center)
     dx = np.maximum(np.abs(b.re_lo - c.real), np.abs(b.re_hi - c.real))
     dy = np.maximum(np.abs(b.im_lo - c.imag), np.abs(b.im_hi - c.imag))
     return _out_hi(np.hypot(_out_hi(dx), _out_hi(dy)), ulps=2)
 
 
-def box_mig(b, center: complex = 0j):
+def box_mig(b: Boxes, center: complex = 0j) -> np.ndarray:
     """Lower bound for |z - center| over each box (0 where the center is inside)."""
     c = complex(center)
     dx = np.where((b.re_lo <= c.real) & (c.real <= b.re_hi), 0.0,
@@ -187,7 +187,8 @@ def box_mig(b, center: complex = 0j):
 
 
 def box_quarters(re_lo, re_hi, im_lo, im_hi):
-    """The four quarters of each box, in split4 order along a new last axis."""
+    """The four quarters of each box along a new last axis: lower left,
+    lower right, upper left, upper right."""
     rm = 0.5 * (re_lo + re_hi)
     im = 0.5 * (im_lo + im_hi)
     return (np.stack([re_lo, rm, re_lo, rm], axis=-1),
@@ -211,57 +212,9 @@ class ComplexBox:
         if any(math.isnan(v) for v in (self.re_lo, self.re_hi, self.im_lo, self.im_hi)):
             raise ValueError("NaN box bound")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def point(z: complex) -> "ComplexBox":
-        z = complex(z)
-        return ComplexBox(z.real, z.real, z.imag, z.imag)
-
-    @staticmethod
-    def from_center(z: complex, half_width: float) -> "ComplexBox":
-        z = complex(z)
-        return ComplexBox(z.real - half_width, z.real + half_width,
-                          z.imag - half_width, z.imag + half_width)
-
-    # -- geometry ----------------------------------------------------------
-
-    def widths(self) -> tuple[float, float]:
-        return (self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def max_width(self) -> float:
-        return max(self.widths())
-
-    def contains(self, z: complex, atol: float = 0.0) -> bool:
-        z = complex(z)
-        return (self.re_lo - atol <= z.real <= self.re_hi + atol
-                and self.im_lo - atol <= z.imag <= self.im_hi + atol)
-
-    def mag(self, center: complex = 0j) -> float:
-        """Upper bound for |z - center| over the box."""
-        return float(box_mag(self, center))
-
-    def mig(self, center: complex = 0j) -> float:
-        """Lower bound for |z - center| over the box (0 if the center is inside)."""
-        return float(box_mig(self, center))
-
-    def split4(self) -> tuple["ComplexBox", ...]:
-        q = box_quarters(self.re_lo, self.re_hi, self.im_lo, self.im_hi)
-        return tuple(ComplexBox(*(float(e[j]) for e in q)) for j in range(4))
-
     def hull(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(min(self.re_lo, other.re_lo), max(self.re_hi, other.re_hi),
                           min(self.im_lo, other.im_lo), max(self.im_hi, other.im_hi))
-
-    def inflate(self, r: float) -> "ComplexBox":
-        """Minkowski sum with a closed ball of radius r (r >= 0)."""
-        if r < 0.0:
-            raise ValueError("negative inflation radius")
-        return box_inflate(self, r)
-
-    def subset_of(self, other: "ComplexBox") -> bool:
-        return (other.re_lo <= self.re_lo and self.re_hi <= other.re_hi
-                and other.im_lo <= self.im_lo and self.im_hi <= other.im_hi)
 
 
 class Boxes(NamedTuple):
@@ -295,14 +248,6 @@ class Boxes(NamedTuple):
         re, im = np.full(n, z.real), np.full(n, z.imag)
         return Boxes(re, re, im, im, np.zeros(n, np.uint8))
 
-    def one(self) -> ComplexBox:
-        """The single box of a batch of one; raises from its reason code."""
-        if self.why[0] == POLE:
-            raise PoleIntersect("box touches a pole")
-        if self.why[0] == OVERFLOW:
-            raise OverflowError("box arithmetic overflowed")
-        return ComplexBox(*(float(e[0]) for e in self[:4]))
-
 
 def _result(re, im, *args: Boxes, pole=None) -> Boxes:
     """An op's output boxes.  Each box's code is that of the first argument
@@ -317,83 +262,59 @@ def _result(re, im, *args: Boxes, pole=None) -> Boxes:
     return Boxes(re[0], re[1], im[0], im[1], why)
 
 
-def _batched(op):
-    """Let op, written over Boxes, also take and return a single ComplexBox."""
-
-    @functools.wraps(op)
-    def run(a, *args, **kwargs):
-        if isinstance(a, Boxes):
-            return op(a, *args, **kwargs)
-        args = [Boxes.of([x]) if isinstance(x, ComplexBox) else x for x in args]
-        with np.errstate(all="ignore"):
-            return op(Boxes.of([a]), *args, **kwargs).one()
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Box operations.
 # ---------------------------------------------------------------------------
 
-@_batched
-def box_add(a, b):
+def box_add(a: Boxes, b: Boxes) -> Boxes:
     return _result(iv_add(a.re, b.re), iv_add(a.im, b.im), a, b)
 
 
-@_batched
-def box_sub(a, b):
+def box_sub(a: Boxes, b: Boxes) -> Boxes:
     return _result(iv_sub(a.re, b.re), iv_sub(a.im, b.im), a, b)
 
 
-@_batched
-def box_neg(a):
+def box_neg(a: Boxes) -> Boxes:
     return _result(iv_neg(a.re), iv_neg(a.im), a)
 
 
-@_batched
-def box_mul(a, b):
+def box_mul(a: Boxes, b: Boxes) -> Boxes:
     # (x1 + i y1)(x2 + i y2) = (x1 x2 - y1 y2) + i (x1 y2 + y1 x2)
     return _result(iv_sub(iv_mul(a.re, b.re), iv_mul(a.im, b.im)),
                    iv_add(iv_mul(a.re, b.im), iv_mul(a.im, b.re)), a, b)
 
 
-@_batched
-def box_recip(a):
-    """1 / box.  Code POLE (PoleIntersect for one box) where the box touches the origin."""
+def box_recip(a: Boxes) -> Boxes:
+    """1 / box.  Code POLE where the box touches the origin."""
     d = iv_add(iv_sq(a.re), iv_sq(a.im))
     pole = d[0] <= 0.0
     inv = iv_recip((np.where(pole, 1.0, d[0]), np.where(pole, 1.0, d[1])))
     return _result(iv_mul(a.re, inv), iv_neg(iv_mul(a.im, inv)), a, pole=pole)
 
 
-@_batched
-def box_div(a, b):
+def box_div(a: Boxes, b: Boxes) -> Boxes:
     return box_mul(a, box_recip(b))
 
 
-@_batched
-def box_exp(a):
+def box_exp(a: Boxes) -> Boxes:
     """exp restricted to a box: monotone real factor times cos/sin ranges."""
     r = iv_exp(a.re)
     return _result(iv_mul(r, iv_cos(a.im)), iv_mul(r, iv_sin(a.im)), a)
 
 
-@_batched
-def box_sin(a):
+def box_sin(a: Boxes) -> Boxes:
     # sin(x + i y) = sin x cosh y + i cos x sinh y
     return _result(iv_mul(iv_sin(a.re), iv_cosh(a.im)),
                    iv_mul(iv_cos(a.re), iv_sinh(a.im)), a)
 
 
-@_batched
-def box_cos(a):
+def box_cos(a: Boxes) -> Boxes:
     # cos(x + i y) = cos x cosh y - i sin x sinh y
     return _result(iv_mul(iv_cos(a.re), iv_cosh(a.im)),
                    iv_neg(iv_mul(iv_sin(a.re), iv_sinh(a.im))), a)
 
 
-@_batched
-def box_pow_int(a, n: int):
+def box_pow_int(a: Boxes, n: int) -> Boxes:
     if n < 2:
         raise ValueError("integer power nodes require exponent >= 2")
     acc = a
@@ -402,8 +323,7 @@ def box_pow_int(a, n: int):
     return acc
 
 
-@_batched
-def box_inflate(a, r):
+def box_inflate(a: Boxes, r) -> Boxes:
     """Minkowski sum of each box with a closed ball of radius r >= 0."""
     return _result((_out_lo(a.re_lo - r), _out_hi(a.re_hi + r)),
                    (_out_lo(a.im_lo - r), _out_hi(a.im_hi + r)), a)
@@ -451,8 +371,7 @@ def _series_box_even(a: Boxes, coeff, n_coeffs: int, tail_c: int) -> Boxes:
     return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
 
 
-@_batched
-def quot_exp_tail(a, drop: int, n_coeffs: int = 12):
+def quot_exp_tail(a: Boxes, drop: int, n_coeffs: int = 12) -> Boxes:
     """Enclose (e^z - sum_{k<drop} z^k/k!) / z^drop = sum_j z^j/(j+drop)! over the boxes."""
     n = len(a.why)
     acc = Boxes.point(1.0 / math.factorial(n_coeffs - 1 + drop), n)
@@ -466,19 +385,16 @@ def quot_exp_tail(a, drop: int, n_coeffs: int = 12):
     return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
 
 
-@_batched
-def quot_one_minus_cos(a, n_coeffs: int = 9):
+def quot_one_minus_cos(a: Boxes, n_coeffs: int = 9) -> Boxes:
     """(1 - cos z)/z^2 = sum_k (-1)^k z^(2k) / (2k+2)!"""
     return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 2), n_coeffs, 2)
 
 
-@_batched
-def quot_z_minus_sin(a, n_coeffs: int = 9):
+def quot_z_minus_sin(a: Boxes, n_coeffs: int = 9) -> Boxes:
     """(z - sin z)/z^3 = sum_k (-1)^k z^(2k) / (2k+3)!"""
     return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 3), n_coeffs, 3)
 
 
-@_batched
-def quot_cos_defect(a, n_coeffs: int = 9):
+def quot_cos_defect(a: Boxes, n_coeffs: int = 9) -> Boxes:
     """(cos z - 1 + z^2/2)/z^4 = sum_k (-1)^k z^(2k) / (2k+4)!"""
     return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 4), n_coeffs, 4)

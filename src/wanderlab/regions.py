@@ -5,9 +5,9 @@ differences.  Each shape answers three questions about an axis-aligned box:
 is the box certainly inside, certainly disjoint, or undecided.  Both box
 tests are conservative — a *true* answer is a guarantee, a *false* answer
 only means "could not tell at this box size" and invites subdivision.
-They answer a whole batch of boxes (`Boxes`) at once, one bool per box,
-or a single ComplexBox with one bool; unions and differences combine their
-parts' answers with | and &.  Bounding boxes are rounded outward, so the
+They take a batch of boxes (`Boxes`; one box is a batch of one) and
+answer with one bool per box; unions and differences combine their parts'
+answers with | and &.  Bounding boxes are rounded outward, so the
 cover they start from contains the exact region.
 
 The open/closed flag matters at the certificate layer: proving an image
@@ -41,11 +41,11 @@ class Region:
         raise NotImplementedError
 
     def box_inside(self, b):  # pragma: no cover - abstract
-        """Per box of b (Boxes or one ComplexBox): certainly inside?"""
+        """Per box of the batch b: certainly inside?"""
         raise NotImplementedError
 
     def box_disjoint(self, b):  # pragma: no cover - abstract
-        """Per box of b (Boxes or one ComplexBox): certainly disjoint?"""
+        """Per box of the batch b: certainly disjoint?"""
         raise NotImplementedError
 
     def bounding_box(self) -> ComplexBox:  # pragma: no cover - abstract

@@ -122,12 +122,16 @@ def load_scenario(ref) -> Scenario:
 
 # --- JSON -> object decoding -------------------------------------------------
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve(value, env, where):
     if isinstance(value, str):
         if value.startswith("$") and value[1:] in env:
             return env[value[1:]]
         raise ScenarioError(f"unresolved reference {value!r}", where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _number(value):
         raise ScenarioError(f"expected a number or $reference, got {value!r}", where)
     return float(value)
 
@@ -588,11 +592,18 @@ def _make_ctx(scenario: Scenario, threads, budget_boxes, max_iter, out_dir) -> d
 
 def _raster_grid(item, ctx):
     scenario = ctx["scenario"]
-    if scenario.window is None or scenario.resolution is None:
-        raise ScenarioError("raster item needs scenario window and resolution",
-                            item["id"])
-    window = ComplexBox(*(float(v) for v in scenario.window))
-    width, height = (int(v) for v in scenario.resolution)
+    window, resolution = scenario.window, scenario.resolution
+    if not (isinstance(window, (list, tuple)) and len(window) == 4
+            and all(_number(v) and math.isfinite(v) for v in window)
+            and window[0] <= window[1] and window[2] <= window[3]):
+        raise ScenarioError('"window" must be four finite numbers [re_lo, re_hi, '
+                            f"im_lo, im_hi] with lo <= hi, got {window!r}", item["id"])
+    if not (isinstance(resolution, (list, tuple)) and len(resolution) == 2
+            and all(_number(v) and isinstance(v, int) and v >= 2 for v in resolution)):
+        raise ScenarioError('"resolution" must be two integers >= 2 [width, height], '
+                            f"got {resolution!r}", item["id"])
+    window = ComplexBox(*(float(v) for v in window))
+    width, height = resolution
     m = _item_map(item, ctx["map"], ctx["env"], item["id"])
     cfg = _decode_orbit(scenario.orbit, ctx["max_iter"])
     return classify_grid(m, window, width, height, cfg, workers=ctx["threads"])

@@ -1,11 +1,21 @@
-"""Slow reference implementations that cross-check the library in tests."""
+"""Slow reference implementations and exact checks that cross-check the library in tests."""
 import time
 from collections import deque
 
 import numpy as np
 
 from wanderlab.certify import FRONTIER_KEEP, Certificate, _root_cells
-from wanderlab.numerics import ComplexBox, PoleIntersect
+from wanderlab.numerics import NONE, Boxes, ComplexBox, PoleIntersect, box_quarters
+
+
+def encloses(b: Boxes, z, atol=0.0) -> np.ndarray:
+    """Per box i of the batch and point z[i, j]: is the point inside the
+    box widened by atol, and is the box's reason code unset?"""
+    z = np.asarray(z, dtype=np.complex128)
+    re_lo, re_hi, im_lo, im_hi = (e[:, None] for e in b[:4])
+    return ((b.why == NONE)[:, None]
+            & (re_lo - atol <= z.real) & (z.real <= re_hi + atol)
+            & (im_lo - atol <= z.imag) & (z.imag <= im_hi + atol))
 
 
 def count_holes_reference(mask: np.ndarray) -> int:
@@ -61,14 +71,15 @@ def count_holes_reference(mask: np.ndarray) -> int:
 def prove_on_region_reference(region, test, budget):
     """The depth-first subdivision engine, one box at a time.
 
-    test(box) returns True (holds on the whole box), False (undecided), or
-    raises PoleIntersect or OverflowError (undecided, with that reason).
-    Returns the survivors as (box, depth, reason) in the order found, and
-    the stats, as wanderlab.certify._prove_on_region does.
+    Each box is a ComplexBox, split with box_quarters.  test(one), on the
+    batch of one Boxes.of([box]), returns True (holds on the whole box),
+    False (undecided), or raises PoleIntersect or OverflowError (undecided,
+    with that reason).  Returns the survivors as (box, depth, reason) in
+    the order found, and the stats, as wanderlab.certify._prove_on_region
+    does.
     """
     t0 = time.perf_counter()
-    stack = [ComplexBox(*(float(e) for e in cell))
-             for cell in _root_cells(region.bounding_box()).T]
+    stack = [ComplexBox(*cell) for cell in _root_cells(region.bounding_box()).T.tolist()]
     stack.reverse()
     depths = [0] * len(stack)
     examined = 0
@@ -86,11 +97,12 @@ def prove_on_region_reference(region, test, budget):
         deepest = max(deepest, depth)
         if examined >= budget.max_boxes:
             exhausted = True
-        if region.box_disjoint(box):
+        one = Boxes.of([box])
+        if region.box_disjoint(one)[0]:
             continue
         reason = "undecided"
         try:
-            if test(box):
+            if test(one):
                 continue
         except PoleIntersect:
             reason = "pole"
@@ -99,8 +111,8 @@ def prove_on_region_reference(region, test, budget):
         if depth >= budget.max_depth or exhausted:
             survivors.append((box, depth, reason))
             continue
-        for child in box.split4():
-            stack.append(child)
+        for child in zip(*box_quarters(box.re_lo, box.re_hi, box.im_lo, box.im_hi)):
+            stack.append(ComplexBox(*(float(e) for e in child)))
             depths.append(depth + 1)
 
     stats = {

@@ -24,6 +24,7 @@ from wanderlab.certify import (
     winding_number,
     _circle,
     _discrete_winding,
+    _inclusion_test,
     _inequality_test,
 )
 from wanderlab.maps import (
@@ -31,13 +32,11 @@ from wanderlab.maps import (
     custom_map,
     derivative,
     eval_map,
-    eval_map_box,
     eval_map_vec,
 )
 from wanderlab.numerics import (
     OVERFLOW,
     POLE,
-    Boxes,
     DomainError,
     PoleIntersect,
     quot_exp_tail,
@@ -146,16 +145,10 @@ def test_budget_exhaustion_counts_every_unexamined_box():
     assert len(cert.frontier) == 64
 
 
-def _single_box_inclusion(m, target):
-    def test(box):
-        return target.box_inside(eval_map_box(m, box))
-    return test
-
-
 def _single_box(batch_test):
     """A batch test run on a batch of one, raising from the reason code."""
-    def test(box):
-        ok, why = batch_test(Boxes.of([box]))
+    def test(one):
+        ok, why = batch_test(one)
         if why[0] == POLE:
             raise PoleIntersect("pole")
         if why[0] == OVERFLOW:
@@ -184,7 +177,7 @@ def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, 
     cert = certify_inclusion(m, source, target, budget)
     statement = {"kind": "inclusion", "family": m.family_id,
                  "source": source, "target": target}
-    ref = certificate_reference(statement, source, _single_box_inclusion(m, target), budget)
+    ref = certificate_reference(statement, source, _single_box(_inclusion_test(m, target)), budget)
     assert not ref.stats["budget_exhausted"]
     assert ref.verdict == verdict
     assert _without_elapsed(cert) == _without_elapsed(ref)

@@ -9,16 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import encloses
 from wanderlab.numerics import (
+    NONE,
+    POLE,
+    Boxes,
     ComplexBox,
     DomainError,
-    PoleIntersect,
     box_add,
     box_cos,
     box_div,
     box_exp,
+    box_inflate,
+    box_mag,
+    box_mig,
     box_mul,
     box_pow_int,
+    box_quarters,
     box_recip,
     box_sin,
     box_sub,
@@ -47,9 +54,16 @@ def _sample(box: ComplexBox) -> complex:
     return complex(RNG.uniform(box.re_lo, box.re_hi), RNG.uniform(box.im_lo, box.im_hi))
 
 
-def _assert_in(result: ComplexBox, value: complex, context: str) -> None:
-    tol = 1e-12 * (1.0 + abs(value))
-    assert result.contains(value, atol=tol), f"{context}: {value} escaped {result}"
+def _assert_encloses(out: Boxes, values, context: str) -> None:
+    """Every values[i, j] lies in box i of out, exactly, with no code set."""
+    escaped = np.argwhere(~encloses(out, values))
+    assert not len(escaped), f"{context}: {len(escaped)} escapes, first (box, sample) {escaped[0]}"
+
+
+def _within(inner: Boxes, outer: Boxes) -> np.ndarray:
+    """Per box: is inner's box a subset of outer's?"""
+    return ((outer.re_lo <= inner.re_lo) & (inner.re_hi <= outer.re_hi)
+            & (outer.im_lo <= inner.im_lo) & (inner.im_hi <= outer.im_hi))
 
 
 @pytest.mark.parametrize("op,scalar", [
@@ -58,12 +72,13 @@ def _assert_in(result: ComplexBox, value: complex, context: str) -> None:
     (box_mul, lambda a, b: a * b),
 ])
 def test_binary_ops_enclose_samples(op, scalar):
+    boxes_a, boxes_b, values = [], [], []
     for _ in range(N_SAMPLES // 10):
         ba, bb = _random_box(), _random_box()
-        out = op(ba, bb)
-        for _ in range(10):
-            za, zb = _sample(ba), _sample(bb)
-            _assert_in(out, scalar(za, zb), op.__name__)
+        boxes_a.append(ba)
+        boxes_b.append(bb)
+        values.append([scalar(_sample(ba), _sample(bb)) for _ in range(10)])
+    _assert_encloses(op(Boxes.of(boxes_a), Boxes.of(boxes_b)), values, op.__name__)
 
 
 @pytest.mark.parametrize("op,scalar", [
@@ -72,54 +87,58 @@ def test_binary_ops_enclose_samples(op, scalar):
     (box_cos, cmath.cos),
 ])
 def test_transcendental_ops_enclose_samples(op, scalar):
+    boxes, values = [], []
     for _ in range(N_SAMPLES // 10):
         ba = _random_box(scale=2.0)
-        out = op(ba)
-        for _ in range(10):
-            za = _sample(ba)
-            _assert_in(out, scalar(za), op.__name__)
+        boxes.append(ba)
+        values.append([scalar(_sample(ba)) for _ in range(10)])
+    _assert_encloses(op(Boxes.of(boxes)), values, op.__name__)
 
 
 def test_recip_encloses_samples():
-    count = 0
-    while count < N_SAMPLES:
+    # a box around 0 is a pole and draws no samples
+    boxes, pole, values = [], [], []
+    while 10 * len(values) < N_SAMPLES:
         ba = _random_box()
-        try:
-            out = box_recip(ba)
-        except PoleIntersect:
-            assert ba.mig() == 0.0
-            continue
-        for _ in range(10):
-            za = _sample(ba)
-            _assert_in(out, 1.0 / za, "box_recip")
-            count += 1
+        boxes.append(ba)
+        pole.append(ba.re_lo <= 0.0 <= ba.re_hi and ba.im_lo <= 0.0 <= ba.im_hi)
+        if not pole[-1]:
+            values.append([1.0 / _sample(ba) for _ in range(10)])
+    batch = Boxes.of(boxes)
+    out = box_recip(batch)
+    pole = np.array(pole)
+    assert pole.any()
+    assert ((out.why == POLE) == pole).all()
+    assert (box_mig(batch)[pole] == 0.0).all()
+    _assert_encloses(Boxes(*(e[~pole] for e in out)), values, "box_recip")
 
 
 def test_recip_point_box():
-    out = box_recip(ComplexBox.point(0.5 + 0.5j))
-    _assert_in(out, 1.0 - 1.0j, "recip(0.5+0.5i)")
-    assert out.max_width() < 1e-12
+    out = box_recip(Boxes.point(0.5 + 0.5j, 1))
+    _assert_encloses(out, [[1.0 - 1.0j]], "recip(0.5+0.5i)")
+    assert max(out.re_hi - out.re_lo, out.im_hi - out.im_lo) < 1e-12
 
 
-def test_recip_of_zero_straddling_box_raises():
-    with pytest.raises(PoleIntersect):
-        box_recip(ComplexBox(-1.0, 1.0, -1.0, 1.0))
+def test_recip_of_zero_straddling_box_is_pole():
+    assert box_recip(Boxes.of([ComplexBox(-1.0, 1.0, -1.0, 1.0)])).why[0] == POLE
 
 
 def test_div_composes():
-    a = ComplexBox.point(2.0 + 1.0j)
-    b = ComplexBox.point(1.0 - 1.0j)
-    _assert_in(box_div(a, b), (2.0 + 1.0j) / (1.0 - 1.0j), "box_div")
+    out = box_div(Boxes.point(2.0 + 1.0j, 1), Boxes.point(1.0 - 1.0j, 1))
+    _assert_encloses(out, [[(2.0 + 1.0j) / (1.0 - 1.0j)]], "box_div")
 
 
 def test_pow_int_encloses_samples():
+    # one call per exponent, on the boxes drawn with it
+    drawn = []
     for _ in range(N_SAMPLES // 10):
         ba = _random_box(scale=1.5)
         n = RNG.randint(2, 6)
-        out = box_pow_int(ba, n)
-        for _ in range(10):
-            za = _sample(ba)
-            _assert_in(out, za ** n, f"pow{n}")
+        drawn.append((n, ba, [_sample(ba) ** n for _ in range(10)]))
+    for n in range(2, 7):
+        boxes = [b for k, b, _ in drawn if k == n]
+        values = [v for k, _, v in drawn if k == n]
+        _assert_encloses(box_pow_int(Boxes.of(boxes), n), values, f"pow{n}")
 
 
 def test_trig_interval_hits_extrema():
@@ -136,33 +155,56 @@ def test_trig_interval_huge_argument_falls_back():
 
 
 def test_mag_mig_bounds():
-    b = ComplexBox(1.0, 2.0, 1.0, 2.0)
-    assert b.mig() <= math.sqrt(2.0) <= b.mag()
-    assert b.mig(1.5 + 1.5j) == 0.0
-    assert abs(b.mag(1.5 + 1.5j) - math.hypot(0.5, 0.5)) < 1e-12
+    b = Boxes.of([ComplexBox(1.0, 2.0, 1.0, 2.0)])
+    assert box_mig(b)[0] <= math.sqrt(2.0) <= box_mag(b)[0]
+    assert box_mig(b, 1.5 + 1.5j)[0] == 0.0
+    assert abs(box_mag(b, 1.5 + 1.5j)[0] - math.hypot(0.5, 0.5)) < 1e-12
 
 
-def test_split4_covers_box():
+def test_quarters_cover_box():
     b = ComplexBox(-1.0, 2.0, 0.5, 3.5)
-    quads = b.split4()
-    assert len(quads) == 4
+    quads = Boxes(*box_quarters(b.re_lo, b.re_hi, b.im_lo, b.im_hi), np.zeros(4, np.uint8))
+    assert len(quads.why) == 4
     for _ in range(200):
         z = _sample(b)
-        assert any(q.contains(z, atol=1e-15) for q in quads)
-    hull = quads[0]
-    for q in quads[1:]:
-        hull = hull.hull(q)
-    assert hull.subset_of(b.inflate(1e-15)) and b.subset_of(hull.inflate(1e-15))
+        assert encloses(quads, [[z]] * 4, atol=1e-15).any()
+    box = Boxes.of([b])
+    hull = Boxes.of([ComplexBox(quads.re_lo.min(), quads.re_hi.max(),
+                                quads.im_lo.min(), quads.im_hi.max())])
+    assert _within(hull, box_inflate(box, 1e-15))[0] and _within(box, box_inflate(hull, 1e-15))[0]
 
 
 def test_inclusion_monotone_under_subdivision():
     # child enclosures must be subsets of the parent enclosure
-    for _ in range(200):
-        b = _random_box(scale=1.0)
-        parent = box_exp(b)
-        for q in b.split4():
-            child = box_exp(q)
-            assert child.subset_of(parent.inflate(1e-13 * (1.0 + parent.mag())))
+    boxes = Boxes.of([_random_box(scale=1.0) for _ in range(200)])
+    parent = box_exp(boxes)
+    grown = box_inflate(parent, 1e-13 * (1.0 + box_mag(parent)))
+    quarters = box_quarters(*boxes[:4])
+    child = box_exp(Boxes(*(q.reshape(-1) for q in quarters), np.zeros(800, np.uint8)))
+    assert (child.why == NONE).all() and (parent.why == NONE).all()
+    assert _within(child, Boxes(*(np.repeat(e, 4) for e in grown))).all()
+
+
+@pytest.mark.parametrize("op, name", [(box_exp, "exp"), (box_sin, "sin"), (box_cos, "cos")])
+def test_transcendental_ops_enclose_exact_images(op, name):
+    # images of seeded sample points computed to 40 digits, not in floats
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    lo = rng.uniform(-2.0, 2.0, (2, 1000))
+    hi = lo + rng.uniform(0.0, 1.5, (2, 1000))
+    out = op(Boxes(lo[0], hi[0], lo[1], hi[1], np.zeros(1000, np.uint8)))
+    assert (out.why == NONE).all()
+    xs, ys = (np.clip(rng.uniform(a[:, None], b[:, None], (1000, 10)), a[:, None], b[:, None])
+              for a, b in zip(lo, hi))
+    exact = getattr(mpmath, name)
+    escapes = 0
+    ends = np.stack(out[:4], axis=1).tolist()
+    with mpmath.workdps(40):
+        for (re_lo, re_hi, im_lo, im_hi), row_x, row_y in zip(ends, xs.tolist(), ys.tolist()):
+            for x, y in zip(row_x, row_y):
+                w = exact(mpmath.mpc(x, y))
+                escapes += not (re_lo <= w.real <= re_hi and im_lo <= w.imag <= im_hi)
+    assert escapes == 0
 
 
 @pytest.mark.parametrize("name, lo, hi", [
@@ -236,6 +278,7 @@ def test_exp_tail_bound_domain():
     (quot_cos_defect, 4, lambda z: (cmath.cos(z) - 1.0 + z ** 2 / 2.0) / z ** 4),
 ])
 def test_series_quotients_enclose_samples(quot, drop, ref):
+    boxes, values = [], []
     for _ in range(300):
         # stay away from 0 so the naive reference does not lose precision,
         # and keep |z| modest so it does not cancel catastrophically either
@@ -243,26 +286,25 @@ def test_series_quotients_enclose_samples(quot, drop, ref):
         cy = RNG.uniform(0.2, 1.2) * RNG.choice([-1.0, 1.0])
         w = RNG.uniform(0.0, 0.3)
         b = ComplexBox(cx, cx + w, cy, cy + w)
-        out = quot(b)
-        for _ in range(8):
-            z = _sample(b)
-            val = ref(z)
-            tol = 1e-9 * (1.0 + abs(val))  # reference itself cancels ~6 digits
-            assert out.contains(val, atol=tol)
+        boxes.append(b)
+        values.append([ref(_sample(b)) for _ in range(8)])
+    values = np.array(values)
+    tol = 1e-9 * (1.0 + np.abs(values))  # reference itself cancels ~6 digits
+    assert encloses(quot(Boxes.of(boxes)), values, atol=tol).all()
 
 
 def test_series_quotient_limit_at_zero():
     # value at z -> 0 is the leading coefficient
-    tiny = ComplexBox.from_center(0j, 1e-300)
-    assert quot_exp_tail(tiny, 2).contains(0.5, atol=1e-12)
-    assert quot_one_minus_cos(tiny).contains(0.5, atol=1e-12)
-    assert quot_z_minus_sin(tiny).contains(1.0 / 6.0, atol=1e-12)
-    assert quot_cos_defect(tiny).contains(1.0 / 24.0, atol=1e-12)
+    tiny = Boxes.of([ComplexBox(-1e-300, 1e-300, -1e-300, 1e-300)])
+    assert encloses(quot_exp_tail(tiny, 2), [[0.5]], atol=1e-12).all()
+    assert encloses(quot_one_minus_cos(tiny), [[0.5]], atol=1e-12).all()
+    assert encloses(quot_z_minus_sin(tiny), [[1.0 / 6.0]], atol=1e-12).all()
+    assert encloses(quot_cos_defect(tiny), [[1.0 / 24.0]], atol=1e-12).all()
 
 
 def test_series_quotient_rejects_huge_box():
     with pytest.raises(DomainError):
-        quot_exp_tail(ComplexBox.from_center(0j, 40.0), 2)
+        quot_exp_tail(Boxes.of([ComplexBox(-40.0, 40.0, -40.0, 40.0)]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +326,9 @@ def _corners(b: ComplexBox) -> list[complex]:
 def test_hull_contains_both_operands(ax, ay, aw, ah, bx, by, bw, bh):
     a = ComplexBox(ax, ax + aw, ay, ay + ah)
     b = ComplexBox(bx, bx + bw, by, by + bh)
-    h = a.hull(b)
-    assert a.subset_of(h) and b.subset_of(h)
-    for z in _corners(a) + _corners(b):
-        assert h.contains(z)
+    h = Boxes.of([a.hull(b)])
+    assert _within(Boxes.of([a]), h)[0] and _within(Boxes.of([b]), h)[0]
+    assert encloses(h, [_corners(a) + _corners(b)]).all()
 
 
 @given(coord, coord, extent, extent, coord, coord, extent, extent)
@@ -295,19 +336,16 @@ def test_hull_contains_both_operands(ax, ay, aw, ah, bx, by, bw, bh):
 def test_mul_contains_corner_products(ax, ay, aw, ah, bx, by, bw, bh):
     a = ComplexBox(ax, ax + aw, ay, ay + ah)
     b = ComplexBox(bx, bx + bw, by, by + bh)
-    out = box_mul(a, b)
-    for za in _corners(a):
-        for zb in _corners(b):
-            v = za * zb
-            assert out.contains(v, atol=1e-12 * (1.0 + abs(v)))
+    out = box_mul(Boxes.of([a]), Boxes.of([b]))
+    v = np.array([[za * zb for za in _corners(a) for zb in _corners(b)]])
+    assert encloses(out, v, atol=1e-12 * (1.0 + np.abs(v))).all()
 
 
 @given(coord, coord, extent, extent,
        st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
 @settings(deadline=None)
 def test_inflate_preserves_membership(cx, cy, w, h, pad):
-    b = ComplexBox(cx, cx + w, cy, cy + h)
-    grown = b.inflate(pad)
-    assert b.subset_of(grown)
-    for z in _corners(b):
-        assert grown.contains(z)
+    b = Boxes.of([ComplexBox(cx, cx + w, cy, cy + h)])
+    grown = box_inflate(b, pad)
+    assert _within(b, grown)[0]
+    assert encloses(grown, [_corners(ComplexBox(cx, cx + w, cy, cy + h))]).all()

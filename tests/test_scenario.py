@@ -192,6 +192,21 @@ def test_ex34_models_pass():
     assert report["all_passed"] is True
 
 
+def _without_elapsed(value):
+    if isinstance(value, dict):
+        return {k: _without_elapsed(v) for k, v in value.items() if k != "elapsed"}
+    if isinstance(value, list):
+        return [_without_elapsed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("suite", ["ex5-strip", "ex34-models"])
+def test_report_is_deterministic_without_timings(suite):
+    first, second = (json.dumps(_without_elapsed(run_scenario(suite))) for _ in range(2))
+    assert "elapsed" not in first
+    assert first == second
+
+
 def test_ex2_core_report(ex2_report):
     report, out = ex2_report
     assert report["all_passed"] is True
@@ -264,6 +279,20 @@ def test_cli_render_requires_a_raster_item(tmp_path, capsys):
     scenario = _write(tmp_path, "t.json", TINY)
     assert main(["render", scenario, "--out", str(tmp_path / "x.ppm")]) == 2
     assert "raster" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", [1.0, -1.0, -1.0, 1.0]),
+    ("window", [-1.0, 1.0, -1.0]),
+    ("resolution", [0, 8]),
+    ("window", None),
+], ids=["inverted-window", "short-window", "zero-resolution", "missing-window"])
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_malformed_raster_is_config_error(tmp_path, capsys, command, field, value):
+    scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, **{field: value}))
+    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{field}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- pixmap bytes ---------------------------------------------------------------

@@ -195,8 +195,8 @@ class RasterGrid:
         z = complex(z)
         dx = (self.window.re_hi - self.window.re_lo) / self.width
         dy = (self.window.im_hi - self.window.im_lo) / self.height
-        i = int((z.real - self.window.re_lo) / dx)
-        j = int((z.imag - self.window.im_lo) / dy)
+        i = math.floor((z.real - self.window.re_lo) / dx)
+        j = math.floor((z.imag - self.window.im_lo) / dy)
         if not (0 <= i < self.width and 0 <= j < self.height):
             raise ValueError(f"{z} outside the raster window")
         return i, j

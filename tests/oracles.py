@@ -68,6 +68,47 @@ def count_holes_reference(mask: np.ndarray) -> int:
     return holes
 
 
+def label_reference(mask: np.ndarray, eight: bool = False) -> tuple:
+    """Slow, dependency-free labelling: a BFS flood from each unlabelled
+    pixel in scan order, so components are numbered from 1 by their first
+    pixel.  Returns (int32 labels, count)."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    steps = [(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)
+             if (dj or di) and (eight or not (dj and di))]
+    labels = np.zeros((h, w), dtype=np.int32)
+    n = 0
+    for j0 in range(h):
+        for i0 in range(w):
+            if not mask[j0, i0] or labels[j0, i0]:
+                continue
+            n += 1
+            labels[j0, i0] = n
+            dq = deque([(j0, i0)])
+            while dq:
+                j, i = dq.popleft()
+                for dj, di in steps:
+                    jj, ii = j + dj, i + di
+                    if 0 <= jj < h and 0 <= ii < w and mask[jj, ii] and not labels[jj, ii]:
+                        labels[jj, ii] = n
+                        dq.append((jj, ii))
+    return labels, n
+
+
+def holes_reference(mask: np.ndarray) -> list:
+    """(first pixel (i, j), pixel count) of each hole of mask, in scan
+    order: the 8-connected complement regions of the whole array that do
+    not touch its border."""
+    lab, n = label_reference(~np.asarray(mask, dtype=bool), eight=True)
+    border = set(np.concatenate([lab[0], lab[-1], lab[:, 0], lab[:, -1]]).tolist())
+    holes = []
+    for k in range(1, n + 1):
+        if k not in border:
+            j, i = divmod(int(np.argmax((lab == k).ravel())), lab.shape[1])
+            holes.append(((i, j), int((lab == k).sum())))
+    return holes
+
+
 def prove_on_region_reference(region, test, budget):
     """The depth-first subdivision engine, one box at a time.
 

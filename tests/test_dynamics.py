@@ -15,6 +15,7 @@ from wanderlab.dynamics import (
     _V_POLE,
     NotFound,
     OrbitConfig,
+    RasterGrid,
     StationSpec,
     _orbit_verdicts,
     classify_grid,
@@ -140,6 +141,17 @@ def test_pixel_center_of_roundtrip():
         assert g.pixel_of(g.pixel_center(i, j)) == (i, j)
     with pytest.raises(ValueError):
         g.pixel_of(complex(2.0))
+
+
+@pytest.mark.parametrize("z", [complex(-0.5, -0.9), complex(-0.5, 1.5), complex(1.5, -0.9),
+                               complex(4.0, 1.5), complex(1.5, 4.0)])
+def test_pixel_of_rejects_points_within_a_pixel_outside(z):
+    # flooring, not truncation toward zero: -0.5 is column -1, not 0
+    g = RasterGrid(ComplexBox(0.0, 4.0, 0.0, 4.0), 4, 4,
+                   np.zeros((4, 4), dtype=np.uint8), np.full((4, 4), -1, dtype=np.int32))
+    with pytest.raises(ValueError):
+        g.pixel_of(z)
+    assert g.pixel_of(complex(0.0, 3.99)) == (0, 3)
 
 
 def test_uniform_escape_is_unresolved():

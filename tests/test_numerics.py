@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +31,13 @@ from wanderlab.numerics import (
     box_sin,
     box_sub,
     exp_tail_bound,
+    iv_add,
     iv_cos,
+    iv_mul,
+    iv_recip,
     iv_sin,
+    iv_sq,
+    iv_sub,
     quot_cos_defect,
     quot_exp_tail,
     quot_one_minus_cos,
@@ -205,6 +211,51 @@ def test_transcendental_ops_enclose_exact_images(op, name):
                 w = exact(mpmath.mpc(x, y))
                 escapes += not (re_lo <= w.real <= re_hi and im_lo <= w.imag <= im_hi)
     assert escapes == 0
+
+
+def _endpoint_intervals(rng, n: int, nonzero: bool = False):
+    """Seeded (lo, hi) arrays of both signs and many scales, with zero
+    endpoints, point intervals, and intervals across zero."""
+    ends = (rng.choice([-1.0, 1.0], (2, n)) * rng.choice([0.5, 1.0, 3.0], (2, n))
+            * 10.0 ** rng.integers(-30, 30, (2, n)) * rng.uniform(0.5, 2.0, (2, n)))
+    ends[:, : n // 8] = np.round(ends[:, : n // 8])            # small integers, zeros
+    ends[1, n // 8: n // 4] = ends[0, n // 8: n // 4]          # point intervals
+    if nonzero:
+        ends[ends == 0.0] = 1.0
+        ends[1] = np.copysign(ends[1], ends[0])                # one sign per interval
+    return np.sort(ends, axis=0)
+
+
+def _exact_sq(lo, hi):
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def _exact_mul(a, b):
+    corners = [x * y for x in a for y in b]
+    return min(corners), max(corners)
+
+
+@pytest.mark.parametrize("op, arity, exact", [
+    (iv_add, 2, lambda a, b: (a[0] + b[0], a[1] + b[1])),
+    (iv_sub, 2, lambda a, b: (a[0] - b[1], a[1] - b[0])),
+    (iv_mul, 2, _exact_mul),
+    (iv_sq, 1, lambda a: _exact_sq(*a)),
+    (iv_recip, 1, lambda a: (1 / a[1], 1 / a[0])),
+], ids=["add", "sub", "mul", "sq", "recip"])
+def test_interval_ops_round_strictly_outward(op, arity, exact):
+    # each endpoint against the exact rational result: outward rounding
+    # pads every endpoint, so even exactly representable results move out
+    rng = np.random.default_rng(20261021)
+    args = [_endpoint_intervals(rng, 2000, nonzero=op is iv_recip) for _ in range(arity)]
+    lo, hi = op(*(tuple(a) for a in args))
+    rows = zip(*(a.T.tolist() for a in args))
+    for k, (got_lo, got_hi, row) in enumerate(zip(lo.tolist(), hi.tolist(), rows)):
+        want_lo, want_hi = exact(*((Fraction(x), Fraction(y)) for x, y in row))
+        assert Fraction(got_lo) < want_lo and want_hi < Fraction(got_hi), (k, row)
 
 
 @pytest.mark.parametrize("name, lo, hi", [

@@ -238,6 +238,18 @@ def test_cli_module_runs_as_a_script():
         assert name in done.stdout
 
 
+def test_cli_and_scenario_import_without_scipy():
+    # scipy is a test-only dependency; importing it costs more than the rest
+    src = str(Path(wanderlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, wanderlab.cli, wanderlab.scenario; "
+            "assert not any(k == 'scipy' or k.startswith('scipy.') for k in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_run_writes_report(tmp_path, capsys):
     scenario = _write(tmp_path, "tiny.json", TINY)
     out = tmp_path / "report.json"

@@ -4,18 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from wanderlab.dynamics import ATTRACTED, DRIFTING, RasterGrid
+from wanderlab import topology
+from wanderlab.dynamics import ATTRACTED, DRIFTING, JULIA_SUSPECT, UNRESOLVED, RasterGrid
 from wanderlab.numerics import ComplexBox
 from wanderlab.topology import (
     ComponentMap,
     OutOfWindow,
+    _paint,
+    _runs,
     connectivity,
     connectivity_monotonicity_check,
     label_components,
     surrounds,
 )
 
-from oracles import count_holes_reference
+from oracles import count_holes_reference, holes_reference, label_reference
 
 
 def grid_of(mask, kind=DRIFTING, ids=None):
@@ -83,6 +86,58 @@ def test_diagonal_pixels_are_separate_components():
     assert len(cm.component_table) == 2
 
 
+@pytest.mark.parametrize("eight", [False, True], ids=["4-adjacency", "8-adjacency"])
+def test_run_labelling_matches_ndimage(eight):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    structure = np.ones((3, 3), dtype=bool) if eight else None
+    rng = np.random.default_rng(20261022)
+    for _ in range(600):
+        h, w = rng.integers(1, 30, 2)
+        mask = rng.random((h, w)) < rng.uniform(0.2, 0.8)
+        want, n = ndimage.label(mask, structure=structure)
+        runs = _runs(mask, eight)
+        assert runs.first.size == n
+        assert (_paint(mask.shape, runs) == want).all()
+
+
+def _components_reference(grid):
+    """(first pixel, mask, behaviour) of each component, one labelling per
+    (behaviour, id) pair, in scan order of the first pixel."""
+    pieces = []
+    for code, name in ((ATTRACTED, "attracted"), (DRIFTING, "drifting")):
+        for bid in np.unique(grid.ids[grid.labels == code]).tolist():
+            lab, n = label_reference((grid.labels == code) & (grid.ids == bid))
+            for k in range(1, n + 1):
+                comp = lab == k
+                pieces.append((int(np.argmax(comp.ravel())), comp, (name, bid)))
+    return sorted(pieces, key=lambda t: t[0])
+
+
+def test_label_components_matches_per_behaviour_oracle():
+    rng = np.random.default_rng(20261023)
+    for _ in range(60):
+        h, w = rng.integers(2, 25, 2)
+        labels = rng.choice(np.array([UNRESOLVED, ATTRACTED, DRIFTING, JULIA_SUSPECT],
+                                     dtype=np.uint8), (h, w), p=[0.2, 0.35, 0.35, 0.1])
+        behaving = (labels == ATTRACTED) | (labels == DRIFTING)
+        ids = np.where(behaving, rng.integers(0, 3, (h, w)), -1).astype(np.int32)
+        grid = RasterGrid(ComplexBox(0.0, float(w), 0.0, float(h)), w, h, labels, ids)
+        cm = label_components(grid)
+        pieces = _components_reference(grid)
+        assert list(cm.component_table) == list(range(1, len(pieces) + 1))
+        want = np.zeros((h, w), dtype=np.int32)
+        for cid, (_, comp, behavior) in enumerate(pieces, start=1):
+            want[comp] = cid
+            info = cm.component_table[cid]
+            rows, cols = np.nonzero(comp)
+            assert info.pixel_count == comp.sum()
+            assert info.touches_border == bool(comp[0].any() or comp[-1].any()
+                                               or comp[:, 0].any() or comp[:, -1].any())
+            assert info.behavior_label == behavior
+            assert info.bbox == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        assert (cm.labels == want).all()
+
+
 # --- connectivity ----------------------------------------------------------------
 
 def test_synthetic_connectivities():
@@ -123,6 +178,86 @@ def test_surrounds_semantics():
     assert not surrounds(cm, 1, complex(20.5, 8.5))     # on the ring itself
     with pytest.raises(OutOfWindow):
         surrounds(cm, 1, complex(-3.0, 0.0))
+
+
+def _holes_match_full_grid(cm, cid):
+    """The cropped report against the holes of the whole grid."""
+    comp = cm.labels == cid
+    rep = connectivity(cm, cid)
+    assert rep.hole_count == count_holes_reference(comp)
+    assert [(h.representative_pixel, h.pixel_count) for h in rep.holes] == holes_reference(comp)
+    return rep
+
+
+def test_hole_edge_meets_bounding_box():
+    ring = np.zeros((10, 12), dtype=bool)
+    ring[2:7, 3:9] = True
+    ring[3:6, 4:8] = False              # the hole runs along every box side
+    rep = _holes_match_full_grid(label_components(grid_of(ring)), 1)
+    assert [(h.representative_pixel, h.pixel_count) for h in rep.holes] == [((4, 3), 12)]
+    ring[2, 3] = False                  # a diagonal leak at the box corner
+    assert _holes_match_full_grid(label_components(grid_of(ring)), 1).hole_count == 0
+
+
+def test_component_nested_in_a_hole():
+    _, annulus, _ = shapes()
+    yy, xx = np.mgrid[0:40, 0:40]
+    inner = (xx - 20) ** 2 + (yy - 20) ** 2 < 3 ** 2
+    cm = label_components(grid_of(annulus | inner))
+    outer_id, inner_id = int(cm.labels[7, 20]), int(cm.labels[20, 20])
+    assert {outer_id, inner_id} == {1, 2}
+    rep = _holes_match_full_grid(cm, outer_id)
+    assert rep.hole_count == 1
+    assert rep.holes[0].pixel_count == (~annulus[13:28, 13:28]).sum()
+    assert _holes_match_full_grid(cm, inner_id).hole_count == 0
+
+
+@pytest.mark.parametrize("j, i", [(0, 4), (6, 4), (3, 0), (3, 9)],
+                         ids=["top", "bottom", "left", "right"])
+def test_ring_touching_a_window_edge(j, i):
+    ring = np.zeros((12, 16), dtype=bool)
+    ring[j:j + 6, i:i + 7] = True
+    ring[j + 1:j + 5, i + 1:i + 6] = False
+    cm = label_components(grid_of(ring))
+    assert cm.component_table[1].touches_border
+    assert _holes_match_full_grid(cm, 1).connectivity == 2
+
+
+@pytest.mark.parametrize("j, i", [(4, 5), (0, 0), (8, 10)])
+def test_one_pixel_component(j, i):
+    mask = np.zeros((9, 11), dtype=bool)
+    mask[j, i] = True
+    cm = label_components(grid_of(mask))
+    assert cm.component_table[1].bbox == (j, j + 1, i, i + 1)
+    rep = _holes_match_full_grid(cm, 1)
+    assert rep.connectivity == 1 and rep.holes == ()
+
+
+def test_flagged_point_just_outside_the_window_raises():
+    cm = label_components(grid_of(np.ones((4, 4), dtype=bool)))
+    with pytest.raises(OutOfWindow):
+        connectivity(cm, 1, flagged_points=(complex(-0.5, -0.9),))
+    with pytest.raises(OutOfWindow):
+        surrounds(cm, 1, complex(-0.5, -0.9))
+
+
+def test_surrounds_rejects_points_off_the_box_without_labelling(monkeypatch):
+    _, annulus, _ = shapes()
+    cm = label_components(grid_of(annulus))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return connectivity(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "connectivity", counted)
+    assert not surrounds(cm, 1, complex(1.5, 1.5))      # outside the box
+    assert not surrounds(cm, 1, complex(6.5, 20.5))     # on the box's edge column
+    assert calls == []
+    assert not surrounds(cm, 1, complex(8.5, 8.5))      # in the box, outer complement
+    assert len(calls) == 1
+    assert surrounds(cm, 1, complex(20.5, 20.5))
+    assert len(calls) == 2
 
 
 # --- monotonicity ------------------------------------------------------------------

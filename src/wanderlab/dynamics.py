@@ -14,8 +14,8 @@ does not confirm fall back to the budget verdict), and derives display
 labels:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
-* station-hopping pixels carry a track id (the corridor index where the
-  advancing streak began),
+* station-hopping pixels carry a track id: the corridor index where the
+  advancing streak began, plus k * LADDER_STRIDE (2**24) on ladder k,
 * pixels whose verdict differs from a 4-neighbour's — behaviour
   boundaries — are marked suspect, as are budget-exhausted and
   pole-hitting orbits,
@@ -26,9 +26,10 @@ labels:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,14 +50,20 @@ _V_ATTRACTED = 1
 _V_ESCAPED = 2
 _V_DRIFTING = 3
 _V_POLE = 4
+_VERDICT_NAMES = ((_V_ESCAPED, "escaped"), (_V_ATTRACTED, "attracted"),
+                  (_V_DRIFTING, "drifting"), (_V_POLE, "pole"), (_V_BUDGET, "budget"))
 
 
 @dataclass(frozen=True)
 class StationSpec:
     """Arithmetic ladder of corridor disks B(base + step*n, radius), n >= min_index.
 
+    The step is real and may be negative, so a ladder runs left or right.
     An orbit is station-hopping once it spends `streak` consecutive points
-    in corridors with the index advancing by exactly one per step.
+    in corridors with the index advancing by exactly one per step.  A
+    point whose rounded corridor index n has |n| >= 2**23 lies outside
+    every corridor, so the indices fit in int32 and the track ids of
+    different ladders never meet.
     """
 
     base: complex = 0j
@@ -66,21 +73,46 @@ class StationSpec:
     streak: int = 12
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.radius <= 0.0 or self.streak < 2:
-            raise ValueError("need step > 0, radius > 0, streak >= 2")
+        if not cmath.isfinite(self.base):
+            raise ValueError(f"base must be finite, got {self.base!r}")
+        if not (math.isfinite(self.step) and self.step != 0.0):
+            raise ValueError(f"step must be finite and nonzero, got {self.step!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
+        if self.streak < 2:
+            raise ValueError(f"streak must be >= 2, got {self.streak!r}")
+
+
+# Track id of a streak on ladder k: its first corridor index + k * LADDER_STRIDE.
+LADDER_STRIDE = 2 ** 24
+_INDEX_LIMIT = 2 ** 23
+_MAX_LADDERS = 2 ** 31 // LADDER_STRIDE
 
 
 @dataclass(frozen=True)
 class OrbitConfig:
+    """Orbit budget and verdict thresholds; `stations` is a tuple of ladders,
+    tried in declaration order at each step."""
+
     max_iter: int = 500
     escape_radius: float = 1e6
     attract_tol: float = 1e-9
     cycle_window: int = 8
-    stations: StationSpec | None = None
+    stations: tuple[StationSpec, ...] = ()
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.escape_radius <= 0.0 or self.attract_tol <= 0.0:
-            raise ValueError("invalid orbit config")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        for name in ("escape_radius", "attract_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.cycle_window < 1:
+            raise ValueError(f"cycle_window must be >= 1, got {self.cycle_window!r}")
+        if not (isinstance(self.stations, tuple) and len(self.stations) <= _MAX_LADDERS
+                and all(isinstance(st, StationSpec) for st in self.stations)):
+            raise ValueError(f"stations must be a tuple of at most {_MAX_LADDERS} "
+                             f"StationSpec, got {self.stations!r}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +216,9 @@ class RasterGrid:
     height: int
     labels: np.ndarray        # uint8 (height, width), codes above
     ids: np.ndarray           # int32 (height, width), basin/track id or -1
+    # pixels per orbit verdict before the suspect overlay, and "boundary":
+    # pixels the 4-neighbour pass marks suspect
+    verdict_counts: dict = field(default_factory=dict)
 
     def pixel_center(self, i: int, j: int) -> complex:
         dx = (self.window.re_hi - self.window.re_lo) / self.width
@@ -206,79 +241,89 @@ def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
     """Vectorized orbit state machine over a flat array of start points.
 
     Returns (verdict codes, fixed-point estimates (nan where n/a),
-    track ids (-1 where n/a)).
+    track ids (-1 where n/a)).  The loop keeps only the live orbits: their
+    start positions, current points, and int32 state rows: the count of
+    short steps and, per ladder, the streak length with its first and
+    last corridor index (read only while the length is positive).  All
+    of them shrink as orbits get verdicts.
     """
     n = zs.shape[0]
-    z = zs.astype(np.complex128).copy()
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
     fixed = np.full(n, np.nan + 0j, dtype=np.complex128)
     track = np.full(n, -1, dtype=np.int32)
-    active = np.ones(n, dtype=bool)
-    consec = np.zeros(n, dtype=np.int32)
 
-    st = cfg.stations
-    if st is not None:
-        run = np.zeros(n, dtype=np.int32)
-        run_start = np.full(n, -1, dtype=np.int64)
-        prev_idx = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-        _station_update(z, st, active, run, run_start, prev_idx,
-                        verdict, track, np.arange(n))
+    start = np.arange(n)
+    z = zs.astype(np.complex128)
+    state = np.zeros((1 + 3 * len(cfg.stations), n), dtype=np.int32)
+    _ladders_step(cfg.stations, z, state, np.ones(n, dtype=bool), start, verdict, track)
 
     snap_poles = [(p, m.pole_snap_radius(p)) for p in m.declared_poles]
 
     for _ in range(cfg.max_iter):
-        if not active.any():
+        if start.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        cur = z[idx]
-        hit = np.zeros(idx.shape[0], dtype=bool)
+        hit = np.zeros(start.size, dtype=bool)
         for p, snap in snap_poles:
-            hit |= np.abs(cur - p) <= snap
+            hit |= np.abs(z - p) <= snap
         if hit.any():
-            verdict[idx[hit]] = _V_POLE
-            active[idx[hit]] = False
-            idx = idx[~hit]
-            cur = cur[~hit]
-            if idx.size == 0:
+            verdict[start[hit]] = _V_POLE
+            start, z, state = start[~hit], z[~hit], state[:, ~hit]
+            if start.size == 0:
                 continue
-        nxt, bad = eval_map_vec(m, cur)
+        nxt, bad = eval_map_vec(m, z)
         esc = bad | (np.abs(nxt) > cfg.escape_radius)
-        if esc.any():
-            verdict[idx[esc]] = _V_ESCAPED
-            active[idx[esc]] = False
-        small = ~esc & (np.abs(nxt - cur) < cfg.attract_tol)
-        consec[idx] = np.where(small, consec[idx] + 1, 0)
-        conv = consec[idx] >= cfg.cycle_window
-        conv &= ~esc
-        if conv.any():
-            verdict[idx[conv]] = _V_ATTRACTED
-            fixed[idx[conv]] = nxt[conv]
-            active[idx[conv]] = False
-        z[idx] = nxt
-        if st is not None:
-            _station_update(z, st, active, run, run_start, prev_idx,
-                            verdict, track, idx[~esc & ~conv])
+        consec = state[0]
+        consec[:] = np.where(~esc & (np.abs(nxt - z) < cfg.attract_tol), consec + 1, 0)
+        conv = (consec >= cfg.cycle_window) & ~esc
+        verdict[start[esc]] = _V_ESCAPED
+        verdict[start[conv]] = _V_ATTRACTED
+        fixed[start[conv]] = nxt[conv]
+        z = nxt
+        alive = ~(esc | conv)
+        _ladders_step(cfg.stations, z, state, alive, start, verdict, track)
+        if not alive.all():
+            start, z, state = start[alive], z[alive], state[:, alive]
     return verdict, fixed, track
 
 
-def _station_update(z, st: StationSpec, active, run, run_start, prev_idx,
-                    verdict, track, idx):
-    cur = z[idx]
-    approx = np.round((cur.real - st.base.real) / st.step).astype(np.int64)
+def _ladders_step(ladders, z, state, alive, start, verdict, track):
+    """Try each ladder in turn on the orbits still alive; a completed
+    streak records the orbit as drifting with its track id and clears its
+    alive flag.
+
+    A point off a ladder's band |Im z - Im base| < radius is outside all
+    its corridors (the step is real), so only points in the band or in a
+    running streak need an update: the others keep streak length 0.
+    """
+    for k, st in enumerate(ladders):
+        rows = state[1 + 3 * k:4 + 3 * k]
+        sel = np.flatnonzero(alive & ((np.abs(z.imag - st.base.imag) < st.radius)
+                                      | (rows[0] > 0)))
+        sub = rows[:, sel]
+        done = _station_update(st, z[sel], sub)
+        rows[:, sel] = sub
+        if done.any():
+            fin = sel[done]
+            verdict[start[fin]] = _V_DRIFTING
+            track[start[fin]] = sub[1, done] + k * LADDER_STRIDE
+            alive[fin] = False
+
+
+def _station_update(st: StationSpec, cur, state):
+    """One step of ladder st for the points cur; state holds their int32
+    rows (streak length, first index, last index) and is updated in place.
+    Returns the mask of streaks that reached st.streak."""
+    run, first, last = state
+    approx = np.round((cur.real - st.base.real) / st.step)
     centers = st.base + approx * st.step
-    inside = (np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
-    advancing = inside & (approx == prev_idx[idx] + 1)
-    fresh = inside & ~advancing
-    run_new = np.where(advancing, run[idx] + 1, np.where(fresh, 1, 0))
-    run_start[idx] = np.where(fresh, approx, np.where(advancing, run_start[idx], -1))
-    run[idx] = run_new
-    prev_idx[idx] = np.where(inside, approx, np.iinfo(np.int64).min)
-    done = run_new >= st.streak
-    if done.any():
-        sel = idx[done]
-        verdict[sel] = _V_DRIFTING
-        track[sel] = run_start[sel].astype(np.int32)
-        active[sel] = False
+    inside = ((np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
+              & (np.abs(approx) < _INDEX_LIMIT))
+    idx = np.where(inside, approx, 0.0).astype(np.int32)
+    advancing = inside & (run > 0) & (idx == last + 1)
+    run[:] = np.where(advancing, run + 1, inside)
+    first[:] = np.where(advancing, first, idx)
+    last[:] = idx
+    return run >= st.streak
 
 
 def _classify_block(args):
@@ -347,6 +392,9 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     suspect[:-1, :] |= key[1:, :] != key[:-1, :]
     suspect[:, 1:] |= key[:, 1:] != key[:, :-1]
     suspect[:, :-1] |= key[:, 1:] != key[:, :-1]
+    per_code = np.bincount(verdict.ravel(), minlength=5)
+    counts = {name: int(per_code[code]) for code, name in _VERDICT_NAMES}
+    counts["boundary"] = int(suspect.sum())
 
     labels = np.full((height, width), UNRESOLVED, dtype=np.uint8)
     labels[verdict == _V_ATTRACTED] = ATTRACTED
@@ -364,7 +412,7 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
             for j in _cells_containing(p.imag, window.im_lo, dy, height):
                 labels[j, i] = POLE_ADJACENT
                 ids[j, i] = p_id
-    return RasterGrid(window, width, height, labels, ids)
+    return RasterGrid(window, width, height, labels, ids, counts)
 
 
 def _cells_containing(v: float, lo: float, d: float, count: int) -> list[int]:

@@ -230,25 +230,52 @@ def _decode_budget(spec, budget_boxes=None) -> Budget:
     return Budget(max_boxes=max_boxes, max_depth=max_depth)
 
 
+def _orbit_field(spec, key, default, where, integer=False):
+    value = spec.get(key, default)
+    if not _number(value) or (integer and not isinstance(value, int)):
+        kind = "an integer" if integer else "a number"
+        raise ScenarioError(f'"{key}" must be {kind}, got {value!r}', where)
+    return value
+
+
 def _decode_orbit(spec, max_iter=None) -> OrbitConfig:
-    spec = spec or {}
-    stations = None
-    if "stations" in spec:
-        st = spec["stations"]
-        stations = StationSpec(
-            base=complex(st.get("base", [0, 0])[0], st.get("base", [0, 0])[1]),
-            step=float(st.get("step", 2.0 * math.pi)),
-            radius=float(st.get("radius", 0.5)),
-            min_index=int(st.get("min_index", 1)),
-            streak=int(st.get("streak", 12)),
+    """The scenario's "orbit" block; "stations" is one ladder object or a
+    list of them.  A bad value raises ScenarioError naming its field."""
+    spec = {} if spec is None else spec
+    ladders = spec.get("stations", []) if isinstance(spec, dict) else None
+    if isinstance(ladders, dict):
+        ladders = [ladders]
+    if not (isinstance(ladders, list) and all(isinstance(st, dict) for st in ladders)):
+        raise ScenarioError('"orbit" must be an object whose "stations" is an object '
+                            f"or a list of objects, got {spec!r}", "orbit")
+    stations = []
+    for k, st in enumerate(ladders):
+        where = f"orbit.stations[{k}]"
+        base = st.get("base", [0.0, 0.0])
+        if not (isinstance(base, list) and len(base) == 2 and all(map(_number, base))):
+            raise ScenarioError(f'"base" must be two numbers [re, im], got {base!r}', where)
+        try:
+            stations.append(StationSpec(
+                base=complex(*base),
+                step=float(_orbit_field(st, "step", 2.0 * math.pi, where)),
+                radius=float(_orbit_field(st, "radius", 0.5, where)),
+                min_index=_orbit_field(st, "min_index", 1, where, integer=True),
+                streak=_orbit_field(st, "streak", 12, where, integer=True),
+            ))
+        except ValueError as e:
+            raise ScenarioError(str(e), where) from None
+    if max_iter is None:
+        max_iter = _orbit_field(spec, "max_iter", 500, "orbit", integer=True)
+    try:
+        return OrbitConfig(
+            max_iter=max_iter,
+            escape_radius=float(_orbit_field(spec, "escape_radius", 1e6, "orbit")),
+            attract_tol=float(_orbit_field(spec, "attract_tol", 1e-9, "orbit")),
+            cycle_window=_orbit_field(spec, "cycle_window", 8, "orbit", integer=True),
+            stations=tuple(stations),
         )
-    return OrbitConfig(
-        max_iter=int(max_iter if max_iter is not None else spec.get("max_iter", 500)),
-        escape_radius=float(spec.get("escape_radius", 1e6)),
-        attract_tol=float(spec.get("attract_tol", 1e-9)),
-        cycle_window=int(spec.get("cycle_window", 8)),
-        stations=stations,
-    )
+    except ValueError as e:
+        raise ScenarioError(str(e), "orbit") from None
 
 
 # --- item executors ----------------------------------------------------------
@@ -552,6 +579,7 @@ def _run_raster(item, ctx):
                        (3, "pole_adjacent"), (4, "julia_suspect")):
         counts[name] = int((grid.labels == code).sum())
     out["label_counts"] = counts
+    out["verdict_counts"] = grid.verdict_counts
     return ok, out
 
 

@@ -4,10 +4,10 @@ import time
 import pytest
 
 from wanderlab.certify import derive_ex2_constants
-from wanderlab.dynamics import OrbitConfig, StationSpec, classify_grid
+from wanderlab.dynamics import classify_grid
 from wanderlab.maps import build_family
 from wanderlab.numerics import ComplexBox
-from wanderlab.scenario import run_scenario
+from wanderlab.scenario import _decode_orbit, load_scenario, run_scenario
 from wanderlab.topology import label_components
 
 EX2_WINDOW = ComplexBox(-1.0, 20.0, -2.6, 2.6)
@@ -29,7 +29,7 @@ def ex2_constants():
 @pytest.fixture(scope="session")
 def ex2_raster(ex2_timings):
     m = build_family("ex2", {"eps": 1e-5})
-    cfg = OrbitConfig(stations=StationSpec())
+    cfg = _decode_orbit(load_scenario("ex2-core").orbit)
     t0 = time.perf_counter()
     grid = classify_grid(m, EX2_WINDOW, EX2_WIDTH, EX2_HEIGHT, cfg)
     ex2_timings["raster"] = time.perf_counter() - t0

@@ -5,6 +5,15 @@ from collections import deque
 import numpy as np
 
 from wanderlab.certify import FRONTIER_KEEP, Certificate, _root_cells
+from wanderlab.dynamics import (
+    _V_ATTRACTED,
+    _V_BUDGET,
+    _V_DRIFTING,
+    _V_ESCAPED,
+    _V_POLE,
+    LADDER_STRIDE,
+)
+from wanderlab.maps import eval_map_vec
 from wanderlab.numerics import NONE, Boxes, ComplexBox, PoleIntersect, box_quarters
 
 
@@ -181,3 +190,81 @@ def certificate_reference(statement, region, test, budget):
         for b, d, r in survivors[:FRONTIER_KEEP]
     ]
     return Certificate(statement, verdict, frontier, stats)
+
+
+def orbit_verdicts_reference(m, zs, cfg):
+    """The full-array orbit state machine: every step gathers the live
+    orbits out of n-sized arrays by np.nonzero and scatters them back, and
+    each ladder keeps n-sized int64 streak state.  Returns what
+    wanderlab.dynamics._orbit_verdicts returns."""
+    n = zs.shape[0]
+    z = zs.astype(np.complex128).copy()
+    verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
+    fixed = np.full(n, np.nan + 0j, dtype=np.complex128)
+    track = np.full(n, -1, dtype=np.int32)
+    active = np.ones(n, dtype=bool)
+    consec = np.zeros(n, dtype=np.int32)
+
+    ladders = [(k, st, np.zeros(n, dtype=np.int32), np.full(n, -1, dtype=np.int64),
+                np.full(n, np.iinfo(np.int64).min, dtype=np.int64))
+               for k, st in enumerate(cfg.stations)]
+
+    def stations(idx):
+        for k, st, run, run_start, prev_idx in ladders:
+            _station_update_reference(z, st, k, active, run, run_start, prev_idx,
+                                      verdict, track, idx[active[idx]])
+
+    stations(np.arange(n))
+    snap_poles = [(p, m.pole_snap_radius(p)) for p in m.declared_poles]
+
+    for _ in range(cfg.max_iter):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        cur = z[idx]
+        hit = np.zeros(idx.shape[0], dtype=bool)
+        for p, snap in snap_poles:
+            hit |= np.abs(cur - p) <= snap
+        if hit.any():
+            verdict[idx[hit]] = _V_POLE
+            active[idx[hit]] = False
+            idx = idx[~hit]
+            cur = cur[~hit]
+            if idx.size == 0:
+                continue
+        nxt, bad = eval_map_vec(m, cur)
+        esc = bad | (np.abs(nxt) > cfg.escape_radius)
+        if esc.any():
+            verdict[idx[esc]] = _V_ESCAPED
+            active[idx[esc]] = False
+        small = ~esc & (np.abs(nxt - cur) < cfg.attract_tol)
+        consec[idx] = np.where(small, consec[idx] + 1, 0)
+        conv = consec[idx] >= cfg.cycle_window
+        conv &= ~esc
+        if conv.any():
+            verdict[idx[conv]] = _V_ATTRACTED
+            fixed[idx[conv]] = nxt[conv]
+            active[idx[conv]] = False
+        z[idx] = nxt
+        stations(idx[~esc & ~conv])
+    return verdict, fixed, track
+
+
+def _station_update_reference(z, st, k, active, run, run_start, prev_idx,
+                              verdict, track, idx):
+    cur = z[idx]
+    approx = np.round((cur.real - st.base.real) / st.step).astype(np.int64)
+    centers = st.base + approx * st.step
+    inside = (np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
+    advancing = inside & (approx == prev_idx[idx] + 1)
+    fresh = inside & ~advancing
+    run_new = np.where(advancing, run[idx] + 1, np.where(fresh, 1, 0))
+    run_start[idx] = np.where(fresh, approx, np.where(advancing, run_start[idx], -1))
+    run[idx] = run_new
+    prev_idx[idx] = np.where(inside, approx, np.iinfo(np.int64).min)
+    done = run_new >= st.streak
+    if done.any():
+        sel = idx[done]
+        verdict[sel] = _V_DRIFTING
+        track[sel] = (run_start[sel] + k * LADDER_STRIDE).astype(np.int32)
+        active[sel] = False

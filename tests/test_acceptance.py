@@ -226,7 +226,6 @@ def test_criterion_7_ex2_raster_topology(verdict, ex2_raster, ex2_components,
             chain.append(cid)
         assert len(set(chain)) == 4
 
-        m = build_family("ex2", {"eps": EPS2})
         assert connectivity_monotonicity_check(cm, chain).non_increasing
 
         total = (ex2_timings["raster"] + ex2_timings["components"]

@@ -11,8 +11,10 @@ from wanderlab.dynamics import (
     UNRESOLVED,
     _V_ATTRACTED,
     _V_BUDGET,
+    _V_DRIFTING,
     _V_ESCAPED,
     _V_POLE,
+    LADDER_STRIDE,
     NotFound,
     OrbitConfig,
     RasterGrid,
@@ -25,6 +27,9 @@ from wanderlab.dynamics import (
 from wanderlab.maps import PoleHitError, build_family, custom_map
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
+from wanderlab.scenario import _decode_orbit, load_scenario
+
+from oracles import orbit_verdicts_reference
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -126,12 +131,26 @@ def test_track_validates_center_count():
 # --- grid classification ---------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OrbitConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        StationSpec(radius=0.0)
-    with pytest.raises(ValueError):
-        StationSpec(streak=1)
+    invalid = [
+        lambda: OrbitConfig(max_iter=0),
+        lambda: OrbitConfig(cycle_window=0),
+        lambda: OrbitConfig(escape_radius=math.nan),
+        lambda: OrbitConfig(escape_radius=math.inf),
+        lambda: OrbitConfig(attract_tol=math.nan),
+        lambda: OrbitConfig(stations=StationSpec()),
+        lambda: StationSpec(radius=0.0),
+        lambda: StationSpec(radius=math.nan),
+        lambda: StationSpec(radius=math.inf),
+        lambda: StationSpec(streak=1),
+        lambda: StationSpec(step=0.0),
+        lambda: StationSpec(step=math.nan),
+        lambda: StationSpec(step=-math.inf),
+        lambda: StationSpec(base=complex(math.nan, 0.0)),
+        lambda: StationSpec(base=complex(0.0, math.inf)),
+    ]
+    for make in invalid:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_pixel_center_of_roundtrip():
@@ -202,9 +221,104 @@ def test_drifting_block_near_first_station():
     m = build_family("ex2", {"eps": EPS2})
     two_pi = 2.0 * math.pi
     win = ComplexBox(two_pi - 0.02, two_pi + 0.02, -0.02, 0.02)
-    g = classify_grid(m, win, 4, 4, OrbitConfig(stations=StationSpec()))
+    g = classify_grid(m, win, 4, 4, OrbitConfig(stations=(StationSpec(),)))
     assert (g.labels == DRIFTING).all()
     assert (g.ids == 1).all()
+
+
+def ex2_core_orbit():
+    return _decode_orbit(load_scenario("ex2-core").orbit)
+
+
+def test_drifting_block_near_leftward_station():
+    # x0 = 2 pi - 2 a* satisfies g(x0) = x0 - 2 pi and g'(x0) = 0: the
+    # second ladder of ex2-core catches the orbits near it
+    m = build_family("ex2", {"eps": EPS2})
+    cfg = ex2_core_orbit()
+    x0 = 2.0 * math.atan(2.0 * math.pi)
+    assert cfg.stations[1].base == complex(x0)
+    win = ComplexBox(x0 - 0.02, x0 + 0.02, -0.02, 0.02)
+    g = classify_grid(m, win, 4, 4, cfg)
+    assert (g.labels == DRIFTING).all()
+    assert ((g.ids > LADDER_STRIDE // 2) & (g.ids < 3 * LADDER_STRIDE // 2)).all()
+
+
+# --- the compacted orbit loop against the full-array reference -----------------
+
+def _grid_points(win: ComplexBox, width: int, height: int) -> np.ndarray:
+    xs = win.re_lo + (np.arange(width) + 0.5) * (win.re_hi - win.re_lo) / width
+    ys = win.im_lo + (np.arange(height) + 0.5) * (win.im_hi - win.im_lo) / height
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+def _ex1_points():
+    rng = np.random.default_rng(7)
+    scale = np.repeat([0.05, 4.0], 2000)
+    zs = scale * (rng.uniform(-1.0, 1.0, 4000) + 1j * rng.uniform(-1.0, 1.0, 4000))
+    return np.concatenate([zs, [complex(A1), 0j]])
+
+
+# an orbit that alternates between the band |Im z| < 0.055 of a step-1 ladder
+# (at the integers) and points above it: each visit to the band advances the
+# corridor index by one, but no two visits are consecutive steps
+GAP_MAP = ("(add z (add 0.5 (mul (mul i 0.1) "
+           "(sin (add (mul 6.283185307179586 z) 1.5707963267948966)))))")
+GAP_LADDER = StationSpec(base=0j, step=1.0, radius=0.055, min_index=0, streak=3)
+
+LEFT = StationSpec(base=0j, step=1.0, radius=0.5, min_index=-100, streak=5)
+RIGHT = StationSpec(base=10.2 + 0j, step=1.0, radius=0.5, min_index=-100, streak=5)
+
+
+@pytest.mark.parametrize("m, zs, cfg", [
+    (build_family("ex2", {"eps": EPS2}),
+     _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 400, 100), ex2_core_orbit()),
+    (ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),))),
+    (custom_map("(add z 1e-10)"), _grid_points(ComplexBox(0.0, 1e-8, 0.0, 1e-8), 4, 4),
+     OrbitConfig(max_iter=30)),
+    (custom_map("(mul z 2)"), _grid_points(ComplexBox(-1.0, 1.0, -1.0, 1.0), 16, 16),
+     OrbitConfig(max_iter=40, stations=(StationSpec(step=-1.0, min_index=-50),))),
+    (custom_map("(add z 1)"), _grid_points(ComplexBox(-3.0, 3.0, -0.6, 0.6), 12, 6),
+     OrbitConfig(max_iter=20, stations=(LEFT, RIGHT))),
+    (custom_map(GAP_MAP), np.array([0j, 3.0 + 0j, 0.01 + 0.002j]),
+     OrbitConfig(max_iter=12, stations=(GAP_LADDER,))),
+], ids=["ex2-grid-two-ladders", "ex1-seeded", "add-1e-10", "mul-2", "overlapping-ladders",
+        "streak-off-the-band"])
+def test_compacted_loop_matches_reference(m, zs, cfg):
+    verdict, fixed, track = _orbit_verdicts(m, zs, cfg)
+    ref_verdict, ref_fixed, ref_track = orbit_verdicts_reference(m, zs, cfg)
+    assert np.array_equal(verdict, ref_verdict)
+    assert np.array_equal(fixed, ref_fixed, equal_nan=True)
+    assert np.array_equal(track, ref_track)
+    assert track.dtype == ref_track.dtype == np.int32
+
+
+def test_ex1_seeded_points_reach_every_verdict():
+    verdict, _, _ = _orbit_verdicts(ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),)))
+    assert {_V_POLE, _V_ATTRACTED, _V_ESCAPED} <= set(verdict.tolist())
+
+
+def test_overlapping_ladders_first_declared_wins():
+    # every point lies 0.1 from a corridor center of both ladders, and both
+    # streaks complete at the same step; the indices differ by 10
+    m = custom_map("(add z 1)")
+    zs = _grid_points(ComplexBox(-3.4, 2.6, -0.1, 0.1), 6, 2)
+
+    def tracks(*ladders):
+        verdict, _, track = _orbit_verdicts(m, zs, OrbitConfig(max_iter=20, stations=ladders))
+        assert (verdict == _V_DRIFTING).all()
+        return track
+
+    alone_left, alone_right = tracks(LEFT), tracks(RIGHT)
+    assert np.array_equal(alone_left, alone_right + 10)
+    assert np.array_equal(tracks(LEFT, RIGHT), alone_left)
+    assert np.array_equal(tracks(RIGHT, LEFT), alone_right)
+
+
+def test_streak_resets_when_the_orbit_leaves_the_band():
+    verdict, _, track = _orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
+                                        OrbitConfig(max_iter=12, stations=(GAP_LADDER,)))
+    assert verdict.tolist() == [_V_BUDGET, _V_BUDGET]
+    assert track.tolist() == [-1, -1]
 
 
 def test_grid_deterministic_and_worker_invariant():

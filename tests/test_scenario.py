@@ -200,9 +200,10 @@ def _without_elapsed(value):
     return value
 
 
-@pytest.mark.parametrize("suite", ["ex5-strip", "ex34-models"])
+@pytest.mark.parametrize("suite", ["ex5-strip", "ex34-models", "ex1-core", "ex2-core"])
 def test_report_is_deterministic_without_timings(suite):
-    first, second = (json.dumps(_without_elapsed(run_scenario(suite))) for _ in range(2))
+    first, second = (json.dumps(_without_elapsed(run_scenario(suite, threads=2)))
+                     for _ in range(2))
     assert "elapsed" not in first
     assert first == second
 
@@ -215,6 +216,13 @@ def test_ex2_core_report(ex2_report):
     }
     data = (out / "ex2-core.ppm").read_bytes()
     assert data.startswith(b"P6\n1600 400\n255\n")
+    raster, = (row for row in report["items"] if row["id"] == "Cor-2-raster")
+    counts = raster["result"]["verdict_counts"]
+    assert list(counts) == ["escaped", "attracted", "drifting", "pole", "budget", "boundary"]
+    assert sum(counts[k] for k in list(counts)[:5]) == 1600 * 400
+    assert counts["budget"] == 0 and counts["drifting"] > 0 and counts["boundary"] > 0
+    assert ([m["behavior"] for m in raster["result"]["matches"]]
+            == [["drifting", 1], ["drifting", 1], ["drifting", 2], ["drifting", 3]])
 
 
 # --- command-line front end ---------------------------------------------------
@@ -305,6 +313,36 @@ def test_cli_malformed_raster_is_config_error(tmp_path, capsys, command, field, 
     assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert f'"{field}"' in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("orbit, field", [
+    ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": "ten"}, "max_iter"),
+    ({"cycle_window": 0}, "cycle_window"),
+    ({"escape_radius": math.nan}, "escape_radius"),
+    ({"attract_tol": math.nan}, "attract_tol"),
+    ({"stations": {"step": 0}}, "step"),
+    ({"stations": {"step": math.inf}}, "step"),
+    ({"stations": [{}, {"radius": math.nan}]}, "stations[1]"),
+    ({"stations": {"base": [math.nan, 0.0]}}, "base"),
+    ({"stations": "left"}, "stations"),
+], ids=["zero-max-iter", "text-max-iter", "zero-cycle-window", "nan-escape", "nan-tol",
+        "zero-step", "inf-step", "nan-radius", "nan-base", "text-stations"])
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_invalid_orbit_is_config_error(tmp_path, capsys, command, orbit, field):
+    scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, orbit=orbit))
+    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "orbit" in err and field in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_zero_max_iter_override_is_config_error(tmp_path, capsys, command):
+    scenario = _write(tmp_path, "r.json", TINY_RASTER)
+    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1",
+                 "--max-iter", "0"]) == 2
+    assert "max_iter" in capsys.readouterr().err
 
 
 # --- pixmap bytes ---------------------------------------------------------------

@@ -277,7 +277,7 @@ class ExprBound(Bound):
 
 class ConstBound(Bound):
     def __init__(self, c: float, label: str | None = None):
-        if c < 0.0:
+        if not c >= 0.0:   # NaN too
             raise ValueError("modulus bounds are nonnegative")
         self.c = float(c)
         self.label = label or repr(c)
@@ -299,7 +299,7 @@ class PowerBound(Bound):
 
     def __init__(self, c: float, n: int, center: complex = 0j,
                  label: str | None = None):
-        if c < 0.0 or n < 0:
+        if not (c >= 0.0 and n >= 0):   # NaN too
             raise ValueError("need c >= 0 and n >= 0")
         self.c = float(c)
         self.n = int(n)
@@ -325,7 +325,7 @@ class QuotientSeriesBound(Bound):
 
     def __init__(self, c: float, power: int, quot_fn, center: complex = 0j,
                  label: str | None = None):
-        if c < 0.0 or power < 0:
+        if not (c >= 0.0 and power >= 0):   # NaN too
             raise ValueError("need c >= 0 and power >= 0")
         self.c = float(c)
         self.power = int(power)

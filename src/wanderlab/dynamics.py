@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -349,7 +350,8 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     if workers > 1:
         blocks = np.array_split(np.arange(height), min(workers, height))
         tasks = [(m, cfg, centers[rows].ravel()) for rows in blocks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its processes up front: no more than the blocks or cores
+        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_classify_block, tasks))
         verdict = np.concatenate([p[0] for p in parts])
         fixed = np.concatenate([p[1] for p in parts])

@@ -70,8 +70,8 @@ class Disk(Region):
     closed: bool = False
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError("negative disk radius")
+        if not self.radius >= 0.0:   # NaN too
+            raise ValueError(f"disk radius must be >= 0, got {self.radius!r}")
         object.__setattr__(self, "center", complex(self.center))
 
     def contains(self, z: complex) -> bool:

@@ -6,13 +6,17 @@ and an ordered list of items.  Items run sequentially because derived
 constants feed forward: an item may publish values (r1, r2, ...) that
 later items reference as "$name".  Every item lands in the report
 exactly once with a passed flag; executor exceptions are recorded as
-failures, never dropped.  Config and syntax problems raise
-ScenarioError instead — the CLI maps those to exit status 2.
+failures, never dropped.  Every document value is read by one reader,
+`_Doc`, and a value it cannot decode raises ScenarioError naming the
+field's path: a missing field, a wrong type, an unresolved reference, a
+value a region, bound, map, budget or orbit constructor rejects, or a
+field that nothing reads.  The CLI maps ScenarioError to exit status 2.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -44,7 +48,7 @@ from .numerics import (
     quot_z_minus_sin,
 )
 from .pixmap import render_pixmap
-from .regions import Annulus, BoxRegion, Difference, Disk, HalfStrip, Region, Union
+from .regions import Annulus, Difference, Disk, HalfStrip, Region, Union
 from .topology import connectivity, connectivity_monotonicity_check, label_components, surrounds
 
 SCENARIO_SCHEMA = "scenario/1"
@@ -52,10 +56,10 @@ REPORT_SCHEMA = "report/1"
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario: bad schema, unknown kind, unresolved reference."""
+    """Malformed scenario: bad schema, unknown kind, bad or unknown field."""
 
     def __init__(self, message: str, where: str | None = None):
-        super().__init__(message if where is None else f"{where}: {message}")
+        super().__init__(message if where is None else f'"{where}": {message}')
         self.where = where
 
 
@@ -103,277 +107,312 @@ def load_scenario(ref) -> Scenario:
         raise ScenarioError('"items" must be a list', where)
     seen = set()
     for item in items:
-        if not isinstance(item, dict) or "id" not in item or "kind" not in item:
-            raise ScenarioError('every item needs "id" and "kind"', where)
+        if not (isinstance(item, dict) and isinstance(item.get("id"), str) and "kind" in item):
+            raise ScenarioError('every item needs a string "id" and a "kind"', where)
         if item["id"] in seen:
             raise ScenarioError(f'duplicate item id {item["id"]!r}', where)
         seen.add(item["id"])
-    return Scenario(
-        name=raw.get("name", "unnamed"),
-        description=raw.get("description", ""),
-        map_spec=raw.get("map", {}),
-        window=raw.get("window"),
-        resolution=raw.get("resolution"),
-        orbit=raw.get("orbit", {}),
-        items=items,
-        path=where,
-    )
+    return Scenario(raw.get("name", "unnamed"), raw.get("description", ""),
+                    raw.get("map", {}), raw.get("window"), raw.get("resolution"),
+                    raw.get("orbit", {}), items, where)
 
 
-# --- JSON -> object decoding -------------------------------------------------
+# --- the document reader -----------------------------------------------------
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _resolve(value, env, where):
-    if isinstance(value, str):
-        if value.startswith("$") and value[1:] in env:
-            return env[value[1:]]
-        raise ScenarioError(f"unresolved reference {value!r}", where)
-    if not _number(value):
-        raise ScenarioError(f"expected a number or $reference, got {value!r}", where)
-    return float(value)
+_REQUIRED = object()
+_VERDICTS = ("proved", "inconclusive", "pole_contact")
+_QUOTIENTS = {"one_minus_cos": quot_one_minus_cos, "z_minus_sin": quot_z_minus_sin,
+              "cos_defect": quot_cos_defect}
 
 
-def _cnum(value, env, where) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_resolve(value[0], env, where), _resolve(value[1], env, where))
-    return complex(_resolve(value, env, where))
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decode_region(spec, env, where) -> Region:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ScenarioError(f"region must be a single-key object, got {spec!r}", where)
-    (kind, body), = spec.items()
-    if kind == "disk":
-        return Disk(_cnum(body["center"], env, where),
-                    _resolve(body["radius"], env, where),
-                    closed=bool(body.get("closed", False)))
-    if kind == "annulus":
-        return Annulus(_cnum(body["center"], env, where),
-                       _resolve(body["r_in"], env, where),
-                       _resolve(body["r_out"], env, where),
-                       closed=bool(body.get("closed", True)))
-    if kind == "half_strip":
-        lo = body.get("re_lo")
-        return HalfStrip(-math.inf if lo is None else _resolve(lo, env, where),
-                         _resolve(body["re_hi"], env, where),
-                         _resolve(body["im_lo"], env, where),
-                         _resolve(body["im_hi"], env, where),
-                         closed=bool(body.get("closed", True)))
-    if kind == "box":
-        return BoxRegion(*(_resolve(body[k], env, where)
-                           for k in ("re_lo", "re_hi", "im_lo", "im_hi")))
-    if kind == "difference":
-        return Difference(_decode_region(body["minuend"], env, where),
-                          _decode_region(body["subtrahend"], env, where))
-    if kind == "union":
-        return Union(*(_decode_region(part, env, where) for part in body))
-    raise ScenarioError(f"unknown region kind {kind!r}", where)
+def _is_number(value) -> bool:
+    """A JSON number that float() takes: not a bool, nor an int past the float range."""
+    return (isinstance(value, float)
+            or (_is_int(value) and abs(value) <= sys.float_info.max))
 
 
-_QUOTIENTS = {
-    "one_minus_cos": quot_one_minus_cos,
-    "z_minus_sin": quot_z_minus_sin,
-    "cos_defect": quot_cos_defect,
-}
+class _Doc:
+    """One object (or list) of the scenario document, read field by field.
 
+    `path` names it in errors (`Lemma-4.1a.circle`, `orbit.stations[1]`)
+    and `env` resolves "$name" references.  Each accessor records its key
+    and returns the checked value, or the default when the field is absent
+    or null; a missing or ill-typed field raises ScenarioError naming its
+    path.  Constructors run through `build`, so their ValueError is a
+    config error too.  `finish` rejects any key that nothing read, here
+    and in every nested reader.
+    """
 
-def _decode_bound(spec, env, where):
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ScenarioError(f"bound must be a single-key object, got {spec!r}", where)
-    (kind, body), = spec.items()
-    if kind == "const":
-        return ConstBound(_resolve(body, env, where))
-    if kind == "power":
-        return PowerBound(_resolve(body["c"], env, where), int(body["n"]),
-                          _cnum(body.get("center", 0.0), env, where))
-    if kind == "series_quotient":
-        name = body["quotient"]
+    def __init__(self, obj, env: dict, path: str):
+        self.obj, self.env, self.path = obj, env, path
+        self.seen: set = set()
+        self.nested: list[_Doc] = []
+
+    def at(self, key) -> str:
+        if isinstance(key, int):
+            return f"{self.path}[{key}]"
+        return f"{self.path}.{key}" if self.path else key
+
+    def _raw(self, key):
+        return self.obj.get(key) if isinstance(self.obj, dict) else self.obj[key]
+
+    def value(self, key, ok, what: str, default=_REQUIRED):
+        """The value at key, which ok(value) must accept."""
+        self.seen.add(key)
+        got = self._raw(key)
+        if got is None:
+            if default is _REQUIRED:
+                raise ScenarioError("required field is missing", self.at(key))
+            return default
+        if not ok(got):
+            raise ScenarioError(f"expected {what}, got {got!r}", self.at(key))
+        return got
+
+    def number(self, key, default=_REQUIRED) -> float | None:
+        got = self.value(key, lambda v: _is_number(v) or (
+            isinstance(v, str) and v[:1] == "$" and v[1:] in self.env),
+            "a number or a defined $reference", default)
+        if isinstance(got, str):
+            got = self.env[got[1:]]
+        return None if got is None else float(got)
+
+    def complex(self, key, default=_REQUIRED) -> complex | None:
+        """[re, im] or one real number; each part may be a $reference."""
+        if isinstance(self._raw(key), list):
+            pair = self.list(key, 2)
+            return complex(pair.number(0), pair.number(1))
+        got = self.number(key, default)
+        return None if got is None else complex(got)
+
+    def integer(self, key, default=_REQUIRED, floor=None) -> int | None:
+        return self.value(key, lambda v: _is_int(v) and (floor is None or v >= floor),
+                          "an integer" if floor is None else f"an integer >= {floor}",
+                          default)
+
+    def boolean(self, key, default=_REQUIRED) -> bool | None:
+        return self.value(key, lambda v: isinstance(v, bool), "true or false", default)
+
+    def string(self, key, default=_REQUIRED, choices=None) -> str | None:
+        return self.value(key, lambda v: isinstance(v, str) and (choices is None or v in choices),
+                          "a string" if choices is None else f"one of {', '.join(choices)}",
+                          default)
+
+    def child(self, key, default=_REQUIRED) -> _Doc | None:
+        return self._nest(key, self.value(key, lambda v: isinstance(v, dict),
+                                          "an object", default))
+
+    def list(self, key, length=None, default=_REQUIRED) -> _Doc | None:
+        return self._nest(key, self.value(
+            key, lambda v: isinstance(v, list) and length in (None, len(v)),
+            "a list" if length is None else f"a list of {length}", default))
+
+    def _nest(self, key, obj) -> _Doc | None:
+        if obj is None:
+            return None
+        rd = _Doc(obj, self.env, self.at(key))
+        self.nested.append(rd)
+        return rd
+
+    def each(self, key, read, default=_REQUIRED, length=None) -> list:
+        """read(list reader, i) for every element of the list at key."""
+        items = self.list(key, length, default)
+        return [read(items, i) for i in range(len(items.obj))]
+
+    def tagged(self, key, kinds, what: str) -> tuple[str, _Doc]:
+        """A single-key object {kind: body}: the kind, and the reader whose
+        field `kind` is the body."""
+        node = self.child(key)
+        if len(node.obj) != 1 or next(iter(node.obj)) not in kinds:
+            raise ScenarioError(f"expected a {what}: one key of {', '.join(kinds)}, "
+                                f"got {node.obj!r}", node.path)
+        return next(iter(node.obj)), node
+
+    def build(self, make, *args, **kwargs):
+        """make(*args, **kwargs); its ValueError is a config error at this path."""
+        try:
+            return make(*args, **kwargs)
+        except (KeyError, ValueError) as e:   # KeyError: a family param is missing
+            message = str(e) if isinstance(e, ValueError) else f"missing parameter {e}"
+            raise ScenarioError(message, self.path) from None
+
+    def region(self, key) -> Region:
+        kind, node = self.tagged(key, ("disk", "annulus", "half_strip", "box",
+                                       "difference", "union"), "region")
+        if kind == "union":
+            return node.build(Union, *node.each(kind, _Doc.region))
+        body = node.child(kind)
+        if kind == "difference":
+            return Difference(body.region("minuend"), body.region("subtrahend"))
+        if kind == "disk":
+            return body.build(Disk, body.complex("center"), body.number("radius"),
+                              closed=body.boolean("closed", False))
+        if kind == "annulus":
+            return body.build(Annulus, body.complex("center"), body.number("r_in"),
+                              body.number("r_out"), closed=body.boolean("closed", True))
+        # a box is a half-strip whose left edge is required
+        re_lo = body.number("re_lo", -math.inf if kind == "half_strip" else _REQUIRED)
+        return body.build(HalfStrip, re_lo, body.number("re_hi"), body.number("im_lo"),
+                          body.number("im_hi"), closed=body.boolean("closed", True))
+
+    def bound(self, key):
+        kind, node = self.tagged(key, ("const", "power", "series_quotient", "expr_abs",
+                                       "sum"), "bound")
+        if kind == "const":
+            return node.build(ConstBound, node.number(kind))
+        if kind == "sum":
+            return node.build(SumBound, *node.each(kind, _Doc.bound))
+        body = node.child(kind)
+        if kind == "expr_abs":
+            return ExprBound(body.map())
+        center = body.complex("center", 0.0)
+        if kind == "power":
+            return body.build(PowerBound, body.number("c"), body.integer("n"), center)
+        name = body.string("quotient", choices=("exp_tail", *_QUOTIENTS))
         if name == "exp_tail":
-            drop = int(body["drop"])
+            drop = body.integer("drop", floor=0)
             fn = lambda b: quot_exp_tail(b, drop=drop)  # noqa: E731
-        elif name in _QUOTIENTS:
-            fn = _QUOTIENTS[name]
         else:
-            raise ScenarioError(f"unknown series quotient {name!r}", where)
-        return QuotientSeriesBound(_resolve(body["c"], env, where),
-                                   int(body["power"]), fn,
-                                   _cnum(body.get("center", 0.0), env, where))
-    if kind == "expr_abs":
-        return ExprBound(_decode_map(body, env, where))
-    if kind == "sum":
-        return SumBound(*(_decode_bound(part, env, where) for part in body))
-    raise ScenarioError(f"unknown bound kind {kind!r}", where)
+            fn = _QUOTIENTS[name]
+        return body.build(QuotientSeriesBound, body.number("c"), body.integer("power"),
+                          fn, center)
 
+    def params(self) -> dict:
+        node = self.child("params", {})
+        return {key: node.number(key) for key in node.obj}
 
-def _decode_map(spec, env, where) -> MeromorphicMap:
-    if "family" in spec:
-        params = {k: _resolve(v, env, where)
-                  for k, v in spec.get("params", {}).items()}
-        return build_family(spec["family"], params or None)
-    if "expr" in spec:
-        params = {k: _resolve(v, env, where)
-                  for k, v in spec.get("params", {}).items()}
-        poles = tuple(_cnum(p, env, where) for p in spec.get("poles", []))
-        return custom_map(spec["expr"], params=params, declared_poles=poles)
-    raise ScenarioError('map needs "family" or "expr"', where)
+    def map(self) -> MeromorphicMap:
+        """This object as a map: {"family", "params"} or {"expr", "params", "poles"}."""
+        params = self.params()
+        family = self.string("family", None)
+        if family is not None:
+            return self.build(build_family, family, params or None)
+        poles = tuple(self.each("poles", _Doc.complex, []))
+        return self.build(custom_map, self.string("expr"), params=params,
+                          declared_poles=poles)
 
+    def budget(self, boxes=None) -> Budget:
+        """The optional "budget" object; boxes (--budget-boxes) overrides max_boxes."""
+        spec = self.child("budget", {})
+        max_boxes = spec.integer("max_boxes", 1_000_000, floor=1)
+        max_depth = spec.integer("max_depth", 24, floor=0)
+        return spec.build(Budget, max_boxes if boxes is None else boxes, max_depth)
 
-def _decode_budget(spec, budget_boxes=None) -> Budget:
-    spec = spec or {}
-    max_boxes = int(spec.get("max_boxes", 1_000_000))
-    max_depth = int(spec.get("max_depth", 24))
-    if budget_boxes is not None:
-        max_boxes = int(budget_boxes)
-    return Budget(max_boxes=max_boxes, max_depth=max_depth)
-
-
-def _orbit_field(spec, key, default, where, integer=False):
-    value = spec.get(key, default)
-    if not _number(value) or (integer and not isinstance(value, int)):
-        kind = "an integer" if integer else "a number"
-        raise ScenarioError(f'"{key}" must be {kind}, got {value!r}', where)
-    return value
+    def finish(self) -> None:
+        keys = self.obj if isinstance(self.obj, dict) else range(len(self.obj))
+        for key in keys:
+            if key not in self.seen:
+                raise ScenarioError("unknown field: nothing reads it", self.at(key))
+        for rd in self.nested:
+            rd.finish()
 
 
 def _decode_orbit(spec, max_iter=None) -> OrbitConfig:
     """The scenario's "orbit" block; "stations" is one ladder object or a
-    list of them.  A bad value raises ScenarioError naming its field."""
-    spec = {} if spec is None else spec
-    ladders = spec.get("stations", []) if isinstance(spec, dict) else None
-    if isinstance(ladders, dict):
-        ladders = [ladders]
-    if not (isinstance(ladders, list) and all(isinstance(st, dict) for st in ladders)):
-        raise ScenarioError('"orbit" must be an object whose "stations" is an object '
-                            f"or a list of objects, got {spec!r}", "orbit")
-    stations = []
-    for k, st in enumerate(ladders):
-        where = f"orbit.stations[{k}]"
-        base = st.get("base", [0.0, 0.0])
-        if not (isinstance(base, list) and len(base) == 2 and all(map(_number, base))):
-            raise ScenarioError(f'"base" must be two numbers [re, im], got {base!r}', where)
-        try:
-            stations.append(StationSpec(
-                base=complex(*base),
-                step=float(_orbit_field(st, "step", 2.0 * math.pi, where)),
-                radius=float(_orbit_field(st, "radius", 0.5, where)),
-                min_index=_orbit_field(st, "min_index", 1, where, integer=True),
-                streak=_orbit_field(st, "streak", 12, where, integer=True),
-            ))
-        except ValueError as e:
-            raise ScenarioError(str(e), where) from None
-    if max_iter is None:
-        max_iter = _orbit_field(spec, "max_iter", 500, "orbit", integer=True)
-    try:
-        return OrbitConfig(
-            max_iter=max_iter,
-            escape_radius=float(_orbit_field(spec, "escape_radius", 1e6, "orbit")),
-            attract_tol=float(_orbit_field(spec, "attract_tol", 1e-9, "orbit")),
-            cycle_window=_orbit_field(spec, "cycle_window", 8, "orbit", integer=True),
-            stations=tuple(stations),
-        )
-    except ValueError as e:
-        raise ScenarioError(str(e), "orbit") from None
+    list of them.  A bad or unknown field raises ScenarioError naming it."""
+    rd = _Doc({"orbit": spec}, {}, "").child("orbit", {})
+    if isinstance(rd.obj.get("stations"), dict):
+        ladders = [rd.child("stations")]
+    else:
+        ladders = rd.each("stations", _Doc.child, [])
+    stations = tuple(st.build(StationSpec, st.complex("base", 0.0),
+                              st.number("step", 2.0 * math.pi), st.number("radius", 0.5),
+                              st.integer("min_index", 1), st.integer("streak", 12))
+                     for st in ladders)
+    doc_max_iter = rd.integer("max_iter", 500)
+    cfg = rd.build(OrbitConfig, doc_max_iter if max_iter is None else max_iter,
+                   rd.number("escape_radius", 1e6), rd.number("attract_tol", 1e-9),
+                   rd.integer("cycle_window", 8), stations)
+    rd.finish()
+    return cfg
 
 
 # --- item executors ----------------------------------------------------------
 
-def _item_map(item, scenario_map, env, where):
-    if "map" in item:
-        return _decode_map(item["map"], env, where)
-    if scenario_map is None:
-        raise ScenarioError("item needs a map and the scenario declares none", where)
-    return scenario_map
+def _item_map(rd, ctx):
+    spec = rd.child("map", None)
+    if spec is not None:
+        return spec.map()
+    if ctx["map"] is None:
+        raise ScenarioError("item needs a map and the scenario declares none", rd.path)
+    return ctx["map"]
 
 
 def _cert_result(cert) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "boxes_examined": int(cert.stats["boxes_examined"]),
-        "max_depth": int(cert.stats["max_depth"]),
-        "survivors": int(cert.stats["survivors"]),
-        "budget_exhausted": bool(cert.stats["budget_exhausted"]),
-        "elapsed": float(cert.stats["elapsed"]),
-    }
+    stats = cert.stats
+    return {"verdict": cert.verdict, "boxes_examined": int(stats["boxes_examined"]),
+            "max_depth": int(stats["max_depth"]), "survivors": int(stats["survivors"]),
+            "budget_exhausted": bool(stats["budget_exhausted"]),
+            "elapsed": float(stats["elapsed"])}
 
 
-def _run_inclusion(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    source = _decode_region(item["source"], ctx["env"], item["id"])
-    target = _decode_region(item["target"], ctx["env"], item["id"])
-    budget = _decode_budget(item.get("budget"), ctx["budget_boxes"])
-    cert = certify_inclusion(m, source, target, budget)
-    expect = item.get("expect", "proved")
-    out = _cert_result(cert)
-    out["expected_verdict"] = expect
-    return cert.verdict == expect, out
+def _expected_verdict(cert, expect):
+    return cert.verdict == expect, dict(_cert_result(cert), expected_verdict=expect)
 
 
-def _run_inequality(item, ctx):
-    lhs = _decode_bound(item["lhs"], ctx["env"], item["id"])
-    rhs = _decode_bound(item["rhs"], ctx["env"], item["id"])
-    region = _decode_region(item["region"], ctx["env"], item["id"])
-    budget = _decode_budget(item.get("budget"), ctx["budget_boxes"])
-    cert = certify_inequality(lhs, rhs, region, budget, cmp=item.get("cmp", "<"))
-    expect = item.get("expect", "proved")
-    out = _cert_result(cert)
-    out["expected_verdict"] = expect
-    return cert.verdict == expect, out
+def _run_inclusion(rd, ctx):
+    m = _item_map(rd, ctx)
+    source, target = rd.region("source"), rd.region("target")
+    budget = rd.budget(ctx["budget_boxes"])
+    expect = rd.string("expect", "proved", choices=_VERDICTS)
+    return _expected_verdict(certify_inclusion(m, source, target, budget), expect)
 
 
-def _target_map(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    if item.get("target", "f") == "f_prime":
+def _run_inequality(rd, ctx):
+    lhs, rhs, region = rd.bound("lhs"), rd.bound("rhs"), rd.region("region")
+    budget = rd.budget(ctx["budget_boxes"])
+    cmp = rd.string("cmp", "<", choices=("<", "<=", ">", ">="))
+    expect = rd.string("expect", "proved", choices=_VERDICTS)
+    return _expected_verdict(certify_inequality(lhs, rhs, region, budget, cmp=cmp), expect)
+
+
+def _target_map(rd, ctx):
+    m = _item_map(rd, ctx)
+    if rd.string("target", "f", choices=("f", "f_prime")) == "f_prime":
         return derivative(m)
     return m
 
 
-def _run_winding(item, ctx):
-    m = _target_map(item, ctx)
-    circle = (_cnum(item["circle"]["center"], ctx["env"], item["id"]),
-              _resolve(item["circle"]["radius"], ctx["env"], item["id"]))
-    w0 = _cnum(item["w0"], ctx["env"], item["id"])
+def _circle(rd):
+    circle = rd.child("circle")
+    return circle.complex("center"), circle.number("radius")
+
+
+def _run_winding(rd, ctx):
+    m = _target_map(rd, ctx)
+    circle, w0 = _circle(rd), rd.complex("w0")
+    expected = rd.integer("expect_winding")
+    floor = rd.number("min_distance_gt", None)
     res = winding_number(m, circle, w0)
-    ok = res.valid and res.winding == int(item["expect_winding"])
-    floor = item.get("min_distance_gt")
+    ok = res.valid and res.winding == expected
     if floor is not None:
-        ok = ok and res.min_distance > _resolve(floor, ctx["env"], item["id"])
-    return ok, {
-        "winding": res.winding,
-        "expected_winding": int(item["expect_winding"]),
-        "min_distance": res.min_distance,
-        "max_arg_step": res.max_arg_step,
-        "samples": res.samples,
-        "valid": res.valid,
-    }
+        ok = ok and res.min_distance > floor
+    return ok, {"winding": res.winding, "expected_winding": expected,
+                "min_distance": res.min_distance, "max_arg_step": res.max_arg_step,
+                "samples": res.samples, "valid": res.valid}
 
 
-def _run_zero_count(item, ctx):
-    m = _target_map(item, ctx)
-    circle = (_cnum(item["circle"]["center"], ctx["env"], item["id"]),
-              _resolve(item["circle"]["radius"], ctx["env"], item["id"]))
-    count = count_zeros_inside(m, circle, _cnum(item["w0"], ctx["env"], item["id"]),
-                               poles_inside=int(item["poles_inside"]))
-    return count == int(item["expect"]), {
-        "count": count, "expected": int(item["expect"]),
-        "poles_inside": int(item["poles_inside"]),
-    }
+def _run_zero_count(rd, ctx):
+    m = _target_map(rd, ctx)
+    circle, w0 = _circle(rd), rd.complex("w0")
+    poles, expected = rd.integer("poles_inside"), rd.integer("expect")
+    count = count_zeros_inside(m, circle, w0, poles_inside=poles)
+    return count == expected, {"count": count, "expected": expected, "poles_inside": poles}
 
 
-def _run_preimages(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    region = _decode_region(item["region"], ctx["env"], item["id"])
-    w0 = _cnum(item["w0"], ctx["env"], item["id"])
-    expected = int(item["expected"])
+def _run_preimages(rd, ctx):
+    m = _item_map(rd, ctx)
+    region, w0, expected = rd.region("region"), rd.complex("w0"), rd.integer("expected")
     roots = locate_preimages(m, w0, region, expected)
     out = {"roots": [[z.real, z.imag] for z in roots], "expected": expected}
     ok = True
-    near = item.get("near_cube_roots")
+    near = rd.child("near_cube_roots", None)
     if near is not None:
-        r = _resolve(near["scale"], ctx["env"], item["id"]) ** (1.0 / 3.0)
-        factor = float(near.get("within_factor", 0.3))
+        r = near.number("scale") ** (1.0 / 3.0)
+        factor = near.number("within_factor", 0.3)
         worst = 0.0
         for k in range(3):
             t = r * complex(math.cos(2.0 * math.pi * k / 3.0),
@@ -387,84 +426,79 @@ def _run_preimages(item, ctx):
     return ok, out
 
 
-def _run_fixed_point(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    region = _decode_region(item["region"], ctx["env"], item["id"])
+def _run_fixed_point(rd, ctx):
+    m = _item_map(rd, ctx)
+    region = rd.region("region")
+    max_residual = rd.number("max_residual", 1e-12)
+    max_abs = rd.number("max_abs", None)
+    attracting = rd.boolean("expect_attracting", None)
+    modulus = rd.number("expect_multiplier_modulus", None)
+    tol = None if modulus is None else rd.number("tolerance", 1e-9)
     rep = find_fixed_point(m, region)
-    out = {
-        "location": [rep.location.real, rep.location.imag],
-        "residual": rep.residual,
-        "multiplier_modulus": abs(rep.multiplier),
-        "attracting": rep.attracting,
-    }
-    ok = rep.residual <= float(item.get("max_residual", 1e-12))
-    if "max_abs" in item:
-        ok = ok and abs(rep.location) < _resolve(item["max_abs"], ctx["env"], item["id"])
-    if "expect_attracting" in item:
-        ok = ok and rep.attracting == bool(item["expect_attracting"])
-    if "expect_multiplier_modulus" in item:
-        want = _resolve(item["expect_multiplier_modulus"], ctx["env"], item["id"])
-        tol = float(item.get("tolerance", 1e-9))
-        ok = ok and abs(abs(rep.multiplier) - want) < tol
+    out = {"location": [rep.location.real, rep.location.imag], "residual": rep.residual,
+           "multiplier_modulus": abs(rep.multiplier), "attracting": rep.attracting}
+    ok = rep.residual <= max_residual
+    if max_abs is not None:
+        ok = ok and abs(rep.location) < max_abs
+    if attracting is not None:
+        ok = ok and rep.attracting == attracting
+    if modulus is not None:
+        ok = ok and abs(abs(rep.multiplier) - modulus) < tol
     return ok, out
 
 
-def _run_point_image(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    z = _cnum(item["z"], ctx["env"], item["id"])
-    center = _cnum(item["target"]["center"], ctx["env"], item["id"])
-    radius = _resolve(item["target"]["radius"], ctx["env"], item["id"])
+def _run_point_image(rd, ctx):
+    m = _item_map(rd, ctx)
+    z = rd.complex("z")
+    target = rd.child("target")
+    center, radius = target.complex("center"), target.number("radius")
     w = eval_map(m, z)
     dist = abs(w - center)
-    return dist < radius, {
-        "image": [w.real, w.imag], "distance": dist, "radius": radius,
-    }
+    return dist < radius, {"image": [w.real, w.imag], "distance": dist, "radius": radius}
 
 
-def _run_track(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    z0 = _cnum(item["z0"], ctx["env"], item["id"])
-    spec = item["centers"]
-    if "geometric" in spec:
-        body = spec["geometric"]
-        base = _cnum(body["base"], ctx["env"], item["id"])
-        factor = _resolve(body["factor"], ctx["env"], item["id"])
-        centers = [base * factor ** n for n in range(int(body["count"]))]
-    elif "arithmetic" in spec:
-        body = spec["arithmetic"]
-        base = _cnum(body["base"], ctx["env"], item["id"])
-        step = _cnum(body["step"], ctx["env"], item["id"])
-        centers = [base + step * n for n in range(int(body["count"]))]
+def _run_track(rd, ctx):
+    m = _item_map(rd, ctx)
+    z0 = rd.complex("z0")
+    kind, node = rd.tagged("centers", ("geometric", "arithmetic"), "track ladder")
+    body = node.child(kind)
+    base, count = body.complex("base"), body.integer("count")
+    if kind == "geometric":
+        factor = body.number("factor")
+        centers = [base * factor ** n for n in range(count)]
     else:
-        raise ScenarioError('track centers need "geometric" or "arithmetic"',
-                            item["id"])
-    radius = _resolve(item["radius"], ctx["env"], item["id"])
+        step = body.complex("step")
+        centers = [base + step * n for n in range(count)]
+    radius = rd.number("radius")
+    expect_all = rd.boolean("expect_all", True)
     flags = track_wandering(m, z0, centers, radius, len(centers))
-    ok = all(flags) if item.get("expect_all", True) else True
+    ok = all(flags) if expect_all else True
     return ok, {"flags": flags, "stations": len(flags), "radius": radius}
 
 
-def _run_params_identity(item, ctx):
+def _run_params_identity(rd, ctx):
+    tol = rd.number("tolerance", 1e-12)
     a, lam = solve_ex2_params()
-    tol = float(item.get("tolerance", 1e-12))
     res_sin = abs(lam * math.sin(a) - 2.0 * math.pi)
     res_cos = abs(1.0 + lam * math.cos(a))
     ok = res_sin < tol and res_cos < tol
     # quoted constants are truncated, not rounded: match within one unit
     # in the last quoted decimal place
     for key, value in (("expect_a", a), ("expect_lambda", lam)):
-        if key in item:
-            ok = ok and abs(value - float(item[key])) < 1e-3
+        quoted = rd.number(key, None)
+        if quoted is not None:
+            ok = ok and abs(value - quoted) < 1e-3
     out = {"a": a, "lambda": lam, "sin_residual": res_sin, "cos_residual": res_cos}
     ctx["env"].setdefault("a_star", a)
     ctx["env"].setdefault("lambda_star", lam)
     return ok, out
 
 
-def _run_derived_constants(item, ctx):
-    if ctx["budget_boxes"] is not None:
-        kw = {"candidate_budget": Budget(ctx["budget_boxes"], 20),
-              "final_budget": Budget(ctx["budget_boxes"], 22)}
+def _run_derived_constants(rd, ctx):
+    boxes = ctx["budget_boxes"]
+    if boxes is not None:
+        kw = {"candidate_budget": rd.build(Budget, boxes, 20),
+              "final_budget": rd.build(Budget, boxes, 22)}
     else:
         kw = {}
     derived = derive_ex2_constants(**kw)
@@ -474,28 +508,22 @@ def _run_derived_constants(item, ctx):
           and derived["eps"] < 1.0 / 144.0)
     for key in ("r1", "eps", "rho_g", "r2"):
         ctx["env"][key] = derived[key]
-    out = {
-        "r1": derived["r1"],
-        "eps": derived["eps"],
-        "rho_g": derived["rho_g"],
-        "r2": derived["r2"],
-        "pole_weight_first_station": derived["pole_weight_first_station"],
-        "station_cert": _cert_result(derived["station_cert"]),
-        "periodicity_note": derived["periodicity_note"],
-    }
+    out = {k: derived[k] for k in ("r1", "eps", "rho_g", "r2", "pole_weight_first_station")}
+    out["station_cert"] = _cert_result(derived["station_cert"])
+    out["periodicity_note"] = derived["periodicity_note"]
     return ok, out
 
 
-def _run_rh_check(item, ctx):
-    args = [int(v) for v in item["args"]]
+def _run_rh_check(rd, ctx):
+    args, expect = rd.each("args", _Doc.integer, length=4), rd.boolean("expect")
     value = riemann_hurwitz_check(*args)
-    return value == bool(item["expect"]), {"args": args, "value": value}
+    return value == expect, {"args": args, "value": value}
 
 
-def _run_ray_increase(item, ctx):
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
-    hi = _resolve(item["to"], ctx["env"], item["id"])
-    samples = int(item.get("samples", 1000))
+def _run_ray_increase(rd, ctx):
+    m = _item_map(rd, ctx)
+    hi = rd.number("to")
+    samples = rd.integer("samples", 1000, floor=1)
     min_margin = math.inf
     ok = True
     for k in range(1, samples + 1):
@@ -508,133 +536,103 @@ def _run_ray_increase(item, ctx):
     return ok, {"samples": samples, "min_margin": min_margin}
 
 
-def _select_component(cm, selector, grid, env, where):
-    if "contains" in selector:
-        p = _cnum(selector["contains"], env, where)
+def _select_component(cm, match, grid):
+    kind, node = match.tagged("component", ("contains", "surrounds"), "component selector")
+    p = node.complex(kind)
+    if kind == "contains":
         i, j = grid.pixel_of(p)
         cid = int(cm.labels[j, i])
         if cid == 0:
-            raise ScenarioError(f"anchor {p} lies on a non-candidate pixel", where)
+            raise LookupError(f"{node.path}: anchor {p} lies on a non-candidate pixel")
         return cid
-    if "surrounds" in selector:
-        p = _cnum(selector["surrounds"], env, where)
-        cands = [(info.pixel_count, cid)
-                 for cid, info in cm.component_table.items()
-                 if not info.touches_border and surrounds(cm, cid, p)]
-        if not cands:
-            raise ScenarioError(f"no bounded component surrounds {p}", where)
-        return min(cands)[1]
-    raise ScenarioError('component selector needs "contains" or "surrounds"', where)
+    cands = [(info.pixel_count, cid)
+             for cid, info in cm.component_table.items()
+             if not info.touches_border and surrounds(cm, cid, p)]
+    if not cands:
+        raise LookupError(f"{node.path}: no bounded component surrounds {p}")
+    return min(cands)[1]
 
 
-def _run_raster(item, ctx):
-    grid = _raster_grid(item, ctx)
+def _run_raster(rd, ctx):
+    grid = _raster_grid(rd, ctx)
     width, height = grid.width, grid.height
     cm = label_components(grid)
     ok = True
     matches = []
     matched_ids = []
-    for match in item.get("match", []):
-        cid = _select_component(cm, match["component"], grid, ctx["env"], item["id"])
+    for match in rd.each("match", _Doc.child, []):
+        behavior = match.string("expect_behavior", None, choices=("attracted", "drifting"))
+        exact = match.integer("expect_connectivity", None)
+        at_least = match.integer("expect_connectivity_at_least", None)
+        hole = match.complex("hole_contains", None)
+        cid = _select_component(cm, match, grid)
         matched_ids.append(cid)
         info = cm.component_table[cid]
         rep = connectivity(cm, cid)
-        row = {
-            "component": cid,
-            "behavior": list(info.behavior_label),
-            "pixel_count": info.pixel_count,
-            "connectivity": rep.connectivity,
-            "touches_border": info.touches_border,
-        }
-        good = True
-        if "expect_behavior" in match:
-            good = good and info.behavior_label[0] == match["expect_behavior"]
-        if "expect_connectivity" in match:
-            good = good and rep.connectivity == int(match["expect_connectivity"])
-        if "expect_connectivity_at_least" in match:
-            good = good and rep.connectivity >= int(match["expect_connectivity_at_least"])
-        if "hole_contains" in match:
-            p = _cnum(match["hole_contains"], ctx["env"], item["id"])
-            inside = surrounds(cm, cid, p)
+        row = {"component": cid, "behavior": list(info.behavior_label),
+               "pixel_count": info.pixel_count, "connectivity": rep.connectivity,
+               "touches_border": info.touches_border}
+        good = ((behavior is None or info.behavior_label[0] == behavior)
+                and (exact is None or rep.connectivity == exact)
+                and (at_least is None or rep.connectivity >= at_least))
+        if hole is not None:
+            inside = surrounds(cm, cid, hole)
             row["surrounds"] = inside
             good = good and inside
         row["passed"] = good
         matches.append(row)
         ok = ok and good
     out = {"matches": matches, "resolution": [width, height]}
-    if item.get("monotonicity"):
+    if rd.boolean("monotonicity", False):
         rep = connectivity_monotonicity_check(cm, matched_ids)
-        out["monotonicity"] = {
-            "sequence": [list(pair) for pair in rep.sequence],
-            "non_increasing": rep.non_increasing,
-            "skipped": list(rep.skipped),
-        }
+        out["monotonicity"] = {"sequence": [list(pair) for pair in rep.sequence],
+                               "non_increasing": rep.non_increasing,
+                               "skipped": list(rep.skipped)}
         ok = ok and rep.non_increasing
-    if item.get("render") and ctx["out_dir"] is not None:
-        path = ctx["out_dir"] / item["render"]
+    render = rd.string("render", None)
+    if render and ctx["out_dir"] is not None:
+        path = ctx["out_dir"] / render
         render_pixmap(grid, path)
         out["image"] = str(path)
-    counts = {}
-    for code, name in ((0, "unresolved"), (1, "attracted"), (2, "drifting"),
-                       (3, "pole_adjacent"), (4, "julia_suspect")):
-        counts[name] = int((grid.labels == code).sum())
-    out["label_counts"] = counts
+    out["label_counts"] = {name: int((grid.labels == code).sum()) for code, name in enumerate(
+        ("unresolved", "attracted", "drifting", "pole_adjacent", "julia_suspect"))}
     out["verdict_counts"] = grid.verdict_counts
     return ok, out
 
 
-_EXECUTORS = {
-    "inclusion": _run_inclusion,
-    "inequality": _run_inequality,
-    "winding": _run_winding,
-    "zero_count": _run_zero_count,
-    "preimages": _run_preimages,
-    "fixed_point": _run_fixed_point,
-    "point_image": _run_point_image,
-    "track": _run_track,
-    "params_identity": _run_params_identity,
-    "derived_constants": _run_derived_constants,
-    "rh_check": _run_rh_check,
-    "ray_increase": _run_ray_increase,
-    "raster": _run_raster,
-}
+# item kind -> executor: _run_<kind>(reader, ctx) -> (passed, result)
+_EXECUTORS = {name[5:]: fn for name, fn in globals().items() if name.startswith("_run_")}
 
 
 def _make_ctx(scenario: Scenario, threads, budget_boxes, max_iter, out_dir) -> dict:
     env = {"pi": math.pi, "two_pi": 2.0 * math.pi, "four_pi": 4.0 * math.pi}
     scenario_map = None
-    if scenario.map_spec:
-        for key, value in scenario.map_spec.get("params", {}).items():
-            env.setdefault(key, float(value))
-        scenario_map = _decode_map(scenario.map_spec, env, scenario.name)
-    return {
-        "scenario": scenario,
-        "map": scenario_map,
-        "env": env,
-        "threads": max(1, int(threads)),
-        "budget_boxes": budget_boxes,
-        "max_iter": max_iter,
-        "out_dir": out_dir,
-    }
+    spec = _Doc({"map": None if scenario.map_spec == {} else scenario.map_spec},
+                env, "").child("map", None)
+    if spec is not None:
+        for key, value in spec.params().items():
+            env.setdefault(key, value)
+        scenario_map = spec.map()
+        spec.finish()
+    return {"scenario": scenario, "map": scenario_map, "env": env,
+            "threads": max(1, int(threads)), "budget_boxes": budget_boxes,
+            "max_iter": max_iter, "out_dir": out_dir}
 
 
-def _raster_grid(item, ctx):
+def _raster_grid(rd, ctx):
     scenario = ctx["scenario"]
-    window, resolution = scenario.window, scenario.resolution
-    if not (isinstance(window, (list, tuple)) and len(window) == 4
-            and all(_number(v) and math.isfinite(v) for v in window)
-            and window[0] <= window[1] and window[2] <= window[3]):
-        raise ScenarioError('"window" must be four finite numbers [re_lo, re_hi, '
-                            f"im_lo, im_hi] with lo <= hi, got {window!r}", item["id"])
-    if not (isinstance(resolution, (list, tuple)) and len(resolution) == 2
-            and all(_number(v) and isinstance(v, int) and v >= 2 for v in resolution)):
-        raise ScenarioError('"resolution" must be two integers >= 2 [width, height], '
-                            f"got {resolution!r}", item["id"])
-    window = ComplexBox(*(float(v) for v in window))
-    width, height = resolution
-    m = _item_map(item, ctx["map"], ctx["env"], item["id"])
+    top = _Doc({"window": scenario.window, "resolution": scenario.resolution}, {}, "")
+    window = top.value("window", lambda w: isinstance(w, list) and len(w) == 4
+                       and all(_is_number(v) and math.isfinite(v) for v in w)
+                       and w[0] <= w[1] and w[2] <= w[3],
+                       "four finite numbers [re_lo, re_hi, im_lo, im_hi] with lo <= hi")
+    width, height = top.value(
+        "resolution", lambda r: isinstance(r, list) and len(r) == 2
+        and all(_is_int(v) and v >= 2 for v in r), "two integers >= 2 [width, height]")
+    m = _item_map(rd, ctx)
     cfg = _decode_orbit(scenario.orbit, ctx["max_iter"])
-    return classify_grid(m, window, width, height, cfg, workers=ctx["threads"])
+    return classify_grid(m, ComplexBox(*(float(v) for v in window)), width, height, cfg,
+                         workers=ctx["threads"])
 
 
 def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> dict:
@@ -644,7 +642,7 @@ def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> di
     if not items:
         raise ScenarioError("scenario declares no raster item", scenario.name)
     ctx = _make_ctx(scenario, threads, None, max_iter, None)
-    grid = _raster_grid(items[0], ctx)
+    grid = _raster_grid(_Doc(items[0], ctx["env"], items[0]["id"]), ctx)
     render_pixmap(grid, out_path)
     return {"width": grid.width, "height": grid.height, "path": str(out_path)}
 
@@ -659,24 +657,22 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
     t0 = time.perf_counter()
     rows = []
     for item in scenario.items:
-        kind = item["kind"]
+        rd = _Doc(item, ctx["env"], item["id"])
+        ident, kind = rd.string("id"), rd.string("kind")
         executor = _EXECUTORS.get(kind)
         if executor is None:
-            raise ScenarioError(f"unknown item kind {kind!r}", item["id"])
+            raise ScenarioError(f"unknown item kind {kind!r}", rd.path)
         t1 = time.perf_counter()
         try:
-            passed, result = executor(item, ctx)
+            passed, result = executor(rd, ctx)
         except ScenarioError:
             raise
         except Exception as e:  # honest failure row, never a dropped verdict
             passed, result = False, {"error": f"{type(e).__name__}: {e}"}
-        rows.append({
-            "id": item["id"],
-            "kind": kind,
-            "passed": bool(passed),
-            "elapsed": time.perf_counter() - t1,
-            "result": result,
-        })
+        else:
+            rd.finish()
+        rows.append({"id": ident, "kind": kind, "passed": bool(passed),
+                     "elapsed": time.perf_counter() - t1, "result": result})
     report = {
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from wanderlab import dynamics
 from wanderlab.dynamics import (
     ATTRACTED,
     DRIFTING,
@@ -331,6 +333,33 @@ def test_grid_deterministic_and_worker_invariant():
     assert np.array_equal(g1.ids, g2.ids)
     assert np.array_equal(g1.labels, g3.labels)
     assert np.array_equal(g1.ids, g3.ids)
+
+
+def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
+    # the pool forks every worker up front, so a huge --threads must not
+    # reach it; the fake maps in-process and starts no process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", InProcessPool)
+    m = ex1()
+    win = ComplexBox(-0.05, 0.05, -0.05, 0.05)
+    g = classify_grid(m, win, 4, 4, OrbitConfig(), workers=10_000)
+    assert sizes == [min(4, os.cpu_count() or 1)]
+    ref = classify_grid(m, win, 4, 4, OrbitConfig())
+    assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
 
 
 def test_ex2_raster_headline(ex2_raster):

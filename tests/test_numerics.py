@@ -33,9 +33,12 @@ from wanderlab.numerics import (
     exp_tail_bound,
     iv_add,
     iv_cos,
+    iv_cosh,
+    iv_exp,
     iv_mul,
     iv_recip,
     iv_sin,
+    iv_sinh,
     iv_sq,
     iv_sub,
     quot_cos_defect,
@@ -279,6 +282,52 @@ def test_numpy_transcendentals_within_one_ulp_of_mpmath(name, lo, hi):
             y = exact(mpmath.mpf(float(x)))
             assert mpmath.mpf(float(np.nextafter(v, -np.inf))) <= y
             assert y <= mpmath.mpf(float(np.nextafter(v, np.inf)))
+
+
+def _exact_range(mpmath, name, lo, hi):
+    """Least and greatest value of mpmath's function over [lo, hi]: the
+    endpoints, the minimum 1 of cosh across 0, and the extrema +-1 of sin
+    (at pi/2 + k*pi) and cos (at k*pi) inside the interval."""
+    f = getattr(mpmath, name)
+    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    values = [f(a), f(b)]
+    if name == "cosh" and a <= 0 <= b:
+        values.append(mpmath.mpf(1))
+    if name in ("sin", "cos"):
+        offset = mpmath.pi / 2 if name == "sin" else mpmath.mpf(0)
+        k0 = int(mpmath.ceil((a - offset) / mpmath.pi))
+        k1 = int(mpmath.floor((b - offset) / mpmath.pi))
+        values += [mpmath.mpf((-1) ** k) for k in range(k0, min(k1, k0 + 1) + 1)]
+    return min(values), max(values)
+
+
+@pytest.mark.parametrize("op, name, reach", [
+    (iv_exp, "exp", 700.0),
+    (iv_sin, "sin", 1e3),
+    (iv_cos, "cos", 1e3),
+    (iv_cosh, "cosh", 700.0),
+    (iv_sinh, "sinh", 700.0),
+], ids=["exp", "sin", "cos", "cosh", "sinh"])
+def test_transcendental_ops_round_strictly_outward(op, name, reach):
+    # each endpoint against the 40-digit range: point and one-ulp intervals
+    # get no width padding, so only the ulp steps move them outward; sin and
+    # cos bounds clamped to exactly +-1 may touch the range
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    xs = np.concatenate([[0.0, 1e-300, -1e-300, 0.5, -0.5], rng.uniform(-reach, reach, 300),
+                         rng.uniform(-2.0, 2.0, 100)])
+    widths = [np.zeros_like(xs), np.nextafter(xs, np.inf) - xs,
+              1e-9 * (1.0 + np.abs(xs)), rng.uniform(0.0, 4.0, xs.size)]
+    lo = np.concatenate([xs] * len(widths))
+    hi = lo + np.concatenate(widths)
+    out_lo, out_hi = op((lo, hi))
+    clamp = 1.0 if name in ("sin", "cos") else math.inf
+    with mpmath.workdps(40):
+        for k, (a, b, got_lo, got_hi) in enumerate(
+                zip(lo.tolist(), hi.tolist(), out_lo.tolist(), out_hi.tolist())):
+            want_lo, want_hi = _exact_range(mpmath, name, a, b)
+            assert got_lo < want_lo or got_lo == -clamp, (k, a, b)
+            assert want_hi < got_hi or got_hi == clamp, (k, a, b)
 
 
 def test_numpy_hypot_within_one_ulp_of_mpmath():

@@ -21,6 +21,7 @@ from wanderlab.dynamics import (
 )
 from wanderlab.numerics import ComplexBox
 from wanderlab.scenario import (
+    _EXECUTORS,
     REPORT_SCHEMA,
     ScenarioError,
     bundled_scenarios,
@@ -99,6 +100,12 @@ def test_load_rejects_item_without_kind(tmp_path):
     path = _write(tmp_path, "nokind.json", payload)
     with pytest.raises(ScenarioError, match="kind"):
         load_scenario(path)
+
+
+def test_load_rejects_item_with_list_id(tmp_path):
+    payload = dict(TINY, items=[{"id": ["x"], "kind": "rh_check"}])
+    with pytest.raises(ScenarioError, match="id"):
+        load_scenario(_write(tmp_path, "listid.json", payload))
 
 
 def test_unknown_kind_raises(tmp_path):
@@ -343,6 +350,192 @@ def test_cli_zero_max_iter_override_is_config_error(tmp_path, capsys, command):
     assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1",
                  "--max-iter", "0"]) == 2
     assert "max_iter" in capsys.readouterr().err
+
+
+# --- field decoding: every document value is read, checked and used ------------
+
+FIELDS = {
+    "schema": "scenario/1",
+    "name": "fields",
+    "map": {"family": "ex5"},
+    "window": [-1.0, 1.0, -1.0, 1.0],
+    "resolution": [4, 4],
+}
+
+# kind -> (a minimal item that passes, the fields it cannot do without)
+MINIMAL_ITEMS = {
+    "inclusion": (
+        {"source": {"disk": {"center": [0.0, 0.0], "radius": 0.1, "closed": True}},
+         "target": {"disk": {"center": [0.0, 0.0], "radius": 1.0}}},
+        ["source", "target", "source.disk.center", "source.disk.radius",
+         "target.disk.center", "target.disk.radius"]),
+    "inequality": (
+        {"lhs": {"series_quotient": {"c": 1.0, "power": 1, "quotient": "exp_tail",
+                                     "drop": 1}},
+         "rhs": {"power": {"c": 2.0, "n": 0}},
+         "region": {"annulus": {"center": [0.0, 0.0], "r_in": 0.1, "r_out": 0.5}}},
+        ["lhs", "rhs", "region", "lhs.series_quotient.c", "lhs.series_quotient.power",
+         "lhs.series_quotient.quotient", "lhs.series_quotient.drop", "rhs.power.c",
+         "rhs.power.n", "region.annulus.center", "region.annulus.r_in",
+         "region.annulus.r_out"]),
+    "winding": (
+        {"circle": {"center": [0.0, 0.0], "radius": 0.5}, "w0": [0.0, 0.0],
+         "expect_winding": 1},
+        ["circle", "w0", "expect_winding", "circle.center", "circle.radius"]),
+    "zero_count": (
+        {"circle": {"center": [0.0, 0.0], "radius": 0.5}, "w0": [0.0, 0.0],
+         "poles_inside": 0, "expect": 1},
+        ["circle", "w0", "poles_inside", "expect"]),
+    "preimages": (
+        {"w0": [0.0, 0.0], "region": {"disk": {"center": [0.0, 0.0], "radius": 0.5}},
+         "expected": 1},
+        ["w0", "region", "expected"]),
+    "fixed_point": (
+        {"region": {"disk": {"center": [0.0, 0.0], "radius": 0.1}}},
+        ["region", "region.disk.center", "region.disk.radius"]),
+    "point_image": (
+        {"z": [1.0, 0.0], "target": {"center": [math.e, 0.0], "radius": 1e-9}},
+        ["z", "target", "target.center", "target.radius"]),
+    "track": (
+        {"z0": [0.0, 0.0], "radius": 0.1,
+         "centers": {"geometric": {"base": [0.0, 0.0], "factor": 2.0, "count": 3}}},
+        ["z0", "centers", "radius", "centers.geometric.base", "centers.geometric.factor",
+         "centers.geometric.count"]),
+    "params_identity": ({}, []),
+    "derived_constants": ({}, []),
+    "rh_check": ({"args": [2, 3, 3, 1], "expect": True}, ["args", "expect"]),
+    "ray_increase": ({"to": 10.0, "samples": 10}, ["to"]),
+    "raster": ({}, []),
+}
+
+
+def _item(kind, **extra):
+    return dict(MINIMAL_ITEMS[kind][0], id=f"{kind}-item", kind=kind, **extra)
+
+
+def test_every_item_kind_has_decode_coverage():
+    assert set(MINIMAL_ITEMS) == set(_EXECUTORS)
+
+
+def test_minimal_items_pass(tmp_path):
+    payload = dict(FIELDS, items=[_item(kind) for kind in MINIMAL_ITEMS])
+    report = run_scenario(_write(tmp_path, "minimal.json", payload))
+    assert [row["id"] for row in report["items"] if not row["passed"]] == []
+
+
+def _drop(item, dotted):
+    *parents, last = dotted.split(".")
+    node = item = json.loads(json.dumps(item))
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return item
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, (_, fields) in MINIMAL_ITEMS.items() for field in fields])
+def test_cli_missing_field_is_config_error(tmp_path, capsys, kind, field):
+    payload = dict(FIELDS, items=[_drop(_item(kind), field)])
+    scenario = _write(tmp_path, "bad.json", payload)
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{kind}-item.{field}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _disk(radius, **extra):
+    return {"disk": dict({"center": [0.0, 0.0], "radius": radius}, **extra)}
+
+
+@pytest.mark.parametrize("item, path", [
+    (_item("inclusion", target={"disk": {"center": [0.0, 0.0]}}),
+     "inclusion-item.target.disk.radius"),
+    (_item("inclusion", budget={"max_boxes": "many"}), "inclusion-item.budget.max_boxes"),
+    (_item("inclusion", budget={"max_boxes": 0}), "inclusion-item.budget.max_boxes"),
+    (_item("inclusion", target=_disk(-1.0)), "inclusion-item.target.disk"),
+    (_item("inclusion", target=_disk(math.nan)), "inclusion-item.target.disk"),
+    (_item("inclusion", source=_disk(0.1, closd=True)), "inclusion-item.source.disk.closd"),
+    (_item("inclusion", expect="prooved"), "inclusion-item.expect"),
+    (_item("inequality", cmp="=="), "inequality-item.cmp"),
+    (_item("inequality", rhs={"power": {"c": -2.0, "n": 0}}), "inequality-item.rhs.power"),
+    (_item("inequality", rhs={"const": math.nan}), "inequality-item.rhs"),
+    (_item("inequality", rhs={"pow": {"c": 2.0, "n": 0}}), "inequality-item.rhs"),
+    (_drop(_item("winding"), "expect_winding"), "winding-item.expect_winding"),
+    (_item("winding", w0="$nowhere"), "winding-item.w0"),
+    (_item("rh_check", args="abc"), "rh_check-item.args"),
+    (_item("rh_check", args=[2, 3, 3]), "rh_check-item.args"),
+    (_item("fixed_point", expect_atracting=False), "fixed_point-item.expect_atracting"),
+    (_item("fixed_point", tolerance=1e-3), "fixed_point-item.tolerance"),
+    (_item("track", centers={"geometric": {"base": 0.0, "factor": 2.0, "count": 1.5}}),
+     "track-item.centers.geometric.count"),
+    (_item("point_image", map={"family": "ex5", "expr": "z"}), "point_image-item.map.expr"),
+    (_item("raster", match=[{"component": {"contains": [0.0, 0.0], "surrounds": 0.0}}]),
+     "raster-item.match[0].component"),
+    (_item("raster", rendr="x.ppm"), "raster-item.rendr"),
+    (_item("raster", match=[{"component": {"contains": [0.0, 0.0]},
+                             "expect_behavior": "drifing"}]),
+     "raster-item.match[0].expect_behavior"),
+], ids=["disk-without-radius", "text-max-boxes", "zero-max-boxes", "negative-radius",
+        "nan-radius", "unread-closd", "unknown-verdict", "bad-cmp", "negative-power-bound",
+        "nan-const-bound", "unknown-bound", "missing-expect-winding", "unresolved-ref",
+        "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
+        "fractional-count", "family-and-expr", "two-selectors", "unread-raster-field",
+        "unknown-behavior"])
+def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
+    scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{path}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"family": "ex9"}, "map"),
+    ({"family": "ex1", "params": {"a": 0.5, "eps": 1e-5}}, "map"),
+    ({"family": "ex1", "params": {"eps": 1e-5}}, "map"),
+    ({"expr": "(add z"}, "map"),
+    ({"family": "ex1", "params": {"a": "abc", "eps": 1e-5}}, "map.params.a"),
+    ({"family": "ex1", "params": {"a": 10 ** 400, "eps": 1e-5}}, "map.params.a"),
+    ("ex5", "map"),
+    ({"family": "ex5", "parms": {}}, "map.parms"),
+], ids=["unknown-family", "param-out-of-range", "missing-param", "unparsable-expr",
+        "text-param", "huge-int-param", "non-object-map", "unread-map-field"])
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_malformed_map_is_config_error(tmp_path, capsys, command, spec, path):
+    scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, map=spec))
+    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{path}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["inclusion", "inequality", "derived_constants"])
+def test_cli_zero_budget_boxes_is_config_error(tmp_path, capsys, kind):
+    scenario = _write(tmp_path, "b.json", dict(FIELDS, items=[_item(kind)]))
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1",
+                 "--budget-boxes", "0"]) == 2
+    assert f'"{kind}-item' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unmatched_component_is_failed_row(tmp_path, capsys):
+    # what the raster finds is a result, not a config error
+    item = _item("raster", match=[{"component": {"contains": [0.0, 0.0]}}])
+    scenario = _write(tmp_path, "r.json", dict(FIELDS, items=[item]))
+    assert main(["run", scenario, "--threads", "1"]) == 1
+    row, = json.loads(capsys.readouterr().out)["items"]
+    assert row["result"]["error"].startswith("LookupError: raster-item.match[0].component")
+
+
+def test_unread_match_field_is_config_error(tmp_path, capsys):
+    match = {"component": {"contains": [-0.015625, 0.0]}, "expect_behaviour": "attracted"}
+    item = dict(TINY_RASTER["items"][0], match=[match])
+    scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, items=[item]))
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert '"tiny-img.match[0].expect_behaviour"' in capsys.readouterr().err
+
+
+def test_unread_orbit_field_is_config_error(tmp_path, capsys):
+    scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, orbit={"max_iters": 10}))
+    assert main(["render", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert '"orbit.max_iters"' in capsys.readouterr().err
 
 
 # --- pixmap bytes ---------------------------------------------------------------

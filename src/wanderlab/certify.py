@@ -434,6 +434,18 @@ def _discrete_winding(curve: np.ndarray, w0: complex):
     return int(round(total / _TWO_PI)), dist, max_step
 
 
+def _adaptive_winding(curve_of, w0: complex, n: int) -> WindingResult:
+    """Winding of curve_of(n) around w0, doubling n until every argument
+    step is below MAX_ARG_STEP or n reaches WINDING_MAX_SAMPLES."""
+    while True:
+        winding, dist, max_step = _discrete_winding(curve_of(n), w0)
+        valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
+        if valid or n >= WINDING_MAX_SAMPLES:
+            return WindingResult(winding if winding is not None else 0,
+                                 dist, max_step, n, valid)
+        n *= 2
+
+
 def winding_number(m: MeromorphicMap, circle: tuple[complex, float],
                    w0: complex) -> WindingResult:
     """Winding of the image of a circle around w0, sampled adaptively.
@@ -443,17 +455,14 @@ def winding_number(m: MeromorphicMap, circle: tuple[complex, float],
     cannot change it while the criterion holds).
     """
     center, radius = complex(circle[0]), float(circle[1])
-    n = WINDING_START_SAMPLES
-    while True:
+
+    def image(n: int) -> np.ndarray:
         vals, bad = eval_map_vec(m, _circle(center, radius, n))
         if bad.any():
             raise DegenerateCurve(f"curve sample hit a pole of the map (n={n})")
-        winding, dist, max_step = _discrete_winding(vals, complex(w0))
-        valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
-        if valid or n >= WINDING_MAX_SAMPLES:
-            return WindingResult(winding if winding is not None else 0,
-                                 dist, max_step, n, valid)
-        n *= 2
+        return vals
+
+    return _adaptive_winding(image, complex(w0), WINDING_START_SAMPLES)
 
 
 def count_zeros_inside(m: MeromorphicMap, circle: tuple[complex, float],
@@ -523,19 +532,19 @@ def curve_image_surrounds_pole(m: MeromorphicMap, iterations: int,
                                pole: complex) -> bool:
     """Does the n-th forward image of the circle wind around the pole?"""
     center, radius = complex(curve_circle[0]), float(curve_circle[1])
-    n = 4096
-    while True:
+
+    def image(n: int) -> np.ndarray:
         curve = _circle(center, radius, n)
         for _ in range(int(iterations)):
             curve, bad = eval_map_vec(m, curve)
             if bad.any():
                 raise DegenerateCurve("iterated curve sample hit a pole")
-        winding, dist, max_step = _discrete_winding(curve, complex(pole))
-        if winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP:
-            return winding != 0
-        if n >= WINDING_MAX_SAMPLES:
-            raise InvalidCurve("curve sampling did not stabilize")
-        n *= 2
+        return curve
+
+    res = _adaptive_winding(image, complex(pole), 4096)
+    if not res.valid:
+        raise InvalidCurve("curve sampling did not stabilize")
+    return res.winding != 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Meromorphic map families as expression trees, run from one op table.
 
-``OPS`` gives each node class one row: its prefix-text word, its child
-fields and the names of its scalar, numpy and box ops.  The parser, the
-printer and the compiler read it.  Each map's tree is compiled once into a
-post-order tape in which equal subtrees share one slot, and one
+A map is a tree of one node type, ``Node(op, args, data)``: ``op`` is a
+word of ``OPS``, ``args`` are the child nodes, and ``data`` holds a
+constant's complex value, a parameter's name or a power's exponent.
+``OPS`` gives each word one row: its arity, the names of its scalar, numpy
+and box ops, and the name of its derivative rule.  The parser, the
+printer, the compiler and the derivative read it, and the bundled families
+are prefix text parsed once at import.  Each map's tree is compiled once
+into a post-order tape in which equal subtrees share one slot, and one
 interpreter runs the tape for floating scalar (orbit iteration),
 vectorized numpy (rasters, winding samples) and rigorous rectangle
 enclosure of box batches (certificates).  It looks the ops up by name in
@@ -63,121 +67,50 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Expression nodes.
+# Expression nodes and the op table.
 # ---------------------------------------------------------------------------
 
-class Node:
-    __slots__ = ()
+class Node(NamedTuple):
+    """One expression node.  Trees come from parse_expr and derivative."""
+    op: str              # its OPS word
+    args: tuple = ()     # child nodes
+    data: object = None  # a constant's complex value, a parameter's name or an exponent
 
-
-@dataclass(frozen=True)
-class Var(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-
-
-@dataclass(frozen=True)
-class ParamRef(Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    a: Node
-    b: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    a: Node
-    b: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    a: Node
-    b: Node
-
-
-@dataclass(frozen=True)
-class Div(Node):
-    num: Node
-    den: Node
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    a: Node
-
-
-@dataclass(frozen=True)
-class Exp(Node):
-    a: Node
-
-
-@dataclass(frozen=True)
-class Sin(Node):
-    a: Node
-
-
-@dataclass(frozen=True)
-class IntPow(Node):
-    base: Node
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError("integer power requires exponent >= 2")
-
-
-# ---------------------------------------------------------------------------
-# The op table.
-# ---------------------------------------------------------------------------
 
 class Op(NamedTuple):
-    """How a node class is parsed, printed and run.  A backend column names a
+    """How a node is run and differentiated.  A backend column names a
     function of this module taking the children's values, then the data;
-    leaves have none, as the interpreter fills their slots."""
-    name: str | None     # prefix-text word; None for constants and parameters
-    fields: tuple        # child-node fields, in argument order
-    data: tuple = ()     # other fields, passed and printed after the children
+    leaves have none, as the interpreter fills their slots.  ``diff`` names
+    the rule taking the node and then its children's derivatives."""
+    arity: int           # child nodes; 0 for leaves
     scalar: str = ""
     vec: str = ""
     box: str = ""
-    nary: bool = False   # the parser folds (name a b c ...) to the left
+    diff: str = ""
+    nary: bool = False   # the parser folds (word a b c ...) to the left
 
 
 OPS = {
-    Var: Op("z", ()),
-    Const: Op(None, (), ("value",)),
-    ParamRef: Op(None, (), ("name",)),
-    Add: Op("add", ("a", "b"), (), "_plus", "_plus", "box_add", nary=True),
-    Sub: Op("sub", ("a", "b"), (), "_minus", "_minus", "box_sub"),
-    Mul: Op("mul", ("a", "b"), (), "_times", "_times", "box_mul", nary=True),
-    Div: Op("div", ("num", "den"), (), "_div_scalar", "_div_vec", "box_div"),
-    Neg: Op("neg", ("a",), (), "_negate", "_negate", "box_neg"),
-    Exp: Op("exp", ("a",), (), "_exp_scalar", "_exp_vec", "box_exp"),
-    Sin: Op("sin", ("a",), (), "_sin_scalar", "_sin_vec", "box_sin"),
-    IntPow: Op("pow", ("base",), ("k",), "_power", "_power", "box_pow_int"),
+    "z": Op(0, diff="_d_var"),
+    "const": Op(0, diff="_d_leaf"),
+    "param": Op(0, diff="_d_leaf"),
+    "add": Op(2, "_plus", "_plus", "box_add", "_d_add", nary=True),
+    "sub": Op(2, "_minus", "_minus", "box_sub", "_d_sub"),
+    "mul": Op(2, "_times", "_times", "box_mul", "_d_mul", nary=True),
+    "div": Op(2, "_div_scalar", "_div_vec", "box_div", "_d_div"),
+    "neg": Op(1, "_negate", "_negate", "box_neg", "_d_neg"),
+    "exp": Op(1, "_exp_scalar", "_exp_vec", "box_exp", "_d_exp"),
+    "sin": Op(1, "_sin_scalar", "_sin_vec", "box_sin", "_d_sin"),
+    "pow": Op(1, "_power", "_power", "box_pow_int", "_d_pow"),  # data: an integer >= 2
 }
 
 
-def _op(n: Node) -> Op:
-    try:
-        return OPS[type(n)]
-    except KeyError:
-        raise TypeError(f"not a map node: {n!r}") from None
+def _const(v) -> Node:
+    return Node("const", data=complex(v))
 
 
 def _is_const(n: Node, v: complex) -> bool:
-    return isinstance(n, Const) and n.value == v
+    return n.op == "const" and n.data == v
 
 
 def add(a: Node, b: Node) -> Node:
@@ -185,46 +118,168 @@ def add(a: Node, b: Node) -> Node:
         return b
     if _is_const(b, 0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
+    if a.op == b.op == "const":
+        return _const(a.data + b.data)
+    return Node("add", (a, b))
 
 
 def sub(a: Node, b: Node) -> Node:
     if _is_const(b, 0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if a.op == b.op == "const":
+        return _const(a.data - b.data)
     if _is_const(a, 0):
-        return Neg(b)
-    return Sub(a, b)
+        return Node("neg", (b,))
+    return Node("sub", (a, b))
 
 
 def mul(a: Node, b: Node) -> Node:
     if _is_const(a, 0) or _is_const(b, 0):
-        return Const(0)
+        return _const(0)
     if _is_const(a, 1):
         return b
     if _is_const(b, 1):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
+    if a.op == b.op == "const":
+        return _const(a.data * b.data)
+    return Node("mul", (a, b))
 
 
 def neg(a: Node) -> Node:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
+    if a.op == "const":
+        return _const(-a.data)
+    if a.op == "neg":
+        return a.args[0]
+    return Node("neg", (a,))
 
 
 # ---------------------------------------------------------------------------
-# The map container.
+# Prefix parser:  (add (mul z (exp z)) (div eps z))
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
+
+
+def _tokenize(text: str):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError("unreadable input", pos)
+        tok = m.group(1)
+        out.append((tok, m.start(1)))
+        pos = m.end()
+    return out
+
+
+def parse_expr(text: str) -> Node:
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    expr, rest = _parse(tokens)
+    if rest:
+        raise ParseError(f"trailing input {rest[0][0]!r}", rest[0][1])
+    return expr
+
+
+def _parse(tokens) -> tuple[Node, list]:
+    tok, pos = tokens[0]
+    if tok == ")":
+        raise ParseError("unexpected ')'", pos)
+    if tok != "(":
+        return _atom(tok, pos), tokens[1:]
+    if len(tokens) < 2:
+        raise ParseError("unclosed '('", pos)
+    word, op_pos = tokens[1]
+    op = OPS.get(word)
+    if op is None or not op.arity:
+        raise ParseError(f"unknown operator {word!r}", op_pos)
+    rest = tokens[2:]
+    args: list[Node] = []
+    while True:
+        if not rest:
+            raise ParseError("unclosed '('", pos)
+        if rest[0][0] == ")":
+            rest = rest[1:]
+            break
+        node, rest = _parse(rest)
+        args.append(node)
+
+    if word == "pow":
+        if len(args) != 2:
+            raise ParseError("pow needs a base and an integer exponent", op_pos)
+        k = args[1].data
+        if args[1].op != "const" or k.imag != 0.0 or not k.real.is_integer():
+            raise ParseError("pow exponent must be an integer literal", op_pos)
+        if k.real < 2:
+            raise ParseError("pow exponent must be >= 2", op_pos)
+        return Node(word, (args[0],), int(k.real)), rest
+    if op.arity == 1:
+        if len(args) != 1:
+            raise ParseError(f"{word} takes one argument", op_pos)
+        return Node(word, tuple(args)), rest
+    if len(args) < 2:
+        raise ParseError(f"{word} takes at least two arguments", op_pos)
+    if not op.nary and len(args) != 2:
+        raise ParseError(f"{word} takes exactly two arguments", op_pos)
+    acc = args[0]
+    for nxt in args[1:]:
+        acc = Node(word, (acc, nxt))
+    return acc, rest
+
+
+def _atom(tok: str, pos: int) -> Node:
+    if tok == "z":
+        return Node("z")
+    if tok == "i":
+        return _const(1j)
+    if tok == "pi":
+        return _const(math.pi)
+    if _NUMBER.match(tok):
+        return _const(float(tok))
+    if _IDENT.match(tok):
+        return Node("param", data=tok)
+    raise ParseError(f"unreadable token {tok!r}", pos)
+
+
+def to_sexpr(node: Node) -> str:
+    """Inverse of parse_expr up to constant formatting."""
+    words = [to_sexpr(a) for a in node.args]
+    if node.data is not None:
+        words.append(_literal(node.data))
+    if not node.args:
+        return words[0] if words else node.op
+    return f"({node.op} {' '.join(words)})"
+
+
+def _literal(v) -> str:
+    if type(v) is not complex:  # a parameter name or an exponent
+        return str(v)
+    if v == 1j:
+        return "i"
+    if v.imag == 0.0:
+        return repr(v.real)
+    return f"(add {v.real!r} (mul {v.imag!r} i))"
+
+
+# ---------------------------------------------------------------------------
+# The map container and the bundled families.
 # ---------------------------------------------------------------------------
 
 FAMILY_IDS = ("ex1", "ex2", "ex5", "ex3_model", "ex4_model", "custom")
+
+# Each bundled family's tree, and g (see ex2_g_map).
+_TREES = {name: parse_expr(text) for name, text in {
+    "ex1": "(add (sub (add 2 (mul 2 z)) (mul 2 (exp z))) (div eps (sub (exp z) (exp a))))",
+    "ex2": "(add z (div eps z) (mul lam (sin (add z a))))",
+    "ex5": "(mul z (exp z))",
+    "ex3_model": "(sub (mul 4 (exp z)) (div eps z))",
+    "ex4_model": "(sub (sub (exp z) sqrt_eps) (div eps z))",
+    "g": "(add z (mul lam (sin (add z a))))",
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -275,7 +330,6 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
     ex4_model: e^z - sqrt(eps) - eps/z,    eps > 0
     """
     p = dict(params or {})
-    z = Var()
 
     if family_id == "ex1":
         a = float(p.pop("a"))
@@ -284,11 +338,8 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
         _reject(not (0.0 < a < 1.0 / 32.0), f"requires 0 < a < 1/32, got a={a}")
         _reject(not (0.0 < eps <= a * a / 16.0),
                 f"requires 0 < eps <= a^2/16, got eps={eps}")
-        expr = add(sub(add(Const(2), mul(Const(2), z)), mul(Const(2), Exp(z))),
-                   Div(ParamRef("eps"), sub(Exp(z), Exp(ParamRef("a")))))
-        return MeromorphicMap(expr, {"a": a, "eps": eps}, (complex(a),), "ex1")
-
-    if family_id == "ex2":
+        table, poles = {"a": a, "eps": eps}, (complex(a),)
+    elif family_id == "ex2":
         eps = float(p.pop("eps"))
         r1 = p.pop("r1", None)
         _reject(bool(p), f"unknown ex2 params {sorted(p)}")
@@ -298,33 +349,22 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
             _reject(not (6.0 * math.sqrt(eps) < float(r1)),
                     f"requires 6*sqrt(eps) < r1, got eps={eps}, r1={r1}")
         a, lam = solve_ex2_params()
-        expr = add(add(z, Div(ParamRef("eps"), z)),
-                   mul(ParamRef("lam"), Sin(add(z, ParamRef("a")))))
-        table = {"eps": eps, "a": a, "lam": lam}
+        table, poles = {"eps": eps, "a": a, "lam": lam}, (0j,)
         if r1 is not None:
             table["r1"] = float(r1)
-        return MeromorphicMap(expr, table, (0j,), "ex2")
-
-    if family_id == "ex5":
+    elif family_id == "ex5":
         _reject(bool(p), f"ex5 takes no params, got {sorted(p)}")
-        return MeromorphicMap(Mul(z, Exp(z)), {}, (), "ex5")
-
-    if family_id == "ex3_model":
+        table, poles = {}, ()
+    elif family_id in ("ex3_model", "ex4_model"):
         eps = float(p.pop("eps"))
-        _reject(bool(p), f"unknown ex3_model params {sorted(p)}")
+        _reject(bool(p), f"unknown {family_id} params {sorted(p)}")
         _reject(not eps > 0.0, f"requires eps > 0, got {eps}")
-        expr = sub(mul(Const(4), Exp(z)), Div(ParamRef("eps"), z))
-        return MeromorphicMap(expr, {"eps": eps}, (0j,), "ex3_model")
-
-    if family_id == "ex4_model":
-        eps = float(p.pop("eps"))
-        _reject(bool(p), f"unknown ex4_model params {sorted(p)}")
-        _reject(not eps > 0.0, f"requires eps > 0, got {eps}")
-        expr = sub(sub(Exp(z), ParamRef("sqrt_eps")), Div(ParamRef("eps"), z))
-        table = {"eps": eps, "sqrt_eps": math.sqrt(eps)}
-        return MeromorphicMap(expr, table, (0j,), "ex4_model")
-
-    raise ParamConstraintViolation(f"unknown family id {family_id!r}")
+        table, poles = {"eps": eps}, (0j,)
+        if family_id == "ex4_model":
+            table["sqrt_eps"] = math.sqrt(eps)
+    else:
+        raise ParamConstraintViolation(f"unknown family id {family_id!r}")
+    return MeromorphicMap(_TREES[family_id], table, poles, family_id)
 
 
 def custom_map(expr_text: str, params: dict | None = None,
@@ -341,125 +381,7 @@ def ex2_g_map() -> MeromorphicMap:
     certificates, none of which involve the eps/z pole term.
     """
     a, lam = solve_ex2_params()
-    z = Var()
-    expr = add(z, mul(ParamRef("lam"), Sin(add(z, ParamRef("a")))))
-    return MeromorphicMap(expr, {"a": a, "lam": lam}, (), "custom")
-
-
-# ---------------------------------------------------------------------------
-# Prefix parser:  (add (mul z (exp z)) (div eps z))
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
-_OPERATORS = {op.name: cls for cls, op in OPS.items() if op.fields}
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError("unreadable input", pos)
-        tok = m.group(1)
-        out.append((tok, m.start(1)))
-        pos = m.end()
-    return out
-
-
-def parse_expr(text: str) -> Node:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    expr, rest = _parse(tokens)
-    if rest:
-        raise ParseError(f"trailing input {rest[0][0]!r}", rest[0][1])
-    return expr
-
-
-def _parse(tokens) -> tuple[Node, list]:
-    tok, pos = tokens[0]
-    if tok == ")":
-        raise ParseError("unexpected ')'", pos)
-    if tok != "(":
-        return _atom(tok, pos), tokens[1:]
-    if len(tokens) < 2:
-        raise ParseError("unclosed '('", pos)
-    name, op_pos = tokens[1]
-    cls = _OPERATORS.get(name)
-    if cls is None:
-        raise ParseError(f"unknown operator {name!r}", op_pos)
-    rest = tokens[2:]
-    args: list[Node] = []
-    while True:
-        if not rest:
-            raise ParseError("unclosed '('", pos)
-        if rest[0][0] == ")":
-            rest = rest[1:]
-            break
-        node, rest = _parse(rest)
-        args.append(node)
-
-    op = OPS[cls]
-    if cls is IntPow:
-        if len(args) != 2:
-            raise ParseError("pow needs a base and an integer exponent", op_pos)
-        k_node = args[1]
-        if (not isinstance(k_node, Const) or k_node.value.imag != 0.0
-                or k_node.value.real != int(k_node.value.real)):
-            raise ParseError("pow exponent must be an integer literal", op_pos)
-        k = int(k_node.value.real)
-        if k < 2:
-            raise ParseError("pow exponent must be >= 2", op_pos)
-        return IntPow(args[0], k), rest
-    if len(op.fields) == 1:
-        if len(args) != 1:
-            raise ParseError(f"{name} takes one argument", op_pos)
-        return cls(args[0]), rest
-    if len(args) < 2:
-        raise ParseError(f"{name} takes at least two arguments", op_pos)
-    if not op.nary and len(args) != 2:
-        raise ParseError(f"{name} takes exactly two arguments", op_pos)
-    acc = args[0]
-    for nxt in args[1:]:
-        acc = cls(acc, nxt)
-    return acc, rest
-
-
-def _atom(tok: str, pos: int) -> Node:
-    if tok == OPS[Var].name:
-        return Var()
-    if tok == "i":
-        return Const(1j)
-    if tok == "pi":
-        return Const(math.pi)
-    if _NUMBER.match(tok):
-        return Const(float(tok))
-    if _IDENT.match(tok):
-        return ParamRef(tok)
-    raise ParseError(f"unreadable token {tok!r}", pos)
-
-
-def to_sexpr(node: Node) -> str:
-    """Inverse of parse_expr up to constant formatting."""
-    op = _op(node)
-    words = [to_sexpr(getattr(node, f)) for f in op.fields]
-    words += [_literal(getattr(node, d)) for d in op.data]
-    if not op.fields:
-        return words[0] if words else op.name
-    return f"({op.name} {' '.join(words)})"
-
-
-def _literal(v) -> str:
-    if type(v) is not complex:  # a parameter name or an exponent
-        return str(v)
-    if v == 1j:
-        return "i"
-    if v.imag == 0.0:
-        return repr(v.real)
-    return f"(add {v.real!r} (mul {v.imag!r} i))"
+    return MeromorphicMap(_TREES["g"], {"a": a, "lam": lam}, (), "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +401,20 @@ def _const_key(v: complex):
 
 def _compile(expr: Node) -> Tape:
     """Post-order tape of expr in which equal subtrees share one slot."""
-    slots = {(Var, (), ()): 0}
+    slots = {("z", (), None): 0}
     leaves, steps = [], []
 
     def visit(n: Node) -> int:
         # Steps get provisional slots -1, -2, ... until the leaves are counted.
-        op = _op(n)
-        args = tuple(visit(getattr(n, f)) for f in op.fields)
-        data = tuple(getattr(n, d) for d in op.data)
-        key = (type(n), args, _const_key(n.value) if type(n) is Const else data)
+        args = tuple(visit(a) for a in n.args)
+        key = (n.op, args, _const_key(n.data) if n.op == "const" else n.data)
         if key not in slots:
-            if op.fields:
+            if args:
                 slots[key] = -1 - len(steps)
-                steps.append((op, args, data))
+                steps.append((OPS[n.op], args, () if n.data is None else (n.data,)))
             else:
                 slots[key] = 1 + len(leaves)
-                leaves.append((n.name, None) if type(n) is ParamRef else (None, n.value))
+                leaves.append((n.data, None) if n.op == "param" else (None, n.data))
         return slots[key]
 
     visit(expr)
@@ -614,38 +534,59 @@ def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic derivative.
+# Symbolic derivative: the rules the table's diff column names.
 # ---------------------------------------------------------------------------
 
-_HALF_PI_CONST = Const(math.pi / 2)
+_HALF_PI = _const(math.pi / 2)
+
+
+def _d_var(n):
+    return _const(1)
+
+
+def _d_leaf(n):
+    return _const(0)
+
+
+def _d_add(n, da, db):
+    return add(da, db)
+
+
+def _d_sub(n, da, db):
+    return sub(da, db)
+
+
+def _d_mul(n, da, db):
+    a, b = n.args
+    return add(mul(da, b), mul(a, db))
+
+
+def _d_div(n, du, dv):
+    # (u/v)' = (u'v - uv') / v^2
+    u, v = n.args
+    return Node("div", (sub(mul(du, v), mul(u, dv)), Node("pow", (v,), 2)))
+
+
+def _d_neg(n, da):
+    return neg(da)
+
+
+def _d_exp(n, da):
+    return mul(n, da)
+
+
+def _d_sin(n, da):
+    # d sin(u) = cos(u) u' with cos written as a quarter-turn shift
+    return mul(Node("sin", (add(n.args[0], _HALF_PI),)), da)
+
+
+def _d_pow(n, da):
+    base, k = n.args[0], n.data
+    return mul(mul(_const(k), base if k == 2 else Node("pow", (base,), k - 1)), da)
 
 
 def _diff(n: Node) -> Node:
-    if isinstance(n, Var):
-        return Const(1)
-    if isinstance(n, (Const, ParamRef)):
-        return Const(0)
-    if isinstance(n, Add):
-        return add(_diff(n.a), _diff(n.b))
-    if isinstance(n, Sub):
-        return sub(_diff(n.a), _diff(n.b))
-    if isinstance(n, Mul):
-        return add(mul(_diff(n.a), n.b), mul(n.a, _diff(n.b)))
-    if isinstance(n, Div):
-        # (u/v)' = (u'v - uv') / v^2
-        num = sub(mul(_diff(n.num), n.den), mul(n.num, _diff(n.den)))
-        return Div(num, IntPow(n.den, 2))
-    if isinstance(n, Neg):
-        return neg(_diff(n.a))
-    if isinstance(n, Exp):
-        return mul(Exp(n.a), _diff(n.a))
-    if isinstance(n, Sin):
-        # d sin(u) = cos(u) u' with cos written as a quarter-turn shift
-        return mul(Sin(add(n.a, _HALF_PI_CONST)), _diff(n.a))
-    if isinstance(n, IntPow):
-        inner = n.base if n.k == 2 else IntPow(n.base, n.k - 1)
-        return mul(mul(Const(n.k), inner), _diff(n.base))
-    raise TypeError(f"not a map node: {n!r}")
+    return globals()[OPS[n.op].diff](n, *map(_diff, n.args))
 
 
 def derivative(m: MeromorphicMap) -> MeromorphicMap:

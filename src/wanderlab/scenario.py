@@ -112,9 +112,16 @@ def load_scenario(ref) -> Scenario:
         if item["id"] in seen:
             raise ScenarioError(f'duplicate item id {item["id"]!r}', where)
         seen.add(item["id"])
-    return Scenario(raw.get("name", "unnamed"), raw.get("description", ""),
-                    raw.get("map", {}), raw.get("window"), raw.get("resolution"),
-                    raw.get("orbit", {}), items, where)
+    top = _Doc(raw, {}, "")
+    # checked above, and (window, resolution) where a raster reads them
+    top.seen.update(("schema", "items", "window", "resolution", "orbit"))
+    scenario = Scenario(top.string("name", "unnamed"), top.string("description", ""),
+                        top.value("map", lambda v: isinstance(v, dict), "an object", {}),
+                        raw.get("window"), raw.get("resolution"), raw.get("orbit", {}),
+                        items, where)
+    _decode_orbit(scenario.orbit)
+    top.finish()
+    return scenario
 
 
 # --- the document reader -----------------------------------------------------
@@ -378,7 +385,10 @@ def _target_map(rd, ctx):
 
 def _circle(rd):
     circle = rd.child("circle")
-    return circle.complex("center"), circle.number("radius")
+    center, radius = circle.complex("center"), circle.number("radius")
+    if not (0.0 < radius < math.inf):
+        raise ScenarioError(f"expected a finite radius > 0, got {radius!r}", circle.at("radius"))
+    return center, radius
 
 
 def _run_winding(rd, ctx):
@@ -462,7 +472,7 @@ def _run_track(rd, ctx):
     z0 = rd.complex("z0")
     kind, node = rd.tagged("centers", ("geometric", "arithmetic"), "track ladder")
     body = node.child(kind)
-    base, count = body.complex("base"), body.integer("count")
+    base, count = body.complex("base"), body.integer("count", floor=1)
     if kind == "geometric":
         factor = body.number("factor")
         centers = [base * factor ** n for n in range(count)]

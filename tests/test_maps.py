@@ -4,6 +4,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ import pytest
 import wanderlab.maps
 from oracles import encloses
 from wanderlab.maps import (
-    Add,
-    Const,
+    OPS,
     MeromorphicMap,
+    Node,
     ParamConstraintViolation,
     ParseError,
     PoleHitError,
@@ -274,7 +276,8 @@ def test_constants_share_slots_only_when_bit_identical():
     # one slot for both zeros would give -0.0 + -0.0 = -0.0
     assert math.copysign(1.0, eval_map(custom_map("(add -0.0 0.0)"), 1.0).real) == 1.0
     assert len(custom_map("(add 2.0 2.0)").tape.leaves) == 1
-    nan_map = MeromorphicMap(Add(Const(math.nan), Const(math.nan)), {}, (), "custom")
+    nan = Node("const", data=complex(math.nan))
+    nan_map = MeromorphicMap(Node("add", (nan, nan)), {}, (), "custom")
     assert len(nan_map.tape.leaves) == 2
 
 
@@ -282,8 +285,21 @@ def test_constants_share_slots_only_when_bit_identical():
 # Derivatives.
 # ---------------------------------------------------------------------------
 
+def _derivative_inputs() -> list[MeromorphicMap]:
+    """The families, their first derivatives (so the test sees second
+    derivatives), and custom maps reaching every rule: pow with k >= 3,
+    neg, and a quotient of sin."""
+    customs = [
+        custom_map("(pow z 3)"),
+        custom_map("(sub (pow z 5) (mul 2 z))"),
+        custom_map("(neg (exp z))"),
+        custom_map("(div (sin z) (add z 2))", declared_poles=(-2,)),
+    ]
+    return _families() + [derivative(m) for m in _families()] + customs
+
+
 def test_derivative_matches_finite_differences():
-    for m in _families():
+    for m in _derivative_inputs():
         dm = derivative(m)
         for _ in range(100):
             z = _safe_point(m)
@@ -295,7 +311,7 @@ def test_derivative_matches_finite_differences():
                 continue
             if abs(fd) < 1e-9:
                 continue
-            assert abs(got - fd) / abs(fd) < 1e-6, f"{m.family_id} at {z}"
+            assert abs(got - fd) / abs(fd) < 1e-6, f"{to_sexpr(m.expr)} at {z}"
 
 
 def test_ex2_g_derivative_vanishes_at_stations():
@@ -357,6 +373,7 @@ def test_parse_nary_add():
     "(frob z 1)",
     "(pow z z)",
     "(pow z 1)",
+    "(pow z 1e999)",
     "(div z)",
     "z extra",
     ")",
@@ -374,3 +391,32 @@ def test_sexpr_roundtrip():
             z = _safe_point(m)
             m2 = MeromorphicMap(reparsed, m.params, m.declared_poles, m.family_id)
             assert abs(eval_map(m, z) - eval_map(m2, z)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The op table and the benchmark's maps.
+# ---------------------------------------------------------------------------
+
+def test_every_op_row_names_module_functions_and_its_word_parses():
+    for word, op in OPS.items():
+        for name in (op.scalar, op.vec, op.box, op.diff):
+            assert not name or callable(getattr(wanderlab.maps, name, None)), (word, name)
+        assert op.diff, word
+        if op.arity:
+            text = f"({word} {' '.join(['z'] * op.arity)}{' 2' if word == 'pow' else ''})"
+            node = parse_expr(text)
+            assert to_sexpr(node) == text and type(node.args) is tuple
+
+
+def test_benchmark_inputs_write_the_engine_g_and_its_derivative():
+    # bench/inputs.py writes g and g' as text; they must be the trees the
+    # constant search builds, so the benchmark measures the engine's maps
+    inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "inputs.py"))
+    doc = inputs["refute_document"](None)
+    g = ex2_g_map()
+    assert doc["map"]["expr"] == to_sexpr(g.expr)
+    assert doc["map"]["params"] == g.params
+    contraction = [it for it in doc["items"] if it["kind"] == "inequality"]
+    assert contraction
+    for item in contraction:
+        assert item["lhs"]["expr_abs"]["expr"] == to_sexpr(derivative(g).expr)

@@ -467,6 +467,10 @@ def _disk(radius, **extra):
     (_item("fixed_point", tolerance=1e-3), "fixed_point-item.tolerance"),
     (_item("track", centers={"geometric": {"base": 0.0, "factor": 2.0, "count": 1.5}}),
      "track-item.centers.geometric.count"),
+    (_item("track", centers={"arithmetic": {"base": 0.0, "step": 1.0, "count": 0}}),
+     "track-item.centers.arithmetic.count"),
+    (_item("winding", circle={"center": [0.0, 0.0], "radius": 0.0}, expect_winding=0),
+     "winding-item.circle.radius"),
     (_item("point_image", map={"family": "ex5", "expr": "z"}), "point_image-item.map.expr"),
     (_item("raster", match=[{"component": {"contains": [0.0, 0.0], "surrounds": 0.0}}]),
      "raster-item.match[0].component"),
@@ -478,8 +482,8 @@ def _disk(radius, **extra):
         "nan-radius", "unread-closd", "unknown-verdict", "bad-cmp", "negative-power-bound",
         "nan-const-bound", "unknown-bound", "missing-expect-winding", "unresolved-ref",
         "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
-        "fractional-count", "family-and-expr", "two-selectors", "unread-raster-field",
-        "unknown-behavior"])
+        "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
+        "two-selectors", "unread-raster-field", "unknown-behavior"])
 def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))
     assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
@@ -536,6 +540,18 @@ def test_unread_orbit_field_is_config_error(tmp_path, capsys):
     scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, orbit={"max_iters": 10}))
     assert main(["render", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert '"orbit.max_iters"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"resolutoin": [4, 4]}, "resolutoin"),
+    ({"orbit": {"max_iters": 3}}, "orbit.max_iters"),
+], ids=["unread-top-level-key", "unread-orbit-field-without-raster"])
+def test_unread_document_field_is_config_error_without_raster(tmp_path, capsys, extra, path):
+    payload = dict(FIELDS, items=[_item("rh_check")], **extra)
+    scenario = _write(tmp_path, "bad.json", payload)
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{path}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- pixmap bytes ---------------------------------------------------------------

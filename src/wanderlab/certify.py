@@ -37,11 +37,14 @@ import numpy as np
 
 from .maps import (
     MeromorphicMap,
+    Node,
     build_family,
     derivative,
     eval_map_box,
     eval_map_vec,
     ex2_g_map,
+    newton_roots,
+    seed_grid,
 )
 from .numerics import (
     NONE,
@@ -62,6 +65,7 @@ _TWO_PI = 2.0 * math.pi
 FRONTIER_KEEP = 64          # surviving boxes retained verbatim in a certificate
 ROOT_GRID = 16              # the region bounding box starts as a 16x16 cell grid
 SLICE = 4096                # boxes evaluated per batch of numpy calls
+PREIMAGE_SEEDS = 25         # Newton seeds per side of the preimage seed grid
 
 
 @dataclass(frozen=True)
@@ -475,35 +479,18 @@ def count_zeros_inside(m: MeromorphicMap, circle: tuple[complex, float],
 
 
 def locate_preimages(m: MeromorphicMap, w0: complex, search_region: Region,
-                     expected: int, seed_grid: int = 25) -> list[complex]:
-    """Newton refinement of f(z) = w0 from a seed grid; distinct roots only.
+                     expected: int) -> list[complex]:
+    """Newton refinement of f(z) = w0 from a seed grid over the region's
+    bounding box (PREIMAGE_SEEDS a side); distinct roots only.
 
     Raises CountMismatch when the deduplicated root count differs from
     `expected` — the argument-principle count is the caller's oracle.
     """
-    w0 = complex(w0)
-    bb = search_region.bounding_box()
-    xs = np.linspace(bb.re_lo, bb.re_hi, seed_grid)
-    ys = np.linspace(bb.im_lo, bb.im_hi, seed_grid)
-    zs = (xs[None, :] + 1j * ys[:, None]).ravel()
-    dm = derivative(m)
-
-    alive = np.ones(zs.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            vals, bad1 = eval_map_vec(m, zs)
-            dvals, bad2 = eval_map_vec(dm, zs)
-            bad = bad1 | bad2 | (np.abs(dvals) < 1e-300)
-            alive &= ~bad
-            step = np.where(alive, (vals - w0) / np.where(bad, 1.0, dvals), 0.0)
-            step_size = np.abs(step)
-            clip = step_size > 0.5
-            step = np.where(clip, step * (0.5 / np.where(clip, step_size, 1.0)), step)
-            zs = zs - step
-
-    vals, bad = eval_map_vec(m, zs)
-    residual = np.abs(vals - w0)
-    ok = alive & ~bad & (residual < 1e-10)
+    shifted = Node("sub", (m.expr, Node("const", data=complex(w0))))
+    zs, residual = newton_roots(
+        MeromorphicMap(shifted, m.params, m.declared_poles, m.family_id),
+        seed_grid(search_region.bounding_box(), PREIMAGE_SEEDS))
+    ok = residual < 1e-10
 
     roots: list[complex] = []
     for z in zs[ok]:

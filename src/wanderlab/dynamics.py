@@ -7,11 +7,13 @@ declared pole, station drift, or the iteration budget.  A non-finite
 image also counts as escape, so a pole the map does not declare reads
 as escape to infinity.
 
-`classify_grid` runs that machine over every pixel center of a window,
-confirms each attraction basin once by Newton from the first estimate
-met in scan order (residual at most 1e-12; the pixels of a basin that
-does not confirm fall back to the budget verdict), and derives display
-labels:
+Fixed points come from the one Newton solver, `maps.newton_roots`, run
+on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
+region, and `classify_grid` once from the first estimate of every
+attraction basin met in scan order (a basin confirms at residual at most
+1e-12; the pixels of a basin that does not confirm fall back to the
+budget verdict).  `classify_grid` runs the orbit machine over every
+pixel center of a window and derives display labels:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id: the corridor index where the
@@ -34,7 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import MeromorphicMap, PoleHitError, derivative, eval_map, eval_map_vec
+from .maps import (
+    MeromorphicMap,
+    Node,
+    derivative,
+    eval_map,
+    eval_map_vec,
+    newton_roots,
+    seed_grid,
+)
 from .numerics import ComplexBox
 from .regions import Region
 
@@ -131,61 +141,27 @@ class NotFound(ArithmeticError):
     """No Newton seed converged to a fixed point inside the region."""
 
 
-def _newton_fixed_point(m: MeromorphicMap, dm: MeromorphicMap, z0: complex,
-                        steps: int = 80) -> complex | None:
-    z = complex(z0)
-    for _ in range(steps):
-        try:
-            fz = eval_map(m, z)
-            dfz = eval_map(dm, z)
-        except PoleHitError:
-            return None
-        den = dfz - 1.0
-        if not (math.isfinite(fz.real) and math.isfinite(fz.imag)):
-            return None
-        if abs(den) < 1e-300:
-            break
-        step = (fz - z) / den
-        if abs(step) > 1.0:
-            step *= 1.0 / abs(step)
-        z = z - step
-    return z
+FIXED_POINT_SEEDS = 11   # Newton seeds per side of the fixed-point seed grid
 
 
-def _confirmed_fixed_point(m: MeromorphicMap, dm: MeromorphicMap,
-                          z0: complex) -> FixedPointReport | None:
-    """Newton from z0, accepted only when |f(z) - z| is at most 1e-12."""
-    z = _newton_fixed_point(m, dm, z0)
-    if z is None:
-        return None
-    try:
-        residual = abs(eval_map(m, z) - z)
-        mult = eval_map(dm, z)
-    except PoleHitError:
-        return None
-    return FixedPointReport(z, residual, mult) if residual <= 1e-12 else None
+def _fixed_points(m: MeromorphicMap, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on f(z) - z from every seed: where each ended, and |f(z) - z| there."""
+    return newton_roots(MeromorphicMap(Node("sub", (m.expr, Node("z"))), m.params,
+                                       m.declared_poles, m.family_id), seeds)
 
 
-def find_fixed_point(m: MeromorphicMap, seed_region: Region,
-                     seed_grid: int = 11) -> FixedPointReport:
-    """Newton from a seed grid; best confirmed fixed point inside the region wins."""
-    bb = seed_region.bounding_box()
-    xs = np.linspace(bb.re_lo, bb.re_hi, seed_grid)
-    ys = np.linspace(bb.im_lo, bb.im_hi, seed_grid)
-    dm = derivative(m)
-    best: FixedPointReport | None = None
-    for y in ys:
-        for x in xs:
-            seed = complex(x, y)
-            if not seed_region.contains(seed):
-                continue
-            rep = _confirmed_fixed_point(m, dm, seed)
-            if rep is not None and seed_region.contains(rep.location) \
-                    and (best is None or rep.residual < best.residual):
-                best = rep
-    if best is None:
+def find_fixed_point(m: MeromorphicMap, seed_region: Region) -> FixedPointReport:
+    """Newton from a seed grid; the point with the least residual, at most
+    1e-12, inside the region wins (the first in scan order on a tie)."""
+    seeds = [z for z in seed_grid(seed_region.bounding_box(), FIXED_POINT_SEEDS)
+             if seed_region.contains(z)]
+    zs, residual = _fixed_points(m, seeds)
+    residual[np.array([not seed_region.contains(z) for z in zs], dtype=bool)] = np.inf
+    if not (residual <= 1e-12).any():
         raise NotFound("no seed converged to a fixed point in the region")
-    return best
+    k = int(np.argmin(residual))
+    z = complex(zs[k])
+    return FixedPointReport(z, float(residual[k]), eval_map(derivative(m), z))
 
 
 def track_wandering(m: MeromorphicMap, z0: complex, station_centers,
@@ -363,25 +339,24 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     track = track.reshape(height, width)
 
     # basin ids: distinct fixed-point estimates in raster scan order, each
-    # new one confirmed by Newton; an unconfirmed basin gets no id and its
-    # pixels fall back to the budget verdict
+    # confirmed by Newton from its first estimate; an unconfirmed basin gets
+    # no id and its pixels fall back to the budget verdict
     ids = np.full((height, width), -1, dtype=np.int32)
     basin_tol = max(100.0 * cfg.attract_tol, 1e-7)
-    basins: list[tuple[complex, int]] = []   # (first estimate, id or -1)
     att = verdict == _V_ATTRACTED
-    dm = derivative(m) if att.any() else None
-    confirmed = 0
-    for j, i in zip(*np.nonzero(att)):
-        fp = complex(fixed[j, i])
-        for b, b_id in basins:
+    firsts: list[complex] = []
+    basin_of = []
+    for fp in fixed[att].tolist():
+        for k, b in enumerate(firsts):
             if abs(fp - b) < basin_tol * (1.0 + abs(b)):
                 break
         else:
-            b_id = -1
-            if _confirmed_fixed_point(m, dm, fp) is not None:
-                b_id, confirmed = confirmed, confirmed + 1
-            basins.append((fp, b_id))
-        ids[j, i] = b_id
+            k = len(firsts)
+            firsts.append(fp)
+        basin_of.append(k)
+    if firsts:
+        confirmed = _fixed_points(m, firsts)[1] <= 1e-12
+        ids[att] = np.where(confirmed, np.cumsum(confirmed) - 1, -1)[basin_of]
     verdict[att & (ids < 0)] = _V_BUDGET
     dri = verdict == _V_DRIFTING
     ids[dri] = track[dri]

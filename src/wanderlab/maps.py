@@ -3,13 +3,13 @@
 A map is a tree of one node type, ``Node(op, args, data)``: ``op`` is a
 word of ``OPS``, ``args`` are the child nodes, and ``data`` holds a
 constant's complex value, a parameter's name or a power's exponent.
-``OPS`` gives each word one row: its arity, the names of its scalar, numpy
-and box ops, and the name of its derivative rule.  The parser, the
+``OPS`` gives each word one row: its arity, the names of its numpy and
+box ops, and the name of its derivative rule.  The parser, the
 printer, the compiler and the derivative read it, and the bundled families
 are prefix text parsed once at import.  Each map's tree is compiled once
 into a post-order tape in which equal subtrees share one slot, and one
-interpreter runs the tape for floating scalar (orbit iteration),
-vectorized numpy (rasters, winding samples) and rigorous rectangle
+interpreter runs the tape for vectorized numpy (rasters, winding
+samples, Newton; a point is a batch of one) and rigorous rectangle
 enclosure of box batches (certificates).  It looks the ops up by name in
 this module when an evaluation starts, so a map holds no function.
 Division nodes identify the pole locus; each bundled family also declares
@@ -32,6 +32,7 @@ import numpy as np
 from .numerics import (
     NONE,
     Boxes,
+    ComplexBox,
     box_add,
     box_div,
     box_exp,
@@ -46,7 +47,10 @@ POLE_SNAP_RELATIVE = 1e-12  # orbit points this close to a declared pole count a
 
 
 class PoleHitError(ArithmeticError):
-    """Scalar evaluation landed on (or within snap distance of) a pole."""
+    """eval_map flagged its point as eval_map_vec does: the point lies in a
+    declared pole's snap zone, a denominator fell under the pole floor, or
+    the value is not finite.  `pole` is the nearest declared pole, or the
+    point itself when the map declares none."""
 
     def __init__(self, pole: complex, where: complex):
         super().__init__(f"evaluation at {where} hit pole {pole}")
@@ -83,7 +87,6 @@ class Op(NamedTuple):
     leaves have none, as the interpreter fills their slots.  ``diff`` names
     the rule taking the node and then its children's derivatives."""
     arity: int           # child nodes; 0 for leaves
-    scalar: str = ""
     vec: str = ""
     box: str = ""
     diff: str = ""
@@ -94,14 +97,14 @@ OPS = {
     "z": Op(0, diff="_d_var"),
     "const": Op(0, diff="_d_leaf"),
     "param": Op(0, diff="_d_leaf"),
-    "add": Op(2, "_plus", "_plus", "box_add", "_d_add", nary=True),
-    "sub": Op(2, "_minus", "_minus", "box_sub", "_d_sub"),
-    "mul": Op(2, "_times", "_times", "box_mul", "_d_mul", nary=True),
-    "div": Op(2, "_div_scalar", "_div_vec", "box_div", "_d_div"),
-    "neg": Op(1, "_negate", "_negate", "box_neg", "_d_neg"),
-    "exp": Op(1, "_exp_scalar", "_exp_vec", "box_exp", "_d_exp"),
-    "sin": Op(1, "_sin_scalar", "_sin_vec", "box_sin", "_d_sin"),
-    "pow": Op(1, "_power", "_power", "box_pow_int", "_d_pow"),  # data: an integer >= 2
+    "add": Op(2, "_plus", "box_add", "_d_add", nary=True),
+    "sub": Op(2, "_minus", "box_sub", "_d_sub"),
+    "mul": Op(2, "_times", "box_mul", "_d_mul", nary=True),
+    "div": Op(2, "_div_vec", "box_div", "_d_div"),
+    "neg": Op(1, "_negate", "box_neg", "_d_neg"),
+    "exp": Op(1, "_exp_vec", "box_exp", "_d_exp"),
+    "sin": Op(1, "_sin_vec", "box_sin", "_d_sin"),
+    "pow": Op(1, "_power", "box_pow_int", "_d_pow"),  # data: an integer >= 2
 }
 
 
@@ -427,7 +430,7 @@ def _compile(expr: Node) -> Tape:
                                      for j, (op, args, data) in enumerate(steps)))
 
 
-_SCALAR, _VEC, _BOX = (Op._fields.index(c) for c in ("scalar", "vec", "box"))
+_VEC, _BOX = (Op._fields.index(c) for c in ("vec", "box"))
 
 
 def _run(m: MeromorphicMap, column: int, x, lift, note=None):
@@ -451,27 +454,12 @@ def _run(m: MeromorphicMap, column: int, x, lift, note=None):
 
 
 _DIV_FLOOR = 1e-300  # treat true underflow of a denominator as a pole hit
-_EXP_CAP = 700.0     # cmath overflows past this; the true value is huge
-_HUGE = complex(math.inf, math.inf)
+_EXP_CAP = 700.0     # exp overflows a little past this; the true value is huge
 _NAN = complex(math.nan, math.nan)
 
 
-def _div_scalar(num: complex, den: complex) -> complex:
-    if abs(den) < _DIV_FLOOR:
-        raise ZeroDivisionError("denominator below the pole floor")
-    return num / den
-
-
-def _exp_scalar(w: complex) -> complex:
-    return _HUGE if w.real > _EXP_CAP else cmath.exp(w)
-
-
-def _sin_scalar(w: complex) -> complex:
-    return _HUGE if abs(w.imag) > _EXP_CAP else cmath.sin(w)
-
-
-# The numpy ops put NaN where the scalar ones raise or overflow; NaN
-# survives every later op, so eval_map_vec flags those entries as bad.
+# The ops put NaN where a denominator underflows or an exponential would
+# overflow; NaN survives every later op, so eval_map_vec flags those entries.
 
 def _div_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(np.abs(den) < _DIV_FLOOR, _NAN, num / den)
@@ -486,16 +474,13 @@ def _sin_vec(w: np.ndarray) -> np.ndarray:
 
 
 def eval_map(m: MeromorphicMap, z: complex) -> complex:
-    """Scalar evaluation; raises PoleHitError at or snap-close to poles."""
+    """eval_map_vec on a batch of one point; raises PoleHitError wherever
+    eval_map_vec flags that point."""
     z = complex(z)
-    for p in m.declared_poles:
-        if abs(z - p) <= m.pole_snap_radius(p):
-            raise PoleHitError(p, z)
-    try:
-        return _run(m, _SCALAR, z, complex)
-    except ZeroDivisionError:
-        nearest = min(m.declared_poles, key=lambda p: abs(z - p)) if m.declared_poles else z
-        raise PoleHitError(nearest, z) from None
+    vals, bad = eval_map_vec(m, np.array([z]))
+    if bad[0]:
+        raise PoleHitError(min(m.declared_poles, key=lambda p: abs(z - p), default=z), z)
+    return complex(vals[0])
 
 
 def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,3 +581,43 @@ def derivative(m: MeromorphicMap) -> MeromorphicMap:
     locus is unchanged (orders may grow).
     """
     return MeromorphicMap(_diff(m.expr), m.params, m.declared_poles, m.family_id)
+
+
+# ---------------------------------------------------------------------------
+# Newton's method, for fixed points, basin confirmation and preimages.
+# ---------------------------------------------------------------------------
+
+NEWTON_STEPS = 60
+NEWTON_CLIP = 0.5    # longest step taken
+
+
+def seed_grid(box: ComplexBox, n: int) -> np.ndarray:
+    """The n x n grid spanning the box, row by row from its bottom edge."""
+    xs = np.linspace(box.re_lo, box.re_hi, n)
+    ys = np.linspace(box.im_lo, box.im_hi, n)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+def newton_roots(m: MeromorphicMap, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method for m(z) = 0 from every seed at once.
+
+    Returns (points, residuals): where each seed ended, and |m(z)| there.
+    A seed whose iterate eval_map_vec flags, or where m' falls under the
+    pole floor, stops and gets an infinite residual.
+    """
+    dm = derivative(m)
+    zs = np.array(seeds, dtype=np.complex128)
+    alive = np.ones(zs.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            vals, bad1 = eval_map_vec(m, zs)
+            dvals, bad2 = eval_map_vec(dm, zs)
+            bad = bad1 | bad2 | (np.abs(dvals) < _DIV_FLOOR)
+            alive &= ~bad
+            step = np.where(alive, vals / np.where(bad, 1.0, dvals), 0.0)
+            step_size = np.abs(step)
+            clip = step_size > NEWTON_CLIP
+            step = np.where(clip, step * (NEWTON_CLIP / np.where(clip, step_size, 1.0)), step)
+            zs = zs - step
+    vals, bad = eval_map_vec(m, zs)
+    return zs, np.where(alive & ~bad, np.abs(vals), np.inf)

@@ -195,11 +195,6 @@ class HalfStrip(Region):
         return max(0.0, _out_lo(math.hypot(dx, dy), ulps=3))
 
 
-def BoxRegion(b: ComplexBox, closed: bool = True) -> HalfStrip:
-    """Rectangle region backed by the strip machinery."""
-    return HalfStrip(b.re_lo, b.re_hi, b.im_lo, b.im_hi, closed=closed)
-
-
 @dataclass(frozen=True)
 class Union(Region):
     parts: tuple[Region, ...]

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .certify import (
     Budget,
@@ -39,7 +41,15 @@ from .certify import (
     winding_number,
 )
 from .dynamics import OrbitConfig, StationSpec, classify_grid, find_fixed_point, track_wandering
-from .maps import MeromorphicMap, build_family, custom_map, derivative, eval_map, solve_ex2_params
+from .maps import (
+    MeromorphicMap,
+    build_family,
+    custom_map,
+    derivative,
+    eval_map,
+    eval_map_vec,
+    solve_ex2_params,
+)
 from .numerics import (
     ComplexBox,
     quot_cos_defect,
@@ -186,6 +196,13 @@ class _Doc:
         if isinstance(got, str):
             got = self.env[got[1:]]
         return None if got is None else float(got)
+
+    def radius(self, key) -> float:
+        """A required number that is finite and > 0."""
+        got = self.number(key)
+        if not (0.0 < got < math.inf):
+            raise ScenarioError(f"expected a finite radius > 0, got {got!r}", self.at(key))
+        return got
 
     def complex(self, key, default=_REQUIRED) -> complex | None:
         """[re, im] or one real number; each part may be a $reference."""
@@ -385,10 +402,7 @@ def _target_map(rd, ctx):
 
 def _circle(rd):
     circle = rd.child("circle")
-    center, radius = circle.complex("center"), circle.number("radius")
-    if not (0.0 < radius < math.inf):
-        raise ScenarioError(f"expected a finite radius > 0, got {radius!r}", circle.at("radius"))
-    return center, radius
+    return circle.complex("center"), circle.radius("radius")
 
 
 def _run_winding(rd, ctx):
@@ -461,7 +475,7 @@ def _run_point_image(rd, ctx):
     m = _item_map(rd, ctx)
     z = rd.complex("z")
     target = rd.child("target")
-    center, radius = target.complex("center"), target.number("radius")
+    center, radius = target.complex("center"), target.radius("radius")
     w = eval_map(m, z)
     dist = abs(w - center)
     return dist < radius, {"image": [w.real, w.imag], "distance": dist, "radius": radius}
@@ -479,7 +493,7 @@ def _run_track(rd, ctx):
     else:
         step = body.complex("step")
         centers = [base + step * n for n in range(count)]
-    radius = rd.number("radius")
+    radius = rd.radius("radius")
     expect_all = rd.boolean("expect_all", True)
     flags = track_wandering(m, z0, centers, radius, len(centers))
     ok = all(flags) if expect_all else True
@@ -534,16 +548,12 @@ def _run_ray_increase(rd, ctx):
     m = _item_map(rd, ctx)
     hi = rd.number("to")
     samples = rd.integer("samples", 1000, floor=1)
-    min_margin = math.inf
-    ok = True
-    for k in range(1, samples + 1):
-        x = hi * k / samples
-        w = eval_map(m, complex(x))
-        margin = w.real - x
-        min_margin = min(min_margin, margin)
-        if not (w.real > x > 0.0 and abs(w.imag) < 1e-9 * (1.0 + abs(w.real))):
-            ok = False
-    return ok, {"samples": samples, "min_margin": min_margin}
+    xs = hi * np.arange(1, samples + 1) / samples
+    ws, bad = eval_map_vec(m, xs)
+    if bad.any():
+        eval_map(m, xs[bad][0])  # raises PoleHitError at the first flagged sample
+    ok = np.all((ws.real > xs) & (xs > 0.0) & (np.abs(ws.imag) < 1e-9 * (1.0 + np.abs(ws.real))))
+    return bool(ok), {"samples": samples, "min_margin": float((ws.real - xs).min())}
 
 
 def _select_component(cm, match, grid):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 import random
 import runpy
@@ -99,7 +100,7 @@ def test_solve_ex2_params_identities():
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation.
+# Point evaluation: a batch of one.
 # ---------------------------------------------------------------------------
 
 def test_eval_pole_hits():
@@ -164,13 +165,33 @@ def test_ex2_repelling_fixed_point_bracket():
 # Vectorized and box evaluation coherence.
 # ---------------------------------------------------------------------------
 
+# Each family's formula, as written in build_family's docstring.
+_CLOSED_FORMS = {
+    "ex1": lambda z, p: (2 + 2 * z - 2 * cmath.exp(z)
+                         + p["eps"] / (cmath.exp(z) - cmath.exp(p["a"]))),
+    "ex2": lambda z, p: z + p["eps"] / z + p["lam"] * cmath.sin(z + p["a"]),
+    "ex5": lambda z, p: z * cmath.exp(z),
+    "ex3_model": lambda z, p: 4 * cmath.exp(z) - p["eps"] / z,
+    "ex4_model": lambda z, p: cmath.exp(z) - math.sqrt(p["eps"]) - p["eps"] / z,
+}
+
+
 def test_vec_agrees_with_scalar():
+    # scalar cmath values of the closed forms, not the tape
     for m in _families():
         pts = np.array([_safe_point(m) for _ in range(500)])
         vals, bad = eval_map_vec(m, pts)
         assert not bad.any()
         for z, v in zip(pts, vals):
-            assert abs(eval_map(m, z) - v) < 1e-12 * (1.0 + abs(v))
+            want = _CLOSED_FORMS[m.family_id](complex(z), m.params)
+            assert abs(want - v) < 1e-12 * (1.0 + abs(v))
+
+
+def test_eval_map_raises_where_vec_flags_overflow():
+    for m, z in ((build_family("ex5"), 800.0), (custom_map("(exp z)"), 705.0)):
+        assert eval_map_vec(m, np.array([z]))[1][0]
+        with pytest.raises(PoleHitError):
+            eval_map(m, z)
 
 
 def test_vec_flags_poles():
@@ -187,14 +208,14 @@ def test_box_eval_encloses_scalar_samples():
     # one batched call per family over all its boxes; _safe_point keeps
     # every box at least 0.02 away from the declared poles
     for m in _families():
-        boxes, values = [], []
+        boxes, points = [], []
         for _ in range(100):
             b = _centered(_safe_point(m, scale=1.5), RNG.uniform(0.0, 0.02))
             boxes.append(b)
-            values.append([eval_map(m, complex(RNG.uniform(b.re_lo, b.re_hi),
-                                               RNG.uniform(b.im_lo, b.im_hi)))
+            points.append([complex(RNG.uniform(b.re_lo, b.re_hi), RNG.uniform(b.im_lo, b.im_hi))
                            for _ in range(100)])
-        values = np.array(values)
+        values, bad = eval_map_vec(m, np.array(points))
+        assert not bad.any()
         out = eval_map_box(m, Boxes.of(boxes))
         assert encloses(out, values, atol=1e-11 * (1.0 + np.abs(values))).all()
 
@@ -399,7 +420,7 @@ def test_sexpr_roundtrip():
 
 def test_every_op_row_names_module_functions_and_its_word_parses():
     for word, op in OPS.items():
-        for name in (op.scalar, op.vec, op.box, op.diff):
+        for name in (op.vec, op.box, op.diff):
             assert not name or callable(getattr(wanderlab.maps, name, None)), (word, name)
         assert op.diff, word
         if op.arity:
@@ -420,3 +441,12 @@ def test_benchmark_inputs_write_the_engine_g_and_its_derivative():
     assert contraction
     for item in contraction:
         assert item["lhs"]["expr_abs"]["expr"] == to_sexpr(derivative(g).expr)
+
+
+def test_benchmark_trace_targets_resolve():
+    # bench/tracing.py wraps these names for --trace 1; each must still be
+    # a callable bound in its wanderlab module
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    for module, attr, _, _ in tracing["TARGETS"]:
+        owner = importlib.import_module(f"wanderlab.{module}")
+        assert callable(getattr(owner, attr, None)), (module, attr)

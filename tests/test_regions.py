@@ -11,7 +11,6 @@ from oracles import encloses
 from wanderlab.numerics import Boxes, ComplexBox
 from wanderlab.regions import (
     Annulus,
-    BoxRegion,
     Difference,
     Disk,
     HalfStrip,
@@ -159,14 +158,6 @@ def test_union_box_inside_conservative_but_usable():
     # straddling box is undecided (conservative), never wrongly disjoint
     straddle = ComplexBox(0.8, 1.2, -0.1, 0.1)
     assert not _disjoint(u, straddle)
-
-
-def test_box_region_roundtrip():
-    b = ComplexBox(-1.0, 2.0, 0.0, 1.0)
-    r = BoxRegion(b)
-    assert r.contains(0.5 + 0.5j)
-    assert _inside(r, b)
-    assert r.bounding_box() == b
 
 
 def test_min_dist_bound_annulus_hole():

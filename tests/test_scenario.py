@@ -472,6 +472,11 @@ def _disk(radius, **extra):
     (_item("winding", circle={"center": [0.0, 0.0], "radius": 0.0}, expect_winding=0),
      "winding-item.circle.radius"),
     (_item("point_image", map={"family": "ex5", "expr": "z"}), "point_image-item.map.expr"),
+    (_item("point_image", target={"center": [100.0, 0.0], "radius": math.inf}),
+     "point_image-item.target.radius"),
+    (_item("point_image", target={"center": [math.e, 0.0], "radius": 0.0}),
+     "point_image-item.target.radius"),
+    (_item("track", radius=math.inf), "track-item.radius"),
     (_item("raster", match=[{"component": {"contains": [0.0, 0.0], "surrounds": 0.0}}]),
      "raster-item.match[0].component"),
     (_item("raster", rendr="x.ppm"), "raster-item.rendr"),
@@ -483,6 +488,7 @@ def _disk(radius, **extra):
         "nan-const-bound", "unknown-bound", "missing-expect-winding", "unresolved-ref",
         "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
         "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
+        "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
         "two-selectors", "unread-raster-field", "unknown-behavior"])
 def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))

@@ -5,15 +5,20 @@ start points to verdicts: attraction (`cycle_window` consecutive steps
 shorter than `attract_tol`), escape past `escape_radius`, a hit on a
 declared pole, station drift, or the iteration budget.  A non-finite
 image also counts as escape, so a pole the map does not declare reads
-as escape to infinity.
+as escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and
+admits the next start points whenever half the block or less is left,
+so its working memory does not grow with the number of points.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
 region, and `classify_grid` once from the first estimate of every
 attraction basin met in scan order (a basin confirms at residual at most
 1e-12; the pixels of a basin that does not confirm fall back to the
-budget verdict).  `classify_grid` runs the orbit machine over every
-pixel center of a window and derives display labels:
+budget verdict).  `classify_grid` cuts the rows of a window into one
+contiguous range per worker; each range builds its own pixel centers,
+runs the orbit machine over them and returns its verdicts with the
+fixed-point estimates of its attracted pixels and the track ids of its
+drifting ones only.  One merge over the ranges derives display labels:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id: the corridor index where the
@@ -214,42 +219,59 @@ class RasterGrid:
         return i, j
 
 
+ORBIT_BLOCK = 2 ** 15   # the most orbits _orbit_verdicts keeps live at once
+
+
 def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
     """Vectorized orbit state machine over a flat array of start points.
 
     Returns (verdict codes, fixed-point estimates (nan where n/a),
-    track ids (-1 where n/a)).  The loop keeps only the live orbits: their
-    start positions, current points, and int32 state rows: the count of
-    short steps and, per ladder, the streak length with its first and
-    last corridor index (read only while the length is positive).  All
-    of them shrink as orbits get verdicts.
+    track ids (-1 where n/a)).  The loop keeps at most ORBIT_BLOCK live
+    orbits: their start positions, current points, and int32 state rows:
+    the count of short steps, the age (steps taken) and, per ladder, the
+    streak length with its first and last corridor index (read only while
+    the length is positive).  All of them shrink as orbits get verdicts;
+    an orbit retires as budget at age cfg.max_iter, and once half the
+    block or less is live the next start points fill it again.  Each
+    verdict is a pure function of its start point, so the block size
+    changes no output.
     """
     n = zs.shape[0]
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
     fixed = np.full(n, np.nan + 0j, dtype=np.complex128)
     track = np.full(n, -1, dtype=np.int32)
 
-    start = np.arange(n)
-    z = zs.astype(np.complex128)
-    state = np.zeros((1 + 3 * len(cfg.stations), n), dtype=np.int32)
-    _ladders_step(cfg.stations, z, state, np.ones(n, dtype=bool), start, verdict, track)
-
+    rows = 2 + 3 * len(cfg.stations)
+    start = np.zeros(0, dtype=np.intp)
+    z = np.zeros(0, dtype=np.complex128)
+    state = np.zeros((rows, 0), dtype=np.int32)
+    admitted = 0
     snap_poles = [(p, m.pole_snap_radius(p)) for p in m.declared_poles]
 
-    for _ in range(cfg.max_iter):
-        if start.size == 0:
-            break
+    while start.size or admitted < n:
+        if start.size <= ORBIT_BLOCK // 2 and admitted < n:
+            k = min(ORBIT_BLOCK - start.size, n - admitted)
+            new_start = np.arange(admitted, admitted + k)
+            new_z = zs[admitted:admitted + k].astype(np.complex128)
+            new_state = np.zeros((rows, k), dtype=np.int32)
+            # a streak is at least 2 points long, so none completes here
+            _ladders_step(cfg.stations, new_z, new_state, np.ones(k, dtype=bool), new_start,
+                          verdict, track)
+            start = np.concatenate([start, new_start])
+            z = np.concatenate([z, new_z])
+            state = np.concatenate([state, new_state], axis=1)
+            admitted += k
         hit = np.zeros(start.size, dtype=bool)
         for p, snap in snap_poles:
             hit |= np.abs(z - p) <= snap
         if hit.any():
             verdict[start[hit]] = _V_POLE
             start, z, state = start[~hit], z[~hit], state[:, ~hit]
-            if start.size == 0:
-                continue
+        if start.size == 0:
+            continue
         nxt, bad = eval_map_vec(m, z)
         esc = bad | (np.abs(nxt) > cfg.escape_radius)
-        consec = state[0]
+        consec, age = state[0], state[1]
         consec[:] = np.where(~esc & (np.abs(nxt - z) < cfg.attract_tol), consec + 1, 0)
         conv = (consec >= cfg.cycle_window) & ~esc
         verdict[start[esc]] = _V_ESCAPED
@@ -258,6 +280,8 @@ def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
         z = nxt
         alive = ~(esc | conv)
         _ladders_step(cfg.stations, z, state, alive, start, verdict, track)
+        age += 1
+        alive &= age < cfg.max_iter
         if not alive.all():
             start, z, state = start[alive], z[alive], state[:, alive]
     return verdict, fixed, track
@@ -273,7 +297,7 @@ def _ladders_step(ladders, z, state, alive, start, verdict, track):
     running streak need an update: the others keep streak length 0.
     """
     for k, st in enumerate(ladders):
-        rows = state[1 + 3 * k:4 + 3 * k]
+        rows = state[2 + 3 * k:5 + 3 * k]
         sel = np.flatnonzero(alive & ((np.abs(z.imag - st.base.imag) < st.radius)
                                       | (rows[0] > 0)))
         sub = rows[:, sel]
@@ -303,40 +327,48 @@ def _station_update(st: StationSpec, cur, state):
     return run >= st.streak
 
 
-def _classify_block(args):
-    m, cfg, centers = args
-    return _orbit_verdicts(m, centers, cfg)
+def _classify_rows(task):
+    """Orbit verdicts of raster rows r0 .. r1 - 1, with the fixed-point
+    estimates of the attracted pixels and the track ids of the drifting
+    ones, each in scan order: all the merge in classify_grid reads."""
+    m, cfg, window, width, height, r0, r1 = task
+    dx = (window.re_hi - window.re_lo) / width
+    dy = (window.im_hi - window.im_lo) / height
+    xs = window.re_lo + (np.arange(width) + 0.5) * dx
+    ys = window.im_lo + (np.arange(r0, r1) + 0.5) * dy
+    verdict, fixed, track = _orbit_verdicts(m, (xs[None, :] + 1j * ys[:, None]).ravel(), cfg)
+    return verdict, fixed[verdict == _V_ATTRACTED], track[verdict == _V_DRIFTING]
 
 
 def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int,
                   cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
     """Label every pixel center of the window; deterministic for fixed inputs.
 
-    Worker processes split the grid by row blocks; block results are pure
-    functions of their inputs, so the merge is independent of worker count.
+    The rows are cut into min(workers, height) contiguous ranges, run
+    in-process when there is one and through a process pool otherwise.
+    Each range builds its own pixel centers and runs the orbit machine,
+    which keeps at most ORBIT_BLOCK orbits live, so a worker's orbit state
+    is bounded whatever the resolution.  A range returns its
+    verdicts and only the fixed-point estimates of its attracted pixels
+    and the track ids of its drifting ones; its results are pure
+    functions of its pixels, so the merge is independent of worker count.
     """
     if width < 2 or height < 2:
         raise ValueError("need at least a 2x2 grid")
     dx = (window.re_hi - window.re_lo) / width
     dy = (window.im_hi - window.im_lo) / height
-    xs = window.re_lo + (np.arange(width) + 0.5) * dx
-    ys = window.im_lo + (np.arange(height) + 0.5) * dy
-    centers = (xs[None, :] + 1j * ys[:, None])
-
-    if workers > 1:
-        blocks = np.array_split(np.arange(height), min(workers, height))
-        tasks = [(m, cfg, centers[rows].ravel()) for rows in blocks]
-        # the pool forks all its processes up front: no more than the blocks or cores
-        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_classify_block, tasks))
-        verdict = np.concatenate([p[0] for p in parts])
-        fixed = np.concatenate([p[1] for p in parts])
-        track = np.concatenate([p[2] for p in parts])
+    ranges = min(max(workers, 1), height)
+    tasks = [(m, cfg, window, width, height, height * i // ranges, height * (i + 1) // ranges)
+             for i in range(ranges)]
+    if len(tasks) == 1:
+        parts = [_classify_rows(tasks[0])]
     else:
-        verdict, fixed, track = _orbit_verdicts(m, centers.ravel(), cfg)
-    verdict = verdict.reshape(height, width)
-    fixed = fixed.reshape(height, width)
-    track = track.reshape(height, width)
+        # the pool forks all its processes up front: no more than the ranges or cores
+        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(_classify_rows, tasks))
+    verdict = np.concatenate([p[0] for p in parts]).reshape(height, width)
+    attracted_fixed = np.concatenate([p[1] for p in parts])
+    drifting_track = np.concatenate([p[2] for p in parts])
 
     # basin ids: distinct fixed-point estimates in raster scan order, each
     # confirmed by Newton from its first estimate; an unconfirmed basin gets
@@ -346,7 +378,7 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     att = verdict == _V_ATTRACTED
     firsts: list[complex] = []
     basin_of = []
-    for fp in fixed[att].tolist():
+    for fp in attracted_fixed.tolist():
         for k, b in enumerate(firsts):
             if abs(fp - b) < basin_tol * (1.0 + abs(b)):
                 break
@@ -359,7 +391,7 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
         ids[att] = np.where(confirmed, np.cumsum(confirmed) - 1, -1)[basin_of]
     verdict[att & (ids < 0)] = _V_BUDGET
     dri = verdict == _V_DRIFTING
-    ids[dri] = track[dri]
+    ids[dri] = drifting_track
 
     # behaviour-boundary pass: any 4-neighbour with a different
     # (verdict, id) pair makes both pixels suspect

@@ -47,14 +47,21 @@ POLE_SNAP_RELATIVE = 1e-12  # orbit points this close to a declared pole count a
 
 
 class PoleHitError(ArithmeticError):
-    """eval_map flagged its point as eval_map_vec does: the point lies in a
-    declared pole's snap zone, a denominator fell under the pole floor, or
-    the value is not finite.  `pole` is the nearest declared pole, or the
-    point itself when the map declares none."""
+    """eval_map's point lies in the snap zone of the declared pole `pole`."""
 
     def __init__(self, pole: complex, where: complex):
         super().__init__(f"evaluation at {where} hit pole {pole}")
         self.pole = complex(pole)
+        self.where = complex(where)
+
+
+class NonFiniteValue(ArithmeticError):
+    """eval_map's value is not finite and its point lies in no declared
+    pole's snap zone: an overflow, or a pole the map does not declare."""
+
+    def __init__(self, where: complex):
+        super().__init__(f"evaluation at {where} is not finite: "
+                         "overflow, or a pole the map does not declare")
         self.where = complex(where)
 
 
@@ -474,12 +481,16 @@ def _sin_vec(w: np.ndarray) -> np.ndarray:
 
 
 def eval_map(m: MeromorphicMap, z: complex) -> complex:
-    """eval_map_vec on a batch of one point; raises PoleHitError wherever
-    eval_map_vec flags that point."""
+    """eval_map_vec on a batch of one point.  Where eval_map_vec flags the
+    point it raises PoleHitError if the point lies in a declared pole's
+    snap zone, and NonFiniteValue otherwise."""
     z = complex(z)
     vals, bad = eval_map_vec(m, np.array([z]))
     if bad[0]:
-        raise PoleHitError(min(m.declared_poles, key=lambda p: abs(z - p), default=z), z)
+        for p in m.declared_poles:
+            if abs(z - p) <= m.pole_snap_radius(p):
+                raise PoleHitError(p, z)
+        raise NonFiniteValue(z)
     return complex(vals[0])
 
 

@@ -551,7 +551,7 @@ def _run_ray_increase(rd, ctx):
     xs = hi * np.arange(1, samples + 1) / samples
     ws, bad = eval_map_vec(m, xs)
     if bad.any():
-        eval_map(m, xs[bad][0])  # raises PoleHitError at the first flagged sample
+        eval_map(m, xs[bad][0])  # raises PoleHitError or NonFiniteValue there
     ok = np.all((ws.real > xs) & (xs > 0.0) & (np.abs(ws.imag) < 1e-9 * (1.0 + np.abs(ws.real))))
     return bool(ok), {"samples": samples, "min_margin": float((ws.real - xs).min())}
 

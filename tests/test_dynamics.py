@@ -1,5 +1,7 @@
 import math
 import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,27 +273,63 @@ LEFT = StationSpec(base=0j, step=1.0, radius=0.5, min_index=-100, streak=5)
 RIGHT = StationSpec(base=10.2 + 0j, step=1.0, radius=0.5, min_index=-100, streak=5)
 
 
-@pytest.mark.parametrize("m, zs, cfg", [
-    (build_family("ex2", {"eps": EPS2}),
-     _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 400, 100), ex2_core_orbit()),
-    (ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),))),
-    (custom_map("(add z 1e-10)"), _grid_points(ComplexBox(0.0, 1e-8, 0.0, 1e-8), 4, 4),
-     OrbitConfig(max_iter=30)),
-    (custom_map("(mul z 2)"), _grid_points(ComplexBox(-1.0, 1.0, -1.0, 1.0), 16, 16),
-     OrbitConfig(max_iter=40, stations=(StationSpec(step=-1.0, min_index=-50),))),
-    (custom_map("(add z 1)"), _grid_points(ComplexBox(-3.0, 3.0, -0.6, 0.6), 12, 6),
-     OrbitConfig(max_iter=20, stations=(LEFT, RIGHT))),
-    (custom_map(GAP_MAP), np.array([0j, 3.0 + 0j, 0.01 + 0.002j]),
-     OrbitConfig(max_iter=12, stations=(GAP_LADDER,))),
-], ids=["ex2-grid-two-ladders", "ex1-seeded", "add-1e-10", "mul-2", "overlapping-ladders",
-        "streak-off-the-band"])
-def test_compacted_loop_matches_reference(m, zs, cfg):
+LOOP_CASES = {
+    "ex2-grid-two-ladders": (build_family("ex2", {"eps": EPS2}),
+                             _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 400, 100),
+                             ex2_core_orbit()),
+    "ex1-seeded": (ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),))),
+    "add-1e-10": (custom_map("(add z 1e-10)"),
+                  _grid_points(ComplexBox(0.0, 1e-8, 0.0, 1e-8), 4, 4), OrbitConfig(max_iter=30)),
+    "mul-2": (custom_map("(mul z 2)"), _grid_points(ComplexBox(-1.0, 1.0, -1.0, 1.0), 16, 16),
+              OrbitConfig(max_iter=40, stations=(StationSpec(step=-1.0, min_index=-50),))),
+    "overlapping-ladders": (custom_map("(add z 1)"),
+                            _grid_points(ComplexBox(-3.0, 3.0, -0.6, 0.6), 12, 6),
+                            OrbitConfig(max_iter=20, stations=(LEFT, RIGHT))),
+    "streak-off-the-band": (custom_map(GAP_MAP), np.array([0j, 3.0 + 0j, 0.01 + 0.002j]),
+                            OrbitConfig(max_iter=12, stations=(GAP_LADDER,))),
+    # 2**-k passes the escape radius 1e6 at its (k + 20)-th step: k = 5
+    # escapes at the last step of the budget, k = 6 would at one step more
+    "escape-at-the-last-step": (custom_map("(mul z 2)"),
+                                2.0 ** -np.array([6, 0, 5, 1, 7, 4, 6, 2, 3]) + 0j,
+                                OrbitConfig(max_iter=25)),
+}
+
+
+@pytest.mark.parametrize("case, block", [
+    pytest.param(case, block,
+                 id=case if block == dynamics.ORBIT_BLOCK else f"{case}-block-{block}")
+    for block in (dynamics.ORBIT_BLOCK, 1, 3, 64) for case in LOOP_CASES])
+def test_compacted_loop_matches_reference(monkeypatch, case, block):
+    # blocks of 1 and 3 top up after every retirement and admit orbits late,
+    # which must still retire as budget at exactly max_iter steps of their own
+    m, zs, cfg = LOOP_CASES[case]
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", block)
+    if block < 64:
+        # such blocks take a Python step for every orbit or so: the two large
+        # cases run on every k-th point, about 500 of them (ex1's pole included)
+        zs = zs[::max(1, zs.size // 500)]
     verdict, fixed, track = _orbit_verdicts(m, zs, cfg)
     ref_verdict, ref_fixed, ref_track = orbit_verdicts_reference(m, zs, cfg)
     assert np.array_equal(verdict, ref_verdict)
     assert np.array_equal(fixed, ref_fixed, equal_nan=True)
     assert np.array_equal(track, ref_track)
     assert track.dtype == ref_track.dtype == np.int32
+
+
+def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
+    # beyond its outputs the loop holds O(ORBIT_BLOCK) orbits, never O(n):
+    # 65,536 start points in blocks of 1,024 peak at well under 1 MB extra
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
+    m = build_family("ex2", {"eps": EPS2})
+    cfg = ex2_core_orbit()
+    zs = _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256)
+    tracemalloc.start()
+    try:
+        out = _orbit_verdicts(m, zs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in out) < 2 ** 20
 
 
 def test_ex1_seeded_points_reach_every_verdict():
@@ -360,6 +398,38 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
     assert sizes == [min(4, os.cpu_count() or 1)]
     ref = classify_grid(m, win, 4, 4, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
+
+
+def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch):
+    # a row task names its rows and builds its own pixel centers: no
+    # per-pixel array crosses the pool
+    task_bytes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            task_bytes.extend(len(pickle.dumps(t)) for t in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
+    m = build_family("ex2", {"eps": EPS2})
+    cfg = ex2_core_orbit()
+    win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
+    one = classify_grid(m, win, 90, 21, cfg, workers=1)
+    two = classify_grid(m, win, 90, 21, cfg, workers=2)
+    assert len(task_bytes) == 2 and max(task_bytes) < 4096
+    assert np.array_equal(one.labels, two.labels) and np.array_equal(one.ids, two.ids)
+    assert one.verdict_counts == two.verdict_counts
+    assert one.verdict_counts["drifting"] > 0
+    assert {1, LADDER_STRIDE} <= set(one.ids[one.labels == DRIFTING].tolist())
 
 
 def test_ex2_raster_headline(ex2_raster):

@@ -17,6 +17,7 @@ from wanderlab.maps import (
     OPS,
     MeromorphicMap,
     Node,
+    NonFiniteValue,
     ParamConstraintViolation,
     ParseError,
     PoleHitError,
@@ -188,10 +189,15 @@ def test_vec_agrees_with_scalar():
 
 
 def test_eval_map_raises_where_vec_flags_overflow():
+    # overflow is not a pole hit: the error names the point and no pole
     for m, z in ((build_family("ex5"), 800.0), (custom_map("(exp z)"), 705.0)):
         assert eval_map_vec(m, np.array([z]))[1][0]
-        with pytest.raises(PoleHitError):
+        with pytest.raises(NonFiniteValue) as e:
             eval_map(m, z)
+        assert e.value.where == complex(z)
+        assert str(complex(z)) in str(e.value) and "overflow" in str(e.value)
+        assert "hit pole" not in str(e.value)
+        assert not isinstance(e.value, PoleHitError)
 
 
 def test_vec_flags_poles():

@@ -154,6 +154,16 @@ def test_executor_exception_becomes_failed_row(tmp_path):
     assert "ValueError" in row["result"]["error"]
 
 
+def test_overflow_row_names_its_cause(tmp_path):
+    # e^x overflows before x = 800 on ex5, which declares no pole
+    item = {"id": "ray-800", "kind": "ray_increase", "to": 800.0, "samples": 8}
+    report = run_scenario(_write(tmp_path, "ray.json", dict(TINY, items=[item])))
+    row = report["items"][0]
+    assert row["passed"] is False
+    assert row["result"]["error"].startswith("NonFiniteValue: ")
+    assert "overflow" in row["result"]["error"]
+
+
 def test_mismatch_fails_without_error_field(tmp_path):
     item = {"id": "rh-flip", "kind": "rh_check", "args": [2, 3, 3, 1],
             "expect": False}

@@ -1,13 +1,16 @@
 """Vectorized orbit verdicts, fixed-point location, and raster classification.
 
-One vectorized state machine, `_orbit_verdicts`, runs a flat array of
+One vectorized state machine, `_orbit_verdicts`, runs a sequence of
 start points to verdicts: attraction (`cycle_window` consecutive steps
 shorter than `attract_tol`), escape past `escape_radius`, a hit on a
-declared pole, station drift, or the iteration budget.  A non-finite
-image also counts as escape, so a pole the map does not declare reads
-as escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and
-admits the next start points whenever half the block or less is left,
-so its working memory does not grow with the number of points.
+declared pole, station drift, or the iteration budget.  Every point
+`eval_map_vec` flags escapes, unless it lies in a declared pole's snap
+zone, which is a pole hit; so a pole the map does not declare reads as
+escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and admits
+the next start points whenever half the block or less is left, so its
+working memory does not grow with the number of points: per point it
+holds a uint8 verdict, and per attracted or drifting orbit the value it
+retired with.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
@@ -15,10 +18,12 @@ region, and `classify_grid` once from the first estimate of every
 attraction basin met in scan order (a basin confirms at residual at most
 1e-12; the pixels of a basin that does not confirm fall back to the
 budget verdict).  `classify_grid` cuts the rows of a window into one
-contiguous range per worker; each range builds its own pixel centers,
-runs the orbit machine over them and returns its verdicts with the
-fixed-point estimates of its attracted pixels and the track ids of its
-drifting ones only.  One merge over the ranges derives display labels:
+contiguous range per worker; each range builds its pixel centers a block
+at a time from their row and column coordinates, runs the orbit machine
+over them and returns its verdicts with the fixed-point estimates of its
+attracted pixels and the track ids of its drifting ones only.  One merge
+over the ranges derives display labels, with uint8, bool and int32 pixel
+arrays only:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id: the corridor index where the
@@ -222,75 +227,94 @@ class RasterGrid:
 ORBIT_BLOCK = 2 ** 15   # the most orbits _orbit_verdicts keeps live at once
 
 
-def _orbit_verdicts(m: MeromorphicMap, zs: np.ndarray, cfg: OrbitConfig):
-    """Vectorized orbit state machine over a flat array of start points.
+class _GridPoints:
+    """The points xs[i] + 1j*ys[j] in scan order (j major), built a slice at
+    a time: _orbit_verdicts reads its start points only by len and slices."""
 
-    Returns (verdict codes, fixed-point estimates (nan where n/a),
-    track ids (-1 where n/a)).  The loop keeps at most ORBIT_BLOCK live
-    orbits: their start positions, current points, and int32 state rows:
-    the count of short steps, the age (steps taken) and, per ladder, the
-    streak length with its first and last corridor index (read only while
-    the length is positive).  All of them shrink as orbits get verdicts;
-    an orbit retires as budget at age cfg.max_iter, and once half the
-    block or less is live the next start points fill it again.  Each
-    verdict is a pure function of its start point, so the block size
-    changes no output.
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return self.xs.size * self.ys.size
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        row, col = np.divmod(np.arange(s.start, s.stop), self.xs.size)
+        return self.xs[col] + 1j * self.ys[row]
+
+
+def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
+    """Vectorized orbit state machine over a sequence of start points.
+
+    zs is an array, or anything with len() whose slices are arrays.
+    Returns (verdict codes, the fixed-point estimates of the attracted
+    orbits, the track ids of the drifting ones), each in scan order.  The
+    loop keeps at most ORBIT_BLOCK live orbits: their start positions,
+    current points, and int32 state rows: the count of short steps, the
+    age (steps taken) and, per ladder, the streak length with its first
+    and last corridor index (read only while the length is positive).  All
+    of them shrink as orbits get verdicts, and an attracted or drifting
+    orbit leaves its value with its start position; an orbit retires as
+    budget at age cfg.max_iter, and once half the block or less is live
+    the next start points, sliced out of zs, fill it again.  Each verdict
+    is a pure function of its start point, so the block size changes no
+    output.
     """
-    n = zs.shape[0]
+    n = len(zs)
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
-    fixed = np.full(n, np.nan + 0j, dtype=np.complex128)
-    track = np.full(n, -1, dtype=np.int32)
+    attracted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128))]
+    drifted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32))]
 
     rows = 2 + 3 * len(cfg.stations)
     start = np.zeros(0, dtype=np.intp)
     z = np.zeros(0, dtype=np.complex128)
     state = np.zeros((rows, 0), dtype=np.int32)
     admitted = 0
-    snap_poles = [(p, m.pole_snap_radius(p)) for p in m.declared_poles]
 
     while start.size or admitted < n:
         if start.size <= ORBIT_BLOCK // 2 and admitted < n:
             k = min(ORBIT_BLOCK - start.size, n - admitted)
             new_start = np.arange(admitted, admitted + k)
-            new_z = zs[admitted:admitted + k].astype(np.complex128)
+            new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
             new_state = np.zeros((rows, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
             _ladders_step(cfg.stations, new_z, new_state, np.ones(k, dtype=bool), new_start,
-                          verdict, track)
+                          verdict, drifted)
             start = np.concatenate([start, new_start])
             z = np.concatenate([z, new_z])
             state = np.concatenate([state, new_state], axis=1)
             admitted += k
-        hit = np.zeros(start.size, dtype=bool)
-        for p, snap in snap_poles:
-            hit |= np.abs(z - p) <= snap
-        if hit.any():
-            verdict[start[hit]] = _V_POLE
-            start, z, state = start[~hit], z[~hit], state[:, ~hit]
-        if start.size == 0:
-            continue
         nxt, bad = eval_map_vec(m, z)
         esc = bad | (np.abs(nxt) > cfg.escape_radius)
         consec, age = state[0], state[1]
         consec[:] = np.where(~esc & (np.abs(nxt - z) < cfg.attract_tol), consec + 1, 0)
         conv = (consec >= cfg.cycle_window) & ~esc
         verdict[start[esc]] = _V_ESCAPED
-        verdict[start[conv]] = _V_ATTRACTED
-        fixed[start[conv]] = nxt[conv]
+        # eval_map_vec flags a point in a pole's snap zone: a pole hit, not an escape
+        flagged = np.flatnonzero(bad)
+        verdict[start[flagged[m.in_pole_snap(z[flagged])]]] = _V_POLE
+        if conv.any():
+            verdict[start[conv]] = _V_ATTRACTED
+            attracted.append((start[conv], nxt[conv]))
         z = nxt
         alive = ~(esc | conv)
-        _ladders_step(cfg.stations, z, state, alive, start, verdict, track)
+        _ladders_step(cfg.stations, z, state, alive, start, verdict, drifted)
         age += 1
         alive &= age < cfg.max_iter
         if not alive.all():
             start, z, state = start[alive], z[alive], state[:, alive]
-    return verdict, fixed, track
+    return verdict, _in_scan_order(attracted), _in_scan_order(drifted)
 
 
-def _ladders_step(ladders, z, state, alive, start, verdict, track):
+def _in_scan_order(retired) -> np.ndarray:
+    """The values of (start positions, values) pairs, ordered by start position."""
+    where, values = (np.concatenate(c) for c in zip(*retired))
+    return values[np.argsort(where)]
+
+
+def _ladders_step(ladders, z, state, alive, start, verdict, drifted):
     """Try each ladder in turn on the orbits still alive; a completed
-    streak records the orbit as drifting with its track id and clears its
-    alive flag.
+    streak records the orbit as drifting, appends its start position and
+    track id to drifted, and clears its alive flag.
 
     A point off a ladder's band |Im z - Im base| < radius is outside all
     its corridors (the step is real), so only points in the band or in a
@@ -306,7 +330,7 @@ def _ladders_step(ladders, z, state, alive, start, verdict, track):
         if done.any():
             fin = sel[done]
             verdict[start[fin]] = _V_DRIFTING
-            track[start[fin]] = sub[1, done] + k * LADDER_STRIDE
+            drifted.append((start[fin], sub[1, done] + k * LADDER_STRIDE))
             alive[fin] = False
 
 
@@ -336,46 +360,30 @@ def _classify_rows(task):
     dy = (window.im_hi - window.im_lo) / height
     xs = window.re_lo + (np.arange(width) + 0.5) * dx
     ys = window.im_lo + (np.arange(r0, r1) + 0.5) * dy
-    verdict, fixed, track = _orbit_verdicts(m, (xs[None, :] + 1j * ys[:, None]).ravel(), cfg)
-    return verdict, fixed[verdict == _V_ATTRACTED], track[verdict == _V_DRIFTING]
+    return _orbit_verdicts(m, _GridPoints(xs, ys), cfg)
 
 
-def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int,
-                  cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
-    """Label every pixel center of the window; deterministic for fixed inputs.
-
-    The rows are cut into min(workers, height) contiguous ranges, run
-    in-process when there is one and through a process pool otherwise.
-    Each range builds its own pixel centers and runs the orbit machine,
-    which keeps at most ORBIT_BLOCK orbits live, so a worker's orbit state
-    is bounded whatever the resolution.  A range returns its
-    verdicts and only the fixed-point estimates of its attracted pixels
-    and the track ids of its drifting ones; its results are pure
-    functions of its pixels, so the merge is independent of worker count.
-    """
-    if width < 2 or height < 2:
-        raise ValueError("need at least a 2x2 grid")
-    dx = (window.re_hi - window.re_lo) / width
-    dy = (window.im_hi - window.im_lo) / height
+def _classify_ranges(m, cfg, window, width, height, workers):
+    """_classify_rows over the whole raster: the rows cut into
+    min(workers, height) contiguous ranges, run in-process when there is
+    one and through a process pool otherwise, results joined in scan order."""
     ranges = min(max(workers, 1), height)
     tasks = [(m, cfg, window, width, height, height * i // ranges, height * (i + 1) // ranges)
              for i in range(ranges)]
     if len(tasks) == 1:
-        parts = [_classify_rows(tasks[0])]
-    else:
-        # the pool forks all its processes up front: no more than the ranges or cores
-        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_classify_rows, tasks))
-    verdict = np.concatenate([p[0] for p in parts]).reshape(height, width)
-    attracted_fixed = np.concatenate([p[1] for p in parts])
-    drifting_track = np.concatenate([p[2] for p in parts])
+        return _classify_rows(tasks[0])
+    # the pool forks all its processes up front: no more than the ranges or cores
+    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+        parts = list(pool.map(_classify_rows, tasks))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
-    # basin ids: distinct fixed-point estimates in raster scan order, each
-    # confirmed by Newton from its first estimate; an unconfirmed basin gets
-    # no id and its pixels fall back to the budget verdict
-    ids = np.full((height, width), -1, dtype=np.int32)
+
+def _basin_ids(m, cfg, verdict, attracted_fixed, ids):
+    """Give the attracted pixels their basin ids: distinct fixed-point
+    estimates in raster scan order, each confirmed by Newton from its
+    first estimate.  An unconfirmed basin gets no id and its pixels fall
+    back to the budget verdict."""
     basin_tol = max(100.0 * cfg.attract_tol, 1e-7)
-    att = verdict == _V_ATTRACTED
     firsts: list[complex] = []
     basin_of = []
     for fp in attracted_fixed.tolist():
@@ -387,31 +395,62 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
             firsts.append(fp)
         basin_of.append(k)
     if firsts:
+        att = verdict == _V_ATTRACTED
         confirmed = _fixed_points(m, firsts)[1] <= 1e-12
         ids[att] = np.where(confirmed, np.cumsum(confirmed) - 1, -1)[basin_of]
-    verdict[att & (ids < 0)] = _V_BUDGET
-    dri = verdict == _V_DRIFTING
-    ids[dri] = drifting_track
+        verdict[att & (ids < 0)] = _V_BUDGET
 
-    # behaviour-boundary pass: any 4-neighbour with a different
-    # (verdict, id) pair makes both pixels suspect
-    key = verdict.astype(np.int64) * (2 ** 32) + (ids.astype(np.int64) + 1)
-    suspect = np.zeros((height, width), dtype=bool)
-    suspect[1:, :] |= key[1:, :] != key[:-1, :]
-    suspect[:-1, :] |= key[1:, :] != key[:-1, :]
-    suspect[:, 1:] |= key[:, 1:] != key[:, :-1]
-    suspect[:, :-1] |= key[:, 1:] != key[:, :-1]
-    per_code = np.bincount(verdict.ravel(), minlength=5)
-    counts = {name: int(per_code[code]) for code, name in _VERDICT_NAMES}
-    counts["boundary"] = int(suspect.sum())
 
+def _behaviour_boundary(verdict, ids) -> np.ndarray:
+    """The pixels with a 4-neighbour of a different (verdict, id) pair."""
+    suspect = np.zeros(verdict.shape, dtype=bool)
+    for a, b in ((np.s_[1:, :], np.s_[:-1, :]), (np.s_[:, 1:], np.s_[:, :-1])):
+        differs = verdict[a] != verdict[b]
+        differs |= ids[a] != ids[b]
+        suspect[a] |= differs
+        suspect[b] |= differs
+    return suspect
+
+
+def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int,
+                  cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
+    """Label every pixel center of the window; deterministic for fixed inputs.
+
+    The rows are cut into min(workers, height) contiguous ranges, run
+    in-process when there is one and through a process pool otherwise.
+    Each range builds its start points a block at a time from its row and
+    column coordinates and runs the orbit machine, which keeps at most
+    ORBIT_BLOCK orbits live, so a worker's orbit state is bounded whatever
+    the resolution.  A range returns its uint8 verdicts and only the
+    fixed-point estimates of its attracted pixels and the track ids of its
+    drifting ones; its results are pure functions of its pixels, so the
+    merge is independent of worker count.  Every per-pixel array of the
+    merge is uint8, bool or int32: the boundary pass compares verdicts and
+    ids as two arrays.
+    """
+    if width < 2 or height < 2:
+        raise ValueError("need at least a 2x2 grid")
+    dx = (window.re_hi - window.re_lo) / width
+    dy = (window.im_hi - window.im_lo) / height
+    verdict, attracted_fixed, drifting_track = _classify_ranges(m, cfg, window, width, height,
+                                                                workers)
+    verdict = verdict.reshape(height, width)
+    ids = np.full((height, width), -1, dtype=np.int32)
+    _basin_ids(m, cfg, verdict, attracted_fixed, ids)
+    ids[verdict == _V_DRIFTING] = drifting_track
+    suspect = _behaviour_boundary(verdict, ids)
+    counts = {name: int(np.count_nonzero(verdict == code)) for code, name in _VERDICT_NAMES}
+    counts["boundary"] = int(np.count_nonzero(suspect))
+
+    # boundary, budget and pole-hit pixels are suspect; only ATTRACTED and
+    # DRIFTING pixels carry an id
     labels = np.full((height, width), UNRESOLVED, dtype=np.uint8)
     labels[verdict == _V_ATTRACTED] = ATTRACTED
     labels[verdict == _V_DRIFTING] = DRIFTING
     labels[verdict == _V_POLE] = JULIA_SUSPECT
     labels[verdict == _V_BUDGET] = JULIA_SUSPECT
     labels[suspect] = JULIA_SUSPECT
-    ids[(labels != ATTRACTED) & (labels != DRIFTING)] = -1
+    ids[suspect] = -1                   # the other ids are -1 already
 
     # geometric pole override: the closed pixel cells containing a declared
     # pole are pole-adjacent regardless of orbit behaviour (runs after the

@@ -311,6 +311,13 @@ class MeromorphicMap:
     def pole_snap_radius(self, pole: complex) -> float:
         return POLE_SNAP_RELATIVE * (1.0 + abs(pole))
 
+    def in_pole_snap(self, zs: np.ndarray) -> np.ndarray:
+        """Mask of the points within pole_snap_radius of a declared pole."""
+        hit = np.zeros(np.shape(zs), dtype=bool)
+        for p in self.declared_poles:
+            hit |= np.abs(zs - p) <= self.pole_snap_radius(p)
+        return hit
+
 
 def solve_ex2_params() -> tuple[float, float]:
     """Phase and amplitude making z + lam*sin(z+a) translate the stations.
@@ -499,14 +506,15 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Returns (values, bad) where bad marks entries that hit a pole snap zone,
     produced a non-finite value, or overflowed.  Values at bad entries are
-    unspecified.
+    unspecified.  Constants and parameters enter as complex scalars that
+    broadcast against zs.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    bad = np.zeros(zs.shape, dtype=bool)
-    for p in m.declared_poles:
-        bad |= np.abs(zs - p) <= m.pole_snap_radius(p)
+    bad = m.in_pole_snap(zs)
     with np.errstate(all="ignore"):
-        vals = _run(m, _VEC, zs, lambda v: np.full(zs.shape, v, dtype=np.complex128))
+        vals = _run(m, _VEC, zs, np.complex128)
+    if np.shape(vals) != zs.shape:          # an expression without z
+        vals = np.full(zs.shape, vals, dtype=np.complex128)
     bad |= ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
     return vals, bad
 

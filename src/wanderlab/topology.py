@@ -37,40 +37,48 @@ class _Runs(NamedTuple):
     row: np.ndarray
     lo: np.ndarray       # first column
     hi: np.ndarray       # one past the last column
-    key: np.ndarray
     comp: np.ndarray     # component of each run, from 1
     first: np.ndarray    # index of each component's first run
 
 
-def _runs(key: np.ndarray, eight: bool) -> _Runs:
-    """Components of the nonzero pixels of a 2-D array: pixels with equal
-    keys that are 4-adjacent (8-adjacent when `eight`) share a component.
+def _runs(mask: np.ndarray, eight: bool, *keys: np.ndarray) -> _Runs:
+    """Components of the True pixels of a 2-D mask: pixels equal in every
+    key array (each of the mask's shape) that are 4-adjacent (8-adjacent
+    when `eight`) share a component.
 
     Components are numbered from 1 by the scan order of their first pixel.
     """
-    h, w = key.shape
-    width = w + 1                           # a zero column ends each row's runs
-    padded = np.zeros((h, width), dtype=key.dtype)
-    padded[:, :w] = key
-    flat = padded.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    h, w = mask.shape
+    flat = mask.ravel()
+    edge = flat[1:] != flat[:-1]            # edge[i]: a run ends at pixel i
+    for key in keys:
+        key = key.ravel()
+        edge |= key[1:] != key[:-1]
+    edge[w - 1::w] = True                   # and at the end of every row
+    edges = np.flatnonzero(edge) + 1
     starts = np.concatenate(([0], edges))
     ends = np.concatenate((edges, [flat.size]))
-    keys = flat[starts]
-    run = keys != 0
-    starts, ends, keys = starts[run], ends[run], keys[run]
-    row = starts // width
+    run = flat[starts]
+    starts, ends = starts[run], ends[run]
+    run_keys = [key.ravel()[starts] for key in keys]
+    row = starts // w
+    lo, hi = starts - row * w, ends - row * w
 
     # The runs of the row above that touch each run, shifted down one row
     # into its coordinates; a slack of one column admits diagonal contact.
+    # Flat positions count a blank column after each row, so a run touches
+    # runs of the row above only, never across a row's end.
+    width = w + 1
+    starts, ends = starts + row, ends + row
     slack = 1 if eight else 0
     above_lo = np.searchsorted(ends + width, starts - slack, side="right")
     above_hi = np.searchsorted(starts + width, ends + slack, side="left")
     counts = np.maximum(above_hi - above_lo, 0)
     a = np.repeat(np.arange(starts.size), counts)
     b = np.repeat(above_lo - np.cumsum(counts) + counts, counts) + np.arange(a.size)
-    same = keys[a] == keys[b]
-    a, b = a[same], b[same]
+    if keys:
+        same = np.logical_and.reduce([k[a] == k[b] for k in run_keys])
+        a, b = a[same], b[same]
 
     # Union-find with every root hooked under the smallest root it touches,
     # so each component's root is its first run.
@@ -89,8 +97,7 @@ def _runs(key: np.ndarray, eight: bool) -> _Runs:
             parent = up
     root = parent == np.arange(starts.size)
     comp = np.cumsum(root)[parent]
-    return _Runs(row, starts - row * width, ends - row * width, keys, comp,
-                 np.flatnonzero(root))
+    return _Runs(row, lo, hi, comp, np.flatnonzero(root))
 
 
 def _paint(shape: tuple, r: _Runs) -> np.ndarray:
@@ -99,7 +106,7 @@ def _paint(shape: tuple, r: _Runs) -> np.ndarray:
     step = np.zeros(h * w + 1, dtype=np.int32)
     step[r.row * w + r.lo] += r.comp
     step[r.row * w + r.hi] -= r.comp
-    return np.cumsum(step[:-1], dtype=np.int32).reshape(h, w)
+    return np.cumsum(step, out=step)[:-1].reshape(h, w)
 
 
 def _edge_runs(r: _Runs, shape: tuple) -> np.ndarray:
@@ -155,9 +162,8 @@ def label_components(grid: RasterGrid) -> ComponentMap:
     numbering is deterministic for a given grid.
     """
     h, w = grid.labels.shape
-    behaving = np.isin(grid.labels, tuple(_BEHAVIOR_NAMES))
-    key = np.where(behaving, (grid.ids.astype(np.int64) + 1) << 8 | grid.labels, 0)
-    r = _runs(key, eight=False)
+    r = _runs((grid.labels == ATTRACTED) | (grid.labels == DRIFTING), False,
+              grid.labels, grid.ids)
     n = r.first.size
     count = np.bincount(r.comp, weights=r.hi - r.lo, minlength=n + 1)
     touches = np.bincount(r.comp, weights=_edge_runs(r, (h, w)), minlength=n + 1)
@@ -169,9 +175,9 @@ def label_components(grid: RasterGrid) -> ComponentMap:
     np.maximum.at(col_hi, r.comp, r.hi)
     table = {}
     for cid, f in enumerate(r.first.tolist(), start=1):
-        k = int(r.key[f])
-        behavior = (_BEHAVIOR_NAMES[k & 0xFF], (k >> 8) - 1)
-        bbox = (int(r.row[f]), int(row_hi[cid]), int(col_lo[cid]), int(col_hi[cid]))
+        j, i = int(r.row[f]), int(r.lo[f])
+        behavior = (_BEHAVIOR_NAMES[int(grid.labels[j, i])], int(grid.ids[j, i]))
+        bbox = (j, int(row_hi[cid]), int(col_lo[cid]), int(col_hi[cid]))
         table[cid] = ComponentInfo(int(count[cid]), bool(touches[cid]), behavior, bbox)
     return ComponentMap(grid, _paint((h, w), r), table)
 

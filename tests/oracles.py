@@ -1,5 +1,6 @@
 """Slow reference implementations and exact checks that cross-check the library in tests."""
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -25,6 +26,16 @@ def encloses(b: Boxes, z, atol=0.0) -> np.ndarray:
     return ((b.why == NONE)[:, None]
             & (re_lo - atol <= z.real) & (z.real <= re_hi + atol)
             & (im_lo - atol <= z.imag) & (z.imag <= im_hi + atol))
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_holes_reference(mask: np.ndarray) -> int:
@@ -195,8 +206,11 @@ def certificate_reference(statement, region, test, budget):
 def orbit_verdicts_reference(m, zs, cfg):
     """The full-array orbit state machine: every step gathers the live
     orbits out of n-sized arrays by np.nonzero and scatters them back, and
-    each ladder keeps n-sized int64 streak state.  Returns what
-    wanderlab.dynamics._orbit_verdicts returns."""
+    each ladder keeps n-sized int64 streak state.  Returns the verdicts,
+    the fixed-point estimates (nan where n/a) and the track ids (-1 where
+    n/a) of all points; wanderlab.dynamics._orbit_verdicts returns the
+    verdicts, the estimates of the attracted points and the track ids of
+    the drifting ones."""
     n = zs.shape[0]
     z = zs.astype(np.complex128).copy()
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)

@@ -1,7 +1,6 @@
 import math
 import os
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
 from wanderlab.scenario import _decode_orbit, load_scenario
 
-from oracles import orbit_verdicts_reference
+from oracles import orbit_verdicts_reference, traced_peak
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -59,8 +58,7 @@ def ex1():
 def test_single_orbit_verdict(m, z0, cfg, expected):
     verdict, fixed, track = _orbit_verdicts(m, np.array([z0]), cfg)
     assert verdict.tolist() == [expected]
-    assert np.isnan(fixed[0])
-    assert track.tolist() == [-1]
+    assert fixed.size == track.size == 0
 
 
 def test_orbit_attracted_matches_fixed_point():
@@ -311,8 +309,9 @@ def test_compacted_loop_matches_reference(monkeypatch, case, block):
     verdict, fixed, track = _orbit_verdicts(m, zs, cfg)
     ref_verdict, ref_fixed, ref_track = orbit_verdicts_reference(m, zs, cfg)
     assert np.array_equal(verdict, ref_verdict)
-    assert np.array_equal(fixed, ref_fixed, equal_nan=True)
-    assert np.array_equal(track, ref_track)
+    assert np.array_equal(fixed, ref_fixed[ref_verdict == _V_ATTRACTED])
+    assert np.array_equal(track, ref_track[ref_verdict == _V_DRIFTING])
+    assert fixed.dtype == np.complex128
     assert track.dtype == ref_track.dtype == np.int32
 
 
@@ -323,13 +322,20 @@ def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     zs = _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256)
-    tracemalloc.start()
-    try:
-        out = _orbit_verdicts(m, zs, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(_orbit_verdicts, m, zs, cfg)
     assert peak - sum(a.nbytes for a in out) < 2 ** 20
+
+
+def test_classify_grid_memory_per_pixel(monkeypatch):
+    # beyond the labels and ids it returns, classifying the 256x256 ex2
+    # grid in-process holds about 4 bytes per pixel (uint8 verdicts and
+    # bool masks) and the orbit block: no complex128 or int64 pixel array
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
+    m = build_family("ex2", {"eps": EPS2})
+    g, peak = traced_peak(classify_grid, m, ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256,
+                          ex2_core_orbit())
+    assert g.verdict_counts["drifting"] > 0
+    assert peak - g.labels.nbytes - g.ids.nbytes < 6 * 256 * 256
 
 
 def test_ex1_seeded_points_reach_every_verdict():
@@ -358,7 +364,7 @@ def test_streak_resets_when_the_orbit_leaves_the_band():
     verdict, _, track = _orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
                                         OrbitConfig(max_iter=12, stations=(GAP_LADDER,)))
     assert verdict.tolist() == [_V_BUDGET, _V_BUDGET]
-    assert track.tolist() == [-1, -1]
+    assert track.size == 0
 
 
 def test_grid_deterministic_and_worker_invariant():

@@ -277,12 +277,17 @@ def test_eval_in_point_box():
 
 
 def test_vec_constant_map_keeps_input_shape():
-    m = custom_map("(exp a)", {"a": 0.5})
+    # constants and parameters enter as complex scalars, so a map without z
+    # evaluates to one scalar, returned as a writable array of zs's shape
     zs = np.zeros((3, 4), dtype=np.complex128)
-    vals, bad = eval_map_vec(m, zs)
-    assert vals.shape == bad.shape == zs.shape
-    assert not bad.any()
-    assert (vals == cmath.exp(0.5)).all()
+    for m, want in ((custom_map("(exp a)", {"a": 0.5}), cmath.exp(0.5)),
+                    (custom_map("(mul 2 3)"), 6)):
+        vals, bad = eval_map_vec(m, zs)
+        assert vals.shape == bad.shape == zs.shape and vals.dtype == np.complex128
+        assert not bad.any()
+        assert (vals == want).all()
+        vals[0, 0] = 0
+        assert (vals[1] == want).all()
 
 
 def test_box_eval_shares_subtrees_and_looks_ops_up_per_call(monkeypatch):

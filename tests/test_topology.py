@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from wanderlab import topology
-from wanderlab.dynamics import ATTRACTED, DRIFTING, JULIA_SUSPECT, UNRESOLVED, RasterGrid
+from wanderlab.dynamics import (
+    ATTRACTED,
+    DRIFTING,
+    JULIA_SUSPECT,
+    UNRESOLVED,
+    RasterGrid,
+    classify_grid,
+)
+from wanderlab.maps import build_family
 from wanderlab.numerics import ComplexBox
+from wanderlab.scenario import _decode_orbit, load_scenario
 from wanderlab.topology import (
     ComponentMap,
     OutOfWindow,
@@ -18,7 +27,7 @@ from wanderlab.topology import (
     surrounds,
 )
 
-from oracles import count_holes_reference, holes_reference, label_reference
+from oracles import count_holes_reference, holes_reference, label_reference, traced_peak
 
 
 def grid_of(mask, kind=DRIFTING, ids=None):
@@ -98,6 +107,33 @@ def test_run_labelling_matches_ndimage(eight):
         runs = _runs(mask, eight)
         assert runs.first.size == n
         assert (_paint(mask.shape, runs) == want).all()
+
+
+@pytest.mark.parametrize("eight", [False, True], ids=["4-adjacency", "8-adjacency"])
+def test_runs_do_not_join_across_a_row_end(eight):
+    # the last pixel of a row and the first of the next are neighbours in
+    # scan order, never in the image; nor are they one row further down
+    for mask in (np.array([[0, 0, 1], [1, 0, 0]], dtype=bool),
+                 np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=bool)):
+        ids = np.full(mask.shape, 7, dtype=np.int32)
+        runs = _runs(mask, eight, ids)
+        assert runs.first.size == mask.sum()
+        assert sorted(_paint(mask.shape, runs)[mask].tolist()) == list(range(1, mask.sum() + 1))
+    mask = np.array([[0, 1, 1], [1, 1, 0]], dtype=bool)     # one run above the other
+    assert _runs(mask, eight).first.size == 1
+    cm = label_components(grid_of(np.array([[0, 0, 1], [1, 0, 0]], dtype=bool)))
+    assert list(cm.component_table) == [1, 2]
+
+
+def test_label_components_memory_per_pixel():
+    # beyond the int32 label image it returns, labelling the 256x256 ex2
+    # grid holds per-run tables only: the image is painted in place, and
+    # no int64 key or padded copy of the grid is made
+    grid = classify_grid(build_family("ex2", {"eps": 1e-5}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
+                         256, 256, _decode_orbit(load_scenario("ex2-core").orbit))
+    cm, peak = traced_peak(label_components, grid)
+    assert len(cm.component_table) > 1
+    assert peak - cm.labels.nbytes < 2 * 256 * 256
 
 
 def _components_reference(grid):

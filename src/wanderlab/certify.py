@@ -438,35 +438,27 @@ def _discrete_winding(curve: np.ndarray, w0: complex):
     return int(round(total / _TWO_PI)), dist, max_step
 
 
-def _adaptive_winding(curve_of, w0: complex, n: int) -> WindingResult:
-    """Winding of curve_of(n) around w0, doubling n until every argument
-    step is below MAX_ARG_STEP or n reaches WINDING_MAX_SAMPLES."""
-    while True:
-        winding, dist, max_step = _discrete_winding(curve_of(n), w0)
-        valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
-        if valid or n >= WINDING_MAX_SAMPLES:
-            return WindingResult(winding if winding is not None else 0,
-                                 dist, max_step, n, valid)
-        n *= 2
-
-
 def winding_number(m: MeromorphicMap, circle: tuple[complex, float],
                    w0: complex) -> WindingResult:
     """Winding of the image of a circle around w0, sampled adaptively.
 
     Sample count doubles until every consecutive argument increment stays
-    below pi/2; the result is then a locked integer (doubling further
-    cannot change it while the criterion holds).
+    below pi/2 (valid), or up to WINDING_MAX_SAMPLES; a valid result is a
+    locked integer (doubling further cannot change it while the criterion
+    holds).
     """
-    center, radius = complex(circle[0]), float(circle[1])
-
-    def image(n: int) -> np.ndarray:
+    center, radius, w0 = complex(circle[0]), float(circle[1]), complex(w0)
+    n = WINDING_START_SAMPLES
+    while True:
         vals, bad = eval_map_vec(m, _circle(center, radius, n))
         if bad.any():
             raise DegenerateCurve(f"curve sample hit a pole of the map (n={n})")
-        return vals
-
-    return _adaptive_winding(image, complex(w0), WINDING_START_SAMPLES)
+        winding, dist, max_step = _discrete_winding(vals, w0)
+        valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
+        if valid or n >= WINDING_MAX_SAMPLES:
+            return WindingResult(winding if winding is not None else 0,
+                                 dist, max_step, n, valid)
+        n *= 2
 
 
 def count_zeros_inside(m: MeromorphicMap, circle: tuple[complex, float],
@@ -514,26 +506,6 @@ def riemann_hurwitz_check(c_u: int, k: int, n_critical: int, c_v: int) -> bool:
     return c_u - 2 == k * (c_v - 2) + n_critical
 
 
-def curve_image_surrounds_pole(m: MeromorphicMap, iterations: int,
-                               curve_circle: tuple[complex, float],
-                               pole: complex) -> bool:
-    """Does the n-th forward image of the circle wind around the pole?"""
-    center, radius = complex(curve_circle[0]), float(curve_circle[1])
-
-    def image(n: int) -> np.ndarray:
-        curve = _circle(center, radius, n)
-        for _ in range(int(iterations)):
-            curve, bad = eval_map_vec(m, curve)
-            if bad.any():
-                raise DegenerateCurve("iterated curve sample hit a pole")
-        return curve
-
-    res = _adaptive_winding(image, complex(pole), 4096)
-    if not res.valid:
-        raise InvalidCurve("curve sampling did not stabilize")
-    return res.winding != 0
-
-
 # ---------------------------------------------------------------------------
 # Station-family constant derivation (the r1 / eps / r2 pipeline).
 # ---------------------------------------------------------------------------
@@ -552,9 +524,11 @@ def _sampled_sup(m: MeromorphicMap, center: complex, radius: float,
     return float(np.max(np.abs(vals - offset)))
 
 
-def derive_ex2_constants(candidate_budget: Budget = Budget(max_boxes=300_000, max_depth=20),
-                         final_budget: Budget = Budget(max_boxes=500_000, max_depth=22)) -> dict:
+def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     """Derive and certify the station constants of the ex2 family.
+
+    Candidates get 300,000 boxes to depth 20, the final certificate
+    500,000 to depth 22; max_boxes replaces both box counts.
 
     r1:    largest radius on the dyadic grid, at most 1/8, such that
            |g'(z)| <= 1/4 is certified on the closed disk |z| <= r1.
@@ -575,6 +549,8 @@ def derive_ex2_constants(candidate_budget: Budget = Budget(max_boxes=300_000, ma
     Deterministic by construction: fixed grids, fixed search order, fixed
     budgets — re-runs reproduce identical floats.
     """
+    candidate_budget = Budget(300_000 if max_boxes is None else max_boxes, max_depth=20)
+    final_budget = Budget(500_000 if max_boxes is None else max_boxes, max_depth=22)
     g = ex2_g_map()
     dg = derivative(g)
     quarter = 0.25

@@ -207,12 +207,6 @@ class RasterGrid:
     # pixels the 4-neighbour pass marks suspect
     verdict_counts: dict = field(default_factory=dict)
 
-    def pixel_center(self, i: int, j: int) -> complex:
-        dx = (self.window.re_hi - self.window.re_lo) / self.width
-        dy = (self.window.im_hi - self.window.im_lo) / self.height
-        return complex(self.window.re_lo + (i + 0.5) * dx,
-                       self.window.im_lo + (j + 0.5) * dy)
-
     def pixel_of(self, z: complex) -> tuple[int, int]:
         z = complex(z)
         dx = (self.window.re_hi - self.window.re_lo) / self.width
@@ -378,22 +372,29 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
+def _group_estimates(fixed: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """Group fixed-point estimates in scan order, one numpy pass per group:
+    the first estimate without a group opens the next one, with every
+    estimate without a group within tol * (1 + |first|) of it.  Returns
+    the groups' first estimates and each estimate's group."""
+    firsts: list[complex] = []
+    group_of = np.empty(fixed.size, dtype=np.int32)
+    free = np.arange(fixed.size)
+    while free.size:
+        b = complex(fixed[free[0]])
+        near = np.abs(fixed[free] - b) < tol * (1.0 + abs(b))
+        group_of[free[near]] = len(firsts)
+        firsts.append(b)
+        free = free[~near]
+    return firsts, group_of
+
+
 def _basin_ids(m, cfg, verdict, attracted_fixed, ids):
     """Give the attracted pixels their basin ids: distinct fixed-point
     estimates in raster scan order, each confirmed by Newton from its
     first estimate.  An unconfirmed basin gets no id and its pixels fall
     back to the budget verdict."""
-    basin_tol = max(100.0 * cfg.attract_tol, 1e-7)
-    firsts: list[complex] = []
-    basin_of = []
-    for fp in attracted_fixed.tolist():
-        for k, b in enumerate(firsts):
-            if abs(fp - b) < basin_tol * (1.0 + abs(b)):
-                break
-        else:
-            k = len(firsts)
-            firsts.append(fp)
-        basin_of.append(k)
+    firsts, basin_of = _group_estimates(attracted_fixed, max(100.0 * cfg.attract_tol, 1e-7))
     if firsts:
         att = verdict == _V_ATTRACTED
         confirmed = _fixed_points(m, firsts)[1] <= 1e-12

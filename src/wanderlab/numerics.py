@@ -39,6 +39,8 @@ _INF = math.inf
 _WIDTH_INFLATE = 2.0 ** -41  # applied per endpoint, so width grows by 2^-40
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
+EXP_TAIL_COEFFS = 12     # series terms that quot_exp_tail sums
+EVEN_SERIES_COEFFS = 9   # series terms that the cos and sin quotients sum
 
 NONE, POLE, OVERFLOW = 0, 1, 2  # reason codes of a box in a batch
 
@@ -352,12 +354,12 @@ def exp_tail_bound(rho: float, n_terms: int) -> float:
     return float(_out_hi(head / (1.0 - rho / (n_terms + 1)) * (1.0 + 2.0 ** -50)))
 
 
-def _series_box_even(a: Boxes, coeff, n_coeffs: int, tail_c: int) -> Boxes:
+def _series_box_even(a: Boxes, coeff, tail_c: int) -> Boxes:
     """Enclose sum_k coeff(k) * z^(2k) over the boxes, coefficients |c_k| <= 1/(2k+tail_c)!.
 
     Horner in u = z^2, plus a rigorous ball for the dropped tail.
     """
-    n = len(a.why)
+    n, n_coeffs = len(a.why), EVEN_SERIES_COEFFS
     u = box_mul(a, a)
     acc = Boxes.point(coeff(n_coeffs - 1), n)
     for k in range(n_coeffs - 2, -1, -1):
@@ -371,9 +373,9 @@ def _series_box_even(a: Boxes, coeff, n_coeffs: int, tail_c: int) -> Boxes:
     return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
 
 
-def quot_exp_tail(a: Boxes, drop: int, n_coeffs: int = 12) -> Boxes:
+def quot_exp_tail(a: Boxes, drop: int) -> Boxes:
     """Enclose (e^z - sum_{k<drop} z^k/k!) / z^drop = sum_j z^j/(j+drop)! over the boxes."""
-    n = len(a.why)
+    n, n_coeffs = len(a.why), EXP_TAIL_COEFFS
     acc = Boxes.point(1.0 / math.factorial(n_coeffs - 1 + drop), n)
     for j in range(n_coeffs - 2, -1, -1):
         acc = box_add(box_mul(acc, a), Boxes.point(1.0 / math.factorial(j + drop), n))
@@ -385,16 +387,16 @@ def quot_exp_tail(a: Boxes, drop: int, n_coeffs: int = 12) -> Boxes:
     return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
 
 
-def quot_one_minus_cos(a: Boxes, n_coeffs: int = 9) -> Boxes:
+def quot_one_minus_cos(a: Boxes) -> Boxes:
     """(1 - cos z)/z^2 = sum_k (-1)^k z^(2k) / (2k+2)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 2), n_coeffs, 2)
+    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 2), 2)
 
 
-def quot_z_minus_sin(a: Boxes, n_coeffs: int = 9) -> Boxes:
+def quot_z_minus_sin(a: Boxes) -> Boxes:
     """(z - sin z)/z^3 = sum_k (-1)^k z^(2k) / (2k+3)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 3), n_coeffs, 3)
+    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 3), 3)
 
 
-def quot_cos_defect(a: Boxes, n_coeffs: int = 9) -> Boxes:
+def quot_cos_defect(a: Boxes) -> Boxes:
     """(cos z - 1 + z^2/2)/z^4 = sum_k (-1)^k z^(2k) / (2k+4)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 4), n_coeffs, 4)
+    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 4), 4)

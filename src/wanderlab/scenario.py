@@ -18,7 +18,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -75,12 +76,20 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A scenario whose top level load_scenario decoded once: `map` (None if
+    the document has none) built from `params`, the raw `map_spec`, and
+    `window` and `resolution` (None if absent; a raster needs both).  Items
+    stay raw until they run: they may read values ("$r1") that earlier
+    items publish."""
+
     name: str
     description: str
     map_spec: dict
-    window: list | None
-    resolution: list | None
-    orbit: dict
+    map: MeromorphicMap | None
+    params: dict
+    window: ComplexBox | None
+    resolution: tuple[int, int] | None
+    orbit: OrbitConfig
     items: list
     path: str
 
@@ -112,9 +121,9 @@ def load_scenario(ref) -> Scenario:
                             where) from None
     if not isinstance(raw, dict) or raw.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f'expected "schema": "{SCENARIO_SCHEMA}"', where)
-    items = raw.get("items", [])
-    if not isinstance(items, list):
-        raise ScenarioError('"items" must be a list', where)
+    top = _Doc(raw, dict(_CONSTANTS), "")
+    top.seen.add("schema")   # checked above
+    items = top.value("items", lambda v: isinstance(v, list), "a list", [])
     seen = set()
     for item in items:
         if not (isinstance(item, dict) and isinstance(item.get("id"), str) and "kind" in item):
@@ -122,14 +131,20 @@ def load_scenario(ref) -> Scenario:
         if item["id"] in seen:
             raise ScenarioError(f'duplicate item id {item["id"]!r}', where)
         seen.add(item["id"])
-    top = _Doc(raw, {}, "")
-    # checked above, and (window, resolution) where a raster reads them
-    top.seen.update(("schema", "items", "window", "resolution", "orbit"))
+    spec = top.child("map", {})
+    params = spec.params()
+    window = top.value("window", lambda w: isinstance(w, list) and len(w) == 4
+                       and all(_is_number(v) and math.isfinite(v) for v in w)
+                       and w[0] <= w[1] and w[2] <= w[3],
+                       "four finite numbers [re_lo, re_hi, im_lo, im_hi] with lo <= hi", None)
+    resolution = top.value(
+        "resolution", lambda r: isinstance(r, list) and len(r) == 2
+        and all(_is_int(v) and v >= 2 for v in r), "two integers >= 2 [width, height]", None)
     scenario = Scenario(top.string("name", "unnamed"), top.string("description", ""),
-                        top.value("map", lambda v: isinstance(v, dict), "an object", {}),
-                        raw.get("window"), raw.get("resolution"), raw.get("orbit", {}),
-                        items, where)
-    _decode_orbit(scenario.orbit)
+                        spec.obj, spec.map(params) if spec.obj else None, params,
+                        None if window is None else ComplexBox(*(float(v) for v in window)),
+                        None if resolution is None else tuple(resolution),
+                        _decode_orbit(top), items, where)
     top.finish()
     return scenario
 
@@ -137,6 +152,7 @@ def load_scenario(ref) -> Scenario:
 # --- the document reader -----------------------------------------------------
 
 _REQUIRED = object()
+_CONSTANTS = {"pi": math.pi, "two_pi": 2.0 * math.pi, "four_pi": 4.0 * math.pi}
 _VERDICTS = ("proved", "inconclusive", "pole_contact")
 _QUOTIENTS = {"one_minus_cos": quot_one_minus_cos, "z_minus_sin": quot_z_minus_sin,
               "cos_defect": quot_cos_defect}
@@ -160,8 +176,9 @@ class _Doc:
     and returns the checked value, or the default when the field is absent
     or null; a missing or ill-typed field raises ScenarioError naming its
     path.  Constructors run through `build`, so their ValueError is a
-    config error too.  `finish` rejects any key that nothing read, here
-    and in every nested reader.
+    config error too, and an absent field (a None keyword) is not passed
+    on, so its constructor's default applies.  `finish` rejects any key
+    that nothing read, here and in every nested reader.
     """
 
     def __init__(self, obj, env: dict, path: str):
@@ -256,9 +273,10 @@ class _Doc:
         return next(iter(node.obj)), node
 
     def build(self, make, *args, **kwargs):
-        """make(*args, **kwargs); its ValueError is a config error at this path."""
+        """make(*args, **kwargs) without the keyword arguments that are None;
+        its ValueError is a config error at this path."""
         try:
-            return make(*args, **kwargs)
+            return make(*args, **{k: v for k, v in kwargs.items() if v is not None})
         except (KeyError, ValueError) as e:   # KeyError: a family param is missing
             message = str(e) if isinstance(e, ValueError) else f"missing parameter {e}"
             raise ScenarioError(message, self.path) from None
@@ -273,14 +291,14 @@ class _Doc:
             return Difference(body.region("minuend"), body.region("subtrahend"))
         if kind == "disk":
             return body.build(Disk, body.complex("center"), body.number("radius"),
-                              closed=body.boolean("closed", False))
+                              closed=body.boolean("closed", None))
         if kind == "annulus":
             return body.build(Annulus, body.complex("center"), body.number("r_in"),
-                              body.number("r_out"), closed=body.boolean("closed", True))
+                              body.number("r_out"), closed=body.boolean("closed", None))
         # a box is a half-strip whose left edge is required
         re_lo = body.number("re_lo", -math.inf if kind == "half_strip" else _REQUIRED)
         return body.build(HalfStrip, re_lo, body.number("re_hi"), body.number("im_lo"),
-                          body.number("im_hi"), closed=body.boolean("closed", True))
+                          body.number("im_hi"), closed=body.boolean("closed", None))
 
     def bound(self, key):
         kind, node = self.tagged(key, ("const", "power", "series_quotient", "expr_abs",
@@ -292,9 +310,9 @@ class _Doc:
         body = node.child(kind)
         if kind == "expr_abs":
             return ExprBound(body.map())
-        center = body.complex("center", 0.0)
+        center = body.complex("center", None)
         if kind == "power":
-            return body.build(PowerBound, body.number("c"), body.integer("n"), center)
+            return body.build(PowerBound, body.number("c"), body.integer("n"), center=center)
         name = body.string("quotient", choices=("exp_tail", *_QUOTIENTS))
         if name == "exp_tail":
             drop = body.integer("drop", floor=0)
@@ -302,15 +320,17 @@ class _Doc:
         else:
             fn = _QUOTIENTS[name]
         return body.build(QuotientSeriesBound, body.number("c"), body.integer("power"),
-                          fn, center)
+                          fn, center=center)
 
     def params(self) -> dict:
         node = self.child("params", {})
         return {key: node.number(key) for key in node.obj}
 
-    def map(self) -> MeromorphicMap:
-        """This object as a map: {"family", "params"} or {"expr", "params", "poles"}."""
-        params = self.params()
+    def map(self, params=None) -> MeromorphicMap:
+        """This object as a map: {"family", "params"} or {"expr", "params", "poles"};
+        params, when given, are its "params" already read."""
+        if params is None:
+            params = self.params()
         family = self.string("family", None)
         if family is not None:
             return self.build(build_family, family, params or None)
@@ -321,9 +341,9 @@ class _Doc:
     def budget(self, boxes=None) -> Budget:
         """The optional "budget" object; boxes (--budget-boxes) overrides max_boxes."""
         spec = self.child("budget", {})
-        max_boxes = spec.integer("max_boxes", 1_000_000, floor=1)
-        max_depth = spec.integer("max_depth", 24, floor=0)
-        return spec.build(Budget, max_boxes if boxes is None else boxes, max_depth)
+        max_boxes = spec.integer("max_boxes", None, floor=1)
+        return spec.build(Budget, max_boxes=max_boxes if boxes is None else boxes,
+                          max_depth=spec.integer("max_depth", None, floor=0))
 
     def finish(self) -> None:
         keys = self.obj if isinstance(self.obj, dict) else range(len(self.obj))
@@ -334,35 +354,33 @@ class _Doc:
             rd.finish()
 
 
-def _decode_orbit(spec, max_iter=None) -> OrbitConfig:
-    """The scenario's "orbit" block; "stations" is one ladder object or a
-    list of them.  A bad or unknown field raises ScenarioError naming it."""
-    rd = _Doc({"orbit": spec}, {}, "").child("orbit", {})
+def _decode_orbit(top: _Doc) -> OrbitConfig:
+    """The document's "orbit" block; "stations" is one ladder object or a
+    list of them.  A bad field raises ScenarioError naming it."""
+    rd = top.child("orbit", {})
     if isinstance(rd.obj.get("stations"), dict):
         ladders = [rd.child("stations")]
     else:
         ladders = rd.each("stations", _Doc.child, [])
-    stations = tuple(st.build(StationSpec, st.complex("base", 0.0),
-                              st.number("step", 2.0 * math.pi), st.number("radius", 0.5),
-                              st.integer("min_index", 1), st.integer("streak", 12))
+    stations = tuple(st.build(StationSpec, base=st.complex("base", None),
+                              step=st.number("step", None), radius=st.number("radius", None),
+                              min_index=st.integer("min_index", None),
+                              streak=st.integer("streak", None))
                      for st in ladders)
-    doc_max_iter = rd.integer("max_iter", 500)
-    cfg = rd.build(OrbitConfig, doc_max_iter if max_iter is None else max_iter,
-                   rd.number("escape_radius", 1e6), rd.number("attract_tol", 1e-9),
-                   rd.integer("cycle_window", 8), stations)
-    rd.finish()
-    return cfg
+    return rd.build(OrbitConfig, max_iter=rd.integer("max_iter", None),
+                    escape_radius=rd.number("escape_radius", None),
+                    attract_tol=rd.number("attract_tol", None),
+                    cycle_window=rd.integer("cycle_window", None), stations=stations)
 
 
 # --- item executors ----------------------------------------------------------
 
 def _item_map(rd, ctx):
     spec = rd.child("map", None)
-    if spec is not None:
-        return spec.map()
-    if ctx["map"] is None:
+    m = ctx["scenario"].map if spec is None else spec.map()
+    if m is None:
         raise ScenarioError("item needs a map and the scenario declares none", rd.path)
-    return ctx["map"]
+    return m
 
 
 def _cert_result(cert) -> dict:
@@ -521,11 +539,8 @@ def _run_params_identity(rd, ctx):
 def _run_derived_constants(rd, ctx):
     boxes = ctx["budget_boxes"]
     if boxes is not None:
-        kw = {"candidate_budget": rd.build(Budget, boxes, 20),
-              "final_budget": rd.build(Budget, boxes, 22)}
-    else:
-        kw = {}
-    derived = derive_ex2_constants(**kw)
+        rd.build(Budget, max_boxes=boxes)   # --budget-boxes below 1 is a config error
+    derived = derive_ex2_constants(max_boxes=boxes)
     ok = (derived["station_cert"].proved
           and 0.0 < derived["r1"] < 0.5
           and 6.0 * math.sqrt(derived["eps"]) < derived["r1"]
@@ -556,36 +571,57 @@ def _run_ray_increase(rd, ctx):
     return bool(ok), {"samples": samples, "min_margin": float((ws.real - xs).min())}
 
 
-def _select_component(cm, match, grid):
+def _read_match(matches, i) -> tuple:
+    """A "match" row: its selector (kind, point, path), then its expectations."""
+    match = matches.child(i)
     kind, node = match.tagged("component", ("contains", "surrounds"), "component selector")
-    p = node.complex(kind)
+    return ((kind, node.complex(kind), node.path),
+            match.string("expect_behavior", None, choices=("attracted", "drifting")),
+            match.integer("expect_connectivity", None),
+            match.integer("expect_connectivity_at_least", None),
+            match.complex("hole_contains", None))
+
+
+def _read_raster(rd, ctx):
+    """Every field of a raster item, read before its grid is classified so
+    that `run` and `render` reject the same items: the classification still
+    to run, the match rows, the monotonicity flag and the image name."""
+    scenario = ctx["scenario"]
+    for key in ("window", "resolution"):
+        if getattr(scenario, key) is None:
+            raise ScenarioError("required field is missing", key)
+    m, cfg = _item_map(rd, ctx), scenario.orbit
+    if ctx["max_iter"] is not None:
+        cfg = rd.build(replace, cfg, max_iter=ctx["max_iter"])
+    classify = partial(classify_grid, m, scenario.window, *scenario.resolution, cfg,
+                       workers=ctx["threads"])
+    return (classify, rd.each("match", _read_match, []), rd.boolean("monotonicity", False),
+            rd.string("render", None))
+
+
+def _select_component(cm, grid, kind, p, where) -> int:
     if kind == "contains":
         i, j = grid.pixel_of(p)
         cid = int(cm.labels[j, i])
         if cid == 0:
-            raise LookupError(f"{node.path}: anchor {p} lies on a non-candidate pixel")
+            raise LookupError(f"{where}: anchor {p} lies on a non-candidate pixel")
         return cid
     cands = [(info.pixel_count, cid)
              for cid, info in cm.component_table.items()
              if not info.touches_border and surrounds(cm, cid, p)]
     if not cands:
-        raise LookupError(f"{node.path}: no bounded component surrounds {p}")
+        raise LookupError(f"{where}: no bounded component surrounds {p}")
     return min(cands)[1]
 
 
 def _run_raster(rd, ctx):
-    grid = _raster_grid(rd, ctx)
-    width, height = grid.width, grid.height
+    classify, matches, monotonicity, render = _read_raster(rd, ctx)
+    rd.finish()
+    grid = classify()
     cm = label_components(grid)
-    ok = True
-    matches = []
-    matched_ids = []
-    for match in rd.each("match", _Doc.child, []):
-        behavior = match.string("expect_behavior", None, choices=("attracted", "drifting"))
-        exact = match.integer("expect_connectivity", None)
-        at_least = match.integer("expect_connectivity_at_least", None)
-        hole = match.complex("hole_contains", None)
-        cid = _select_component(cm, match, grid)
+    ok, rows, matched_ids = True, [], []
+    for selector, behavior, exact, at_least, hole in matches:
+        cid = _select_component(cm, grid, *selector)
         matched_ids.append(cid)
         info = cm.component_table[cid]
         rep = connectivity(cm, cid)
@@ -600,16 +636,15 @@ def _run_raster(rd, ctx):
             row["surrounds"] = inside
             good = good and inside
         row["passed"] = good
-        matches.append(row)
+        rows.append(row)
         ok = ok and good
-    out = {"matches": matches, "resolution": [width, height]}
-    if rd.boolean("monotonicity", False):
+    out = {"matches": rows, "resolution": [grid.width, grid.height]}
+    if monotonicity:
         rep = connectivity_monotonicity_check(cm, matched_ids)
         out["monotonicity"] = {"sequence": [list(pair) for pair in rep.sequence],
                                "non_increasing": rep.non_increasing,
                                "skipped": list(rep.skipped)}
         ok = ok and rep.non_increasing
-    render = rd.string("render", None)
     if render and ctx["out_dir"] is not None:
         path = ctx["out_dir"] / render
         render_pixmap(grid, path)
@@ -625,44 +660,25 @@ _EXECUTORS = {name[5:]: fn for name, fn in globals().items() if name.startswith(
 
 
 def _make_ctx(scenario: Scenario, threads, budget_boxes, max_iter, out_dir) -> dict:
-    env = {"pi": math.pi, "two_pi": 2.0 * math.pi, "four_pi": 4.0 * math.pi}
-    scenario_map = None
-    spec = _Doc({"map": None if scenario.map_spec == {} else scenario.map_spec},
-                env, "").child("map", None)
-    if spec is not None:
-        for key, value in spec.params().items():
-            env.setdefault(key, value)
-        scenario_map = spec.map()
-        spec.finish()
-    return {"scenario": scenario, "map": scenario_map, "env": env,
+    # a map parameter named like a constant does not shadow it
+    return {"scenario": scenario, "env": {**scenario.params, **_CONSTANTS},
             "threads": max(1, int(threads)), "budget_boxes": budget_boxes,
-            "max_iter": max_iter, "out_dir": out_dir}
-
-
-def _raster_grid(rd, ctx):
-    scenario = ctx["scenario"]
-    top = _Doc({"window": scenario.window, "resolution": scenario.resolution}, {}, "")
-    window = top.value("window", lambda w: isinstance(w, list) and len(w) == 4
-                       and all(_is_number(v) and math.isfinite(v) for v in w)
-                       and w[0] <= w[1] and w[2] <= w[3],
-                       "four finite numbers [re_lo, re_hi, im_lo, im_hi] with lo <= hi")
-    width, height = top.value(
-        "resolution", lambda r: isinstance(r, list) and len(r) == 2
-        and all(_is_int(v) and v >= 2 for v in r), "two integers >= 2 [width, height]")
-    m = _item_map(rd, ctx)
-    cfg = _decode_orbit(scenario.orbit, ctx["max_iter"])
-    return classify_grid(m, ComplexBox(*(float(v) for v in window)), width, height, cfg,
-                         workers=ctx["threads"])
+            "max_iter": max_iter, "out_dir": None if out_dir is None else Path(out_dir)}
 
 
 def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> dict:
-    """Classify and render the first raster item of a scenario."""
+    """Classify and render the first raster item of a scenario.  The item is
+    read and checked as `run` reads it; its matches are not evaluated."""
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
     items = [it for it in scenario.items if it["kind"] == "raster"]
     if not items:
         raise ScenarioError("scenario declares no raster item", scenario.name)
     ctx = _make_ctx(scenario, threads, None, max_iter, None)
-    grid = _raster_grid(_Doc(items[0], ctx["env"], items[0]["id"]), ctx)
+    rd = _Doc(items[0], ctx["env"], items[0]["id"])
+    rd.seen.update(("id", "kind"))   # load checked the id, and the kind is "raster"
+    classify = _read_raster(rd, ctx)[0]
+    rd.finish()
+    grid = classify()
     render_pixmap(grid, out_path)
     return {"width": grid.width, "height": grid.height, "path": str(out_path)}
 
@@ -671,8 +687,6 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
                  max_iter=None) -> dict:
     """Execute a scenario (path, bundled name, or Scenario) into a report."""
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
     ctx = _make_ctx(scenario, threads, budget_boxes, max_iter, out_dir)
     t0 = time.perf_counter()
     rows = []

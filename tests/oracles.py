@@ -203,6 +203,23 @@ def certificate_reference(statement, region, test, budget):
     return Certificate(statement, verdict, frontier, stats)
 
 
+def group_estimates_reference(fixed, tol):
+    """The scan-order loop that wanderlab.dynamics._group_estimates
+    replaces: each estimate, as a Python complex, joins the first group
+    (in opening order) whose first estimate b lies within tol * (1 + |b|)
+    of it, or opens a new group."""
+    firsts, group_of = [], []
+    for fp in np.asarray(fixed).tolist():
+        for k, b in enumerate(firsts):
+            if abs(fp - b) < tol * (1.0 + abs(b)):
+                break
+        else:
+            k = len(firsts)
+            firsts.append(fp)
+        group_of.append(k)
+    return firsts, group_of
+
+
 def orbit_verdicts_reference(m, zs, cfg):
     """The full-array orbit state machine: every step gathers the live
     orbits out of n-sized arrays by np.nonzero and scatters them back, and

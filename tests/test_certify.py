@@ -18,7 +18,6 @@ from wanderlab.certify import (
     certify_inclusion,
     certify_inequality,
     count_zeros_inside,
-    curve_image_surrounds_pole,
     locate_preimages,
     riemann_hurwitz_check,
     winding_number,
@@ -362,16 +361,6 @@ def test_preimage_double_root_dedupes():
     roots = locate_preimages(custom_map("(pow z 2)"), 0j, Disk(0j, 1.0),
                              expected=1)
     assert abs(roots[0]) < 1e-6
-
-
-def test_curve_image_surrounds_pole_cases():
-    m = ex2()
-    gamma = (0j, 1.5 * math.sqrt(EPS2))
-    assert curve_image_surrounds_pole(m, 0, gamma, 0j)
-    assert not curve_image_surrounds_pole(m, 1, gamma, 0j)
-    m1 = ex1()
-    assert not curve_image_surrounds_pole(m1, 1, (0j, 2.0 * A1 * 0.99),
-                                          complex(A1))
 
 
 # --- Riemann-Hurwitz bookkeeping ---------------------------------------------

@@ -30,9 +30,9 @@ from wanderlab.dynamics import (
 from wanderlab.maps import PoleHitError, build_family, custom_map
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
-from wanderlab.scenario import _decode_orbit, load_scenario
+from wanderlab.scenario import load_scenario
 
-from oracles import orbit_verdicts_reference, traced_peak
+from oracles import group_estimates_reference, orbit_verdicts_reference, traced_peak
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -155,11 +155,18 @@ def test_config_validation():
             make()
 
 
-def test_pixel_center_of_roundtrip():
-    g = classify_grid(custom_map("z"), ComplexBox(-1.0, 1.0, -1.0, 1.0), 8, 8,
-                      OrbitConfig(max_iter=2))
-    for i, j in ((0, 0), (3, 5), (7, 7)):
-        assert g.pixel_of(g.pixel_center(i, j)) == (i, j)
+def test_pixel_center_of_roundtrip(monkeypatch):
+    # the start points the classifier builds for two row ranges, in scan
+    # order, map back to their own pixels
+    window, width, height = ComplexBox(-1.0, 1.0, -1.0, 0.5), 8, 6
+    monkeypatch.setattr(dynamics, "_orbit_verdicts", lambda m, zs, cfg: zs[0:len(zs)])
+    centers = np.concatenate([
+        dynamics._classify_rows((custom_map("z"), OrbitConfig(), window, width, height, r0, r1))
+        for r0, r1 in ((0, 4), (4, 6))])
+    g = RasterGrid(window, width, height, np.zeros((height, width), dtype=np.uint8),
+                   np.full((height, width), -1, dtype=np.int32))
+    assert ([g.pixel_of(z) for z in centers]
+            == [(i, j) for j in range(height) for i in range(width)])
     with pytest.raises(ValueError):
         g.pixel_of(complex(2.0))
 
@@ -229,7 +236,7 @@ def test_drifting_block_near_first_station():
 
 
 def ex2_core_orbit():
-    return _decode_orbit(load_scenario("ex2-core").orbit)
+    return load_scenario("ex2-core").orbit
 
 
 def test_drifting_block_near_leftward_station():
@@ -336,6 +343,35 @@ def test_classify_grid_memory_per_pixel(monkeypatch):
                           ex2_core_orbit())
     assert g.verdict_counts["drifting"] > 0
     assert peak - g.labels.nbytes - g.ids.nbytes < 6 * 256 * 256
+
+
+def _straddling_estimates(n):
+    # estimates 0.5 to 1.5 tolerances (1e-7) from four centres, two of
+    # them closer than a tolerance to each other
+    rng = np.random.default_rng(11)
+    centres = np.array([0.3 + 0.1j, -0.2j, 1.0, 1.0 + 1.5e-7])
+    k = rng.integers(0, centres.size, n)
+    r = 1e-7 * (1.0 + np.abs(centres[k])) * rng.uniform(0.5, 1.5, n)
+    return centres[k] + r * np.exp(2j * math.pi * rng.uniform(size=n))
+
+
+def _ex1_attracted_estimates():
+    window = ComplexBox(-0.05, 0.05, -0.05, 0.05)
+    _, fixed, _ = dynamics._classify_rows((ex1(), OrbitConfig(), window, 64, 64, 0, 64))
+    assert fixed.size > 2000
+    return fixed
+
+
+@pytest.mark.parametrize("estimates", [
+    lambda: np.zeros(0, dtype=np.complex128), lambda: _straddling_estimates(5000),
+    _ex1_attracted_estimates,
+], ids=["none", "straddling", "ex1-raster"])
+def test_group_estimates_matches_reference(estimates):
+    fixed, tol = estimates(), 1e-7
+    firsts, group_of = dynamics._group_estimates(fixed, tol)
+    want_firsts, want_group_of = group_estimates_reference(fixed, tol)
+    assert firsts == want_firsts
+    assert group_of.tolist() == want_group_of
 
 
 def test_ex1_seeded_points_reach_every_verdict():

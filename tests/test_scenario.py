@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,23 +12,31 @@ import pytest
 
 import wanderlab
 from wanderlab import pixmap
+from wanderlab import scenario as scenario_module
+from wanderlab.certify import Budget
 from wanderlab.cli import main
 from wanderlab.dynamics import (
     ATTRACTED,
     DRIFTING,
     JULIA_SUSPECT,
     POLE_ADJACENT,
+    OrbitConfig,
     RasterGrid,
+    StationSpec,
 )
 from wanderlab.numerics import ComplexBox
+from wanderlab.regions import Annulus, Disk, HalfStrip
 from wanderlab.scenario import (
     _EXECUTORS,
     REPORT_SCHEMA,
     ScenarioError,
+    _Doc,
     bundled_scenarios,
     load_scenario,
     run_scenario,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TINY = {
     "schema": "scenario/1",
@@ -552,6 +561,86 @@ def test_unread_match_field_is_config_error(tmp_path, capsys):
     assert '"tiny-img.match[0].expect_behaviour"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, path", [
+    ({"matchh": []}, "tiny-img.matchh"),
+    # a selector that fails when run does not hide the unknown field
+    ({"matchh": [], "match": [{"component": {"contains": [0.015625, 0.0]}}]},
+     "tiny-img.matchh"),
+    ({"render": 5}, "tiny-img.render"),
+    ({"monotonicity": "yes"}, "tiny-img.monotonicity"),
+    ({"match": [{"component": {"contains": [-0.015625, 0.0]},
+                 "expect_connectivity": "two"}]}, "tiny-img.match[0].expect_connectivity"),
+    ({"match": [{"component": {"contains": "origin"}}]}, "tiny-img.match[0].component.contains"),
+], ids=["unknown-field", "unknown-field-and-failing-selector", "text-render",
+        "text-monotonicity", "text-connectivity", "text-anchor"])
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_malformed_raster_item_is_config_error(tmp_path, capsys, command, extra, path):
+    # run and render read a raster item the same way, before classifying
+    item = dict(TINY_RASTER["items"][0], **extra)
+    scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, items=[item]))
+    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{path}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "tiny.ppm").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", [1.0, -1.0, -1.0, 1.0]),
+    ("window", "all"),
+    ("resolution", [1, 8]),
+], ids=["inverted-window", "text-window", "unit-resolution"])
+def test_malformed_raster_block_is_config_error_without_raster(tmp_path, capsys, field, value):
+    payload = dict(FIELDS, items=[_item("rh_check")], **{field: value})
+    scenario = _write(tmp_path, "bad.json", payload)
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert f'"{field}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_decodes_the_top_level_once(tmp_path):
+    scenario = load_scenario(_write(tmp_path, "r.json", TINY_RASTER))
+    assert scenario.map_spec == TINY_RASTER["map"]
+    assert scenario.params == TINY_RASTER["map"]["params"]
+    assert scenario.map.family_id == "ex1"
+    assert scenario.window == ComplexBox(-0.05, 0.05, -0.05, 0.05)
+    assert scenario.resolution == (16, 12)
+    assert scenario.orbit == OrbitConfig()
+    bare = load_scenario(_write(tmp_path, "t.json", dict(TINY, map={})))
+    assert (bare.map, bare.params, bare.window, bare.resolution) == (None, {}, None, None)
+
+
+@pytest.mark.parametrize("orbit, want", [
+    ({}, OrbitConfig()),
+    ({"stations": {}}, OrbitConfig(stations=(StationSpec(),))),
+    ({"stations": [{}, {"step": -1.0}]},
+     OrbitConfig(stations=(StationSpec(), StationSpec(step=-1.0)))),
+    ({"max_iter": 7}, OrbitConfig(max_iter=7)),
+], ids=["empty", "empty-ladder", "two-ladders", "one-field"])
+def test_absent_orbit_fields_keep_constructor_defaults(tmp_path, orbit, want):
+    assert load_scenario(_write(tmp_path, "o.json", dict(TINY, orbit=orbit))).orbit == want
+
+
+@pytest.mark.parametrize("doc, read, want", [
+    ({}, lambda rd: rd.budget(), Budget()),
+    ({"budget": {}}, lambda rd: rd.budget(), Budget()),
+    ({"budget": {"max_depth": 3}}, lambda rd: rd.budget(), Budget(max_depth=3)),
+    ({}, lambda rd: rd.budget(5), Budget(max_boxes=5)),
+    ({"r": {"disk": {"center": 0.0, "radius": 1.0}}}, lambda rd: rd.region("r"),
+     Disk(0j, 1.0)),
+    ({"r": {"annulus": {"center": 0.0, "r_in": 1.0, "r_out": 2.0}}},
+     lambda rd: rd.region("r"), Annulus(0j, 1.0, 2.0)),
+    ({"r": {"half_strip": {"re_hi": 1.0, "im_lo": -1.0, "im_hi": 1.0}}},
+     lambda rd: rd.region("r"), HalfStrip(-math.inf, 1.0, -1.0, 1.0)),
+    ({"b": {"power": {"c": 1.0, "n": 2}}}, lambda rd: rd.bound("b").center, 0j),
+    ({"b": {"series_quotient": {"c": 1.0, "power": 2, "quotient": "cos_defect"}}},
+     lambda rd: rd.bound("b").center, 0j),
+], ids=["no-budget", "empty-budget", "depth-only", "boxes-override", "disk", "annulus",
+        "half-strip", "power-center", "quotient-center"])
+def test_absent_item_fields_keep_constructor_defaults(doc, read, want):
+    rd = _Doc(doc, {}, "item")
+    assert read(rd) == want
+    rd.finish()
+
+
 def test_unread_orbit_field_is_config_error(tmp_path, capsys):
     scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, orbit={"max_iters": 10}))
     assert main(["render", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
@@ -618,3 +707,31 @@ def test_render_bytes_deterministic():
     a = pixmap.render_bytes(_grid(labels, ids))
     b = pixmap.render_bytes(_grid(labels, ids))
     assert a == b
+
+
+# --- the benchmark's use of the package -------------------------------------------
+
+def test_benchmark_probe_builds_the_bundled_maps(monkeypatch):
+    # bench/probe.py loads each document and builds its map from map_spec
+    monkeypatch.syspath_prepend(str(BENCH))
+    probe = runpy.run_path(str(BENCH / "probe.py"))
+    probe["build"](BENCH.parent, sorted(bundled_scenarios()))
+
+
+def test_benchmark_tracer_keeps_what_its_metrics_read(tmp_path):
+    # a traced pass keeps a winding's samples, a certificate's stats and a
+    # raster's component count, read through wanderlab's own result types
+    tracing = runpy.run_path(str(BENCH / "tracing.py"))
+    payload = dict(FIELDS, items=[_item("winding"), _item("inclusion"), _item("raster")])
+    path = _write(tmp_path, "traced.json", payload)
+    tracer = tracing["Tracer"]()
+    with tracer.installed():
+        report = scenario_module.run_scenario(path)
+    assert report["all_passed"] is True
+    kept = {tracer.names[tracer.name[i]]: value for i, value in tracer.kept.items()}
+    assert kept["certify.winding_number"] == report["items"][0]["result"]["samples"]
+    assert kept["certify.certify_inclusion"][0] == report["items"][1]["result"]["boxes_examined"]
+    assert isinstance(kept["topology.label_components"], int)
+    assert tracer.names.index("dynamics.classify_grid") in tracer.name
+    assert kept["scenario.run_scenario"] == 3
+    assert scenario_module.run_scenario is run_scenario

@@ -15,7 +15,7 @@ from wanderlab.dynamics import (
 )
 from wanderlab.maps import build_family
 from wanderlab.numerics import ComplexBox
-from wanderlab.scenario import _decode_orbit, load_scenario
+from wanderlab.scenario import load_scenario
 from wanderlab.topology import (
     ComponentMap,
     OutOfWindow,
@@ -130,7 +130,7 @@ def test_label_components_memory_per_pixel():
     # grid holds per-run tables only: the image is painted in place, and
     # no int64 key or padded copy of the grid is made
     grid = classify_grid(build_family("ex2", {"eps": 1e-5}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
-                         256, 256, _decode_orbit(load_scenario("ex2-core").orbit))
+                         256, 256, load_scenario("ex2-core").orbit)
     cm, peak = traced_peak(label_components, grid)
     assert len(cm.component_table) > 1
     assert peak - cm.labels.nbytes < 2 * 256 * 256

@@ -10,7 +10,11 @@ escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and admits
 the next start points whenever half the block or less is left, so its
 working memory does not grow with the number of points: per point it
 holds a uint8 verdict, and per attracted or drifting orbit the value it
-retired with.
+retired with.  A step updates the live orbits' state in place and steps
+every station ladder in one vectorized pass; the map's guards, the pole
+snap and the escape and retirement bookkeeping allocate only at steps
+where they fire.  Each orbit's retirement step also lands in a log2
+histogram per verdict.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
@@ -21,7 +25,8 @@ budget verdict).  `classify_grid` cuts the rows of a window into one
 contiguous range per worker; each range builds its pixel centers a block
 at a time from their row and column coordinates, runs the orbit machine
 over them and returns its verdicts with the fixed-point estimates of its
-attracted pixels and the track ids of its drifting ones only.  One merge
+attracted pixels and the track ids of its drifting ones only, and its
+retirement histogram.  One merge
 over the ranges derives display labels, with uint8, bool and int32 pixel
 arrays only:
 
@@ -43,6 +48,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +119,7 @@ _MAX_LADDERS = 2 ** 31 // LADDER_STRIDE
 @dataclass(frozen=True)
 class OrbitConfig:
     """Orbit budget and verdict thresholds; `stations` is a tuple of ladders,
-    tried in declaration order at each step."""
+    all updated at each step; the first declared wins a tie."""
 
     max_iter: int = 500
     escape_radius: float = 1e6
@@ -206,6 +212,9 @@ class RasterGrid:
     # pixels per orbit verdict before the suspect overlay, and "boundary":
     # pixels the 4-neighbour pass marks suspect
     verdict_counts: dict = field(default_factory=dict)
+    # per orbit-loop verdict, orbits per log2 bucket of the step they
+    # retired at ("1", "2-3", "4-7", ...); empty buckets are left out
+    retire_steps: dict = field(default_factory=dict)
 
     def pixel_of(self, z: complex) -> tuple[int, int]:
         z = complex(z)
@@ -241,27 +250,36 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
 
     zs is an array, or anything with len() whose slices are arrays.
     Returns (verdict codes, the fixed-point estimates of the attracted
-    orbits, the track ids of the drifting ones), each in scan order.  The
-    loop keeps at most ORBIT_BLOCK live orbits: their start positions,
-    current points, and int32 state rows: the count of short steps, the
-    age (steps taken) and, per ladder, the streak length with its first
-    and last corridor index (read only while the length is positive).  All
-    of them shrink as orbits get verdicts, and an attracted or drifting
-    orbit leaves its value with its start position; an orbit retires as
-    budget at age cfg.max_iter, and once half the block or less is live
-    the next start points, sliced out of zs, fill it again.  Each verdict
-    is a pure function of its start point, so the block size changes no
-    output.
+    orbits, the track ids of the drifting ones, the retirement histogram),
+    the first three in scan order.  The loop keeps at most ORBIT_BLOCK live
+    orbits: their start positions, current points, and int32 state: the
+    (2, s) counts, of short steps and of steps taken (the age), and the
+    (L, 3, s) streaks, per ladder the streak length with its first and
+    last corridor index (read only while the length is positive).  A step
+    updates the counts in place; all of them shrink, by one take of the
+    live orbits' positions, as orbits get verdicts, and an attracted or
+    drifting orbit leaves its value with its start position.  An orbit
+    retires as budget at age cfg.max_iter, and once half the block or less
+    is live the next start points, sliced out of zs, fill it again.  Each
+    verdict is a pure function of its start point, so the block size
+    changes no output.
+
+    The histogram counts retired orbits per verdict code (row) and log2
+    bucket of the step they retired at (column k: steps 2**k to
+    2**(k+1) - 1); it is filled only at steps where orbits retire.
     """
     n = len(zs)
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
     attracted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128))]
     drifted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32))]
+    buckets = cfg.max_iter.bit_length()
+    retired = np.zeros(len(_VERDICT_NAMES) * buckets, dtype=np.int64)
+    ladders = _Ladders.of(cfg.stations)
 
-    rows = 2 + 3 * len(cfg.stations)
     start = np.zeros(0, dtype=np.intp)
     z = np.zeros(0, dtype=np.complex128)
-    state = np.zeros((rows, 0), dtype=np.int32)
+    counts = np.zeros((2, 0), dtype=np.int32)
+    streaks = np.zeros((len(cfg.stations), 3, 0), dtype=np.int32)
     admitted = 0
 
     while start.size or admitted < n:
@@ -269,34 +287,55 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
             k = min(ORBIT_BLOCK - start.size, n - admitted)
             new_start = np.arange(admitted, admitted + k)
             new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
-            new_state = np.zeros((rows, k), dtype=np.int32)
+            new_streaks = np.zeros((len(cfg.stations), 3, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
-            _ladders_step(cfg.stations, new_z, new_state, np.ones(k, dtype=bool), new_start,
+            _ladders_step(ladders, new_z, new_streaks, np.ones(k, dtype=bool), new_start,
                           verdict, drifted)
             start = np.concatenate([start, new_start])
             z = np.concatenate([z, new_z])
-            state = np.concatenate([state, new_state], axis=1)
+            counts = np.concatenate([counts, np.zeros((2, k), dtype=np.int32)], axis=1)
+            streaks = np.concatenate([streaks, new_streaks], axis=2)
             admitted += k
         nxt, bad = eval_map_vec(m, z)
-        esc = bad | (np.abs(nxt) > cfg.escape_radius)
-        consec, age = state[0], state[1]
-        consec[:] = np.where(~esc & (np.abs(nxt - z) < cfg.attract_tol), consec + 1, 0)
-        conv = (consec >= cfg.cycle_window) & ~esc
-        verdict[start[esc]] = _V_ESCAPED
-        # eval_map_vec flags a point in a pole's snap zone: a pole hit, not an escape
-        flagged = np.flatnonzero(bad)
-        verdict[start[flagged[m.in_pole_snap(z[flagged])]]] = _V_POLE
+        esc = np.abs(nxt) > cfg.escape_radius
+        esc |= bad
+        alive = ~esc
+        # index arrays, not boolean masks, select the orbits that retire:
+        # a mask gathers several times slower when its bits are scattered
+        escaped = np.flatnonzero(esc)
+        if escaped.size:
+            verdict[start[escaped]] = _V_ESCAPED
+            if m.declared_poles and bad.any():
+                # eval_map_vec flags a point in a pole's snap zone: a pole
+                # hit, not an escape
+                flagged = np.flatnonzero(bad)
+                verdict[start[flagged[m.in_pole_snap(z[flagged])]]] = _V_POLE
+        consec, age = counts
+        consec += 1
+        consec *= np.abs(nxt - z) < cfg.attract_tol
+        conv = consec >= cfg.cycle_window
         if conv.any():
+            conv &= alive          # an escaping orbit is not attracted
             verdict[start[conv]] = _V_ATTRACTED
             attracted.append((start[conv], nxt[conv]))
+            alive &= ~conv
         z = nxt
-        alive = ~(esc | conv)
-        _ladders_step(cfg.stations, z, state, alive, start, verdict, drifted)
+        _ladders_step(ladders, z, streaks, alive, start, verdict, drifted)
         age += 1
-        alive &= age < cfg.max_iter
+        # orbits are admitted in order and compaction keeps it, so the
+        # first live orbit is the oldest
+        if age[0] >= cfg.max_iter:
+            alive &= age < cfg.max_iter
         if not alive.all():
-            start, z, state = start[alive], z[alive], state[:, alive]
-    return verdict, _in_scan_order(attracted), _in_scan_order(drifted)
+            gone = np.flatnonzero(~alive)
+            steps = np.frexp(age[gone])[1] - 1
+            retired += np.bincount(verdict[start[gone]].astype(np.intp) * buckets + steps,
+                                   minlength=retired.size)
+            keep = np.flatnonzero(alive)
+            start, z = start.take(keep), z.take(keep)
+            counts, streaks = counts.take(keep, axis=1), streaks.take(keep, axis=2)
+    return (verdict, _in_scan_order(attracted), _in_scan_order(drifted),
+            retired.reshape(len(_VERDICT_NAMES), buckets))
 
 
 def _in_scan_order(retired) -> np.ndarray:
@@ -305,44 +344,83 @@ def _in_scan_order(retired) -> np.ndarray:
     return values[np.argsort(where)]
 
 
-def _ladders_step(ladders, z, state, alive, start, verdict, drifted):
-    """Try each ladder in turn on the orbits still alive; a completed
-    streak records the orbit as drifting, appends its start position and
-    track id to drifted, and clears its alive flag.
+class _Ladders(NamedTuple):
+    """The ladders of an OrbitConfig as (L, 1) columns that broadcast
+    against a row of points, for one pass over all of them per step."""
+    base: np.ndarray       # complex128
+    step: np.ndarray
+    radius: np.ndarray
+    min_index: np.ndarray  # float64, compared with rounded corridor indices
+    streak: np.ndarray     # int32
+    offset: np.ndarray     # int32 (L,): k * LADDER_STRIDE, added to a track id
+
+    @classmethod
+    def of(cls, stations) -> _Ladders | None:
+        if not stations:
+            return None
+
+        def col(attr, dtype):
+            return np.array([[getattr(st, attr)] for st in stations], dtype=dtype)
+
+        return cls(col("base", np.complex128), col("step", np.float64),
+                   col("radius", np.float64), col("min_index", np.float64),
+                   col("streak", np.int32),
+                   np.arange(len(stations), dtype=np.int32) * LADDER_STRIDE)
+
+
+def _ladders_step(ladders, z, streaks, alive, start, verdict, drifted):
+    """One step of every ladder at once on the orbits still alive; a
+    completed streak records the orbit as drifting, appends its start
+    position and track id to drifted, and clears its alive flag.  When
+    streaks on several ladders complete at the same step, the first
+    declared ladder wins.
 
     A point off a ladder's band |Im z - Im base| < radius is outside all
-    its corridors (the step is real), so only points in the band or in a
-    running streak need an update: the others keep streak length 0.
+    its corridors (the step is real), so only the points in some ladder's
+    band or in some running streak are gathered and updated: the others
+    keep streak length 0 on every ladder.  A gathered point off a ladder's
+    band gets streak length 0 there, which it had already.
     """
-    for k, st in enumerate(ladders):
-        rows = state[2 + 3 * k:5 + 3 * k]
-        sel = np.flatnonzero(alive & ((np.abs(z.imag - st.base.imag) < st.radius)
-                                      | (rows[0] > 0)))
-        sub = rows[:, sel]
-        done = _station_update(st, z[sel], sub)
-        rows[:, sel] = sub
-        if done.any():
-            fin = sel[done]
-            verdict[start[fin]] = _V_DRIFTING
-            drifted.append((start[fin], sub[1, done] + k * LADDER_STRIDE))
-            alive[fin] = False
+    if ladders is None:
+        return
+    band = np.abs(z.imag - ladders.base.imag) < ladders.radius
+    band |= streaks[:, 0] > 0
+    band &= alive
+    sel = np.flatnonzero(band.any(axis=0))
+    sub = streaks.take(sel, axis=2)
+    done = _station_update(ladders, z[sel], sub)
+    streaks[:, :, sel] = sub
+    won = done.any(axis=0)
+    if won.any():
+        cols = np.flatnonzero(won)
+        k = done[:, cols].argmax(axis=0)
+        fin = sel[cols]
+        verdict[start[fin]] = _V_DRIFTING
+        drifted.append((start[fin], sub[k, 1, cols] + ladders.offset[k]))
+        alive[fin] = False
 
 
-def _station_update(st: StationSpec, cur, state):
-    """One step of ladder st for the points cur; state holds their int32
-    rows (streak length, first index, last index) and is updated in place.
-    Returns the mask of streaks that reached st.streak."""
-    run, first, last = state
-    approx = np.round((cur.real - st.base.real) / st.step)
-    centers = st.base + approx * st.step
-    inside = ((np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
-              & (np.abs(approx) < _INDEX_LIMIT))
+def _station_update(ladders: _Ladders, cur, state):
+    """One step of every ladder for the points cur; state holds their
+    (L, 3, len(cur)) int32 rows (streak length, first index, last index)
+    per ladder and is updated in place.  Returns the (L, len(cur)) mask of
+    streaks that reached their ladder's streak length."""
+    run, first, last = state[:, 0], state[:, 1], state[:, 2]
+    approx = np.round((cur.real - ladders.base.real) / ladders.step)
+    centers = ladders.base + approx * ladders.step
+    inside = np.abs(cur - centers) < ladders.radius
+    inside &= approx >= ladders.min_index
+    inside &= np.abs(approx) < _INDEX_LIMIT
     idx = np.where(inside, approx, 0.0).astype(np.int32)
-    advancing = inside & (run > 0) & (idx == last + 1)
-    run[:] = np.where(advancing, run + 1, inside)
-    first[:] = np.where(advancing, first, idx)
-    last[:] = idx
-    return run >= st.streak
+    advancing = idx == last + 1
+    advancing &= run > 0
+    advancing &= inside
+    # advancing: run + 1; else inside: 1; else 0
+    run *= advancing
+    run += inside
+    np.copyto(first, idx, where=~advancing)
+    last[...] = idx
+    return run >= ladders.streak
 
 
 def _classify_rows(task):
@@ -369,7 +447,8 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     # the pool forks all its processes up front: no more than the ranges or cores
     with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
         parts = list(pool.map(_classify_rows, tasks))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+    *joined, retired = zip(*parts)
+    return (*(np.concatenate(c) for c in joined), sum(retired))
 
 
 def _group_estimates(fixed: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
@@ -433,8 +512,8 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
         raise ValueError("need at least a 2x2 grid")
     dx = (window.re_hi - window.re_lo) / width
     dy = (window.im_hi - window.im_lo) / height
-    verdict, attracted_fixed, drifting_track = _classify_ranges(m, cfg, window, width, height,
-                                                                workers)
+    verdict, attracted_fixed, drifting_track, retired = _classify_ranges(m, cfg, window, width,
+                                                                         height, workers)
     verdict = verdict.reshape(height, width)
     ids = np.full((height, width), -1, dtype=np.int32)
     _basin_ids(m, cfg, verdict, attracted_fixed, ids)
@@ -461,7 +540,15 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
             for j in _cells_containing(p.imag, window.im_lo, dy, height):
                 labels[j, i] = POLE_ADJACENT
                 ids[j, i] = p_id
-    return RasterGrid(window, width, height, labels, ids, counts)
+    return RasterGrid(window, width, height, labels, ids, counts, _retire_steps(retired))
+
+
+def _retire_steps(retired: np.ndarray) -> dict:
+    """The retirement histogram of _orbit_verdicts keyed by verdict name and
+    step bucket, empty buckets left out."""
+    labels = ["1"] + [f"{2 ** k}-{2 ** (k + 1) - 1}" for k in range(1, retired.shape[1])]
+    return {name: {labels[k]: int(c) for k, c in enumerate(retired[code]) if c}
+            for code, name in _VERDICT_NAMES}
 
 
 def _cells_containing(v: float, lo: float, d: float, count: int) -> list[int]:

@@ -313,8 +313,11 @@ class MeromorphicMap:
 
     def in_pole_snap(self, zs: np.ndarray) -> np.ndarray:
         """Mask of the points within pole_snap_radius of a declared pole."""
-        hit = np.zeros(np.shape(zs), dtype=bool)
-        for p in self.declared_poles:
+        if not self.declared_poles:
+            return np.zeros(np.shape(zs), dtype=bool)
+        first, *rest = self.declared_poles
+        hit = np.abs(zs - first) <= self.pole_snap_radius(first)
+        for p in rest:
             hit |= np.abs(zs - p) <= self.pole_snap_radius(p)
         return hit
 
@@ -474,17 +477,22 @@ _NAN = complex(math.nan, math.nan)
 
 # The ops put NaN where a denominator underflows or an exponential would
 # overflow; NaN survives every later op, so eval_map_vec flags those entries.
+# Each builds its guard mask, and calls np.where only when the mask is set.
 
 def _div_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(den) < _DIV_FLOOR, _NAN, num / den)
+    out = num / den
+    tiny = np.abs(den) < _DIV_FLOOR
+    return np.where(tiny, _NAN, out) if tiny.any() else out
 
 
 def _exp_vec(w: np.ndarray) -> np.ndarray:
-    return np.exp(np.where(w.real > _EXP_CAP, _NAN, w))
+    huge = w.real > _EXP_CAP
+    return np.exp(np.where(huge, _NAN, w) if huge.any() else w)
 
 
 def _sin_vec(w: np.ndarray) -> np.ndarray:
-    return np.sin(np.where(np.abs(w.imag) > _EXP_CAP, _NAN, w))
+    huge = np.abs(w.imag) > _EXP_CAP
+    return np.sin(np.where(huge, _NAN, w) if huge.any() else w)
 
 
 def eval_map(m: MeromorphicMap, z: complex) -> complex:
@@ -510,12 +518,13 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
     broadcast against zs.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    bad = m.in_pole_snap(zs)
     with np.errstate(all="ignore"):
         vals = _run(m, _VEC, zs, np.complex128)
     if np.shape(vals) != zs.shape:          # an expression without z
         vals = np.full(zs.shape, vals, dtype=np.complex128)
-    bad |= ~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
+    bad = ~np.isfinite(vals)                # a complex is finite when both parts are
+    if m.declared_poles:
+        bad |= m.in_pole_snap(zs)
     return vals, bad
 
 

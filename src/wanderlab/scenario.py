@@ -652,6 +652,7 @@ def _run_raster(rd, ctx):
     out["label_counts"] = {name: int((grid.labels == code).sum()) for code, name in enumerate(
         ("unresolved", "attracted", "drifting", "pole_adjacent", "julia_suspect"))}
     out["verdict_counts"] = grid.verdict_counts
+    out["retire_steps"] = grid.retire_steps
     return ok, out
 
 

@@ -56,14 +56,14 @@ def ex1():
     (custom_map("(div 1 z)"), 0j, OrbitConfig(), _V_ESCAPED),
 ], ids=["ex1-pole", "ex2-pole", "square-escape", "rotation-budget", "undeclared-pole"])
 def test_single_orbit_verdict(m, z0, cfg, expected):
-    verdict, fixed, track = _orbit_verdicts(m, np.array([z0]), cfg)
+    verdict, fixed, track, _ = _orbit_verdicts(m, np.array([z0]), cfg)
     assert verdict.tolist() == [expected]
     assert fixed.size == track.size == 0
 
 
 def test_orbit_attracted_matches_fixed_point():
     m = ex1()
-    verdict, fixed, _ = _orbit_verdicts(m, np.array([0j]), OrbitConfig())
+    verdict, fixed, _, _ = _orbit_verdicts(m, np.array([0j]), OrbitConfig())
     assert verdict.tolist() == [_V_ATTRACTED]
     rep = find_fixed_point(m, Disk(0j, A1 / 2))
     assert fixed[0] == rep.location
@@ -277,6 +277,13 @@ GAP_LADDER = StationSpec(base=0j, step=1.0, radius=0.055, min_index=0, streak=3)
 LEFT = StationSpec(base=0j, step=1.0, radius=0.5, min_index=-100, streak=5)
 RIGHT = StationSpec(base=10.2 + 0j, step=1.0, radius=0.5, min_index=-100, streak=5)
 
+# three ladders of different bands, radii and streaks, stepped at once: the
+# low and the middle band overlap, and no orbit of the grid ever enters the
+# band of the third
+THREE_LADDERS = (StationSpec(base=0.1 + 0j, step=1.0, radius=0.35, min_index=-100, streak=4),
+                 StationSpec(base=0.4 + 0.3j, step=1.0, radius=0.2, min_index=-100, streak=6),
+                 StationSpec(base=50j, step=-2.0, radius=0.1, min_index=-100, streak=3))
+
 
 LOOP_CASES = {
     "ex2-grid-two-ladders": (build_family("ex2", {"eps": EPS2}),
@@ -292,6 +299,14 @@ LOOP_CASES = {
                             OrbitConfig(max_iter=20, stations=(LEFT, RIGHT))),
     "streak-off-the-band": (custom_map(GAP_MAP), np.array([0j, 3.0 + 0j, 0.01 + 0.002j]),
                             OrbitConfig(max_iter=12, stations=(GAP_LADDER,))),
+    "three-ladders": (custom_map("(add (mul z (add 1 (mul 0.05 i))) 1)"),
+                      _grid_points(ComplexBox(-3.0, 3.0, -0.7, 0.7), 24, 14),
+                      OrbitConfig(max_iter=20, stations=THREE_LADDERS)),
+    "no-ladders": (ex1(), _ex1_points(), OrbitConfig(max_iter=60)),
+    # past the escape radius a step of 1e-10 rounds to 0, a short step: the
+    # orbit escapes, and is not attracted, at its first step
+    "escape-while-short": (custom_map("(add z 1e-10)"), np.array([2e6 + 0j, 0.5 + 0j, 3e6j]),
+                           OrbitConfig(max_iter=5, cycle_window=1)),
     # 2**-k passes the escape radius 1e6 at its (k + 20)-th step: k = 5
     # escapes at the last step of the budget, k = 6 would at one step more
     "escape-at-the-last-step": (custom_map("(mul z 2)"),
@@ -313,13 +328,63 @@ def test_compacted_loop_matches_reference(monkeypatch, case, block):
         # such blocks take a Python step for every orbit or so: the two large
         # cases run on every k-th point, about 500 of them (ex1's pole included)
         zs = zs[::max(1, zs.size // 500)]
-    verdict, fixed, track = _orbit_verdicts(m, zs, cfg)
+    verdict, fixed, track, _ = _orbit_verdicts(m, zs, cfg)
     ref_verdict, ref_fixed, ref_track = orbit_verdicts_reference(m, zs, cfg)
     assert np.array_equal(verdict, ref_verdict)
     assert np.array_equal(fixed, ref_fixed[ref_verdict == _V_ATTRACTED])
     assert np.array_equal(track, ref_track[ref_verdict == _V_DRIFTING])
     assert fixed.dtype == np.complex128
     assert track.dtype == ref_track.dtype == np.int32
+
+
+def test_ex2_grid_pixel_iterations(monkeypatch):
+    # each step evaluates the live orbits only: a step that also evaluated
+    # retired orbits, or one more step than the verdicts need, moves the
+    # count; it is taken where the benchmark tracer takes it
+    seen = []
+    evaluate = dynamics.eval_map_vec
+
+    def counting(m, zs):
+        seen.append(zs.size)
+        return evaluate(m, zs)
+
+    monkeypatch.setattr(dynamics, "eval_map_vec", counting)
+    classify_grid(build_family("ex2", {"eps": EPS2}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
+                  400, 100, ex2_core_orbit())
+    assert sum(seen) == 135_452
+
+
+def test_retire_steps_total_the_loop_verdicts_whatever_the_workers():
+    # the ranges' histograms add up to the same one for 1 and 3 workers,
+    # and each verdict's buckets add up to its pixels from the orbit loop
+    m = build_family("ex2", {"eps": EPS2})
+    cfg = ex2_core_orbit()
+    win = ComplexBox(-1.0, 20.0, -2.6, 2.6)
+    one = classify_grid(m, win, 160, 40, cfg, workers=1)
+    three = classify_grid(m, win, 160, 40, cfg, workers=3)
+    assert one.retire_steps == three.retire_steps
+    verdict = dynamics._classify_ranges(m, cfg, win, 160, 40, 1)[0]
+    assert ({name: sum(buckets.values()) for name, buckets in one.retire_steps.items()}
+            == {name: int(np.count_nonzero(verdict == code))
+                for code, name in dynamics._VERDICT_NAMES})
+    assert one.retire_steps["escaped"]["2-3"] > 0 and one.retire_steps["drifting"]
+
+
+def test_retire_steps_buckets_are_log2_of_the_step():
+    # 2**-k escapes at step k + 20 under z -> 2z (escape radius 1e6), and
+    # 2**-90 retires as budget at step 100; max_iter 100 makes 7 buckets:
+    # 1, 2-3, ..., 64-127 (the tiny attract_tol keeps small steps from
+    # counting as attraction)
+    zs = 2.0 ** -np.array([0, 3, 4, 11, 12, 43, 44, 90]) + 0j
+    cfg = OrbitConfig(max_iter=100, attract_tol=1e-300)
+    retired = _orbit_verdicts(custom_map("(mul z 2)"), zs, cfg)[3]
+    assert retired.shape == (5, 7)
+    assert retired[_V_ESCAPED].tolist() == [0, 0, 0, 0, 4, 2, 1]
+    assert retired[_V_BUDGET].tolist() == [0, 0, 0, 0, 0, 0, 1]
+    assert retired.sum() == zs.size
+    assert dynamics._retire_steps(retired) == {
+        "escaped": {"16-31": 4, "32-63": 2, "64-127": 1}, "attracted": {}, "drifting": {},
+        "pole": {}, "budget": {"64-127": 1}}
 
 
 def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
@@ -357,7 +422,7 @@ def _straddling_estimates(n):
 
 def _ex1_attracted_estimates():
     window = ComplexBox(-0.05, 0.05, -0.05, 0.05)
-    _, fixed, _ = dynamics._classify_rows((ex1(), OrbitConfig(), window, 64, 64, 0, 64))
+    _, fixed, _, _ = dynamics._classify_rows((ex1(), OrbitConfig(), window, 64, 64, 0, 64))
     assert fixed.size > 2000
     return fixed
 
@@ -375,7 +440,7 @@ def test_group_estimates_matches_reference(estimates):
 
 
 def test_ex1_seeded_points_reach_every_verdict():
-    verdict, _, _ = _orbit_verdicts(ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),)))
+    verdict = _orbit_verdicts(ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),)))[0]
     assert {_V_POLE, _V_ATTRACTED, _V_ESCAPED} <= set(verdict.tolist())
 
 
@@ -386,7 +451,7 @@ def test_overlapping_ladders_first_declared_wins():
     zs = _grid_points(ComplexBox(-3.4, 2.6, -0.1, 0.1), 6, 2)
 
     def tracks(*ladders):
-        verdict, _, track = _orbit_verdicts(m, zs, OrbitConfig(max_iter=20, stations=ladders))
+        verdict, _, track, _ = _orbit_verdicts(m, zs, OrbitConfig(max_iter=20, stations=ladders))
         assert (verdict == _V_DRIFTING).all()
         return track
 
@@ -397,7 +462,7 @@ def test_overlapping_ladders_first_declared_wins():
 
 
 def test_streak_resets_when_the_orbit_leaves_the_band():
-    verdict, _, track = _orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
+    verdict, _, track, _ = _orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
                                         OrbitConfig(max_iter=12, stations=(GAP_LADDER,)))
     assert verdict.tolist() == [_V_BUDGET, _V_BUDGET]
     assert track.size == 0
@@ -481,3 +546,6 @@ def test_ex2_raster_headline(ex2_raster):
     assert {tuple(rc) for rc in pole_cells.tolist()} == {(199, 76), (200, 76)}
     tracks = np.unique(g.ids[g.labels == DRIFTING])
     assert {1, 2, 3}.issubset(set(tracks.tolist()))
+    # the real-axis orbits far right drift left for hundreds of steps
+    # before the leftward ladder counts them
+    assert g.retire_steps["drifting"]["256-511"] > 0

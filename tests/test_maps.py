@@ -200,6 +200,32 @@ def test_eval_map_raises_where_vec_flags_overflow():
         assert not isinstance(e.value, PoleHitError)
 
 
+# each op guard, the entry it fires on, and the op in numpy, which is
+# finite at that entry: the guard, not overflow, flags it
+_GUARDS = {
+    "sin-imag-705": ("(sin z)", 1.0 + 705j, np.sin),
+    "div-below-floor": ("(div 1 z)", 1e-301 + 0j, lambda z: 1 / z),
+    "exp-real-705": ("(exp z)", 705.0 + 0j, np.exp),
+}
+
+
+@pytest.mark.parametrize("fires", [False, True], ids=["quiet", "fires"])
+@pytest.mark.parametrize("guard", list(_GUARDS))
+def test_vec_guard_flags_only_its_entries(guard, fires):
+    text, z, op = _GUARDS[guard]
+    m = custom_map(text)            # no declared pole: a flag is the guard's
+    with np.errstate(all="ignore"):
+        assert np.isfinite(op(np.array([z]))).all()
+    ordinary = np.array([0.5 + 0.25j, -1.0 + 2.0j, 3.0 - 0.5j, 1e-3 - 700j])
+    zs = np.insert(ordinary, 2, z) if fires else ordinary
+    vals, bad = eval_map_vec(m, zs)
+    assert bad.tolist() == [i == 2 and fires for i in range(zs.size)]
+    assert vals[~bad].tobytes() == op(ordinary).tobytes()
+    with pytest.raises(NonFiniteValue) as e:
+        eval_map(m, z)
+    assert e.value.where == z and not isinstance(e.value, PoleHitError)
+
+
 def test_vec_flags_poles():
     m = build_family("ex2", {"eps": EPS2})
     vals, bad = eval_map_vec(m, np.array([0.0 + 0j, 1e-14 + 0j, 1.0 + 0j]))

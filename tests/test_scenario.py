@@ -247,6 +247,11 @@ def test_ex2_core_report(ex2_report):
     assert list(counts) == ["escaped", "attracted", "drifting", "pole", "budget", "boundary"]
     assert sum(counts[k] for k in list(counts)[:5]) == 1600 * 400
     assert counts["budget"] == 0 and counts["drifting"] > 0 and counts["boundary"] > 0
+    # every basin confirms (there is none), so the retirement histogram
+    # totals the verdict counts
+    steps = raster["result"]["retire_steps"]
+    assert {name: sum(b.values()) for name, b in steps.items()} == {k: counts[k] for k in steps}
+    assert steps["drifting"]["256-511"] > 0
     assert ([m["behavior"] for m in raster["result"]["matches"]]
             == [["drifting", 1], ["drifting", 1], ["drifting", 2], ["drifting", 3]])
 

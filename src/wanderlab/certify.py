@@ -30,7 +30,6 @@ Three engines share this module:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,10 @@ from .maps import (
     derivative,
     eval_map_box,
     eval_map_vec,
+    ex2_admissible,
     ex2_g_map,
+    group_roots,
+    minus,
     newton_roots,
     seed_grid,
 )
@@ -155,7 +157,6 @@ def _prove_on_region(region: Region, test, budget: Budget):
     Returns the survivors, as (endpoints, depth, reason codes) chunks in
     order, and the stats.
     """
-    t0 = time.perf_counter()
     level = _root_cells(region.bounding_box())
     depth = examined = dropped = 0
     survivors = []
@@ -197,7 +198,6 @@ def _prove_on_region(region: Region, test, budget: Budget):
     stats = {
         "boxes_examined": examined,
         "max_depth": depth,
-        "elapsed": time.perf_counter() - t0,
         "survivors": sum(len(why) for _, _, why in survivors) + dropped,
         "budget_exhausted": exhausted,
     }
@@ -387,19 +387,14 @@ def _inequality_test(small: Bound, big: Bound, region: Region, op: str):
     return test
 
 
-def certify_inequality(lhs: Bound | MeromorphicMap, rhs: Bound | MeromorphicMap,
-                       region: Region, budget: Budget = Budget(),
+def certify_inequality(lhs: Bound, rhs: Bound, region: Region, budget: Budget = Budget(),
                        cmp: str = "<") -> Certificate:
     """Prove |lhs| cmp |rhs| pointwise on the region.
 
-    cmp is one of <, <=, >, >=.  Maps are wrapped as modulus bounds.
-    Internally everything reduces to sup(lhs) < inf(rhs) per box (or the
-    mirrored form), so a "proved" verdict certifies the pointwise claim.
+    cmp is one of <, <=, >, >=.  Internally everything reduces to
+    sup(lhs) < inf(rhs) per box (or the mirrored form), so a "proved"
+    verdict certifies the pointwise claim.
     """
-    if isinstance(lhs, MeromorphicMap):
-        lhs = ExprBound(lhs)
-    if isinstance(rhs, MeromorphicMap):
-        rhs = ExprBound(rhs)
     if cmp in ("<", "<="):
         small, big, op = lhs, rhs, cmp
     elif cmp in (">", ">="):
@@ -427,6 +422,14 @@ def _circle(center: complex, radius: float, n: int) -> np.ndarray:
     return center + radius * np.exp(2j * math.pi * k / n)
 
 
+def _circle_image(m: MeromorphicMap, center: complex, radius: float, n: int) -> np.ndarray:
+    """f at n equally spaced points of a circle; DegenerateCurve on a pole."""
+    vals, bad = eval_map_vec(m, _circle(center, radius, n))
+    if bad.any():
+        raise DegenerateCurve(f"circle sample hit a pole of the map (n={n})")
+    return vals
+
+
 def _discrete_winding(curve: np.ndarray, w0: complex):
     rel = curve - w0
     dist = float(np.min(np.abs(rel)))
@@ -450,10 +453,7 @@ def winding_number(m: MeromorphicMap, circle: tuple[complex, float],
     center, radius, w0 = complex(circle[0]), float(circle[1]), complex(w0)
     n = WINDING_START_SAMPLES
     while True:
-        vals, bad = eval_map_vec(m, _circle(center, radius, n))
-        if bad.any():
-            raise DegenerateCurve(f"curve sample hit a pole of the map (n={n})")
-        winding, dist, max_step = _discrete_winding(vals, w0)
+        winding, dist, max_step = _discrete_winding(_circle_image(m, center, radius, n), w0)
         valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
         if valid or n >= WINDING_MAX_SAMPLES:
             return WindingResult(winding if winding is not None else 0,
@@ -478,21 +478,11 @@ def locate_preimages(m: MeromorphicMap, w0: complex, search_region: Region,
     Raises CountMismatch when the deduplicated root count differs from
     `expected` — the argument-principle count is the caller's oracle.
     """
-    shifted = Node("sub", (m.expr, Node("const", data=complex(w0))))
-    zs, residual = newton_roots(
-        MeromorphicMap(shifted, m.params, m.declared_poles, m.family_id),
-        seed_grid(search_region.bounding_box(), PREIMAGE_SEEDS))
-    ok = residual < 1e-10
-
-    roots: list[complex] = []
-    for z in zs[ok]:
-        z = complex(z)
-        if not search_region.contains(z):
-            continue
-        if any(abs(z - r) < 1e-6 * (1.0 + abs(r)) for r in roots):
-            continue
-        roots.append(z)
-    roots.sort(key=lambda r: (r.real, r.imag))
+    zs, residual = newton_roots(minus(m, Node("const", data=complex(w0))),
+                                seed_grid(search_region.bounding_box(), PREIMAGE_SEEDS))
+    zs = zs[residual < 1e-10]
+    zs = zs[np.array([search_region.contains(z) for z in zs], dtype=bool)]
+    roots = sorted(group_roots(zs, 1e-6)[0], key=lambda r: (r.real, r.imag))
     if len(roots) != expected:
         raise CountMismatch(len(roots), expected, roots)
     return roots
@@ -518,28 +508,38 @@ PRESCREEN_SAMPLES = 512
 def _sampled_sup(m: MeromorphicMap, center: complex, radius: float,
                  offset: complex = 0j) -> float:
     """Sampled maximum of |f - offset| on a circle (cheap reject witness)."""
-    vals, bad = eval_map_vec(m, _circle(center, radius, PRESCREEN_SAMPLES))
-    if bad.any():
-        raise DegenerateCurve("prescreen circle hit a pole")
-    return float(np.max(np.abs(vals - offset)))
+    return float(np.max(np.abs(_circle_image(m, center, radius, PRESCREEN_SAMPLES) - offset)))
+
+
+def _bisect(ok, good: int, bad: int) -> int:
+    """Bisect the grid between good, where ok holds, and bad, where it does
+    not, calling ok on midpoints only; returns the last good point."""
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     """Derive and certify the station constants of the ex2 family.
 
     Candidates get 300,000 boxes to depth 20, the final certificate
-    500,000 to depth 22; max_boxes replaces both box counts.
+    500,000 to depth 22; max_boxes replaces both box counts.  A candidate
+    that a sampled witness refutes runs no certificate; otherwise its
+    certificate decides it and joins `certificates`, in search order.
 
     r1:    largest radius on the dyadic grid, at most 1/8, such that
-           |g'(z)| <= 1/4 is certified on the closed disk |z| <= r1.
-           Search: halve from 1/8 until a candidate certifies, then binary
-           search on the grid between the last failure and the success.
-           Candidates are prescreened by circle sampling: a sampled value
-           above 1/4 is a concrete witness, so the engine never runs.
-    eps:   largest power of ten with 6*sqrt(eps) < r1 and eps < 1/144.
+           |g'(z)| <= 1/4 is certified on the closed disk |z| <= r1:
+           bisection between 0 and 129/1024.  A sampled value of |g'|
+           above 1/4 on the rim is the witness.
+    eps:   largest power of ten that maps.ex2_admissible accepts with r1.
     rho_g: smallest grid radius with g(closed disk B(2pi, r1)) certified
-           inside the open disk B(4pi, rho_g).  Candidates below the
-           sampled image supremum are rejected by witness.
+           inside the open disk B(4pi, rho_g): proved at r1, then bisection
+           down to 0.  The witness is a sampled image point at distance
+           rho or more from 4pi.
     r2:    rho_g plus the worst-case pole weight eps/(2pi - r1), rounded
            up to the grid; certified end-to-end for the full map at the
            first station.  Stations further right only shrink the pole
@@ -553,84 +553,47 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     final_budget = Budget(500_000 if max_boxes is None else max_boxes, max_depth=22)
     g = ex2_g_map()
     dg = derivative(g)
-    quarter = 0.25
     certificates: list[Certificate] = []
 
-    def certify_r1(r: float) -> Certificate:
-        c = certify_inequality(ExprBound(dg, label="|g'(z)|"),
-                               ConstBound(quarter, label="1/4"),
-                               Disk(0j, r, closed=True),
-                               budget=candidate_budget, cmp="<=")
-        certificates.append(c)
-        return c
+    def candidate(refuted: bool, certify, *args, **kwargs) -> bool:
+        if refuted:
+            return False
+        certificates.append(certify(*args, budget=candidate_budget, **kwargs))
+        return certificates[-1].proved
 
     def r1_ok(num: int) -> bool:
         r = num / DYADIC_GRID
-        if _sampled_sup(dg, 0j, r) > quarter:
-            return False
-        return certify_r1(r).proved
+        return candidate(_sampled_sup(dg, 0j, r) > 0.25, certify_inequality,
+                         ExprBound(dg, label="|g'(z)|"), ConstBound(0.25, label="1/4"),
+                         Disk(0j, r, closed=True), cmp="<=")
 
-    # descend by halving until something certifies
-    num = R1_CAP_NUM
-    while not r1_ok(num):
-        num //= 2
-        if num == 0:
-            raise ArithmeticError("no contraction radius certified on the grid")
-    good = num
-    bad = num * 2                      # last failing candidate (cap+1 sentinel ok)
-    if good == R1_CAP_NUM:
-        bad = R1_CAP_NUM + 1
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if r1_ok(mid):
-            good = mid
-        else:
-            bad = mid
-    r1 = good / DYADIC_GRID
+    r1 = _bisect(r1_ok, 0, R1_CAP_NUM + 1) / DYADIC_GRID
+    if r1 == 0.0:
+        raise ArithmeticError("no contraction radius certified on the grid")
 
-    # largest 10^-k admissible for the pole weight
-    eps = None
-    for k in range(1, 16):
-        cand = 10.0 ** -k
-        if cand < 1.0 / 144.0 and 6.0 * math.sqrt(cand) < r1:
-            eps = cand
-            break
+    eps = next((10.0 ** -k for k in range(1, 16) if ex2_admissible(10.0 ** -k, r1)), None)
     if eps is None:
         raise ArithmeticError("no power-of-ten pole weight fits under r1")
 
-    # smallest certified image radius for g on the first station disk
     two_pi, four_pi = _TWO_PI, 2.0 * _TWO_PI
     station = Disk(complex(two_pi), r1, closed=True)
     sampled = _sampled_sup(g, complex(two_pi), r1, offset=complex(four_pi))
 
-    def rho_ok(num: int) -> Certificate | None:
+    def rho_ok(num: int) -> bool:
         rho = num / DYADIC_GRID
-        if rho <= sampled:
-            return None                # witness on the rim already exceeds rho
-        c = certify_inclusion(g, station, Disk(complex(four_pi), rho),
-                              budget=candidate_budget)
-        certificates.append(c)
-        return c if c.proved else None
+        return candidate(rho <= sampled, certify_inclusion,
+                         g, station, Disk(complex(four_pi), rho))
 
-    lo, hi = 0, int(r1 * DYADIC_GRID)      # rho_g < r1 or the station leaks
-    proof = rho_ok(hi)
-    if proof is None:
+    top = int(r1 * DYADIC_GRID)             # rho_g < r1 or the station leaks
+    if not rho_ok(top):
         raise ArithmeticError("station image does not certify below r1")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        c = rho_ok(mid)
-        if c is not None:
-            hi = mid
-        else:
-            lo = mid
-    rho_g = hi / DYADIC_GRID
+    rho_g = _bisect(rho_ok, top, 0) / DYADIC_GRID
 
     # add the worst pole term over all stations n >= 1 and certify end-to-end
     pole_weight = eps / (two_pi - r1)
     r2 = math.ceil((rho_g + pole_weight) * DYADIC_GRID) / DYADIC_GRID
-    f = build_family("ex2", {"eps": eps, "r1": r1})
-    final = certify_inclusion(f, station, Disk(complex(four_pi), r2),
-                              budget=final_budget)
+    final = certify_inclusion(build_family("ex2", {"eps": eps}), station,
+                              Disk(complex(four_pi), r2), budget=final_budget)
     certificates.append(final)
     if not final.proved:
         raise ArithmeticError("full station contraction did not certify")

@@ -19,16 +19,16 @@ histogram per verdict.
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
 region, and `classify_grid` once from the first estimate of every
-attraction basin met in scan order (a basin confirms at residual at most
-1e-12; the pixels of a basin that does not confirm fall back to the
-budget verdict).  `classify_grid` cuts the rows of a window into one
-contiguous range per worker; each range builds its pixel centers a block
-at a time from their row and column coordinates, runs the orbit machine
-over them and returns its verdicts with the fixed-point estimates of its
-attracted pixels and the track ids of its drifting ones only, and its
-retirement histogram.  One merge
-over the ranges derives display labels, with uint8, bool and int32 pixel
-arrays only:
+attraction basin met in scan order (`maps.group_roots` groups the
+estimates; a basin confirms at residual at most 1e-12; the pixels of a
+basin that does not confirm fall back to the budget verdict).
+`classify_grid` cuts the rows of a window into one contiguous range per
+worker; each range builds its pixel centers a block at a time from their
+row and column coordinates, runs the orbit machine over them and returns
+its verdicts with the fixed-point estimates of its attracted pixels and
+the track ids of its drifting ones only, and its retirement histogram.
+One merge over the ranges derives display labels, with uint8, bool and
+int32 pixel arrays only:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id: the corridor index where the
@@ -58,6 +58,8 @@ from .maps import (
     derivative,
     eval_map,
     eval_map_vec,
+    group_roots,
+    minus,
     newton_roots,
     seed_grid,
 )
@@ -70,6 +72,7 @@ ATTRACTED = 1
 DRIFTING = 2
 POLE_ADJACENT = 3
 JULIA_SUSPECT = 4
+LABEL_NAMES = ("unresolved", "attracted", "drifting", "pole_adjacent", "julia_suspect")
 
 # orbit verdict codes used internally by the classifier
 _V_BUDGET = 0
@@ -160,18 +163,12 @@ class NotFound(ArithmeticError):
 FIXED_POINT_SEEDS = 11   # Newton seeds per side of the fixed-point seed grid
 
 
-def _fixed_points(m: MeromorphicMap, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on f(z) - z from every seed: where each ended, and |f(z) - z| there."""
-    return newton_roots(MeromorphicMap(Node("sub", (m.expr, Node("z"))), m.params,
-                                       m.declared_poles, m.family_id), seeds)
-
-
 def find_fixed_point(m: MeromorphicMap, seed_region: Region) -> FixedPointReport:
     """Newton from a seed grid; the point with the least residual, at most
     1e-12, inside the region wins (the first in scan order on a tie)."""
     seeds = [z for z in seed_grid(seed_region.bounding_box(), FIXED_POINT_SEEDS)
              if seed_region.contains(z)]
-    zs, residual = _fixed_points(m, seeds)
+    zs, residual = newton_roots(minus(m, Node("z")), seeds)
     residual[np.array([not seed_region.contains(z) for z in zs], dtype=bool)] = np.inf
     if not (residual <= 1e-12).any():
         raise NotFound("no seed converged to a fixed point in the region")
@@ -451,32 +448,15 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     return (*(np.concatenate(c) for c in joined), sum(retired))
 
 
-def _group_estimates(fixed: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
-    """Group fixed-point estimates in scan order, one numpy pass per group:
-    the first estimate without a group opens the next one, with every
-    estimate without a group within tol * (1 + |first|) of it.  Returns
-    the groups' first estimates and each estimate's group."""
-    firsts: list[complex] = []
-    group_of = np.empty(fixed.size, dtype=np.int32)
-    free = np.arange(fixed.size)
-    while free.size:
-        b = complex(fixed[free[0]])
-        near = np.abs(fixed[free] - b) < tol * (1.0 + abs(b))
-        group_of[free[near]] = len(firsts)
-        firsts.append(b)
-        free = free[~near]
-    return firsts, group_of
-
-
 def _basin_ids(m, cfg, verdict, attracted_fixed, ids):
     """Give the attracted pixels their basin ids: distinct fixed-point
     estimates in raster scan order, each confirmed by Newton from its
     first estimate.  An unconfirmed basin gets no id and its pixels fall
     back to the budget verdict."""
-    firsts, basin_of = _group_estimates(attracted_fixed, max(100.0 * cfg.attract_tol, 1e-7))
+    firsts, basin_of = group_roots(attracted_fixed, max(100.0 * cfg.attract_tol, 1e-7))
     if firsts:
         att = verdict == _V_ATTRACTED
-        confirmed = _fixed_points(m, firsts)[1] <= 1e-12
+        confirmed = newton_roots(minus(m, Node("z")), firsts)[1] <= 1e-12
         ids[att] = np.where(confirmed, np.cumsum(confirmed) - 1, -1)[basin_of]
         verdict[att & (ids < 0)] = _V_BUDGET
 

@@ -333,6 +333,12 @@ def solve_ex2_params() -> tuple[float, float]:
     return a, lam
 
 
+def ex2_admissible(eps: float, r1: float | None = None) -> bool:
+    """The ex2 pole-weight rule: 0 < eps < 1/144, and 6*sqrt(eps) < r1 when
+    the certified contraction radius r1 is given."""
+    return 0.0 < eps < 1.0 / 144.0 and (r1 is None or 6.0 * math.sqrt(eps) < r1)
+
+
 def _reject(cond: bool, message: str) -> None:
     if cond:
         raise ParamConstraintViolation(message)
@@ -342,9 +348,7 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
     """Construct and validate one of the bundled families.
 
     ex1: 2 + 2z - 2e^z + eps/(e^z - e^a),  0 < a < 1/32, 0 < eps <= a^2/16
-    ex2: z + eps/z + lam*sin(z + a),       0 < eps < 1/144 (a, lam solved);
-         pass r1 (the certified contraction radius) to also enforce
-         6*sqrt(eps) < r1
+    ex2: z + eps/z + lam*sin(z + a),       ex2_admissible(eps) (a, lam solved)
     ex5: z*e^z
     ex3_model: 4e^z - eps/z,               eps > 0
     ex4_model: e^z - sqrt(eps) - eps/z,    eps > 0
@@ -361,17 +365,10 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
         table, poles = {"a": a, "eps": eps}, (complex(a),)
     elif family_id == "ex2":
         eps = float(p.pop("eps"))
-        r1 = p.pop("r1", None)
         _reject(bool(p), f"unknown ex2 params {sorted(p)}")
-        _reject(not (0.0 < eps < 1.0 / 144.0),
-                f"requires 0 < eps < 1/144, got eps={eps}")
-        if r1 is not None:
-            _reject(not (6.0 * math.sqrt(eps) < float(r1)),
-                    f"requires 6*sqrt(eps) < r1, got eps={eps}, r1={r1}")
+        _reject(not ex2_admissible(eps), f"requires 0 < eps < 1/144, got eps={eps}")
         a, lam = solve_ex2_params()
         table, poles = {"eps": eps, "a": a, "lam": lam}, (0j,)
-        if r1 is not None:
-            table["r1"] = float(r1)
     elif family_id == "ex5":
         _reject(bool(p), f"ex5 takes no params, got {sorted(p)}")
         table, poles = {}, ()
@@ -615,6 +612,11 @@ def derivative(m: MeromorphicMap) -> MeromorphicMap:
 # Newton's method, for fixed points, basin confirmation and preimages.
 # ---------------------------------------------------------------------------
 
+def minus(m: MeromorphicMap, rhs: Node) -> MeromorphicMap:
+    """The map f - rhs, with f's parameters and poles: Newton on it solves f = rhs."""
+    return MeromorphicMap(Node("sub", (m.expr, rhs)), m.params, m.declared_poles, m.family_id)
+
+
 NEWTON_STEPS = 60
 NEWTON_CLIP = 0.5    # longest step taken
 
@@ -649,3 +651,20 @@ def newton_roots(m: MeromorphicMap, seeds) -> tuple[np.ndarray, np.ndarray]:
             zs = zs - step
     vals, bad = eval_map_vec(m, zs)
     return zs, np.where(alive & ~bad, np.abs(vals), np.inf)
+
+
+def group_roots(points: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """Group points in order, one numpy pass per group: the first point
+    without a group opens the next one, with every point without a group
+    within tol * (1 + |first|) of it.  Returns the groups' first points
+    and each point's group."""
+    firsts: list[complex] = []
+    group_of = np.empty(points.size, dtype=np.int32)
+    free = np.arange(points.size)
+    while free.size:
+        b = complex(points[free[0]])
+        near = np.abs(points[free] - b) < tol * (1.0 + abs(b))
+        group_of[free[near]] = len(firsts)
+        firsts.append(b)
+        free = free[~near]
+    return firsts, group_of

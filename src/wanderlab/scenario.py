@@ -41,7 +41,14 @@ from .certify import (
     riemann_hurwitz_check,
     winding_number,
 )
-from .dynamics import OrbitConfig, StationSpec, classify_grid, find_fixed_point, track_wandering
+from .dynamics import (
+    LABEL_NAMES,
+    OrbitConfig,
+    StationSpec,
+    classify_grid,
+    find_fixed_point,
+    track_wandering,
+)
 from .maps import (
     MeromorphicMap,
     build_family,
@@ -49,6 +56,7 @@ from .maps import (
     derivative,
     eval_map,
     eval_map_vec,
+    ex2_admissible,
     solve_ex2_params,
 )
 from .numerics import (
@@ -214,11 +222,11 @@ class _Doc:
             got = self.env[got[1:]]
         return None if got is None else float(got)
 
-    def radius(self, key) -> float:
-        """A required number that is finite and > 0."""
-        got = self.number(key)
-        if not (0.0 < got < math.inf):
-            raise ScenarioError(f"expected a finite radius > 0, got {got!r}", self.at(key))
+    def positive(self, key, default=_REQUIRED) -> float | None:
+        """A number that is finite and > 0: a radius, tolerance or factor."""
+        got = self.number(key, default)
+        if got is not None and not (0.0 < got < math.inf):
+            raise ScenarioError(f"expected a finite number > 0, got {got!r}", self.at(key))
         return got
 
     def complex(self, key, default=_REQUIRED) -> complex | None:
@@ -387,8 +395,7 @@ def _cert_result(cert) -> dict:
     stats = cert.stats
     return {"verdict": cert.verdict, "boxes_examined": int(stats["boxes_examined"]),
             "max_depth": int(stats["max_depth"]), "survivors": int(stats["survivors"]),
-            "budget_exhausted": bool(stats["budget_exhausted"]),
-            "elapsed": float(stats["elapsed"])}
+            "budget_exhausted": bool(stats["budget_exhausted"])}
 
 
 def _expected_verdict(cert, expect):
@@ -420,7 +427,7 @@ def _target_map(rd, ctx):
 
 def _circle(rd):
     circle = rd.child("circle")
-    return circle.complex("center"), circle.radius("radius")
+    return circle.complex("center"), circle.positive("radius")
 
 
 def _run_winding(rd, ctx):
@@ -454,7 +461,7 @@ def _run_preimages(rd, ctx):
     near = rd.child("near_cube_roots", None)
     if near is not None:
         r = near.number("scale") ** (1.0 / 3.0)
-        factor = near.number("within_factor", 0.3)
+        factor = near.positive("within_factor", 0.3)
         worst = 0.0
         for k in range(3):
             t = r * complex(math.cos(2.0 * math.pi * k / 3.0),
@@ -471,11 +478,11 @@ def _run_preimages(rd, ctx):
 def _run_fixed_point(rd, ctx):
     m = _item_map(rd, ctx)
     region = rd.region("region")
-    max_residual = rd.number("max_residual", 1e-12)
-    max_abs = rd.number("max_abs", None)
+    max_residual = rd.positive("max_residual", 1e-12)
+    max_abs = rd.positive("max_abs", None)
     attracting = rd.boolean("expect_attracting", None)
     modulus = rd.number("expect_multiplier_modulus", None)
-    tol = None if modulus is None else rd.number("tolerance", 1e-9)
+    tol = None if modulus is None else rd.positive("tolerance", 1e-9)
     rep = find_fixed_point(m, region)
     out = {"location": [rep.location.real, rep.location.imag], "residual": rep.residual,
            "multiplier_modulus": abs(rep.multiplier), "attracting": rep.attracting}
@@ -493,7 +500,7 @@ def _run_point_image(rd, ctx):
     m = _item_map(rd, ctx)
     z = rd.complex("z")
     target = rd.child("target")
-    center, radius = target.complex("center"), target.radius("radius")
+    center, radius = target.complex("center"), target.positive("radius")
     w = eval_map(m, z)
     dist = abs(w - center)
     return dist < radius, {"image": [w.real, w.imag], "distance": dist, "radius": radius}
@@ -511,15 +518,15 @@ def _run_track(rd, ctx):
     else:
         step = body.complex("step")
         centers = [base + step * n for n in range(count)]
-    radius = rd.radius("radius")
+    radius = rd.positive("radius")
     expect_all = rd.boolean("expect_all", True)
     flags = track_wandering(m, z0, centers, radius, len(centers))
-    ok = all(flags) if expect_all else True
+    ok = all(flags) == expect_all
     return ok, {"flags": flags, "stations": len(flags), "radius": radius}
 
 
 def _run_params_identity(rd, ctx):
-    tol = rd.number("tolerance", 1e-12)
+    tol = rd.positive("tolerance", 1e-12)
     a, lam = solve_ex2_params()
     res_sin = abs(lam * math.sin(a) - 2.0 * math.pi)
     res_cos = abs(1.0 + lam * math.cos(a))
@@ -541,10 +548,8 @@ def _run_derived_constants(rd, ctx):
     if boxes is not None:
         rd.build(Budget, max_boxes=boxes)   # --budget-boxes below 1 is a config error
     derived = derive_ex2_constants(max_boxes=boxes)
-    ok = (derived["station_cert"].proved
-          and 0.0 < derived["r1"] < 0.5
-          and 6.0 * math.sqrt(derived["eps"]) < derived["r1"]
-          and derived["eps"] < 1.0 / 144.0)
+    ok = (derived["station_cert"].proved and 0.0 < derived["r1"] < 0.5
+          and ex2_admissible(derived["eps"], derived["r1"]))
     for key in ("r1", "eps", "rho_g", "r2"):
         ctx["env"][key] = derived[key]
     out = {k: derived[k] for k in ("r1", "eps", "rho_g", "r2", "pole_weight_first_station")}
@@ -649,8 +654,8 @@ def _run_raster(rd, ctx):
         path = ctx["out_dir"] / render
         render_pixmap(grid, path)
         out["image"] = str(path)
-    out["label_counts"] = {name: int((grid.labels == code).sum()) for code, name in enumerate(
-        ("unresolved", "attracted", "drifting", "pole_adjacent", "julia_suspect"))}
+    out["label_counts"] = {name: int((grid.labels == code).sum())
+                           for code, name in enumerate(LABEL_NAMES)}
     out["verdict_counts"] = grid.verdict_counts
     out["retire_steps"] = grid.retire_steps
     return ok, out
@@ -690,7 +695,7 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
     ctx = _make_ctx(scenario, threads, budget_boxes, max_iter, out_dir)
     t0 = time.perf_counter()
-    rows = []
+    rows, seconds = [], {}
     for item in scenario.items:
         rd = _Doc(item, ctx["env"], item["id"])
         ident, kind = rd.string("id"), rd.string("kind")
@@ -706,15 +711,15 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
             passed, result = False, {"error": f"{type(e).__name__}: {e}"}
         else:
             rd.finish()
-        rows.append({"id": ident, "kind": kind, "passed": bool(passed),
-                     "elapsed": time.perf_counter() - t1, "result": result})
+        seconds[ident] = time.perf_counter() - t1
+        rows.append({"id": ident, "kind": kind, "passed": bool(passed), "result": result})
     report = {
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
         "version": __version__,
         "all_passed": all(row["passed"] for row in rows),
         "items": rows,
-        "elapsed": time.perf_counter() - t0,
+        "timings": {"total": time.perf_counter() - t0, "items": seconds},
     }
     env = ctx["env"]
     derived = {k: env[k] for k in ("r1", "eps", "rho_g", "r2", "a_star",

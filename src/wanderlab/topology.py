@@ -27,9 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ATTRACTED, DRIFTING, RasterGrid
-
-_BEHAVIOR_NAMES = {ATTRACTED: "attracted", DRIFTING: "drifting"}
+from .dynamics import ATTRACTED, DRIFTING, LABEL_NAMES, RasterGrid
 
 
 class _Runs(NamedTuple):
@@ -176,7 +174,7 @@ def label_components(grid: RasterGrid) -> ComponentMap:
     table = {}
     for cid, f in enumerate(r.first.tolist(), start=1):
         j, i = int(r.row[f]), int(r.lo[f])
-        behavior = (_BEHAVIOR_NAMES[int(grid.labels[j, i])], int(grid.ids[j, i]))
+        behavior = (LABEL_NAMES[int(grid.labels[j, i])], int(grid.ids[j, i]))
         bbox = (j, int(row_hi[cid]), int(col_lo[cid]), int(col_hi[cid]))
         table[cid] = ComponentInfo(int(count[cid]), bool(touches[cid]), behavior, bbox)
     return ComponentMap(grid, _paint((h, w), r), table)

@@ -1,5 +1,4 @@
 """Slow reference implementations and exact checks that cross-check the library in tests."""
-import time
 import tracemalloc
 from collections import deque
 
@@ -139,7 +138,6 @@ def prove_on_region_reference(region, test, budget):
     the order found, and the stats, as wanderlab.certify._prove_on_region
     does.
     """
-    t0 = time.perf_counter()
     stack = [ComplexBox(*cell) for cell in _root_cells(region.bounding_box()).T.tolist()]
     stack.reverse()
     depths = [0] * len(stack)
@@ -179,7 +177,6 @@ def prove_on_region_reference(region, test, budget):
     stats = {
         "boxes_examined": examined,
         "max_depth": deepest,
-        "elapsed": time.perf_counter() - t0,
         "survivors": len(survivors),
         "budget_exhausted": exhausted,
     }
@@ -204,7 +201,7 @@ def certificate_reference(statement, region, test, budget):
 
 
 def group_estimates_reference(fixed, tol):
-    """The scan-order loop that wanderlab.dynamics._group_estimates
+    """The scan-order loop that wanderlab.maps.group_roots
     replaces: each estimate, as a Python complex, joins the first group
     (in opening order) whose first estimate b lies within tol * (1 + |b|)
     of it, or opens a new group."""

@@ -105,11 +105,12 @@ def test_criterion_2_ex1_core_certificates(verdict):
         m = build_family("ex1", {"a": A1, "eps": EPS1})
         source = Difference(Disk(0j, 2.0 * A1, closed=True),
                             Disk(complex(A1), A1 / 2.0))
+        t0 = time.perf_counter()
         cert = certify_inclusion(m, source, Disk(0j, A1 / 2.0),
                                  Budget(max_boxes=1_000_000, max_depth=24))
+        assert time.perf_counter() - t0 < 120.0
         assert cert.proved
         assert cert.stats["boxes_examined"] <= 1_000_000
-        assert cert.stats["elapsed"] < 120.0
 
         tail = certify_inequality(
             QuotientSeriesBound(2.0, 2, lambda b: quot_exp_tail(b, drop=2)),

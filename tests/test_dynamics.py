@@ -27,7 +27,7 @@ from wanderlab.dynamics import (
     find_fixed_point,
     track_wandering,
 )
-from wanderlab.maps import PoleHitError, build_family, custom_map
+from wanderlab.maps import PoleHitError, build_family, custom_map, group_roots
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
 from wanderlab.scenario import load_scenario
@@ -433,7 +433,7 @@ def _ex1_attracted_estimates():
 ], ids=["none", "straddling", "ex1-raster"])
 def test_group_estimates_matches_reference(estimates):
     fixed, tol = estimates(), 1e-7
-    firsts, group_of = dynamics._group_estimates(fixed, tol)
+    firsts, group_of = group_roots(fixed, tol)
     want_firsts, want_group_of = group_estimates_reference(fixed, tol)
     assert firsts == want_firsts
     assert group_of.tolist() == want_group_of

@@ -27,6 +27,7 @@ from wanderlab.maps import (
     eval_map,
     eval_map_box,
     eval_map_vec,
+    ex2_admissible,
     ex2_g_map,
     parse_expr,
     solve_ex2_params,
@@ -80,8 +81,12 @@ def test_ex1_param_rejections():
 def test_ex2_param_rejections():
     with pytest.raises(ParamConstraintViolation):
         build_family("ex2", {"eps": 1.0 / 144.0})
-    with pytest.raises(ParamConstraintViolation):
-        build_family("ex2", {"eps": 1e-3, "r1": 0.1})  # 6*sqrt(1e-3) > 0.1
+    assert not ex2_admissible(1e-3, 0.1)  # 6*sqrt(1e-3) > 0.1
+    assert ex2_admissible(1e-5, 40 / 1024) and ex2_admissible(1e-3)
+    assert not ex2_admissible(0.0) and not ex2_admissible(math.nan)
+    # r1 is the search's bound, not a parameter of the map
+    with pytest.raises(ParamConstraintViolation, match="unknown ex2 params"):
+        build_family("ex2", {"eps": 1e-5, "r1": 0.1})
 
 
 def test_ex5_takes_no_params():

@@ -147,7 +147,10 @@ def test_tiny_scenario_passes_and_round_trips(tmp_path):
     report = run_scenario(_write(tmp_path, "tiny.json", TINY))
     assert report["all_passed"] is True
     assert [row["id"] for row in report["items"]] == ["rh-ok", "unit-image"]
-    assert all(row["elapsed"] >= 0.0 for row in report["items"])
+    assert all("elapsed" not in row for row in report["items"])
+    timings = report["timings"]
+    assert list(timings["items"]) == ["rh-ok", "unit-image"]
+    assert all(0.0 <= t <= timings["total"] for t in timings["items"].values())
     # everything in the report must survive JSON serialization unchanged
     assert json.loads(json.dumps(report)) == report
 
@@ -218,20 +221,87 @@ def test_ex34_models_pass():
     assert report["all_passed"] is True
 
 
-def _without_elapsed(value):
-    if isinstance(value, dict):
-        return {k: _without_elapsed(v) for k, v in value.items() if k != "elapsed"}
-    if isinstance(value, list):
-        return [_without_elapsed(v) for v in value]
-    return value
-
-
 @pytest.mark.parametrize("suite", ["ex5-strip", "ex34-models", "ex1-core", "ex2-core"])
 def test_report_is_deterministic_without_timings(suite):
-    first, second = (json.dumps(_without_elapsed(run_scenario(suite, threads=2)))
-                     for _ in range(2))
+    reports = [run_scenario(suite, threads=2) for _ in range(2)]
+    for report in reports:
+        assert set(report.pop("timings")["items"]) == {row["id"] for row in report["items"]}
+    first, second = (json.dumps(report) for report in reports)
     assert "elapsed" not in first
     assert first == second
+
+
+# Every deterministic count of the bundled rows: per certificate (the
+# derived constants' station_cert too) boxes_examined, max_depth and
+# survivors; per winding its samples; per raster its verdict_counts,
+# label_counts and retire_steps.
+_RASTER_EX1 = ({"escaped": 0, "attracted": 16384, "drifting": 0, "pole": 0, "budget": 0,
+                "boundary": 0},
+               {"unresolved": 0, "attracted": 16380, "drifting": 0, "pole_adjacent": 4,
+                "julia_suspect": 0},
+               {"escaped": {}, "attracted": {"8-15": 16384}, "drifting": {}, "pole": {},
+                "budget": {}})
+_RASTER_EX2 = ({"escaped": 623436, "attracted": 0, "drifting": 16564, "pole": 0, "budget": 0,
+                "boundary": 10324},
+               {"unresolved": 616570, "attracted": 0, "drifting": 13104, "pole_adjacent": 2,
+                "julia_suspect": 10324},
+               {"escaped": {"2-3": 467126, "4-7": 150576, "8-15": 5714, "16-31": 20},
+                "attracted": {},
+                "drifting": {"8-15": 16254, "16-31": 300, "32-63": 4, "64-127": 2,
+                             "128-255": 2, "256-511": 2},
+                "pole": {}, "budget": {}})
+_PINNED_COUNTS = {
+    "ex1-core": {"Eq-4.1": (3360, 19, 0), "Eq-4.2-core": (1192, 17, 0),
+                 "Eq-4.2-pole": (416, 6, 0), "Ex1-core-inclusion": (1328, 2, 0),
+                 "Ex1-raster": _RASTER_EX1},
+    "ex2-core": {"Eq-4.4-4.5": (5280, 4, 0), "Delta0-joukowski": (544, 3, 0),
+                 "Eq-4.9": (416, 10, 0), "Eq-4.9-derivative": (544, 7, 0),
+                 "Lemma-4.1a": 1024, "Lemma-4.1b": 1024, "Cor-2-raster": _RASTER_EX2},
+    "ex5-strip": {"Omega-inclusion": (344, 11, 0)},
+    "ex34-models": {"Ex3-model-bound": (256, 0, 0), "Ex3-model-pole": (624, 2, 0),
+                    "Ex4-model-bound": (256, 0, 0)},
+}
+
+
+def _counts(row):
+    res = row["result"]
+    if row["kind"] in ("inclusion", "inequality", "derived_constants"):
+        cert = res.get("station_cert", res)
+        return cert["boxes_examined"], cert["max_depth"], cert["survivors"]
+    if row["kind"] == "winding":
+        return res["samples"]
+    if row["kind"] == "raster":
+        return res["verdict_counts"], res["label_counts"], res["retire_steps"]
+    return None
+
+
+@pytest.mark.parametrize("suite", list(_PINNED_COUNTS))
+def test_bundled_row_counts_pinned(suite, ex2_report):
+    report = ex2_report[0] if suite == "ex2-core" else run_scenario(suite, threads=2)
+    counts = {row["id"]: _counts(row) for row in report["items"]}
+    assert {k: v for k, v in counts.items() if v is not None} == _PINNED_COUNTS[suite]
+
+
+def _ex1_track(tmp_path, expect_all, radius=0.0078125):
+    doc = json.loads(bundled_scenarios()["ex1-core"].read_text())
+    track, = (item for item in doc["items"] if item["kind"] == "track")
+    doc["items"] = [dict(track, expect_all=expect_all, radius=radius)]
+    return run_scenario(_write(tmp_path, "track.json", doc))["items"][0]
+
+
+def test_track_expect_all_false_fails_when_every_station_is_hit(tmp_path):
+    assert _ex1_track(tmp_path, True)["passed"] is True
+    row = _ex1_track(tmp_path, False)
+    assert row["result"]["flags"] == [True] * 11
+    assert row["passed"] is False
+
+
+def test_track_expect_all_false_passes_when_a_station_is_missed(tmp_path):
+    # from n = 1 on the orbit lies about 9.2e-4 from its station
+    row = _ex1_track(tmp_path, False, radius=1e-6)
+    assert not all(row["result"]["flags"])
+    assert row["passed"] is True
+    assert _ex1_track(tmp_path, True, radius=1e-6)["passed"] is False
 
 
 def test_ex2_core_report(ex2_report):
@@ -501,6 +571,15 @@ def _disk(radius, **extra):
     (_item("point_image", target={"center": [math.e, 0.0], "radius": 0.0}),
      "point_image-item.target.radius"),
     (_item("track", radius=math.inf), "track-item.radius"),
+    (_item("fixed_point", expect_multiplier_modulus=7.0, tolerance=math.inf),
+     "fixed_point-item.tolerance"),
+    (_item("fixed_point", max_residual=math.inf), "fixed_point-item.max_residual"),
+    (_item("fixed_point", max_residual=0.0), "fixed_point-item.max_residual"),
+    (_item("fixed_point", max_abs=math.inf), "fixed_point-item.max_abs"),
+    (_item("params_identity", tolerance=math.inf), "params_identity-item.tolerance"),
+    (_item("params_identity", tolerance=-1e-12), "params_identity-item.tolerance"),
+    (_item("preimages", near_cube_roots={"scale": 1.0, "within_factor": math.inf}),
+     "preimages-item.near_cube_roots.within_factor"),
     (_item("raster", match=[{"component": {"contains": [0.0, 0.0], "surrounds": 0.0}}]),
      "raster-item.match[0].component"),
     (_item("raster", rendr="x.ppm"), "raster-item.rendr"),
@@ -513,6 +592,9 @@ def _disk(radius, **extra):
         "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
         "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
         "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
+        "infinite-modulus-tolerance", "infinite-max-residual", "zero-max-residual",
+        "infinite-max-abs", "infinite-identity-tolerance", "negative-identity-tolerance",
+        "infinite-within-factor",
         "two-selectors", "unread-raster-field", "unknown-behavior"])
 def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))

@@ -4,7 +4,7 @@ Rigorous rectangle arithmetic, set-inclusion and inequality certificates,
 discrete winding numbers, orbit classification rasters, and digital
 topology of the resulting coloured regions.
 """
-from .numerics import ComplexBox, DomainError, PoleIntersect, exp_tail_bound
+from .numerics import ComplexBox, DomainError, PoleIntersect
 
 __version__ = "0.1.0"
 
@@ -12,6 +12,5 @@ __all__ = [
     "ComplexBox",
     "DomainError",
     "PoleIntersect",
-    "exp_tail_bound",
     "__version__",
 ]

@@ -299,58 +299,42 @@ def _down2(v: np.ndarray) -> np.ndarray:
 
 
 class PowerBound(Bound):
-    """c * |z - center|^n.  The lower bound uses the region distance floor."""
+    """c * |z - center|^n, times |q(z - center)| when a quotient q is given.
+
+    q is a series-quotient enclosure (Boxes to Boxes): a difference whose
+    leading Taylor terms cancel is bounded without catastrophic loss, since
+    the cancellation is done symbolically and only q is evaluated on the box.
+    The lower bound uses the region distance floor.
+    """
 
     def __init__(self, c: float, n: int, center: complex = 0j,
-                 label: str | None = None):
+                 label: str | None = None, quotient=None):
         if not (c >= 0.0 and n >= 0):   # NaN too
-            raise ValueError("need c >= 0 and n >= 0")
+            raise ValueError("need c >= 0 and power n >= 0")
         self.c = float(c)
         self.n = int(n)
         self.center = complex(center)
-        self.label = label or f"{c}*|z|^{n}"
+        self.quotient = quotient
+        self.label = label or f"{c}*|z|^{n}" + ("*|series|" if quotient else "")
 
-    def upper(self, boxes, region):
-        return _checked(_out_hi(self.c * box_mag(boxes, self.center) ** self.n, ulps=2))
-
-    def lower(self, boxes, region):
-        d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
-        return _checked(_down2(self.c * d ** self.n))
-
-
-class QuotientSeriesBound(Bound):
-    """c * |z - center|^power * |q(z - center)| with q a series-quotient enclosure.
-
-    This is how a difference whose leading Taylor terms cancel is bounded
-    without catastrophic loss: the cancellation is performed symbolically
-    and only the analytic quotient is evaluated on the box.  quot_fn takes
-    and returns Boxes.
-    """
-
-    def __init__(self, c: float, power: int, quot_fn, center: complex = 0j,
-                 label: str | None = None):
-        if not (c >= 0.0 and power >= 0):   # NaN too
-            raise ValueError("need c >= 0 and power >= 0")
-        self.c = float(c)
-        self.power = int(power)
-        self.quot_fn = quot_fn
-        self.center = complex(center)
-        self.label = label or f"{c}*|z|^{power}*|series|"
-
-    def _quotient(self, boxes: Boxes) -> Boxes:
+    def _times_quotient(self, v, boxes, modulus):
+        """v * modulus(q(z - center)) and q's reason codes; v alone without q."""
+        if self.quotient is None:
+            return v, None
         if self.center != 0j:
             boxes = box_sub(boxes, Boxes.point(self.center, len(boxes.why)))
-        return self.quot_fn(boxes)
+        q = self.quotient(boxes)
+        return v * modulus(q), q.why
 
     def upper(self, boxes, region):
-        q = self._quotient(boxes)
-        v = self.c * box_mag(boxes, self.center) ** self.power * box_mag(q)
-        return _checked(_out_hi(v, ulps=2), q.why)
+        v = self.c * box_mag(boxes, self.center) ** self.n
+        v, why = self._times_quotient(v, boxes, box_mag)
+        return _checked(_out_hi(v, ulps=2), why)
 
     def lower(self, boxes, region):
-        q = self._quotient(boxes)
         d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
-        return _checked(_down2(self.c * d ** self.power * box_mig(q)), q.why)
+        v, why = self._times_quotient(self.c * d ** self.n, boxes, box_mig)
+        return _checked(_down2(v), why)
 
 
 class SumBound(Bound):

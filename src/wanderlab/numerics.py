@@ -14,18 +14,19 @@ float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
 or NaN).  An op's result carries, per box, the first code set among its
 arguments, else its own; endpoints of a box with a code are unspecified.
-The `box_*` ops and the series quotients take and return `Boxes` only; a
+The `box_*` ops and `series_quotient` take and return `Boxes` only; a
 single box is a batch of one (`Boxes.of([box])`).  `ComplexBox` is the
 plain record of one rectangle, for raster windows and region bounding
 boxes.  Intervals of the `iv_*` layer are (lo, hi) pairs of arrays or of
 floats.
 
-Also provided: closed-form series-tail bounds for exp, and box enclosures
-of the analytic quotients left over when leading Taylor terms are removed
-(e.g. (e^z - 1 - z)/z^2).  The quotient enclosures are what make
-inequality certificates workable near a point where both sides of the
-inequality vanish; plain rectangle evaluation loses all relative
-precision there.
+Also provided: `series_quotient`, one box enclosure of the analytic
+quotients left over when leading Taylor terms are removed (e.g.
+(e^z - 1 - z)/z^2), and `QUOTIENT_SERIES`, the table of its four named
+series.  A box too large for its geometric tail ball raises `DomainError`.
+These enclosures make inequality certificates workable near a point where
+both sides of the inequality vanish; plain rectangle evaluation loses all
+relative precision there.
 """
 from __future__ import annotations
 
@@ -39,8 +40,6 @@ _INF = math.inf
 _WIDTH_INFLATE = 2.0 ** -41  # applied per endpoint, so width grows by 2^-40
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
-EXP_TAIL_COEFFS = 12     # series terms that quot_exp_tail sums
-EVEN_SERIES_COEFFS = 9   # series terms that the cos and sin quotients sum
 
 NONE, POLE, OVERFLOW = 0, 1, 2  # reason codes of a box in a batch
 
@@ -332,71 +331,39 @@ def box_inflate(a: Boxes, r) -> Boxes:
 
 
 # ---------------------------------------------------------------------------
-# Series tails.
+# Series quotients.
 # ---------------------------------------------------------------------------
 
-def exp_tail_bound(rho: float, n_terms: int) -> float:
-    """Upper bound for |e^z - sum_{k<n_terms} z^k/k!| valid whenever |z| <= rho.
+# name: (step, offset, sign, terms) of sum_k sign^k z^(step k) / (step k + offset + drop)!,
+# summed to `terms` terms; only exp_tail's callers pass a drop
+QUOTIENT_SERIES = {
+    "exp_tail": (1, 0, 1.0, 12),       # (e^z - sum_{k<drop} z^k/k!) / z^drop
+    "one_minus_cos": (2, 2, -1.0, 9),  # (1 - cos z) / z^2
+    "z_minus_sin": (2, 3, -1.0, 9),    # (z - sin z) / z^3
+    "cos_defect": (2, 4, -1.0, 9),     # (cos z - 1 + z^2/2) / z^4
+}
 
-    Closed form: rho^N / N! * 1 / (1 - rho/(N+1)), the geometric majorant of
-    the dropped tail.  Requires 0 <= rho < N + 1.
+
+def series_quotient(a: Boxes, name: str, drop: int = 0) -> Boxes:
+    """Enclose the named quotient of QUOTIENT_SERIES over the boxes.
+
+    Horner in u = z^step over the kept terms, plus a ball for the dropped
+    tail, its geometric majorant rho^(step terms) / m! / (1 - ratio) with
+    m = step terms + offset and ratio = rho^step / prod_{i=1..step} (m+i);
+    DomainError when the ratio reaches 1 on some box.
     """
-    if n_terms < 0:
-        raise DomainError("negative term count")
-    if rho < 0.0:
-        raise DomainError("negative radius")
-    if rho >= n_terms + 1:
-        raise DomainError(f"tail bound needs rho < {n_terms + 1}, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    head = rho ** n_terms / math.factorial(n_terms)
-    # nudge outward so float rounding of the formula cannot understate the bound
-    return float(_out_hi(head / (1.0 - rho / (n_terms + 1)) * (1.0 + 2.0 ** -50)))
-
-
-def _series_box_even(a: Boxes, coeff, tail_c: int) -> Boxes:
-    """Enclose sum_k coeff(k) * z^(2k) over the boxes, coefficients |c_k| <= 1/(2k+tail_c)!.
-
-    Horner in u = z^2, plus a rigorous ball for the dropped tail.
-    """
-    n, n_coeffs = len(a.why), EVEN_SERIES_COEFFS
-    u = box_mul(a, a)
-    acc = Boxes.point(coeff(n_coeffs - 1), n)
-    for k in range(n_coeffs - 2, -1, -1):
-        acc = box_add(box_mul(acc, u), Boxes.point(coeff(k), n))
+    step, offset, sign, terms = QUOTIENT_SERIES[name]
+    offset += drop
+    n = len(a.why)
+    coeffs = [sign ** k / math.factorial(step * k + offset) for k in range(terms)]
+    u = a if step == 1 else box_pow_int(a, step)
+    acc = Boxes.point(coeffs[-1], n)
+    for c in coeffs[-2::-1]:
+        acc = box_add(box_mul(acc, u), Boxes.point(c, n))
     rho = box_mag(a)
-    m = 2 * n_coeffs + tail_c
-    gap = (m + 1) * (m + 2)
-    if np.any(rho * rho >= gap):
+    m = step * terms + offset
+    ratio = rho ** step / math.prod(range(m + 1, m + step + 1))
+    if np.any(ratio >= 1.0):
         raise DomainError("box too large for series tail")
-    tail = rho ** (2 * n_coeffs) / float(math.factorial(m)) / (1.0 - rho * rho / gap)
+    tail = rho ** (step * terms) / float(math.factorial(m)) / (1.0 - ratio)
     return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
-
-
-def quot_exp_tail(a: Boxes, drop: int) -> Boxes:
-    """Enclose (e^z - sum_{k<drop} z^k/k!) / z^drop = sum_j z^j/(j+drop)! over the boxes."""
-    n, n_coeffs = len(a.why), EXP_TAIL_COEFFS
-    acc = Boxes.point(1.0 / math.factorial(n_coeffs - 1 + drop), n)
-    for j in range(n_coeffs - 2, -1, -1):
-        acc = box_add(box_mul(acc, a), Boxes.point(1.0 / math.factorial(j + drop), n))
-    rho = box_mag(a)
-    m = n_coeffs + drop
-    if np.any(rho >= m + 1):
-        raise DomainError("box too large for series tail")
-    tail = rho ** n_coeffs / float(math.factorial(m)) / (1.0 - rho / (m + 1))
-    return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))
-
-
-def quot_one_minus_cos(a: Boxes) -> Boxes:
-    """(1 - cos z)/z^2 = sum_k (-1)^k z^(2k) / (2k+2)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 2), 2)
-
-
-def quot_z_minus_sin(a: Boxes) -> Boxes:
-    """(z - sin z)/z^3 = sum_k (-1)^k z^(2k) / (2k+3)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 3), 3)
-
-
-def quot_cos_defect(a: Boxes) -> Boxes:
-    """(cos z - 1 + z^2/2)/z^4 = sum_k (-1)^k z^(2k) / (2k+4)!"""
-    return _series_box_even(a, lambda k: (-1.0) ** k / math.factorial(2 * k + 4), 4)

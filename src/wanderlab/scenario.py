@@ -31,7 +31,6 @@ from .certify import (
     ConstBound,
     ExprBound,
     PowerBound,
-    QuotientSeriesBound,
     SumBound,
     certify_inclusion,
     certify_inequality,
@@ -59,13 +58,7 @@ from .maps import (
     ex2_admissible,
     solve_ex2_params,
 )
-from .numerics import (
-    ComplexBox,
-    quot_cos_defect,
-    quot_exp_tail,
-    quot_one_minus_cos,
-    quot_z_minus_sin,
-)
+from .numerics import QUOTIENT_SERIES, ComplexBox, series_quotient
 from .pixmap import render_pixmap
 from .regions import Annulus, Difference, Disk, HalfStrip, Region, Union
 from .topology import connectivity, connectivity_monotonicity_check, label_components, surrounds
@@ -162,8 +155,6 @@ def load_scenario(ref) -> Scenario:
 _REQUIRED = object()
 _CONSTANTS = {"pi": math.pi, "two_pi": 2.0 * math.pi, "four_pi": 4.0 * math.pi}
 _VERDICTS = ("proved", "inconclusive", "pole_contact")
-_QUOTIENTS = {"one_minus_cos": quot_one_minus_cos, "z_minus_sin": quot_z_minus_sin,
-              "cos_defect": quot_cos_defect}
 
 
 def _is_int(value) -> bool:
@@ -222,11 +213,13 @@ class _Doc:
             got = self.env[got[1:]]
         return None if got is None else float(got)
 
-    def positive(self, key, default=_REQUIRED) -> float | None:
-        """A number that is finite and > 0: a radius, tolerance or factor."""
+    def positive(self, key, default=_REQUIRED, zero=False) -> float | None:
+        """A number that is finite and > 0 (>= 0 when zero is allowed): a radius,
+        tolerance, factor or distance floor."""
         got = self.number(key, default)
-        if got is not None and not (0.0 < got < math.inf):
-            raise ScenarioError(f"expected a finite number > 0, got {got!r}", self.at(key))
+        if got is not None and not (0.0 < got < math.inf or zero and got == 0.0):
+            raise ScenarioError(f"expected a finite number {'>=' if zero else '>'} 0, "
+                                f"got {got!r}", self.at(key))
         return got
 
     def complex(self, key, default=_REQUIRED) -> complex | None:
@@ -321,14 +314,10 @@ class _Doc:
         center = body.complex("center", None)
         if kind == "power":
             return body.build(PowerBound, body.number("c"), body.integer("n"), center=center)
-        name = body.string("quotient", choices=("exp_tail", *_QUOTIENTS))
-        if name == "exp_tail":
-            drop = body.integer("drop", floor=0)
-            fn = lambda b: quot_exp_tail(b, drop=drop)  # noqa: E731
-        else:
-            fn = _QUOTIENTS[name]
-        return body.build(QuotientSeriesBound, body.number("c"), body.integer("power"),
-                          fn, center=center)
+        name = body.string("quotient", choices=tuple(QUOTIENT_SERIES))
+        drop = body.integer("drop", floor=0) if name == "exp_tail" else 0
+        return body.build(PowerBound, body.number("c"), body.integer("power"), center=center,
+                          quotient=partial(series_quotient, name=name, drop=drop))
 
     def params(self) -> dict:
         node = self.child("params", {})
@@ -434,7 +423,7 @@ def _run_winding(rd, ctx):
     m = _target_map(rd, ctx)
     circle, w0 = _circle(rd), rd.complex("w0")
     expected = rd.integer("expect_winding")
-    floor = rd.number("min_distance_gt", None)
+    floor = rd.positive("min_distance_gt", None, zero=True)
     res = winding_number(m, circle, w0)
     ok = res.valid and res.winding == expected
     if floor is not None:
@@ -447,7 +436,7 @@ def _run_winding(rd, ctx):
 def _run_zero_count(rd, ctx):
     m = _target_map(rd, ctx)
     circle, w0 = _circle(rd), rd.complex("w0")
-    poles, expected = rd.integer("poles_inside"), rd.integer("expect")
+    poles, expected = rd.integer("poles_inside", floor=0), rd.integer("expect", floor=0)
     count = count_zeros_inside(m, circle, w0, poles_inside=poles)
     return count == expected, {"count": count, "expected": expected, "poles_inside": poles}
 
@@ -460,7 +449,7 @@ def _run_preimages(rd, ctx):
     ok = True
     near = rd.child("near_cube_roots", None)
     if near is not None:
-        r = near.number("scale") ** (1.0 / 3.0)
+        r = near.positive("scale") ** (1.0 / 3.0)
         factor = near.positive("within_factor", 0.3)
         worst = 0.0
         for k in range(3):

@@ -23,7 +23,6 @@ from wanderlab.certify import (
     ConstBound,
     ExprBound,
     PowerBound,
-    QuotientSeriesBound,
     _circle,
     _discrete_winding,
     certify_inclusion,
@@ -57,7 +56,7 @@ from wanderlab.numerics import (
     box_recip,
     box_sin,
     box_sub,
-    quot_exp_tail,
+    series_quotient,
 )
 from wanderlab.regions import Annulus, Difference, Disk, HalfStrip
 from wanderlab.topology import (
@@ -113,7 +112,7 @@ def test_criterion_2_ex1_core_certificates(verdict):
         assert cert.stats["boxes_examined"] <= 1_000_000
 
         tail = certify_inequality(
-            QuotientSeriesBound(2.0, 2, lambda b: quot_exp_tail(b, drop=2)),
+            PowerBound(2.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2)),
             PowerBound(2.0, 2),
             Annulus(0j, 2.0 ** -20, 1.0),
             cmp="<",

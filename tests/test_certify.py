@@ -14,7 +14,6 @@ from wanderlab.certify import (
     DegenerateCurve,
     ExprBound,
     PowerBound,
-    QuotientSeriesBound,
     certify_inclusion,
     certify_inequality,
     count_zeros_inside,
@@ -39,7 +38,7 @@ from wanderlab.numerics import (
     POLE,
     DomainError,
     PoleIntersect,
-    quot_exp_tail,
+    series_quotient,
 )
 from wanderlab.regions import Annulus, Difference, Disk
 
@@ -237,8 +236,8 @@ def test_proved_inclusion_monotone_in_target():
 def test_series_remainder_inequality():
     # |e^z - 1 - z| < 2 |z|^2 away from 0: the classic cancellation case a
     # plain rectangle evaluation cannot close at small |z|
-    lhs = QuotientSeriesBound(1.0, 2, lambda b: quot_exp_tail(b, drop=2),
-                              label="|exp(z)-1-z|")
+    lhs = PowerBound(1.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2),
+                     label="|exp(z)-1-z|")
     rhs = PowerBound(2.0, 2, label="2|z|^2")
     region = Annulus(0j, 2.0 ** -20, 1.0, closed=True)
     cert = certify_inequality(lhs, rhs, region, cmp="<")
@@ -250,8 +249,8 @@ def test_lower_bound_inequality_with_region_floor():
     # |z| * |(e^z - 1)/z| >= |z|/2 on a punctured neighbourhood: the lower
     # side must survive boxes that straddle the inner rim, where the raw
     # box distance to 0 collapses
-    lhs = QuotientSeriesBound(1.0, 1, lambda b: quot_exp_tail(b, drop=1),
-                              label="|e^z - 1|")
+    lhs = PowerBound(1.0, 1, quotient=lambda b: series_quotient(b, "exp_tail", 1),
+                     label="|e^z - 1|")
     rhs = PowerBound(0.5, 1, label="|z|/2")
     region = Annulus(0j, 2.0 ** -20, 0.5, closed=True)
     cert = certify_inequality(lhs, rhs, region, cmp=">=")
@@ -270,7 +269,7 @@ def test_pole_term_inequality():
 
 def test_series_tail_domain_error_propagates():
     # a box too large for the series tail is an error, not an undecided box
-    lhs = QuotientSeriesBound(1.0, 2, lambda b: quot_exp_tail(b, drop=2))
+    lhs = PowerBound(1.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2))
     with pytest.raises(DomainError):
         certify_inequality(lhs, PowerBound(2.0, 2), Disk(0j, 40.0, closed=True),
                            Budget(1000, 2))

@@ -580,6 +580,11 @@ def _disk(radius, **extra):
     (_item("params_identity", tolerance=-1e-12), "params_identity-item.tolerance"),
     (_item("preimages", near_cube_roots={"scale": 1.0, "within_factor": math.inf}),
      "preimages-item.near_cube_roots.within_factor"),
+    (_item("preimages", near_cube_roots={"scale": -1.0}), "preimages-item.near_cube_roots.scale"),
+    (_item("winding", min_distance_gt=-1e300), "winding-item.min_distance_gt"),
+    (_item("winding", min_distance_gt=math.inf), "winding-item.min_distance_gt"),
+    (_item("zero_count", poles_inside=-7), "zero_count-item.poles_inside"),
+    (_item("zero_count", expect=-4), "zero_count-item.expect"),
     (_item("raster", match=[{"component": {"contains": [0.0, 0.0], "surrounds": 0.0}}]),
      "raster-item.match[0].component"),
     (_item("raster", rendr="x.ppm"), "raster-item.rendr"),
@@ -594,7 +599,8 @@ def _disk(radius, **extra):
         "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
         "infinite-modulus-tolerance", "infinite-max-residual", "zero-max-residual",
         "infinite-max-abs", "infinite-identity-tolerance", "negative-identity-tolerance",
-        "infinite-within-factor",
+        "infinite-within-factor", "negative-cube-root-scale", "vacuous-distance-floor",
+        "infinite-distance-floor", "negative-poles-inside", "negative-zero-count",
         "two-selectors", "unread-raster-field", "unknown-behavior"])
 def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))

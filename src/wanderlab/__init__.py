@@ -4,13 +4,12 @@ Rigorous rectangle arithmetic, set-inclusion and inequality certificates,
 discrete winding numbers, orbit classification rasters, and digital
 topology of the resulting coloured regions.
 """
-from .numerics import ComplexBox, DomainError, PoleIntersect
+from .numerics import ComplexBox, PoleIntersect
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComplexBox",
-    "DomainError",
     "PoleIntersect",
     "__version__",
 ]

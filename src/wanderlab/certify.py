@@ -41,6 +41,7 @@ from .maps import (
     derivative,
     eval_map_box,
     eval_map_vec,
+    eval_taylor_ball,
     ex2_admissible,
     ex2_g_map,
     group_roots,
@@ -58,7 +59,6 @@ from .numerics import (
     box_mag,
     box_mig,
     box_quarters,
-    box_sub,
 )
 from .regions import Disk, Region
 
@@ -264,19 +264,36 @@ class Bound:
 
 
 class ExprBound(Bound):
-    """|f(z)| for an expression-tree map, via rectangle image bounds."""
+    """|f(z)| for an expression-tree map, via rectangle image bounds.
+
+    Where a box's image box meets 0, rectangle evaluation has lost all
+    relative precision; there the second-order Taylor form
+    (maps.eval_taylor_ball) bounds |f| as well, and the tighter bound of the
+    two is kept.  A box whose Taylor form has a reason code keeps the
+    rectangle bound.
+    """
 
     def __init__(self, m: MeromorphicMap, label: str | None = None):
         self.map = m
+        dm = derivative(m)
+        self.derivatives = (dm, derivative(dm))
         self.label = label or "|f(z)|"
 
-    def upper(self, boxes, region):
+    def _bound(self, boxes, natural, taylor, tighter):
         image = eval_map_box(self.map, boxes)
-        return _checked(box_mag(image), image.why)
+        v = natural(image)
+        near = (image.why == NONE) & (box_mig(image) == 0.0)
+        if near.any():
+            fc, radius = eval_taylor_ball(self.map, *self.derivatives,
+                                          Boxes(*(e[near] for e in boxes)))
+            v[near] = np.where(fc.why == NONE, tighter(v[near], taylor(fc, radius)), v[near])
+        return _checked(v, image.why)
+
+    def upper(self, boxes, region):
+        return self._bound(boxes, box_mag, lambda fc, r: _out_hi(box_mag(fc) + r), np.minimum)
 
     def lower(self, boxes, region):
-        image = eval_map_box(self.map, boxes)
-        return _checked(box_mig(image), image.why)
+        return self._bound(boxes, box_mig, lambda fc, r: _down2(box_mig(fc) - r), np.maximum)
 
 
 class ConstBound(Bound):
@@ -299,42 +316,22 @@ def _down2(v: np.ndarray) -> np.ndarray:
 
 
 class PowerBound(Bound):
-    """c * |z - center|^n, times |q(z - center)| when a quotient q is given.
+    """c * |z - center|^n; the lower bound uses the region distance floor."""
 
-    q is a series-quotient enclosure (Boxes to Boxes): a difference whose
-    leading Taylor terms cancel is bounded without catastrophic loss, since
-    the cancellation is done symbolically and only q is evaluated on the box.
-    The lower bound uses the region distance floor.
-    """
-
-    def __init__(self, c: float, n: int, center: complex = 0j,
-                 label: str | None = None, quotient=None):
+    def __init__(self, c: float, n: int, center: complex = 0j, label: str | None = None):
         if not (c >= 0.0 and n >= 0):   # NaN too
             raise ValueError("need c >= 0 and power n >= 0")
         self.c = float(c)
         self.n = int(n)
         self.center = complex(center)
-        self.quotient = quotient
-        self.label = label or f"{c}*|z|^{n}" + ("*|series|" if quotient else "")
-
-    def _times_quotient(self, v, boxes, modulus):
-        """v * modulus(q(z - center)) and q's reason codes; v alone without q."""
-        if self.quotient is None:
-            return v, None
-        if self.center != 0j:
-            boxes = box_sub(boxes, Boxes.point(self.center, len(boxes.why)))
-        q = self.quotient(boxes)
-        return v * modulus(q), q.why
+        self.label = label or f"{c}*|z|^{n}"
 
     def upper(self, boxes, region):
-        v = self.c * box_mag(boxes, self.center) ** self.n
-        v, why = self._times_quotient(v, boxes, box_mag)
-        return _checked(_out_hi(v, ulps=2), why)
+        return _checked(_out_hi(self.c * box_mag(boxes, self.center) ** self.n, ulps=2))
 
     def lower(self, boxes, region):
         d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
-        v, why = self._times_quotient(self.c * d ** self.n, boxes, box_mig)
-        return _checked(_down2(v), why)
+        return _checked(_down2(self.c * d ** self.n))
 
 
 class SumBound(Bound):

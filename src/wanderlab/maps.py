@@ -31,11 +31,14 @@ import numpy as np
 
 from .numerics import (
     NONE,
+    OVERFLOW,
     Boxes,
     ComplexBox,
+    _out_hi,
     box_add,
     box_div,
     box_exp,
+    box_mag,
     box_mul,
     box_neg,
     box_pow_int,
@@ -541,6 +544,28 @@ def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     with np.errstate(all="ignore"):
         out = _run(m, _BOX, b, lambda v: Boxes.point(v, n), note)
     return out._replace(why=why)
+
+
+def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
+                     b: Boxes) -> tuple[Boxes, np.ndarray]:
+    """Second-order Taylor enclosure of the image of each box of a batch.
+
+    dm and d2m are derivative(m) and derivative(dm).  With c the centre of a
+    box X and r >= |z - c| on it, f(z) lies within
+    |f'(c)| r + sup_X |f''| r^2 / 2 of f(c).  Returns the boxes of f(c) and
+    those radii, rounded up.  A box's code is the first one set among f(c),
+    f'(c) and f''(X), else OVERFLOW where its radius is not finite; a code
+    set on f''(X) also means f may have a pole in X, where the form fails.
+    """
+    re, im = 0.5 * (b.re_lo + b.re_hi), 0.5 * (b.im_lo + b.im_hi)
+    c = Boxes(re, re, im, im, b.why)
+    fc, d1, d2 = eval_map_box(m, c), eval_map_box(dm, c), eval_map_box(d2m, b)
+    with np.errstate(all="ignore"):
+        r = box_mag(box_sub(b, c))
+        radius = _out_hi(_out_hi(box_mag(d1) * r) + 0.5 * _out_hi(box_mag(d2) * _out_hi(r * r)))
+    why = np.where(fc.why != NONE, fc.why, np.where(d1.why != NONE, d1.why, d2.why))
+    why[(why == NONE) & ~np.isfinite(radius)] = OVERFLOW
+    return fc._replace(why=why), radius
 
 
 # ---------------------------------------------------------------------------

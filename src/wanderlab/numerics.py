@@ -14,19 +14,10 @@ float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
 or NaN).  An op's result carries, per box, the first code set among its
 arguments, else its own; endpoints of a box with a code are unspecified.
-The `box_*` ops and `series_quotient` take and return `Boxes` only; a
-single box is a batch of one (`Boxes.of([box])`).  `ComplexBox` is the
-plain record of one rectangle, for raster windows and region bounding
-boxes.  Intervals of the `iv_*` layer are (lo, hi) pairs of arrays or of
-floats.
-
-Also provided: `series_quotient`, one box enclosure of the analytic
-quotients left over when leading Taylor terms are removed (e.g.
-(e^z - 1 - z)/z^2), and `QUOTIENT_SERIES`, the table of its four named
-series.  A box too large for its geometric tail ball raises `DomainError`.
-These enclosures make inequality certificates workable near a point where
-both sides of the inequality vanish; plain rectangle evaluation loses all
-relative precision there.
+The `box_*` ops take and return `Boxes` only; a single box is a batch of
+one (`Boxes.of([box])`).  `ComplexBox` is the plain record of one
+rectangle, for raster windows and region bounding boxes.  Intervals of the
+`iv_*` layer are (lo, hi) pairs of arrays or of floats.
 """
 from __future__ import annotations
 
@@ -46,10 +37,6 @@ NONE, POLE, OVERFLOW = 0, 1, 2  # reason codes of a box in a batch
 
 class PoleIntersect(ArithmeticError):
     """A reciprocal was requested of a box whose modulus range reaches zero."""
-
-
-class DomainError(ValueError):
-    """Argument outside the validity region of a closed-form bound."""
 
 
 def _out_lo(x, ulps: int = 1):
@@ -328,42 +315,3 @@ def box_inflate(a: Boxes, r) -> Boxes:
     """Minkowski sum of each box with a closed ball of radius r >= 0."""
     return _result((_out_lo(a.re_lo - r), _out_hi(a.re_hi + r)),
                    (_out_lo(a.im_lo - r), _out_hi(a.im_hi + r)), a)
-
-
-# ---------------------------------------------------------------------------
-# Series quotients.
-# ---------------------------------------------------------------------------
-
-# name: (step, offset, sign, terms) of sum_k sign^k z^(step k) / (step k + offset + drop)!,
-# summed to `terms` terms; only exp_tail's callers pass a drop
-QUOTIENT_SERIES = {
-    "exp_tail": (1, 0, 1.0, 12),       # (e^z - sum_{k<drop} z^k/k!) / z^drop
-    "one_minus_cos": (2, 2, -1.0, 9),  # (1 - cos z) / z^2
-    "z_minus_sin": (2, 3, -1.0, 9),    # (z - sin z) / z^3
-    "cos_defect": (2, 4, -1.0, 9),     # (cos z - 1 + z^2/2) / z^4
-}
-
-
-def series_quotient(a: Boxes, name: str, drop: int = 0) -> Boxes:
-    """Enclose the named quotient of QUOTIENT_SERIES over the boxes.
-
-    Horner in u = z^step over the kept terms, plus a ball for the dropped
-    tail, its geometric majorant rho^(step terms) / m! / (1 - ratio) with
-    m = step terms + offset and ratio = rho^step / prod_{i=1..step} (m+i);
-    DomainError when the ratio reaches 1 on some box.
-    """
-    step, offset, sign, terms = QUOTIENT_SERIES[name]
-    offset += drop
-    n = len(a.why)
-    coeffs = [sign ** k / math.factorial(step * k + offset) for k in range(terms)]
-    u = a if step == 1 else box_pow_int(a, step)
-    acc = Boxes.point(coeffs[-1], n)
-    for c in coeffs[-2::-1]:
-        acc = box_add(box_mul(acc, u), Boxes.point(c, n))
-    rho = box_mag(a)
-    m = step * terms + offset
-    ratio = rho ** step / math.prod(range(m + 1, m + step + 1))
-    if np.any(ratio >= 1.0):
-        raise DomainError("box too large for series tail")
-    tail = rho ** (step * terms) / float(math.factorial(m)) / (1.0 - ratio)
-    return box_inflate(acc, _out_hi(tail * (1.0 + 1e-12), ulps=2))

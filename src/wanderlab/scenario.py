@@ -58,7 +58,7 @@ from .maps import (
     ex2_admissible,
     solve_ex2_params,
 )
-from .numerics import QUOTIENT_SERIES, ComplexBox, series_quotient
+from .numerics import ComplexBox
 from .pixmap import render_pixmap
 from .regions import Annulus, Difference, Disk, HalfStrip, Region, Union
 from .topology import connectivity, connectivity_monotonicity_check, label_components, surrounds
@@ -302,8 +302,7 @@ class _Doc:
                           body.number("im_hi"), closed=body.boolean("closed", None))
 
     def bound(self, key):
-        kind, node = self.tagged(key, ("const", "power", "series_quotient", "expr_abs",
-                                       "sum"), "bound")
+        kind, node = self.tagged(key, ("const", "power", "expr_abs", "sum"), "bound")
         if kind == "const":
             return node.build(ConstBound, node.number(kind))
         if kind == "sum":
@@ -311,13 +310,8 @@ class _Doc:
         body = node.child(kind)
         if kind == "expr_abs":
             return ExprBound(body.map())
-        center = body.complex("center", None)
-        if kind == "power":
-            return body.build(PowerBound, body.number("c"), body.integer("n"), center=center)
-        name = body.string("quotient", choices=tuple(QUOTIENT_SERIES))
-        drop = body.integer("drop", floor=0) if name == "exp_tail" else 0
-        return body.build(PowerBound, body.number("c"), body.integer("power"), center=center,
-                          quotient=partial(series_quotient, name=name, drop=drop))
+        return body.build(PowerBound, body.number("c"), body.integer("n"),
+                          center=body.complex("center", None))
 
     def params(self) -> dict:
         node = self.child("params", {})
@@ -443,7 +437,7 @@ def _run_zero_count(rd, ctx):
 
 def _run_preimages(rd, ctx):
     m = _item_map(rd, ctx)
-    region, w0, expected = rd.region("region"), rd.complex("w0"), rd.integer("expected")
+    region, w0, expected = rd.region("region"), rd.complex("w0"), rd.integer("expected", floor=0)
     roots = locate_preimages(m, w0, region, expected)
     out = {"roots": [[z.real, z.imag] for z in roots], "expected": expected}
     ok = True
@@ -470,7 +464,7 @@ def _run_fixed_point(rd, ctx):
     max_residual = rd.positive("max_residual", 1e-12)
     max_abs = rd.positive("max_abs", None)
     attracting = rd.boolean("expect_attracting", None)
-    modulus = rd.number("expect_multiplier_modulus", None)
+    modulus = rd.positive("expect_multiplier_modulus", None, zero=True)
     tol = None if modulus is None else rd.positive("tolerance", 1e-9)
     rep = find_fixed_point(m, region)
     out = {"location": [rep.location.real, rep.location.imag], "residual": rep.residual,
@@ -555,7 +549,7 @@ def _run_rh_check(rd, ctx):
 
 def _run_ray_increase(rd, ctx):
     m = _item_map(rd, ctx)
-    hi = rd.number("to")
+    hi = rd.positive("to")
     samples = rd.integer("samples", 1000, floor=1)
     xs = hi * np.arange(1, samples + 1) / samples
     ws, bad = eval_map_vec(m, xs)

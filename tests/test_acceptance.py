@@ -56,7 +56,6 @@ from wanderlab.numerics import (
     box_recip,
     box_sin,
     box_sub,
-    series_quotient,
 )
 from wanderlab.regions import Annulus, Difference, Disk, HalfStrip
 from wanderlab.topology import (
@@ -112,7 +111,7 @@ def test_criterion_2_ex1_core_certificates(verdict):
         assert cert.stats["boxes_examined"] <= 1_000_000
 
         tail = certify_inequality(
-            PowerBound(2.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2)),
+            ExprBound(custom_map("(mul 2 (sub (sub (exp z) 1) z))")),
             PowerBound(2.0, 2),
             Annulus(0j, 2.0 ** -20, 1.0),
             cmp="<",

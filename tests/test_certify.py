@@ -8,11 +8,14 @@ import pytest
 
 from oracles import certificate_reference
 from wanderlab.certify import (
+    WINDING_MAX_SAMPLES,
+    Bound,
     Budget,
     ConstBound,
     CountMismatch,
     DegenerateCurve,
     ExprBound,
+    InvalidCurve,
     PowerBound,
     certify_inclusion,
     certify_inequality,
@@ -31,14 +34,19 @@ from wanderlab.maps import (
     custom_map,
     derivative,
     eval_map,
+    eval_map_box,
     eval_map_vec,
+    eval_taylor_ball,
 )
 from wanderlab.numerics import (
+    NONE,
     OVERFLOW,
     POLE,
-    DomainError,
+    Boxes,
+    ComplexBox,
     PoleIntersect,
-    series_quotient,
+    box_mag,
+    box_mig,
 )
 from wanderlab.regions import Annulus, Difference, Disk
 
@@ -236,8 +244,7 @@ def test_proved_inclusion_monotone_in_target():
 def test_series_remainder_inequality():
     # |e^z - 1 - z| < 2 |z|^2 away from 0: the classic cancellation case a
     # plain rectangle evaluation cannot close at small |z|
-    lhs = PowerBound(1.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2),
-                     label="|exp(z)-1-z|")
+    lhs = ExprBound(custom_map("(sub (sub (exp z) 1) z)"), label="|exp(z)-1-z|")
     rhs = PowerBound(2.0, 2, label="2|z|^2")
     region = Annulus(0j, 2.0 ** -20, 1.0, closed=True)
     cert = certify_inequality(lhs, rhs, region, cmp="<")
@@ -246,15 +253,59 @@ def test_series_remainder_inequality():
 
 
 def test_lower_bound_inequality_with_region_floor():
-    # |z| * |(e^z - 1)/z| >= |z|/2 on a punctured neighbourhood: the lower
-    # side must survive boxes that straddle the inner rim, where the raw
-    # box distance to 0 collapses
-    lhs = PowerBound(1.0, 1, quotient=lambda b: series_quotient(b, "exp_tail", 1),
-                     label="|e^z - 1|")
-    rhs = PowerBound(0.5, 1, label="|z|/2")
+    # |z|/2 <= |e^z - 1| < 2|z| on a punctured neighbourhood.  Each side's
+    # lower bound must survive boxes near the inner rim: that of |e^z - 1|
+    # through the Taylor form, as its image boxes meet 0 there, and that of
+    # 2|z| through the region floor, as the raw box distance to 0 collapses
+    # on boxes that straddle the rim
+    f = ExprBound(custom_map("(sub (exp z) 1)"), label="|e^z - 1|")
     region = Annulus(0j, 2.0 ** -20, 0.5, closed=True)
-    cert = certify_inequality(lhs, rhs, region, cmp=">=")
-    assert cert.proved
+    assert certify_inequality(f, PowerBound(0.5, 1, label="|z|/2"), region, cmp=">=").proved
+    assert certify_inequality(f, PowerBound(2.0, 1, label="2|z|"), region, cmp="<").proved
+
+
+class _NaturalBound(Bound):
+    """|f| from the rectangle image alone: ExprBound without its Taylor form."""
+
+    def __init__(self, m):
+        self.map = m
+
+    def upper(self, boxes, region):
+        image = eval_map_box(self.map, boxes)
+        return box_mag(image), image.why
+
+
+def test_taylor_form_is_what_proves_eq_4_1():
+    # Eq. 4.1, 2|e^z - 1 - z| < 2|z|^2 on 2^-20 <= |z| <= 1: the rectangle
+    # image of the left side meets 0 on every box near the origin, so alone it
+    # stays inconclusive where ExprBound proves the claim
+    m = custom_map("(mul 2 (sub (sub (exp z) 1) z))")
+    region = Annulus(0j, 2.0 ** -20, 1.0, closed=True)
+    budget = Budget(20_000)
+    natural = certify_inequality(_NaturalBound(m), PowerBound(2.0, 2), region, budget)
+    assert natural.verdict == "inconclusive" and natural.stats["budget_exhausted"]
+    taylor = certify_inequality(ExprBound(m), PowerBound(2.0, 2), region, budget)
+    assert taylor.proved and taylor.stats["boxes_examined"] == 4720
+
+
+@pytest.mark.parametrize("text, box, code", [
+    # f'' = 1e400 e^(1e200 z) overflows, while f and f' stay finite
+    ("(sub (exp (mul 1e200 z)) 1)", ComplexBox(-1e-300, 1e-300, -1e-300, 1e-300), OVERFLOW),
+    # f'' = 2/z^3: the rectangle square of z meets 0 on a box that misses it
+    ("(sub (div 1 z) 0.5)", ComplexBox(1.0, 1.5, -1.0, 1.0), POLE),
+], ids=["overflow", "pole"])
+def test_expr_bound_keeps_the_rectangle_bound_where_the_taylor_form_has_a_code(text, box, code):
+    m = custom_map(text)
+    boxes = Boxes.of([box])
+    image = eval_map_box(m, boxes)
+    assert image.why[0] == NONE and box_mig(image)[0] == 0.0   # where the rule runs
+    fc, _ = eval_taylor_ball(m, derivative(m), derivative(derivative(m)), boxes)
+    assert fc.why[0] == code
+    bound, region = ExprBound(m), Disk(0j, 2.0)
+    hi, why_hi = bound.upper(boxes, region)
+    lo, why_lo = bound.lower(boxes, region)
+    assert hi.tolist() == box_mag(image).tolist() and lo.tolist() == [0.0]
+    assert why_hi.tolist() == why_lo.tolist() == [NONE]
 
 
 def test_pole_term_inequality():
@@ -265,14 +316,6 @@ def test_pole_term_inequality():
                               Annulus(complex(A1), A1 / 2, 0.5, closed=True),
                               cmp="<=")
     assert cert.proved
-
-
-def test_series_tail_domain_error_propagates():
-    # a box too large for the series tail is an error, not an undecided box
-    lhs = PowerBound(1.0, 2, quotient=lambda b: series_quotient(b, "exp_tail", 2))
-    with pytest.raises(DomainError):
-        certify_inequality(lhs, PowerBound(2.0, 2), Disk(0j, 40.0, closed=True),
-                           Budget(1000, 2))
 
 
 def test_inequality_rejects_unknown_cmp():
@@ -296,6 +339,16 @@ def test_winding_curve_through_pole_degenerate():
     m = custom_map("(div 1 z)", declared_poles=(0j,))
     with pytest.raises(DegenerateCurve):
         winding_number(m, (complex(0.5), 0.5), 0j)
+
+
+def test_winding_through_the_base_point_is_invalid():
+    # the image of |z| = 0.5 under z passes through w0 = 0.5, so no sample
+    # count makes the argument steps small: the winding stays invalid at the cap
+    m = custom_map("z")
+    res = winding_number(m, (0j, 0.5), 0.5)
+    assert not res.valid and res.samples == WINDING_MAX_SAMPLES
+    with pytest.raises(InvalidCurve):
+        count_zeros_inside(m, (0j, 0.5), 0.5, poles_inside=0)
 
 
 def test_station_curve_windings():

@@ -1,4 +1,4 @@
-"""Family construction, evaluation coherence, and symbolic derivatives."""
+"""Family construction, evaluation coherence, symbolic derivatives and Taylor enclosures."""
 from __future__ import annotations
 
 import cmath
@@ -27,6 +27,7 @@ from wanderlab.maps import (
     eval_map,
     eval_map_box,
     eval_map_vec,
+    eval_taylor_ball,
     ex2_admissible,
     ex2_g_map,
     parse_expr,
@@ -402,6 +403,62 @@ def test_derivative_keeps_pole_set():
     assert dm.declared_poles == m.declared_poles
     with pytest.raises(PoleHitError):
         eval_map(dm, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Second-order Taylor enclosures.
+# ---------------------------------------------------------------------------
+
+_COS = "(sin (add z (mul 0.5 pi)))"
+_TAYLOR_REFS = {   # the remainder differences of Eq. 4.1, 4.2 and 4.9: map text, mpmath form
+    "exp-1-z": ("(sub (sub (exp z) 1) z)", lambda z, mp: mp.exp(z) - 1 - z),
+    "exp-1": ("(sub (exp z) 1)", lambda z, mp: mp.exp(z) - 1),
+    "1-cos": (f"(sub 1 {_COS})", lambda z, mp: 1 - mp.cos(z)),
+    "z-sin": ("(sub z (sin z))", lambda z, mp: z - mp.sin(z)),
+    "cos-defect": (f"(add (sub {_COS} 1) (mul 0.5 (pow z 2)))",
+                   lambda z, mp: mp.cos(z) - 1 + z ** 2 / 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAYLOR_REFS))
+def test_taylor_ball_encloses_samples(name):
+    # every sample's exact value lies in the ball about its box's f(c), with
+    # no tolerance, on 200 boxes with 2^-20 <= |z| <= 1, where the ex1 and
+    # ex2 remainder bounds are certified.  The differences cancel up to 25
+    # digits at 2^-20, so they run at 80 digits to leave the 40 compared.
+    mpmath = pytest.importorskip("mpmath")
+    text, ref = _TAYLOR_REFS[name]
+    m = custom_map(text)
+    rng = random.Random(name)
+    boxes, points = [], []
+    for _ in range(200):
+        r, t = 2.0 ** rng.uniform(-20.0, 0.0), rng.uniform(0.0, 2.0 * math.pi)
+        w, h = (r * 2.0 ** rng.uniform(-30.0, -1.0) for _ in range(2))
+        b = ComplexBox(r * math.cos(t), r * math.cos(t) + w, r * math.sin(t), r * math.sin(t) + h)
+        boxes.append(b)
+        points.append([complex(re, im) for re in (b.re_lo, b.re_hi) for im in (b.im_lo, b.im_hi)]
+                      + [complex(rng.uniform(b.re_lo, b.re_hi), rng.uniform(b.im_lo, b.im_hi))])
+    fc, radius = eval_taylor_ball(m, derivative(m), derivative(derivative(m)), Boxes.of(boxes))
+    assert (fc.why == NONE).all()
+    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in fc[:4])   # floats compare exactly
+    with mpmath.workdps(80):
+        for i, zs in enumerate(points):
+            for z in zs:
+                v = ref(mpmath.mpc(z.real, z.imag), mpmath)
+                dx = max(re_lo[i] - v.real, v.real - re_hi[i], 0)
+                dy = max(im_lo[i] - v.imag, v.imag - im_hi[i], 0)
+                assert mpmath.hypot(dx, dy) <= radius[i], (name, z)
+
+
+def test_half_pi_product_encloses_half_pi_and_its_literal_does_not():
+    # cos z is written sin(z + (mul 0.5 pi)): the product's box holds pi/2,
+    # while the point box of the nearest double misses it
+    mpmath = pytest.importorskip("mpmath")
+    origin = Boxes.of([ComplexBox(0.0, 0.0, 0.0, 0.0)])
+    with mpmath.workdps(40):
+        for text, inside in (("(mul 0.5 pi)", True), (repr(math.pi / 2), False)):
+            b = eval_map_box(custom_map(text), origin)
+            assert (b.re_lo[0] <= mpmath.pi / 2 <= b.re_hi[0]) is inside, text
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from wanderlab.numerics import (
     POLE,
     Boxes,
     ComplexBox,
-    DomainError,
     box_add,
     box_cos,
     box_div,
@@ -40,7 +39,6 @@ from wanderlab.numerics import (
     iv_sinh,
     iv_sq,
     iv_sub,
-    series_quotient,
 )
 
 RNG = random.Random(20260815)
@@ -336,65 +334,6 @@ def test_numpy_hypot_within_one_ulp_of_mpmath():
             h = mpmath.sqrt(mpmath.mpf(float(x)) ** 2 + mpmath.mpf(float(y)) ** 2)
             assert mpmath.mpf(float(np.nextafter(v, -np.inf))) <= h
             assert h <= mpmath.mpf(float(np.nextafter(v, np.inf)))
-
-
-# ---------------------------------------------------------------------------
-# Series quotients.
-# ---------------------------------------------------------------------------
-
-_QUOTIENT_REFS = {   # (name, drop): the quotient in closed form, for mpmath
-    ("exp_tail", 0): lambda z, mp: mp.exp(z),
-    ("exp_tail", 1): lambda z, mp: (mp.exp(z) - 1) / z,
-    ("exp_tail", 2): lambda z, mp: (mp.exp(z) - 1 - z) / z ** 2,
-    ("one_minus_cos", 0): lambda z, mp: (1 - mp.cos(z)) / z ** 2,
-    ("z_minus_sin", 0): lambda z, mp: (z - mp.sin(z)) / z ** 3,
-    ("cos_defect", 0): lambda z, mp: (mp.cos(z) - 1 + z ** 2 / 2) / z ** 4,
-}
-
-
-@pytest.mark.parametrize("name, drop", list(_QUOTIENT_REFS),
-                         ids=["exp_tail-0", "exp_tail-1", "exp_tail-2", "one_minus_cos",
-                              "z_minus_sin", "cos_defect"])
-def test_series_quotients_enclose_samples(name, drop):
-    # every sample's exact quotient lies in its box, with no tolerance: on 200
-    # boxes with 2^-20 <= |z| <= 1, where the ex1 and ex2 remainder bounds are
-    # certified, and on 40 points with 1 <= |z| <= 4, where the tail ball is
-    # many ulps wide, so that a lost tail shows.  The closed forms cancel up to
-    # 25 digits at 2^-20, so they run at 80 digits to leave the 40 compared.
-    mpmath = pytest.importorskip("mpmath")
-    ref = _QUOTIENT_REFS[name, drop]
-    rng = random.Random(f"{name}-{drop}")
-    boxes, points = [], []
-    for lo, hi, wide in [(-20.0, 0.0, True)] * 200 + [(0.0, 2.0, False)] * 40:
-        r, t = 2.0 ** rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi)
-        w, h = (r * 2.0 ** rng.uniform(-30.0, -1.0) if wide else 0.0 for _ in range(2))
-        b = ComplexBox(r * math.cos(t), r * math.cos(t) + w, r * math.sin(t), r * math.sin(t) + h)
-        boxes.append(b)
-        points.append(_corners(b) + [complex(rng.uniform(b.re_lo, b.re_hi),
-                                             rng.uniform(b.im_lo, b.im_hi))])
-    out = series_quotient(Boxes.of(boxes), name, drop)
-    assert (out.why == NONE).all()
-    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in out[:4])   # floats compare exactly
-    with mpmath.workdps(80):
-        for i, zs in enumerate(points):
-            for z in zs:
-                v = ref(mpmath.mpc(z.real, z.imag), mpmath)
-                assert re_lo[i] <= v.real <= re_hi[i], (name, drop, z)
-                assert im_lo[i] <= v.imag <= im_hi[i], (name, drop, z)
-
-
-def test_series_quotient_limit_at_zero():
-    # value at z -> 0 is the leading coefficient
-    tiny = Boxes.of([ComplexBox(-1e-300, 1e-300, -1e-300, 1e-300)])
-    assert encloses(series_quotient(tiny, "exp_tail", 2), [[0.5]], atol=1e-12).all()
-    assert encloses(series_quotient(tiny, "one_minus_cos"), [[0.5]], atol=1e-12).all()
-    assert encloses(series_quotient(tiny, "z_minus_sin"), [[1.0 / 6.0]], atol=1e-12).all()
-    assert encloses(series_quotient(tiny, "cos_defect"), [[1.0 / 24.0]], atol=1e-12).all()
-
-
-def test_series_quotient_rejects_huge_box():
-    with pytest.raises(DomainError):
-        series_quotient(Boxes.of([ComplexBox(-40.0, 40.0, -40.0, 40.0)]), "exp_tail", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -251,11 +251,11 @@ _RASTER_EX2 = ({"escaped": 623436, "attracted": 0, "drifting": 16564, "pole": 0,
                              "128-255": 2, "256-511": 2},
                 "pole": {}, "budget": {}})
 _PINNED_COUNTS = {
-    "ex1-core": {"Eq-4.1": (3360, 19, 0), "Eq-4.2-core": (1192, 17, 0),
+    "ex1-core": {"Eq-4.1": (4720, 19, 0), "Eq-4.2-core": (1392, 18, 0),
                  "Eq-4.2-pole": (416, 6, 0), "Ex1-core-inclusion": (1328, 2, 0),
                  "Ex1-raster": _RASTER_EX1},
     "ex2-core": {"Eq-4.4-4.5": (5280, 4, 0), "Delta0-joukowski": (544, 3, 0),
-                 "Eq-4.9": (416, 10, 0), "Eq-4.9-derivative": (544, 7, 0),
+                 "Eq-4.9": (416, 10, 0), "Eq-4.9-derivative": (752, 7, 0),
                  "Lemma-4.1a": 1024, "Lemma-4.1b": 1024, "Cor-2-raster": _RASTER_EX2},
     "ex5-strip": {"Omega-inclusion": (344, 11, 0)},
     "ex34-models": {"Ex3-model-bound": (256, 0, 0), "Ex3-model-pole": (624, 2, 0),
@@ -464,14 +464,11 @@ MINIMAL_ITEMS = {
         ["source", "target", "source.disk.center", "source.disk.radius",
          "target.disk.center", "target.disk.radius"]),
     "inequality": (
-        {"lhs": {"series_quotient": {"c": 1.0, "power": 1, "quotient": "exp_tail",
-                                     "drop": 1}},
+        {"lhs": {"expr_abs": {"expr": "(sub (exp z) 1)"}},
          "rhs": {"power": {"c": 2.0, "n": 0}},
          "region": {"annulus": {"center": [0.0, 0.0], "r_in": 0.1, "r_out": 0.5}}},
-        ["lhs", "rhs", "region", "lhs.series_quotient.c", "lhs.series_quotient.power",
-         "lhs.series_quotient.quotient", "lhs.series_quotient.drop", "rhs.power.c",
-         "rhs.power.n", "region.annulus.center", "region.annulus.r_in",
-         "region.annulus.r_out"]),
+        ["lhs", "rhs", "region", "lhs.expr_abs.expr", "rhs.power.c", "rhs.power.n",
+         "region.annulus.center", "region.annulus.r_in", "region.annulus.r_out"]),
     "winding": (
         {"circle": {"center": [0.0, 0.0], "radius": 0.5}, "w0": [0.0, 0.0],
          "expect_winding": 1},
@@ -553,6 +550,9 @@ def _disk(radius, **extra):
     (_item("inequality", rhs={"power": {"c": -2.0, "n": 0}}), "inequality-item.rhs.power"),
     (_item("inequality", rhs={"const": math.nan}), "inequality-item.rhs"),
     (_item("inequality", rhs={"pow": {"c": 2.0, "n": 0}}), "inequality-item.rhs"),
+    (_item("inequality", lhs={"series_quotient": {"c": 1.0, "power": 1,
+                                                  "quotient": "exp_tail", "drop": 1}}),
+     "inequality-item.lhs"),
     (_drop(_item("winding"), "expect_winding"), "winding-item.expect_winding"),
     (_item("winding", w0="$nowhere"), "winding-item.w0"),
     (_item("rh_check", args="abc"), "rh_check-item.args"),
@@ -576,6 +576,17 @@ def _disk(radius, **extra):
     (_item("fixed_point", max_residual=math.inf), "fixed_point-item.max_residual"),
     (_item("fixed_point", max_residual=0.0), "fixed_point-item.max_residual"),
     (_item("fixed_point", max_abs=math.inf), "fixed_point-item.max_abs"),
+    (_item("fixed_point", expect_multiplier_modulus=-1.0),
+     "fixed_point-item.expect_multiplier_modulus"),
+    (_item("fixed_point", expect_multiplier_modulus=math.nan),
+     "fixed_point-item.expect_multiplier_modulus"),
+    (_item("fixed_point", expect_multiplier_modulus=math.inf),
+     "fixed_point-item.expect_multiplier_modulus"),
+    (_item("ray_increase", to=-5.0), "ray_increase-item.to"),
+    (_item("ray_increase", to=0.0), "ray_increase-item.to"),
+    (_item("ray_increase", to=math.nan), "ray_increase-item.to"),
+    (_item("ray_increase", to=math.inf), "ray_increase-item.to"),
+    (_item("preimages", expected=-1), "preimages-item.expected"),
     (_item("params_identity", tolerance=math.inf), "params_identity-item.tolerance"),
     (_item("params_identity", tolerance=-1e-12), "params_identity-item.tolerance"),
     (_item("preimages", near_cube_roots={"scale": 1.0, "within_factor": math.inf}),
@@ -593,12 +604,16 @@ def _disk(radius, **extra):
      "raster-item.match[0].expect_behavior"),
 ], ids=["disk-without-radius", "text-max-boxes", "zero-max-boxes", "negative-radius",
         "nan-radius", "unread-closd", "unknown-verdict", "bad-cmp", "negative-power-bound",
-        "nan-const-bound", "unknown-bound", "missing-expect-winding", "unresolved-ref",
+        "nan-const-bound", "unknown-bound", "series-quotient-bound", "missing-expect-winding",
+        "unresolved-ref",
         "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
         "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
         "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
         "infinite-modulus-tolerance", "infinite-max-residual", "zero-max-residual",
-        "infinite-max-abs", "infinite-identity-tolerance", "negative-identity-tolerance",
+        "infinite-max-abs", "negative-multiplier-modulus", "nan-multiplier-modulus",
+        "infinite-multiplier-modulus", "negative-ray-end", "zero-ray-end", "nan-ray-end",
+        "infinite-ray-end", "negative-preimage-count", "infinite-identity-tolerance",
+        "negative-identity-tolerance",
         "infinite-within-factor", "negative-cube-root-scale", "vacuous-distance-floor",
         "infinite-distance-floor", "negative-poles-inside", "negative-zero-count",
         "two-selectors", "unread-raster-field", "unknown-behavior"])
@@ -644,6 +659,17 @@ def test_unmatched_component_is_failed_row(tmp_path, capsys):
     assert main(["run", scenario, "--threads", "1"]) == 1
     row, = json.loads(capsys.readouterr().out)["items"]
     assert row["result"]["error"].startswith("LookupError: raster-item.match[0].component")
+
+
+def test_invalid_winding_fails_its_rows(tmp_path):
+    # the image of |z| = 0.5 under z passes through w0 = 0.5: the winding
+    # never validates, so the count raises and the winding row reports it
+    curve = {"map": {"expr": "z"}, "w0": [0.5, 0.0]}
+    report = run_scenario(_write(tmp_path, "w.json", dict(
+        FIELDS, items=[_item("zero_count", **curve), _item("winding", **curve)])))
+    count, winding = report["items"]
+    assert not count["passed"] and count["result"]["error"].startswith("InvalidCurve")
+    assert not winding["passed"] and winding["result"]["valid"] is False
 
 
 def test_unread_match_field_is_config_error(tmp_path, capsys):
@@ -724,10 +750,8 @@ def test_absent_orbit_fields_keep_constructor_defaults(tmp_path, orbit, want):
     ({"r": {"half_strip": {"re_hi": 1.0, "im_lo": -1.0, "im_hi": 1.0}}},
      lambda rd: rd.region("r"), HalfStrip(-math.inf, 1.0, -1.0, 1.0)),
     ({"b": {"power": {"c": 1.0, "n": 2}}}, lambda rd: rd.bound("b").center, 0j),
-    ({"b": {"series_quotient": {"c": 1.0, "power": 2, "quotient": "cos_defect"}}},
-     lambda rd: rd.bound("b").center, 0j),
 ], ids=["no-budget", "empty-budget", "depth-only", "boxes-override", "disk", "annulus",
-        "half-strip", "power-center", "quotient-center"])
+        "half-strip", "power-center"])
 def test_absent_item_fields_keep_constructor_defaults(doc, read, want):
     rd = _Doc(doc, {}, "item")
     assert read(rd) == want

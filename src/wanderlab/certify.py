@@ -56,6 +56,7 @@ from .numerics import (
     Boxes,
     ComplexBox,
     _out_hi,
+    _out_lo,
     box_mag,
     box_mig,
     box_quarters,
@@ -293,7 +294,9 @@ class ExprBound(Bound):
         return self._bound(boxes, box_mag, lambda fc, r: _out_hi(box_mag(fc) + r), np.minimum)
 
     def lower(self, boxes, region):
-        return self._bound(boxes, box_mig, lambda fc, r: _down2(box_mig(fc) - r), np.maximum)
+        return self._bound(boxes, box_mig,
+                           lambda fc, r: np.maximum(0.0, _out_lo(box_mig(fc) - r, ulps=2)),
+                           np.maximum)
 
 
 class ConstBound(Bound):
@@ -308,11 +311,6 @@ class ConstBound(Bound):
 
     def lower(self, boxes, region):
         return _checked(np.full(len(boxes.why), self.c))
-
-
-def _down2(v: np.ndarray) -> np.ndarray:
-    """v pushed two ulps toward 0, and not below 0."""
-    return np.maximum(0.0, np.nextafter(np.nextafter(v, 0.0), 0.0))
 
 
 class PowerBound(Bound):
@@ -331,7 +329,7 @@ class PowerBound(Bound):
 
     def lower(self, boxes, region):
         d = np.maximum(box_mig(boxes, self.center), region.min_dist_bound(self.center))
-        return _checked(_down2(self.c * d ** self.n))
+        return _checked(np.maximum(0.0, _out_lo(self.c * d ** self.n, ulps=2)))
 
 
 class SumBound(Bound):

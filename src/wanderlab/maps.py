@@ -450,10 +450,8 @@ def _compile(expr: Node) -> Tape:
 _VEC, _BOX = (Op._fields.index(c) for c in ("vec", "box"))
 
 
-def _run(m: MeromorphicMap, column: int, x, lift, note=None):
-    """Value of m at x in one backend column; lift makes a constant's value.
-
-    note, if given, is called with each step's value in tape order."""
+def _run(m: MeromorphicMap, column: int, x, lift):
+    """Value of m at x in one backend column; lift makes a constant's value."""
     ns, params = globals(), m.params
     vals = [x]
     for name, value in m.tape.leaves:
@@ -463,8 +461,6 @@ def _run(m: MeromorphicMap, column: int, x, lift, note=None):
             vals.append(ns[op[column]](vals[args[0]], vals[args[1]]))
         else:
             vals.append(ns[op[column]](vals[args[0]], *data))
-        if note is not None:
-            note(vals[-1])
         for i in dead:
             vals[i] = None
     return vals[-1]
@@ -531,19 +527,16 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
 def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     """Rigorous enclosure of the image of each box of a batch.
 
-    Each box's reason code is that of the first step, in tape order, whose
-    value has one: POLE where a division's denominator box touches 0,
-    OVERFLOW where an endpoint is inf or NaN.
+    A box with a reason code keeps it.  Otherwise its code is that of the
+    first step, in tape order, whose value has one: POLE where a division's
+    denominator box touches 0, OVERFLOW where an endpoint is inf or NaN.
+    That is the root's own code, as each op takes its first coded
+    argument's code and the tape is in post-order.
     """
     n = len(b.why)
-    why = b.why.copy()
-
-    def note(step: Boxes) -> None:
-        np.copyto(why, step.why, where=why == NONE)
-
     with np.errstate(all="ignore"):
-        out = _run(m, _BOX, b, lambda v: Boxes.point(v, n), note)
-    return out._replace(why=why)
+        out = _run(m, _BOX, b, lambda v: Boxes.point(v, n))
+    return out._replace(why=np.where(b.why != NONE, b.why, out.why))
 
 
 def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,

@@ -13,11 +13,12 @@ Each op is written once, over arrays.  A batch of n boxes (`Boxes`) is four
 float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
 or NaN).  An op's result carries, per box, the first code set among its
-arguments, else its own; endpoints of a box with a code are unspecified.
-The `box_*` ops take and return `Boxes` only; a single box is a batch of
-one (`Boxes.of([box])`).  `ComplexBox` is the plain record of one
-rectangle, for raster windows and region bounding boxes.  Intervals of the
-`iv_*` layer are (lo, hi) pairs of arrays or of floats.
+arguments, else its own, so an expression evaluated in post-order carries
+the code of its first failing step; endpoints of a box with a code are
+unspecified.  The `box_*` ops take and return `Boxes` only; a single box
+is a batch of one (`Boxes.of([box])`).  `ComplexBox` is the plain record
+of one rectangle, for raster windows and region bounding boxes.
+Intervals of the `iv_*` layer are (lo, hi) pairs of arrays or of floats.
 """
 from __future__ import annotations
 
@@ -114,31 +115,35 @@ def iv_sinh(a):
     return _widen(np.sinh(a[0]), np.sinh(a[1]), ulps=2)
 
 
-def _trig_range(a, fn, crit_offset: float):
-    """Range of sin (crit_offset = pi/2) or cos (crit_offset = 0) over [lo, hi].
+def _trig_range(a, fn, peak: float):
+    """Range of sin (peak = pi/2) or cos (peak = 0) over [lo, hi].
 
-    Endpoint values plus every interior critical point.  Critical points are
-    located with floating-point arithmetic; candidates are admitted with a
-    generous slab so a borderline one can only widen the result toward the
-    global bounds +-1, never shrink it.
+    The endpoint values, with 1 where a maximum c + 2k pi (c = peak) lies in
+    [lo - s, hi + s], and -1 where a minimum (c = peak - pi) does; that is
+    iff floor((hi + s - c) / 2pi) >= ceil((lo - s - c) / 2pi).
+
+    Error bound: s is 4 ulps u of M = max(|lo|, |hi|, 2pi), and a quotient
+    errs, in units of its numerator, by at most u each for rounding hi + s
+    and the subtraction (the numerator is below 1.5 M), 2pi u / 8 for the
+    division (the quotient is below M / 4), 0.53 u for fl(2pi) (3.9e-17
+    relative) and 0.14 u for fl(pi/2) or fl(pi): 3.46 u < s, so no extremum
+    in [lo, hi] is missed (about 0.27 against s = 0.5 at |x| = 1e15).  The
+    floor of M at 2pi, not 1, is what makes these bounds hold below
+    |x| = 2pi; it moves no result, as an endpoint within s of an extremum
+    there has a value within an ulp of +-1.  Intervals 2pi or wider, or
+    with an end past 1e15, get [-1, 1].
     """
     lo, hi = a
     wide = (hi - lo >= _TWO_PI) | (np.abs(lo) > 1e15) | (np.abs(hi) > 1e15)
     f_lo, f_hi = fn(lo), fn(hi)
-    top, bot = np.maximum(f_lo, f_hi), np.minimum(f_lo, f_hi)
-    # extrema of sin at pi/2 + k*pi; of cos at k*pi
-    k_lo = np.floor((lo - crit_offset) / math.pi) - 1.0
-    k_hi = np.ceil((hi - crit_offset) / math.pi) + 1.0
-    slack = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
-    span = np.where(wide | np.isnan(k_hi - k_lo), 0.0, k_hi - k_lo)
-    # every candidate k in [k_lo, k_hi], one per column
-    k = np.asarray(k_lo)[..., None] + np.arange(int(np.max(span, initial=0.0)) + 1)
-    x = crit_offset + k * math.pi
-    hit = ((k <= np.asarray(k_hi)[..., None]) & (np.asarray(lo - slack)[..., None] <= x)
-           & (x <= np.asarray(hi + slack)[..., None]))
-    even = np.mod(k, 2.0) == 0.0
-    top = np.where((hit & even).any(axis=-1), 1.0, top)
-    bot = np.where((hit & ~even).any(axis=-1), -1.0, bot)
+    s = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), _TWO_PI))
+    up, down = hi + s, lo - s
+
+    def meets(c):
+        return np.floor((up - c) / _TWO_PI) >= np.ceil((down - c) / _TWO_PI)
+
+    top = np.where(meets(peak), 1.0, np.maximum(f_lo, f_hi))
+    bot = np.where(meets(peak - math.pi), -1.0, np.minimum(f_lo, f_hi))
     vlo, vhi = _widen(bot, top, ulps=2)
     return (np.where(wide, -1.0, np.maximum(vlo, -1.0)),
             np.where(wide, 1.0, np.minimum(vhi, 1.0)))

@@ -135,7 +135,7 @@ def load_scenario(ref) -> Scenario:
     spec = top.child("map", {})
     params = spec.params()
     window = top.value("window", lambda w: isinstance(w, list) and len(w) == 4
-                       and all(_is_number(v) and math.isfinite(v) for v in w)
+                       and all(_is_number(v) for v in w)
                        and w[0] <= w[1] and w[2] <= w[3],
                        "four finite numbers [re_lo, re_hi, im_lo, im_hi] with lo <= hi", None)
     resolution = top.value(
@@ -162,8 +162,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number that float() takes: not a bool, nor an int past the float range."""
-    return (isinstance(value, float)
+    """A finite JSON number: not a bool, NaN, an infinity or an int past the float range."""
+    return ((isinstance(value, float) and math.isfinite(value))
             or (_is_int(value) and abs(value) <= sys.float_info.max))
 
 
@@ -208,7 +208,7 @@ class _Doc:
     def number(self, key, default=_REQUIRED) -> float | None:
         got = self.value(key, lambda v: _is_number(v) or (
             isinstance(v, str) and v[:1] == "$" and v[1:] in self.env),
-            "a number or a defined $reference", default)
+            "a finite number or a defined $reference", default)
         if isinstance(got, str):
             got = self.env[got[1:]]
         return None if got is None else float(got)
@@ -217,7 +217,7 @@ class _Doc:
         """A number that is finite and > 0 (>= 0 when zero is allowed): a radius,
         tolerance, factor or distance floor."""
         got = self.number(key, default)
-        if got is not None and not (0.0 < got < math.inf or zero and got == 0.0):
+        if got is not None and not (got > 0.0 or zero and got == 0.0):
             raise ScenarioError(f"expected a finite number {'>=' if zero else '>'} 0, "
                                 f"got {got!r}", self.at(key))
         return got

@@ -281,18 +281,29 @@ def _mixed_boxes(rng: random.Random, n: int) -> list[ComplexBox]:
     return out
 
 
-@pytest.mark.parametrize("m", [
-    custom_map("(add (div 1 z) (mul z (exp z)))", declared_poles=(0j,)),
-    build_family("ex2", {"eps": 1e-5}),
-    custom_map("(sub (mul (exp z) (exp z)) (mul (exp z) (exp z)))"),
-], ids=["pole-exp", "ex2", "inf-minus-inf"])
-def test_box_eval_batch_matches_single_boxes(m):
-    # a box's enclosure and reason code do not depend on the batch around it
-    boxes = _mixed_boxes(random.Random(9001), 1000)
-    batch = eval_map_box(m, Boxes.of(boxes))
+@pytest.mark.parametrize("m, probes", [
+    (custom_map("(add (div 1 z) (mul z (exp z)))", declared_poles=(0j,)), []),
+    (build_family("ex2", {"eps": 1e-5}), []),
+    (custom_map("(sub (mul (exp z) (exp z)) (mul (exp z) (exp z)))"), []),
+    # on a box around 0 the left operand overflows and the right one has a
+    # pole: the left operand's code wins
+    (custom_map("(add (exp (mul 1000 z)) (div 1 z))"), [(_centered(0j, 1.0), NONE, OVERFLOW)]),
+    (custom_map("(add (div 1 z) (exp (mul 1000 z)))"), [(_centered(0j, 1.0), NONE, POLE)]),
+    # a map without z keeps each input box's code
+    (custom_map("(exp 1)"), [(_centered(0j, 0.1), POLE, POLE),
+                             (_centered(1j, 0.1), OVERFLOW, OVERFLOW)]),
+], ids=["pole-exp", "ex2", "inf-minus-inf", "overflow-before-pole", "pole-before-overflow",
+        "coded-input-without-z"])
+def test_box_eval_batch_matches_single_boxes(m, probes):
+    # a box's enclosure and reason code do not depend on the batch around it;
+    # each probe box, given its input code, gets the code wanted
+    boxes = _mixed_boxes(random.Random(9001), 1000) + [b for b, _, _ in probes]
+    codes = np.array([NONE] * 1000 + [code for _, code, _ in probes], np.uint8)
+    batch = eval_map_box(m, Boxes.of(boxes)._replace(why=codes))
     assert {int(w) for w in batch.why} >= {NONE, OVERFLOW}
+    assert [int(w) for w in batch.why[1000:]] == [want for _, _, want in probes]
     for i, b in enumerate(boxes):
-        alone = eval_map_box(m, Boxes.of([b]))
+        alone = eval_map_box(m, Boxes.of([b])._replace(why=codes[i:i + 1]))
         assert alone.why[0] == batch.why[i]
         assert (np.array([e[0] for e in alone[:4]]).tobytes()
                 == np.array([e[i] for e in batch[:4]]).tobytes())

@@ -295,6 +295,24 @@ def _exact_range(mpmath, name, lo, hi):
     return min(values), max(values)
 
 
+def _near_extrema(mpmath):
+    """Intervals whose ends lie 0-4 ulps either side of k pi/2, an extremum
+    of sin or of cos, for |k| up to 6e14 (|x| up to 9.4e14): both ends near
+    it, or one end near it and the other 0.5 away."""
+    ks = sorted({sign * (2 * k + odd) for k in [0, 1, 2, 3] + [10 ** p for p in range(1, 15)]
+                 + [3 * 10 ** 14] for odd in (0, 1) for sign in (1, -1)})
+    with mpmath.workdps(40):
+        centers = np.array([float(mpmath.mpf(k) * mpmath.pi / 2) for k in ks])
+    up, down = [centers], [centers]
+    for _ in range(4):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    ends = np.stack(down[:0:-1] + up)   # -4 .. +4 ulps, one row each
+    i, j = np.triu_indices(len(ends))
+    return (np.concatenate([ends[i].ravel(), ends.ravel(), ends.ravel() - 0.5]),
+            np.concatenate([ends[j].ravel(), ends.ravel() + 0.5, ends.ravel()]))
+
+
 @pytest.mark.parametrize("op, name, reach", [
     (iv_exp, "exp", 700.0),
     (iv_sin, "sin", 1e3),
@@ -305,7 +323,8 @@ def _exact_range(mpmath, name, lo, hi):
 def test_transcendental_ops_round_strictly_outward(op, name, reach):
     # each endpoint against the 40-digit range: point and one-ulp intervals
     # get no width padding, so only the ulp steps move them outward; sin and
-    # cos bounds clamped to exactly +-1 may touch the range
+    # cos bounds clamped to exactly +-1 may touch the range; sin and cos also
+    # get intervals that end within a few ulps of an extremum
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     xs = np.concatenate([[0.0, 1e-300, -1e-300, 0.5, -0.5], rng.uniform(-reach, reach, 300),
@@ -314,6 +333,9 @@ def test_transcendental_ops_round_strictly_outward(op, name, reach):
               1e-9 * (1.0 + np.abs(xs)), rng.uniform(0.0, 4.0, xs.size)]
     lo = np.concatenate([xs] * len(widths))
     hi = lo + np.concatenate(widths)
+    if name in ("sin", "cos"):
+        near_lo, near_hi = _near_extrema(mpmath)
+        lo, hi = np.concatenate([lo, near_lo]), np.concatenate([hi, near_hi])
     out_lo, out_hi = op((lo, hi))
     clamp = 1.0 if name in ("sin", "cos") else math.inf
     with mpmath.workdps(40):

@@ -543,12 +543,12 @@ def _disk(radius, **extra):
     (_item("inclusion", budget={"max_boxes": "many"}), "inclusion-item.budget.max_boxes"),
     (_item("inclusion", budget={"max_boxes": 0}), "inclusion-item.budget.max_boxes"),
     (_item("inclusion", target=_disk(-1.0)), "inclusion-item.target.disk"),
-    (_item("inclusion", target=_disk(math.nan)), "inclusion-item.target.disk"),
+    (_item("inclusion", target=_disk(math.nan)), "inclusion-item.target.disk.radius"),
     (_item("inclusion", source=_disk(0.1, closd=True)), "inclusion-item.source.disk.closd"),
     (_item("inclusion", expect="prooved"), "inclusion-item.expect"),
     (_item("inequality", cmp="=="), "inequality-item.cmp"),
     (_item("inequality", rhs={"power": {"c": -2.0, "n": 0}}), "inequality-item.rhs.power"),
-    (_item("inequality", rhs={"const": math.nan}), "inequality-item.rhs"),
+    (_item("inequality", rhs={"const": math.nan}), "inequality-item.rhs.const"),
     (_item("inequality", rhs={"pow": {"c": 2.0, "n": 0}}), "inequality-item.rhs"),
     (_item("inequality", lhs={"series_quotient": {"c": 1.0, "power": 1,
                                                   "quotient": "exp_tail", "drop": 1}}),
@@ -571,6 +571,15 @@ def _disk(radius, **extra):
     (_item("point_image", target={"center": [math.e, 0.0], "radius": 0.0}),
      "point_image-item.target.radius"),
     (_item("track", radius=math.inf), "track-item.radius"),
+    (_item("track", expect_all=False,
+           centers={"geometric": {"base": [0.0, 0.0], "factor": math.nan, "count": 3}}),
+     "track-item.centers.geometric.factor"),
+    (_item("track", expect_all=False,
+           centers={"arithmetic": {"base": [0.0, 0.0], "step": [math.inf, 0.0], "count": 3}}),
+     "track-item.centers.arithmetic.step[0]"),
+    (_item("inclusion", target={"disk": {"center": [0.0, math.nan], "radius": 1.0}}),
+     "inclusion-item.target.disk.center[1]"),
+    (_item("point_image", z=-math.inf), "point_image-item.z"),
     (_item("fixed_point", expect_multiplier_modulus=7.0, tolerance=math.inf),
      "fixed_point-item.tolerance"),
     (_item("fixed_point", max_residual=math.inf), "fixed_point-item.max_residual"),
@@ -609,6 +618,7 @@ def _disk(radius, **extra):
         "text-args", "three-args", "unread-expect-attracting", "tolerance-without-modulus",
         "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
         "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
+        "nan-track-factor", "infinite-track-step", "nan-disk-center", "infinite-point-z",
         "infinite-modulus-tolerance", "infinite-max-residual", "zero-max-residual",
         "infinite-max-abs", "negative-multiplier-modulus", "nan-multiplier-modulus",
         "infinite-multiplier-modulus", "negative-ray-end", "zero-ray-end", "nan-ray-end",

@@ -9,6 +9,18 @@ are faithful but not correctly rounded).  The resulting slack is many
 orders of magnitude below any margin the certificate layer relies on, and
 it keeps the arithmetic portable: no fesetround, no MPFR.
 
+An ulp outward is one arithmetic step under the default round-to-nearest,
+x +- (|x| H + 2^-1074) with H = 2^-53 (1 + 2^-52), a hair over half an ulp
+of x.  For normal x the step is more than half the gap from x to its
+neighbour that way and at most a hair (2^-51 relative) over the whole gap,
+so round-to-nearest takes the exact x +- step to that neighbour:
+np.nextafter's result, bit for bit.  The 2^-1074 term keeps the step from
+vanishing where |x| H underflows.  While x and the result both have
+magnitude at least 2^-1020 the step lands on the neighbour; below that, or
+stepping toward 0 from +-2^-1020, |x| H rounds as a subnormal and a step
+may go two ulps, never fewer than one.  An infinite end stays put outward
+and becomes NaN inward; NaN stays NaN.
+
 Each op is written once, over arrays.  A batch of n boxes (`Boxes`) is four
 float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
@@ -28,10 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-_INF = math.inf
 _WIDTH_INFLATE = 2.0 ** -41  # applied per endpoint, so width grows by 2^-40
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
+_HALF_ULP = 2.0 ** -53 * (1.0 + 2.0 ** -52)  # |x| times this is a hair over half an ulp of x
+_TINY = 2.0 ** -1074  # the smallest subnormal: the step never rounds to 0
 
 NONE, POLE, OVERFLOW = 0, 1, 2  # reason codes of a box in a batch
 
@@ -41,14 +54,23 @@ class PoleIntersect(ArithmeticError):
 
 
 def _out_lo(x, ulps: int = 1):
+    """x stepped ulps floats down, each step x - (|x| H + 2^-1074) (see the
+    module docstring); x is an array or a float."""
     for _ in range(ulps):
-        x = np.nextafter(x, -_INF)
+        step = np.abs(x)      # a new array or scalar: the in-place ops leave x alone
+        step *= _HALF_ULP
+        step += _TINY
+        x = x - step
     return x
 
 
 def _out_hi(x, ulps: int = 1):
+    """x stepped ulps floats up, each step x + (|x| H + 2^-1074)."""
     for _ in range(ulps):
-        x = np.nextafter(x, _INF)
+        step = np.abs(x)
+        step *= _HALF_ULP
+        step += _TINY
+        x = x + step
     return x
 
 

@@ -90,8 +90,10 @@ class Disk(Region):
         return _cover(self.center, self.radius)
 
     def min_dist_bound(self, p: complex) -> float:
-        d = abs(complex(p) - self.center) - self.radius
-        return max(0.0, _out_lo(d, ulps=3))
+        # |p - c| is rounded down before the subtraction: ulps of the
+        # difference alone do not cover the error of |p - c|
+        d = _out_lo(abs(complex(p) - self.center), ulps=3)
+        return max(0.0, _out_lo(d - self.radius))
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,12 @@ class Annulus(Region):
     def min_dist_bound(self, p: complex) -> float:
         d = abs(complex(p) - self.center)
         if d < self.r_in:
-            gap = self.r_in - d
+            gap = self.r_in - _out_hi(d, ulps=3)
         elif d > self.r_out:
-            gap = d - self.r_out
+            gap = _out_lo(d, ulps=3) - self.r_out
         else:
             gap = 0.0
-        return max(0.0, _out_lo(gap, ulps=3))
+        return max(0.0, _out_lo(gap))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,20 @@ def encloses(b: Boxes, z, atol=0.0) -> np.ndarray:
             & (im_lo - atol <= z.imag) & (z.imag <= im_hi + atol))
 
 
+def nextafter_out_lo(x, ulps: int = 1):
+    """Reference outward rounding: ulps steps of np.nextafter toward -inf."""
+    for _ in range(ulps):
+        x = np.nextafter(x, -np.inf)
+    return x
+
+
+def nextafter_out_hi(x, ulps: int = 1):
+    """Reference outward rounding: ulps steps of np.nextafter toward +inf."""
+    for _ in range(ulps):
+        x = np.nextafter(x, np.inf)
+    return x
+
+
 def traced_peak(fn, *args):
     """fn(*args), and the most bytes tracemalloc saw allocated while it ran."""
     tracemalloc.start()

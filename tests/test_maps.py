@@ -6,13 +6,15 @@ import importlib
 import math
 import random
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wanderlab.maps
-from oracles import encloses
+import wanderlab.numerics
+from oracles import encloses, nextafter_out_hi, nextafter_out_lo
 from wanderlab.maps import (
     OPS,
     MeromorphicMap,
@@ -34,7 +36,16 @@ from wanderlab.maps import (
     solve_ex2_params,
     to_sexpr,
 )
-from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox
+from wanderlab.numerics import (
+    NONE,
+    OVERFLOW,
+    POLE,
+    Boxes,
+    ComplexBox,
+    box_inflate,
+    box_mag,
+    box_mig,
+)
 
 RNG = random.Random(365214)
 
@@ -309,6 +320,59 @@ def test_box_eval_batch_matches_single_boxes(m, probes):
                 == np.array([e[i] for e in batch[:4]]).tobytes())
     if m.declared_poles:
         assert (batch.why == POLE).any()
+
+
+def _round_by_nextafter(monkeypatch) -> set[str]:
+    """Put the np.nextafter reference rounding in place of _out_lo and
+    _out_hi in every wanderlab module that imports them; their names."""
+    ours = {name: getattr(wanderlab.numerics, name) for name in ("_out_lo", "_out_hi")}
+    ref = {"_out_lo": nextafter_out_lo, "_out_hi": nextafter_out_hi}
+    patched = set()
+    for mod in [m for name, m in sys.modules.items() if name.startswith("wanderlab")]:
+        for name, fn in ours.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, ref[name])
+                patched.add(mod.__name__)
+    return patched
+
+
+def test_box_arithmetic_is_bit_identical_under_nextafter_rounding(monkeypatch):
+    # the one-step rounding lands where np.nextafter does, so every endpoint
+    # and every code of a seeded batch agrees, overflow and poles included
+    rng = random.Random(20261019)
+    two_pi = 2.0 * math.pi
+    boxes = Boxes.of(_mixed_boxes(rng, 2000)
+                     + [_centered(complex(two_pi + rng.uniform(-0.04, 0.04),
+                                          rng.uniform(-0.04, 0.04)),
+                                  10.0 ** rng.uniform(-14, -1)) for _ in range(500)])
+    g = ex2_g_map()
+    maps = _families() + [g, derivative(g), derivative(derivative(g))]
+    ex2 = build_family("ex2", {"eps": EPS2})
+    radius = np.array([10.0 ** rng.uniform(-16, 0) for _ in boxes.why])
+
+    def run():
+        out = [eval_map_box(m, boxes) for m in maps]
+        for m in (ex2, g):
+            out += eval_taylor_ball(m, derivative(m), derivative(derivative(m)), boxes)
+        with np.errstate(all="ignore"):
+            out += [box_inflate(boxes, radius), box_mag(boxes, two_pi), box_mig(boxes, two_pi),
+                    box_mag(boxes), box_mig(boxes)]
+        return out
+
+    ours = run()
+    assert _round_by_nextafter(monkeypatch) >= {
+        "wanderlab.numerics", "wanderlab.maps", "wanderlab.certify", "wanderlab.regions"}
+    reference = run()
+    codes = set()
+    for a, b in zip(ours, reference):
+        if isinstance(a, Boxes):
+            assert a.why.tobytes() == b.why.tobytes()
+            codes |= {int(w) for w in a.why}
+            a, b = np.stack(a[:4]), np.stack(b[:4])
+        # bit for bit, but for the sign of a NaN (an OVERFLOW box's end)
+        a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+        assert a.tobytes() == b.tobytes()
+    assert codes == {NONE, POLE, OVERFLOW}
 
 
 def test_eval_in_point_box():

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import encloses
+from oracles import encloses, nextafter_out_hi, nextafter_out_lo
 from wanderlab.numerics import (
     NONE,
     POLE,
     Boxes,
     ComplexBox,
+    _out_hi,
+    _out_lo,
     box_add,
     box_cos,
     box_div,
@@ -400,3 +402,59 @@ def test_inflate_preserves_membership(cx, cy, w, h, pad):
     grown = box_inflate(b, pad)
     assert _within(b, grown)[0]
     assert encloses(grown, [_corners(ComplexBox(cx, cx + w, cy, cy + h))]).all()
+
+
+# ---------------------------------------------------------------------------
+# Outward rounding: each step x +- (|x| H + 2^-1074) against np.nextafter.
+# ---------------------------------------------------------------------------
+
+_EXACT_FROM = 2.0 ** -1020   # from here up a step lands on the neighbour
+
+
+def _rounding_edges() -> np.ndarray:
+    """+-0, every power of two from 2^-1074 to 2^1023 and both its
+    neighbours, +-max, +-inf and NaN."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf), [0.0, np.finfo(float).max]])
+    return np.concatenate([edges, -edges, [np.inf, -np.inf, np.nan]])
+
+
+def _check_rounding(xs: np.ndarray) -> None:
+    finite = np.isfinite(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1, 2, 3):
+            for mine, ref, outward in ((_out_hi, nextafter_out_hi, np.greater_equal),
+                                       (_out_lo, nextafter_out_lo, np.less_equal)):
+                got, want = mine(xs, k), ref(xs, k)
+                assert outward(got, want)[finite].all(), (k, mine.__name__)
+                # equal wherever the k steps stay at or above 2^-1020 in
+                # magnitude; below, a step may go two ulps
+                exact = finite & (np.abs(xs) >= _EXACT_FROM) & (np.abs(want) >= _EXACT_FROM)
+                assert (got == want)[exact].all(), (k, mine.__name__)
+                # a float takes the same path as an array (up to a NaN's sign)
+                for x, g in zip(xs[:8], got[:8]):
+                    y = np.float64(mine(float(x), k))
+                    assert y.tobytes() == g.tobytes() or np.isnan(y) and np.isnan(g)
+
+
+def test_outward_rounding_on_the_edges_of_the_format():
+    _check_rounding(_rounding_edges())
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+@settings(deadline=None, max_examples=300)
+def test_outward_rounding_is_nextafter_or_wider(xs):
+    _check_rounding(np.array(xs, dtype=np.float64))
+
+
+def test_outward_rounding_of_infinities_and_nan():
+    # an infinite end stays put, and stepping it inward gives NaN (where
+    # np.nextafter gives +-max): _result codes both OVERFLOW, as it does a
+    # NaN, which stays NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _out_hi(np.inf) == np.inf and _out_lo(-np.inf) == -np.inf
+        assert np.isnan(_out_hi(-np.inf)) and np.isnan(_out_lo(np.inf))
+        assert np.isnan(_out_hi(np.nan)) and np.isnan(_out_lo(np.nan))
+        assert _out_hi(np.finfo(float).max) == np.inf
+        assert _out_lo(-np.finfo(float).max) == -np.inf

@@ -1,6 +1,7 @@
 """Conservatism of the box-vs-region tests: true answers are guarantees."""
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -180,3 +181,35 @@ def test_bounding_box_contains_exact_extreme_points():
             x, y, rr = Fraction(c.real), Fraction(c.imag), Fraction(r)
             assert Fraction(bb.re_lo) <= x - rr and x + rr <= Fraction(bb.re_hi)
             assert Fraction(bb.im_lo) <= y - rr and y + rr <= Fraction(bb.im_hi)
+
+
+def test_min_dist_bound_is_sound_near_the_rim():
+    # points within ~1e-12 relative of a rim, where the floor is a few ulps
+    # of |p - c| and an error there is not covered by ulps of the difference
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261019)
+
+    def exact_dist(p, c):
+        return mpmath.sqrt((mpmath.mpf(p.real) - mpmath.mpf(c.real)) ** 2
+                           + (mpmath.mpf(p.imag) - mpmath.mpf(c.imag)) ** 2)
+
+    def near(c, r, side):
+        offset = r * 10.0 ** rng.uniform(-16, -12) * side
+        return c + (r + offset) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    checked = 0
+    with mpmath.workprec(200):
+        for _ in range(3000):
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            r_in = rng.uniform(0.1, 1.0)
+            r_out = r_in + rng.uniform(0.1, 1.5)
+            disk = Disk(c, r_out, closed=rng.random() < 0.5)
+            ann = Annulus(c, r_in, r_out, closed=rng.random() < 0.5)
+            p = near(c, r_out, 1.0)
+            d = exact_dist(p, c)
+            assert disk.min_dist_bound(p) <= max(0, d - mpmath.mpf(r_out))
+            assert ann.min_dist_bound(p) <= max(0, d - mpmath.mpf(r_out))
+            q = near(c, r_in, -1.0)
+            assert ann.min_dist_bound(q) <= max(0, mpmath.mpf(r_in) - exact_dist(q, c))
+            checked += d > r_out
+    assert checked > 2000

@@ -18,7 +18,14 @@ Three engines share this module:
   When the budget runs out, the examined boxes are the first max_boxes in
   level order; on that last level the failing examined boxes survive with
   their reasons, before the unexamined ones, which survive as "budget"
-  (the first FRONTIER_KEEP of them are kept, the rest only counted);
+  (the first FRONTIER_KEEP of them are kept, the rest only counted).
+  An inclusion box holds when its natural image lies inside the target,
+  or else when its image has code NONE, its float f(c) at the centre c
+  lies inside, and the mean-value ball |f(z) - f(c)| <= sup |f'| |z - c|
+  (maps.eval_mean_value_ball) lies inside with code NONE.  The ball stays
+  off for a whole certificate when the float image of some root-cell
+  centre in the source is certainly outside the target: that claim is
+  false in floats, and the natural test alone runs;
 * discrete winding numbers of sampled image curves with an a-posteriori
   validity criterion (minimum distance to the base point, maximum
   argument step), feeding argument-principle zero counts;
@@ -41,6 +48,7 @@ from .maps import (
     derivative,
     eval_map_box,
     eval_map_vec,
+    eval_mean_value_ball,
     eval_taylor_ball,
     ex2_admissible,
     ex2_g_map,
@@ -221,17 +229,69 @@ def _finish(statement: dict, survivors, stats) -> Certificate:
     return Certificate(statement, verdict, frontier, stats)
 
 
-def _inclusion_test(m: MeromorphicMap, target: Region):
+def _midpoints(ends) -> np.ndarray:
+    """The centre of each box of a (4, n) endpoint array or a Boxes batch."""
+    return 0.5 * (ends[0] + ends[1]) + 0.5j * (ends[2] + ends[3])
+
+
+def _points(zs: np.ndarray) -> Boxes:
+    return _batch(np.stack([zs.real, zs.real, zs.imag, zs.imag]))
+
+
+def _sampled_escape(m: MeromorphicMap, source: Region, target: Region) -> list | None:
+    """The first root-cell centre in the source whose float image is
+    certainly outside the target, as [re, im], or None.  Such a point shows
+    the claim false in floats, so no certificate can prove it."""
+    zs = _midpoints(_root_cells(source.bounding_box()))
+    zs = zs[source.box_inside(_points(zs))]
+    ws, bad = eval_map_vec(m, zs)
+    zs, ws = zs[~bad], ws[~bad]
+    out = np.flatnonzero(target.box_disjoint(_points(ws)))
+    return [float(zs[out[0]].real), float(zs[out[0]].imag)] if out.size else None
+
+
+def _inclusion_test(m: MeromorphicMap, source: Region, target: Region, centred: list):
+    """The per-box test of f(source) subset target, and the sampled escape.
+
+    A box holds when its natural image (eval_map_box) lies inside the
+    target.  Unless a sampled escape shows the claim false, a box whose
+    natural image has code NONE but is not inside, and whose float f(c) at
+    its centre c lies inside, holds too when the mean-value ball
+    (maps.eval_mean_value_ball) has code NONE and lies inside; centred gets
+    the number of such boxes of each batch.
+    """
+    escape = _sampled_escape(m, source, target)
+    dm = derivative(m) if escape is None else None
+
     def test(boxes: Boxes):
         image = eval_map_box(m, boxes)
-        return target.box_inside(image), image.why
-    return test
+        ok = target.box_inside(image)
+        idx = np.flatnonzero(~ok & (image.why == NONE)) if dm is not None else ()
+        if len(idx):
+            wc, bad = eval_map_vec(m, _midpoints([e[idx] for e in boxes]))
+            idx = idx[~bad & target.box_inside(_points(wc))]
+        if len(idx):
+            fc, radius = eval_mean_value_ball(m, dm, Boxes(*(e[idx] for e in boxes)))
+            won = idx[(fc.why == NONE) & target.ball_inside(fc, radius)]
+            ok[won] = True
+            centred.append(won.size)
+        return ok, image.why
+    return test, escape
 
 
 def certify_inclusion(m: MeromorphicMap, source: Region, target: Region,
                       budget: Budget = Budget()) -> Certificate:
-    """Prove f(source) subset target by conservative box cover of source."""
-    survivors, stats = _prove_on_region(source, _inclusion_test(m, target), budget)
+    """Prove f(source) subset target by conservative box cover of source.
+
+    Each box is decided by its natural image, else by the mean-value ball
+    (see _inclusion_test).  The stats add centred_boxes, the boxes the ball
+    proved, and sampled_escape, a root-cell centre whose float image left
+    the target (then the ball is never tried), or None.
+    """
+    centred: list[int] = []
+    test, escape = _inclusion_test(m, source, target, centred)
+    survivors, stats = _prove_on_region(source, test, budget)
+    stats.update(centred_boxes=sum(centred), sampled_escape=escape)
     statement = {"kind": "inclusion", "family": m.family_id,
                  "source": source, "target": target}
     return _finish(statement, survivors, stats)
@@ -505,10 +565,14 @@ def _bisect(ok, good: int, bad: int) -> int:
 def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     """Derive and certify the station constants of the ex2 family.
 
-    Candidates get 300,000 boxes to depth 20, the final certificate
-    500,000 to depth 22; max_boxes replaces both box counts.  A candidate
-    that a sampled witness refutes runs no certificate; otherwise its
-    certificate decides it and joins `certificates`, in search order.
+    Every certificate, the final one too, gets one budget: 300,000 boxes to
+    depth 20, or max_boxes boxes to depth 20.  A candidate that a sampled
+    witness refutes runs no certificate; otherwise its certificate decides
+    it and joins `certificates`, in search order.  `trail` has one entry per
+    candidate in search order: its kind ("r1", "rho_g" or "r2"), its value
+    times 1024 (per_1024), and either the certificate's verdict,
+    boxes_examined and max_depth, or refuted_by "sample" with the sampled
+    value.
 
     r1:    largest radius on the dyadic grid, at most 1/8, such that
            |g'(z)| <= 1/4 is certified on the closed disk |z| <= r1:
@@ -528,21 +592,29 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     Deterministic by construction: fixed grids, fixed search order, fixed
     budgets — re-runs reproduce identical floats.
     """
-    candidate_budget = Budget(300_000 if max_boxes is None else max_boxes, max_depth=20)
-    final_budget = Budget(500_000 if max_boxes is None else max_boxes, max_depth=22)
+    budget = Budget(300_000 if max_boxes is None else max_boxes, max_depth=20)
     g = ex2_g_map()
     dg = derivative(g)
     certificates: list[Certificate] = []
+    trail: list[dict] = []
 
-    def candidate(refuted: bool, certify, *args, **kwargs) -> bool:
-        if refuted:
+    def candidate(kind: str, num: int, witness: float | None, certify, *args, **kwargs) -> bool:
+        """Decide a candidate: refuted by a sampled witness, else by its certificate."""
+        if witness is not None:
+            trail.append({"kind": kind, "per_1024": num, "refuted_by": "sample",
+                          "sampled": witness})
             return False
-        certificates.append(certify(*args, budget=candidate_budget, **kwargs))
-        return certificates[-1].proved
+        cert = certify(*args, budget=budget, **kwargs)
+        certificates.append(cert)
+        trail.append({"kind": kind, "per_1024": num, "verdict": cert.verdict,
+                      "boxes_examined": cert.stats["boxes_examined"],
+                      "max_depth": cert.stats["max_depth"]})
+        return cert.proved
 
     def r1_ok(num: int) -> bool:
         r = num / DYADIC_GRID
-        return candidate(_sampled_sup(dg, 0j, r) > 0.25, certify_inequality,
+        sup = _sampled_sup(dg, 0j, r)
+        return candidate("r1", num, sup if sup > 0.25 else None, certify_inequality,
                          ExprBound(dg, label="|g'(z)|"), ConstBound(0.25, label="1/4"),
                          Disk(0j, r, closed=True), cmp="<=")
 
@@ -560,7 +632,7 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
 
     def rho_ok(num: int) -> bool:
         rho = num / DYADIC_GRID
-        return candidate(rho <= sampled, certify_inclusion,
+        return candidate("rho_g", num, sampled if rho <= sampled else None, certify_inclusion,
                          g, station, Disk(complex(four_pi), rho))
 
     top = int(r1 * DYADIC_GRID)             # rho_g < r1 or the station leaks
@@ -570,11 +642,10 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
 
     # add the worst pole term over all stations n >= 1 and certify end-to-end
     pole_weight = eps / (two_pi - r1)
-    r2 = math.ceil((rho_g + pole_weight) * DYADIC_GRID) / DYADIC_GRID
-    final = certify_inclusion(build_family("ex2", {"eps": eps}), station,
-                              Disk(complex(four_pi), r2), budget=final_budget)
-    certificates.append(final)
-    if not final.proved:
+    r2_num = math.ceil((rho_g + pole_weight) * DYADIC_GRID)
+    r2 = r2_num / DYADIC_GRID
+    if not candidate("r2", r2_num, None, certify_inclusion, build_family("ex2", {"eps": eps}),
+                     station, Disk(complex(four_pi), r2)):
         raise ArithmeticError("full station contraction did not certify")
 
     return {
@@ -583,8 +654,9 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
         "rho_g": rho_g,
         "r2": r2,
         "pole_weight_first_station": pole_weight,
-        "station_cert": final,
+        "station_cert": certificates[-1],
         "certificates": certificates,
+        "trail": trail,
         "periodicity_note": (
             "g(z + 2*pi) = g(z) + 2*pi shifts the certified first-station "
             "inclusion to every station; the pole term at station n has "

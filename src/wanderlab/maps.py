@@ -539,6 +539,43 @@ def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     return out._replace(why=np.where(b.why != NONE, b.why, out.why))
 
 
+def _centres(b: Boxes) -> tuple[Boxes, np.ndarray]:
+    """The point box at the centre c of each box X of a batch, with X's
+    code, and an upper bound r of |z - c| on X."""
+    re, im = 0.5 * (b.re_lo + b.re_hi), 0.5 * (b.im_lo + b.im_hi)
+    c = Boxes(re, re, im, im, b.why)
+    with np.errstate(all="ignore"):
+        return c, box_mag(box_sub(b, c))
+
+
+def _ball(fc: Boxes, radius: np.ndarray, *parts: Boxes) -> tuple[Boxes, np.ndarray]:
+    """fc with the first code set among fc and parts, else OVERFLOW where
+    radius is not finite; and radius."""
+    why = fc.why
+    for p in parts:
+        why = np.where(why != NONE, why, p.why)
+    why = np.where((why == NONE) & ~np.isfinite(radius), OVERFLOW, why)
+    return fc._replace(why=why), radius
+
+
+def eval_mean_value_ball(m: MeromorphicMap, dm: MeromorphicMap,
+                         b: Boxes) -> tuple[Boxes, np.ndarray]:
+    """Mean-value enclosure of the image of each box of a batch.
+
+    dm is derivative(m).  With c the centre of a box X and r >= |z - c| on
+    it, f(z) lies within sup_X |f'| r of f(c), as the segment from c to z
+    lies in X.  Returns the boxes of f(c) and those radii, rounded up.  A
+    box's code is the first one set on f(c) or f'(X), else OVERFLOW where its
+    radius is not finite; a code set on f'(X) also means f may have a pole
+    in X, where the form fails.
+    """
+    c, r = _centres(b)
+    fc, d1 = eval_map_box(m, c), eval_map_box(dm, b)
+    with np.errstate(all="ignore"):
+        radius = _out_hi(box_mag(d1) * r)
+    return _ball(fc, radius, d1)
+
+
 def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
                      b: Boxes) -> tuple[Boxes, np.ndarray]:
     """Second-order Taylor enclosure of the image of each box of a batch.
@@ -550,15 +587,11 @@ def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
     f'(c) and f''(X), else OVERFLOW where its radius is not finite; a code
     set on f''(X) also means f may have a pole in X, where the form fails.
     """
-    re, im = 0.5 * (b.re_lo + b.re_hi), 0.5 * (b.im_lo + b.im_hi)
-    c = Boxes(re, re, im, im, b.why)
+    c, r = _centres(b)
     fc, d1, d2 = eval_map_box(m, c), eval_map_box(dm, c), eval_map_box(d2m, b)
     with np.errstate(all="ignore"):
-        r = box_mag(box_sub(b, c))
         radius = _out_hi(_out_hi(box_mag(d1) * r) + 0.5 * _out_hi(box_mag(d2) * _out_hi(r * r)))
-    why = np.where(fc.why != NONE, fc.why, np.where(d1.why != NONE, d1.why, d2.why))
-    why[(why == NONE) & ~np.isfinite(radius)] = OVERFLOW
-    return fc._replace(why=why), radius
+    return _ball(fc, radius, d1, d2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ tests are conservative — a *true* answer is a guarantee, a *false* answer
 only means "could not tell at this box size" and invites subdivision.
 They take a batch of boxes (`Boxes`; one box is a batch of one) and
 answer with one bool per box; unions and differences combine their parts'
-answers with | and &.  Bounding boxes are rounded outward, so the
-cover they start from contains the exact region.
+answers with | and &.  `ball_inside` asks whether the points within a
+radius of each box are certainly inside: a disk tests box_mag + radius,
+every other shape the inflated box.  Bounding boxes are rounded outward,
+so the cover they start from contains the exact region.
 
 The open/closed flag matters at the certificate layer: proving an image
 lands in an *open* disk needs strict inequalities on the box bounds.
@@ -20,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .numerics import ComplexBox, _out_hi, _out_lo, box_mag, box_mig
+from .numerics import ComplexBox, _out_hi, _out_lo, box_inflate, box_mag, box_mig
 
 _INF = math.inf
 
@@ -50,6 +52,11 @@ class Region:
 
     def bounding_box(self) -> ComplexBox:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def ball_inside(self, centres, radius):
+        """Per box of the batch centres: is every point within radius of
+        the box certainly inside?"""
+        return self.box_inside(box_inflate(centres, radius))
 
     def min_dist_bound(self, p: complex) -> float:
         """Certified lower bound for inf{ |z - p| : z in region }.
@@ -85,6 +92,12 @@ class Disk(Region):
     def box_disjoint(self, b):
         m = box_mig(b, self.center)
         return m > self.radius if self.closed else m >= self.radius
+
+    def ball_inside(self, centres, radius):
+        # the ball's points lie within box_mag + radius of the centre, which
+        # is tighter than the box_mag of the inflated box
+        m = _out_hi(box_mag(centres, self.center) + radius)
+        return m <= self.radius if self.closed else m < self.radius
 
     def bounding_box(self) -> ComplexBox:
         return _cover(self.center, self.radius)

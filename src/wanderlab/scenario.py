@@ -376,9 +376,13 @@ def _item_map(rd, ctx):
 
 def _cert_result(cert) -> dict:
     stats = cert.stats
-    return {"verdict": cert.verdict, "boxes_examined": int(stats["boxes_examined"]),
-            "max_depth": int(stats["max_depth"]), "survivors": int(stats["survivors"]),
-            "budget_exhausted": bool(stats["budget_exhausted"])}
+    out = {"verdict": cert.verdict, "boxes_examined": int(stats["boxes_examined"]),
+           "max_depth": int(stats["max_depth"]), "survivors": int(stats["survivors"]),
+           "budget_exhausted": bool(stats["budget_exhausted"])}
+    if cert.statement["kind"] == "inclusion":
+        out["centred_boxes"] = int(stats["centred_boxes"])
+        out["sampled_escape"] = stats["sampled_escape"]
+    return out
 
 
 def _expected_verdict(cert, expect):
@@ -537,6 +541,7 @@ def _run_derived_constants(rd, ctx):
         ctx["env"][key] = derived[key]
     out = {k: derived[k] for k in ("r1", "eps", "rho_g", "r2", "pole_weight_first_station")}
     out["station_cert"] = _cert_result(derived["station_cert"])
+    out["trail"] = derived["trail"]
     out["periodicity_note"] = derived["periodicity_note"]
     return ok, out
 

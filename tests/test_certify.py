@@ -26,8 +26,10 @@ from wanderlab.certify import (
     _bisect,
     _circle,
     _discrete_winding,
+    _finish,
     _inclusion_test,
     _inequality_test,
+    _prove_on_region,
 )
 from wanderlab.maps import (
     build_family,
@@ -37,6 +39,7 @@ from wanderlab.maps import (
     eval_map_box,
     eval_map_vec,
     eval_taylor_ball,
+    ex2_g_map,
 )
 from wanderlab.numerics import (
     NONE,
@@ -167,6 +170,10 @@ def _single_box(batch_test):
 _CORE = Difference(Disk(0j, 2.0 * A1, closed=True), Disk(complex(A1), A1 / 2))
 
 
+_TWO_PI = 2.0 * math.pi
+_STATION = Disk(complex(_TWO_PI), 40 / 1024, closed=True)   # B(2pi, r1), closed
+
+
 @pytest.mark.parametrize("m, source, target, budget, verdict", [
     (ex1(), _CORE, Disk(0j, A1 / 2), Budget(), "proved"),
     (custom_map("z"), Disk(0j, 1.0, closed=True), Disk(0j, 1.0), Budget(50_000, 4),
@@ -174,15 +181,63 @@ _CORE = Difference(Disk(0j, 2.0 * A1, closed=True), Disk(complex(A1), A1 / 2))
     (ex2(), Disk(0j, 0.01), Disk(0j, 1e9), Budget(50_000, 8), "pole_contact"),
     (build_family("ex5"), Disk(800.0, 1.0, closed=True), Disk(0j, 1.0), Budget(50_000, 1),
      "inconclusive"),
-], ids=["proved", "depth", "pole", "overflow"])
+    # g'(2pi) = 0: the mean-value ball proves boxes the natural image does not
+    (ex2_g_map(), _STATION, Disk(complex(2.0 * _TWO_PI), 10 / 1024), Budget(), "proved"),
+], ids=["proved", "depth", "pole", "overflow", "centred"])
 def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, verdict):
     cert = certify_inclusion(m, source, target, budget)
     statement = {"kind": "inclusion", "family": m.family_id,
                  "source": source, "target": target}
-    ref = certificate_reference(statement, source, _single_box(_inclusion_test(m, target)), budget)
+    centred = []
+    test, escape = _inclusion_test(m, source, target, centred)
+    ref = certificate_reference(statement, source, _single_box(test), budget)
+    ref.stats.update(centred_boxes=sum(centred), sampled_escape=escape)
     assert not ref.stats["budget_exhausted"]
     assert ref.verdict == verdict
     assert cert == ref
+
+
+def _natural_inclusion(m, target):
+    """The inclusion test by the natural image alone, without the mean-value ball."""
+    def test(boxes):
+        image = eval_map_box(m, boxes)
+        return target.box_inside(image), image.why
+    return test
+
+
+def _natural_certificate(m, source, target, budget):
+    survivors, stats = _prove_on_region(source, _natural_inclusion(m, target), budget)
+    return _finish({"kind": "inclusion", "family": m.family_id,
+                    "source": source, "target": target}, survivors, stats)
+
+
+def test_mean_value_form_is_what_proves_rho_g():
+    # g(B(2pi, r1)) inside B(4pi, 5/1024) has under 2 % slack, as g'(2pi) = 0:
+    # the natural image alone needs 77,472 boxes, the centred form a few
+    # thousand
+    g, target = ex2_g_map(), Disk(complex(2.0 * _TWO_PI), 5 / 1024)
+    budget = Budget(300_000, 20)
+    natural = _natural_certificate(g, _STATION, target, budget)
+    assert natural.proved and natural.stats["boxes_examined"] == 77_472
+    cert = certify_inclusion(g, _STATION, target, budget)
+    assert cert.proved and cert.stats["boxes_examined"] <= 3_304
+    assert cert.stats["centred_boxes"] > 0 and cert.stats["sampled_escape"] is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sample_gate_leaves_false_claims_to_the_natural_test(k):
+    # certify-refute's g-station-in-k claims: a root-cell centre's float image
+    # leaves B(4pi, k/1024), so the ball never runs and the certificate is the
+    # natural test's
+    g, target = ex2_g_map(), Disk(complex(2.0 * _TWO_PI), k / 1024)
+    budget = Budget(20_000, 20)
+    cert = certify_inclusion(g, _STATION, target, budget)
+    escape = cert.stats.pop("sampled_escape")
+    assert cert.stats.pop("centred_boxes") == 0
+    assert _STATION.contains(complex(*escape))
+    assert not target.contains(eval_map(g, complex(*escape)))
+    assert cert == _natural_certificate(g, _STATION, target, budget)
+    assert cert.verdict == "inconclusive"
 
 
 _POLE_TERM = custom_map("(div eps (sub (exp z) (exp a)))",
@@ -461,8 +516,8 @@ def test_constant_search_trail_pinned(ex2_constants):
     assert trail == [
         ("inequality", 32, "proved", 256), ("inequality", 40, "proved", 1_456),
         ("inclusion", 40, "proved", 256), ("inclusion", 20, "proved", 256),
-        ("inclusion", 10, "proved", 696), ("inclusion", 5, "proved", 77_472),
-        ("inclusion", 6, "proved", 5_280)]
+        ("inclusion", 10, "proved", 256), ("inclusion", 5, "proved", 3_304),
+        ("inclusion", 6, "proved", 320)]
     assert ex2_constants["certificates"][-1] is ex2_constants["station_cert"]
 
 

@@ -29,6 +29,7 @@ from wanderlab.maps import (
     eval_map,
     eval_map_box,
     eval_map_vec,
+    eval_mean_value_ball,
     eval_taylor_ball,
     ex2_admissible,
     ex2_g_map,
@@ -354,6 +355,7 @@ def test_box_arithmetic_is_bit_identical_under_nextafter_rounding(monkeypatch):
         out = [eval_map_box(m, boxes) for m in maps]
         for m in (ex2, g):
             out += eval_taylor_ball(m, derivative(m), derivative(derivative(m)), boxes)
+            out += eval_mean_value_ball(m, derivative(m), boxes)
         with np.errstate(all="ignore"):
             out += [box_inflate(boxes, radius), box_mag(boxes, two_pi), box_mig(boxes, two_pi),
                     box_mag(boxes), box_mig(boxes)]
@@ -523,6 +525,57 @@ def test_taylor_ball_encloses_samples(name):
                 dx = max(re_lo[i] - v.real, v.real - re_hi[i], 0)
                 dy = max(im_lo[i] - v.imag, v.imag - im_hi[i], 0)
                 assert mpmath.hypot(dx, dy) <= radius[i], (name, z)
+
+
+_MEAN_VALUE_REFS = {   # a map and its mpmath form, given the map's parameters
+    "ex1": (lambda: build_family("ex1", {"a": A1, "eps": EPS1}),
+            lambda z, p, mp: 2 + 2 * z - 2 * mp.exp(z) + p["eps"] / (mp.exp(z) - mp.exp(p["a"]))),
+    "ex2": (lambda: build_family("ex2", {"eps": EPS2}),
+            lambda z, p, mp: z + p["eps"] / z + p["lam"] * mp.sin(z + p["a"])),
+    "ex5": (lambda: build_family("ex5"), lambda z, p, mp: z * mp.exp(z)),
+    "ex3_model": (lambda: build_family("ex3_model", {"eps": 1e-5}),
+                  lambda z, p, mp: 4 * mp.exp(z) - p["eps"] / z),
+    "g": (ex2_g_map, lambda z, p, mp: z + p["lam"] * mp.sin(z + p["a"])),
+}
+
+
+@pytest.mark.parametrize("name", list(_MEAN_VALUE_REFS))
+def test_mean_value_ball_encloses_samples_and_codes_poles(name):
+    # seeded boxes: half anywhere in |Re|, |Im| <= 1.5, half about a declared
+    # pole (the pole inside or just outside); every NONE-coded ball holds the
+    # exact values at a 4 x 4 grid of the box, with no tolerance, and every
+    # box that holds a pole has a code
+    mpmath = pytest.importorskip("mpmath")
+    make, ref = _MEAN_VALUE_REFS[name]
+    m = make()
+    params = {k: mpmath.mpf(v) for k, v in m.params.items()}
+    rng = random.Random(f"mean-value-{name}")
+    boxes = []
+    for i in range(80):
+        half = 10.0 ** rng.uniform(-6.0, -1.0)
+        if i % 2 and m.declared_poles:
+            c = m.declared_poles[0] + complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * half
+        else:
+            c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        boxes.append(_centered(c, half))
+    fc, radius = eval_mean_value_ball(m, derivative(m), Boxes.of(boxes))
+    holds_pole = [any(b.re_lo <= p.real <= b.re_hi and b.im_lo <= p.imag <= b.im_hi
+                      for p in m.declared_poles) for b in boxes]
+    assert all(fc.why[i] != NONE for i, hit in enumerate(holds_pole) if hit)
+    assert (fc.why == NONE).sum() >= 40
+    if m.declared_poles:
+        assert any(holds_pole)
+    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in fc[:4])
+    with mpmath.workdps(40):
+        for i, b in enumerate(boxes):
+            if fc.why[i] != NONE:
+                continue
+            for x in np.linspace(b.re_lo, b.re_hi, 4).tolist():
+                for y in np.linspace(b.im_lo, b.im_hi, 4).tolist():
+                    v = ref(mpmath.mpc(x, y), params, mpmath)
+                    dx = max(re_lo[i] - v.real, v.real - re_hi[i], 0)
+                    dy = max(im_lo[i] - v.imag, v.imag - im_hi[i], 0)
+                    assert mpmath.hypot(dx, dy) <= radius[i], (name, x, y)
 
 
 def test_half_pi_product_encloses_half_pi_and_its_literal_does_not():

@@ -79,6 +79,24 @@ def test_box_tests_are_conservative():
     assert checked_inside > 1000 and checked_disjoint > 1000
 
 
+def test_ball_inside_is_conservative():
+    # when ball_inside holds, every point within the radius of the box lies
+    # in the region: a disk tests box_mag + radius, other shapes the
+    # inflated box
+    checked = 0
+    for _ in range(4000):
+        region, box = _random_region(), _random_box()
+        radius = RNG.uniform(0.0, 0.5)
+        if not region.ball_inside(Boxes.of([box]), radius)[0]:
+            continue
+        for _ in range(50):
+            z = complex(RNG.uniform(box.re_lo, box.re_hi), RNG.uniform(box.im_lo, box.im_hi))
+            z += radius * (1.0 - 1e-9) * cmath.exp(1j * RNG.uniform(0.0, 2.0 * math.pi))
+            assert region.contains(z), f"{region} claimed to contain {box} + {radius}"
+            checked += 1
+    assert checked > 1000
+
+
 def test_min_dist_bound_is_lower_bound():
     for _ in range(2000):
         region = _random_region()

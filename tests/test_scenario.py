@@ -1,4 +1,5 @@
 """Scenario loading, execution, report shape, CLI exit codes, pixmap bytes."""
+import cmath
 import json
 import math
 import os
@@ -252,9 +253,9 @@ _RASTER_EX2 = ({"escaped": 623436, "attracted": 0, "drifting": 16564, "pole": 0,
                 "pole": {}, "budget": {}})
 _PINNED_COUNTS = {
     "ex1-core": {"Eq-4.1": (4720, 19, 0), "Eq-4.2-core": (1392, 18, 0),
-                 "Eq-4.2-pole": (416, 6, 0), "Ex1-core-inclusion": (1328, 2, 0),
+                 "Eq-4.2-pole": (416, 6, 0), "Ex1-core-inclusion": (296, 1, 0),
                  "Ex1-raster": _RASTER_EX1},
-    "ex2-core": {"Eq-4.4-4.5": (5280, 4, 0), "Delta0-joukowski": (544, 3, 0),
+    "ex2-core": {"Eq-4.4-4.5": (320, 1, 0), "Delta0-joukowski": (432, 2, 0),
                  "Eq-4.9": (416, 10, 0), "Eq-4.9-derivative": (752, 7, 0),
                  "Lemma-4.1a": 1024, "Lemma-4.1b": 1024, "Cor-2-raster": _RASTER_EX2},
     "ex5-strip": {"Omega-inclusion": (344, 11, 0)},
@@ -324,6 +325,32 @@ def test_ex2_core_report(ex2_report):
     assert steps["drifting"]["256-511"] > 0
     assert ([m["behavior"] for m in raster["result"]["matches"]]
             == [["drifting", 1], ["drifting", 1], ["drifting", 2], ["drifting", 3]])
+
+
+def test_constant_search_trail_is_reported(ex2_report, ex2_constants):
+    # the derived-constants row lists every candidate in search order; the
+    # certified ones carry the stats of the search's certificates, in order,
+    # and a sampled witness refutes each of the others
+    row, = (row for row in ex2_report[0]["items"] if row["kind"] == "derived_constants")
+    trail = row["result"]["trail"]
+    assert [(e["kind"], e["per_1024"]) for e in trail] == (
+        [("r1", k) for k in (64, 32, 48, 40, 44, 42, 41)]
+        + [("rho_g", k) for k in (40, 20, 10, 5, 2, 3, 4)] + [("r2", 6)])
+    certified = [e for e in trail if "refuted_by" not in e]
+    certs = ex2_constants["certificates"]
+    assert [(e["verdict"], e["boxes_examined"], e["max_depth"]) for e in certified] == [
+        (c.verdict, c.stats["boxes_examined"], c.stats["max_depth"]) for c in certs]
+    disks = [c.statement.get("region") or c.statement["target"] for c in certs]
+    assert [e["per_1024"] for e in certified] == [d.radius * 1024 for d in disks]
+    for e in trail:
+        if "refuted_by" in e:
+            assert e["refuted_by"] == "sample" and set(e) == {"kind", "per_1024", "refuted_by",
+                                                             "sampled"}
+            bound = 0.25 if e["kind"] == "r1" else e["per_1024"] / 1024
+            assert e["sampled"] >= bound
+    assert sum(e["boxes_examined"] for e in certified) == 6_104
+    assert {k: certified[-1][k] for k in ("verdict", "boxes_examined", "max_depth")} == {
+        k: row["result"]["station_cert"][k] for k in ("verdict", "boxes_examined", "max_depth")}
 
 
 # --- command-line front end ---------------------------------------------------
@@ -512,6 +539,23 @@ def test_minimal_items_pass(tmp_path):
     payload = dict(FIELDS, items=[_item(kind) for kind in MINIMAL_ITEMS])
     report = run_scenario(_write(tmp_path, "minimal.json", payload))
     assert [row["id"] for row in report["items"] if not row["passed"]] == []
+
+
+def test_inclusion_rows_say_what_decided_their_boxes(tmp_path):
+    # ex5 = z e^z maps the closed disk of radius 0.1 into the disk of radius
+    # 0.115 (|f| <= 0.1 e^0.1 < 0.1106), where the mean-value ball proves 4
+    # boxes, and not into that of radius 0.05: a root-cell centre maps past
+    # it, and the verdict still comes from the cover
+    holds = _item("inclusion", target={"disk": {"center": [0.0, 0.0], "radius": 0.115}})
+    fails = dict(_item("inclusion", expect="inconclusive", budget={"max_boxes": 2000},
+                       target={"disk": {"center": [0.0, 0.0], "radius": 0.05}}), id="fails")
+    report = run_scenario(_write(tmp_path, "inc.json", dict(FIELDS, items=[holds, fails])))
+    held, failed = (row["result"] for row in report["items"])
+    assert report["all_passed"] is True
+    assert held["sampled_escape"] is None and held["centred_boxes"] == 4
+    assert failed["centred_boxes"] == 0 and failed["verdict"] == "inconclusive"
+    re, im = failed["sampled_escape"]
+    assert abs(complex(re, im)) <= 0.1 and abs(complex(re, im) * cmath.exp(complex(re, im))) >= 0.05
 
 
 def _drop(item, dotted):

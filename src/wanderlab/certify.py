@@ -134,12 +134,25 @@ _BUDGET = 3                 # reason code of a box left unexamined when the budg
 _REASONS = ("undecided", "pole", "overflow", "budget")   # survivor reason per code
 
 
+def _root_edges(lo: float, hi: float) -> np.ndarray:
+    """The distinct edges of ROOT_GRID equal cells of [lo, hi]: fewer where
+    the span is a few ulps wide, and [lo, hi] itself where it is a point."""
+    edges = np.linspace(lo, hi, ROOT_GRID + 1)
+    # the edges do not decrease, so a repeated one follows its equal (a
+    # mask, not np.unique, whose first call costs about 1.5 MB of resident
+    # memory)
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    return edges if edges.size > 1 else np.array([lo, hi])
+
+
 def _root_cells(bb: ComplexBox) -> np.ndarray:
-    """The ROOT_GRID x ROOT_GRID cells of bb, row by row, as a (4, n) endpoint array."""
-    xs = np.linspace(bb.re_lo, bb.re_hi, ROOT_GRID + 1)
-    ys = np.linspace(bb.im_lo, bb.im_hi, ROOT_GRID + 1)
-    return np.stack([np.tile(xs[:-1], ROOT_GRID), np.tile(xs[1:], ROOT_GRID),
-                     np.repeat(ys[:-1], ROOT_GRID), np.repeat(ys[1:], ROOT_GRID)])
+    """The cells between the distinct root edges of bb (ROOT_GRID x
+    ROOT_GRID of them unless bb is a few ulps wide or high), row by row, as
+    a (4, n) endpoint array."""
+    xs, ys = _root_edges(bb.re_lo, bb.re_hi), _root_edges(bb.im_lo, bb.im_hi)
+    nx, ny = xs.size - 1, ys.size - 1
+    return np.stack([np.tile(xs[:-1], ny), np.tile(xs[1:], ny),
+                     np.repeat(ys[:-1], nx), np.repeat(ys[1:], nx)])
 
 
 def _batch(ends: np.ndarray) -> Boxes:

@@ -27,6 +27,13 @@ worker; each range builds its pixel centers a block at a time from their
 row and column coordinates, runs the orbit machine over them and returns
 its verdicts with the fixed-point estimates of its attracted pixels and
 the track ids of its drifting ones only, and its retirement histogram.
+A raster that is its own mirror image is classified in its upper half
+only: when every constant and parameter on the map's tape, every declared
+pole and every station ladder's base is real, and the window has
+im_lo = -im_hi, f(conj z) = conj f(z) (Schwarz reflection), so rows
+height // 2 .. height - 1 are classified (the axis row too when the
+height is odd) and the rows below are those rows reversed, without the
+axis row, with the same verdicts and track ids and conjugate estimates.
 One merge over the ranges derives display labels, with uint8, bool and
 int32 pixel arrays only:
 
@@ -432,20 +439,72 @@ def _classify_rows(task):
     return _orbit_verdicts(m, _GridPoints(xs, ys), cfg)
 
 
+def _mirrored(m: MeromorphicMap, cfg: OrbitConfig, window: ComplexBox) -> bool:
+    """Is the raster its own mirror image in the real axis?  With real
+    constants and parameters f(conj z) = conj f(z) (Schwarz reflection);
+    with real declared poles and ladder bases (the steps are real) too, the
+    pixel mirrored in the real axis has the same verdict and track id, and
+    the conjugate fixed-point estimate.  A window with im_lo = -im_hi maps
+    row j to row height - 1 - j."""
+    leaves = (complex(m.params[name] if name is not None else value)
+              for name, value in m.tape.leaves)
+    return (window.im_lo == -window.im_hi
+            and all(v.imag == 0.0 for v in leaves)
+            and all(p.imag == 0.0 for p in m.declared_poles)
+            and all(st.base.imag == 0.0 for st in cfg.stations))
+
+
 def _classify_ranges(m, cfg, window, width, height, workers):
-    """_classify_rows over the whole raster: the rows cut into
-    min(workers, height) contiguous ranges, run in-process when there is
-    one and through a process pool otherwise, results joined in scan order."""
-    ranges = min(max(workers, 1), height)
-    tasks = [(m, cfg, window, width, height, height * i // ranges, height * (i + 1) // ranges)
-             for i in range(ranges)]
+    """_classify_rows over the whole raster, joined in scan order.
+
+    A mirrored raster (_mirrored) classifies only its rows height // 2 ..
+    height - 1, the axis row included when the height is odd, and
+    _reflect builds the rest.  The classified rows other than an axis row
+    are cut into min(workers, rows) contiguous ranges, run in-process when
+    there is one and through a process pool otherwise.  An axis row is a
+    range of its own, run in-process, because its orbits count once in the
+    retirement histogram and every other classified orbit twice."""
+    mirrored = _mirrored(m, cfg, window)
+    top = height // 2 if mirrored else 0
+    axis = mirrored and height % 2 == 1
+    lo = top + axis
+    ranges = min(max(workers, 1), height - lo)
+    tasks = [(m, cfg, window, width, height, lo + (height - lo) * i // ranges,
+              lo + (height - lo) * (i + 1) // ranges) for i in range(ranges)]
+    axis_task = [(m, cfg, window, width, height, top, top + 1)] if axis else []
     if len(tasks) == 1:
-        return _classify_rows(tasks[0])
-    # the pool forks all its processes up front: no more than the ranges or cores
-    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(_classify_rows, tasks))
+        parts = [_classify_rows(t) for t in axis_task + tasks]
+    else:
+        # the pool forks all its processes up front: no more than the ranges or cores
+        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+            # map submits every task at once: the axis row runs here meanwhile
+            pending = pool.map(_classify_rows, tasks)
+            parts = [_classify_rows(t) for t in axis_task] + list(pending)
     *joined, retired = zip(*parts)
-    return (*(np.concatenate(c) for c in joined), sum(retired))
+    verdict, fixed, track = (c[0] if len(c) == 1 else np.concatenate(c) for c in joined)
+    if not mirrored:
+        return verdict, fixed, track, sum(retired)
+    retired = 2 * sum(retired) - (retired[0] if axis else 0)
+    return (*_reflect(verdict.reshape(-1, width), fixed, track, axis), retired)
+
+
+def _reflect(upper: np.ndarray, fixed: np.ndarray, track: np.ndarray, axis: bool):
+    """The verdicts, fixed-point estimates and track ids of a mirrored
+    raster in scan order, from those of its classified rows: upper holds
+    their (rows, width) verdicts, the axis row first when axis is set.  The
+    rows below are the classified ones reversed, the axis row left out;
+    a mirrored pixel keeps its verdict and track id, and its estimate is
+    the conjugate."""
+    def reversed_rows(values, code):
+        # the values of the rows that mirror, in reverse row order
+        per_row = np.count_nonzero(upper == code, axis=1)
+        rows = np.split(values, np.cumsum(per_row)[:-1])[axis:]
+        return np.concatenate(rows[::-1])
+
+    verdict = np.concatenate([upper[axis:][::-1], upper]).ravel()
+    fixed = np.concatenate([np.conj(reversed_rows(fixed, _V_ATTRACTED)), fixed])
+    track = np.concatenate([reversed_rows(track, _V_DRIFTING), track])
+    return verdict, fixed, track
 
 
 def _basin_ids(m, cfg, verdict, attracted_fixed, ids):
@@ -476,7 +535,20 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
                   cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
     """Label every pixel center of the window; deterministic for fixed inputs.
 
-    The rows are cut into min(workers, height) contiguous ranges, run
+    One rule halves the work: when every constant and parameter on the
+    map's tape, every declared pole and every station ladder's base is real
+    and window.im_lo == -window.im_hi, the raster is its own mirror image in
+    the real axis, and only rows height // 2 .. height - 1 are classified
+    (with an odd height, the axis row among them).  The rows below are those
+    rows reversed, without the axis row: same verdicts and track ids, and
+    conjugate fixed-point estimates, put back in scan order before the
+    basins are numbered; retire_steps counts every reflected orbit.  The
+    lower half is defined as the reflection: in floats a pixel center may
+    differ from its mirror's negative in the last bits, so an orbit on a
+    verdict boundary could read otherwise if classified itself.  The
+    bundled rasters give the outputs of the full classification bit for bit.
+
+    The classified rows are cut into min(workers, rows) contiguous ranges, run
     in-process when there is one and through a process pool otherwise.
     Each range builds its start points a block at a time from its row and
     column coordinates and runs the orbit machine, which keeps at most

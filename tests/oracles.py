@@ -1,9 +1,11 @@
 """Slow reference implementations and exact checks that cross-check the library in tests."""
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 
+from wanderlab import dynamics
 from wanderlab.certify import FRONTIER_KEEP, Certificate, _root_cells
 from wanderlab.dynamics import (
     _V_ATTRACTED,
@@ -310,3 +312,12 @@ def _station_update_reference(z, st, k, active, run, run_start, prev_idx,
         verdict[sel] = _V_DRIFTING
         track[sel] = (run_start[sel] + k * LADDER_STRIDE).astype(np.int32)
         active[sel] = False
+
+
+def classify_grid_reference(m, window, width, height, cfg):
+    """wanderlab.dynamics.classify_grid with every row of the window
+    classified in-process, as one range: the full-height path, which a
+    mirrored raster skips.  The merge after it is classify_grid's own."""
+    full = dynamics._classify_rows((m, cfg, window, width, height, 0, height))
+    with mock.patch.object(dynamics, "_classify_ranges", lambda *args: full):
+        return dynamics.classify_grid(m, window, width, height, cfg)

@@ -30,6 +30,7 @@ from wanderlab.certify import (
     _inclusion_test,
     _inequality_test,
     _prove_on_region,
+    _root_cells,
 )
 from wanderlab.maps import (
     build_family,
@@ -127,6 +128,16 @@ def test_inf_minus_inf_box_is_undecided():
                              Budget(200, 3))
     assert cert.verdict == "inconclusive"
     assert {f["reason"] for f in cert.frontier} == {"overflow"}
+
+
+def test_point_source_is_covered_by_its_distinct_root_cells():
+    # a closed disk of radius 0 has an ulp-wide bounding box, with 3
+    # distinct root edges per axis: 4 cells, not 16 x 16 copies of them
+    cert = certify_inclusion(ex1(), Disk(2j * math.pi, 0.0, closed=True),
+                             Disk(4j * math.pi, 1 / 128))
+    assert cert.proved
+    assert cert.stats["boxes_examined"] <= 4
+    assert _root_cells(ComplexBox(1.0, 1.0, 2.0, 2.0)).T.tolist() == [[1.0, 1.0, 2.0, 2.0]]
 
 
 def test_budget_exhaustion_examines_level_order():

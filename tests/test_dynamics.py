@@ -32,7 +32,12 @@ from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk
 from wanderlab.scenario import load_scenario
 
-from oracles import group_estimates_reference, orbit_verdicts_reference, traced_peak
+from oracles import (
+    classify_grid_reference,
+    group_estimates_reference,
+    orbit_verdicts_reference,
+    traced_peak,
+)
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -337,10 +342,9 @@ def test_compacted_loop_matches_reference(monkeypatch, case, block):
     assert track.dtype == ref_track.dtype == np.int32
 
 
-def test_ex2_grid_pixel_iterations(monkeypatch):
-    # each step evaluates the live orbits only: a step that also evaluated
-    # retired orbits, or one more step than the verdicts need, moves the
-    # count; it is taken where the benchmark tracer takes it
+def _count_evaluations(monkeypatch) -> list:
+    """The sizes of every eval_map_vec batch of the orbit loop, from now on,
+    taken where the benchmark tracer takes them."""
     seen = []
     evaluate = dynamics.eval_map_vec
 
@@ -349,9 +353,87 @@ def test_ex2_grid_pixel_iterations(monkeypatch):
         return evaluate(m, zs)
 
     monkeypatch.setattr(dynamics, "eval_map_vec", counting)
-    classify_grid(build_family("ex2", {"eps": EPS2}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
-                  400, 100, ex2_core_orbit())
+    return seen
+
+
+def test_ex2_grid_pixel_iterations(monkeypatch):
+    # each step evaluates the live orbits only: a step that also evaluated
+    # retired orbits, or one more step than the verdicts need, moves the
+    # count; the mirrored window classifies its upper 50 rows, and the full
+    # path all 100
+    seen = _count_evaluations(monkeypatch)
+    m, cfg = build_family("ex2", {"eps": EPS2}), ex2_core_orbit()
+    win = ComplexBox(-1.0, 20.0, -2.6, 2.6)
+    classify_grid(m, win, 400, 100, cfg)
+    assert sum(seen) == 67_726
+    seen.clear()
+    classify_grid_reference(m, win, 400, 100, cfg)
     assert sum(seen) == 135_452
+
+
+# Newton's map for z**2 + 1: basins at i and -i, off the real axis, which
+# is their common boundary
+NEWTON_I = "(sub (mul 0.5 z) (div 0.5 z))"
+SQUARE = ComplexBox(-2.0, 2.0, -2.0, 2.0)
+
+MIRRORED_CASES = {
+    "ex2-400x100": (build_family("ex2", {"eps": EPS2}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
+                    400, 100, ex2_core_orbit()),
+    # an odd height classifies the axis row once
+    "ex2-400x101": (build_family("ex2", {"eps": EPS2}), ComplexBox(-1.0, 20.0, -2.6, 2.6),
+                    400, 101, ex2_core_orbit()),
+    "ex1-128x128": (ex1(), ComplexBox(-0.05, 0.05, -0.05, 0.05), 128, 128, OrbitConfig()),
+    "newton-64x64": (custom_map(NEWTON_I, declared_poles=[0j]), SQUARE, 64, 64, OrbitConfig()),
+}
+
+
+@pytest.mark.parametrize("case", MIRRORED_CASES)
+def test_mirrored_raster_equals_the_full_classification(case):
+    m, win, width, height, cfg = MIRRORED_CASES[case]
+    assert dynamics._mirrored(m, cfg, win)
+    ref = classify_grid_reference(m, win, width, height, cfg)
+    for workers in (1, 2):
+        g = classify_grid(m, win, width, height, cfg, workers=workers)
+        assert np.array_equal(g.labels, ref.labels)
+        assert np.array_equal(g.ids, ref.ids)
+        assert g.verdict_counts == ref.verdict_counts
+        assert g.retire_steps == ref.retire_steps
+
+
+def test_mirrored_basin_ids_follow_scan_order():
+    # the basin at -i is met first in scan order, in the reflected rows
+    m, win, width, height, cfg = MIRRORED_CASES["newton-64x64"]
+    g = classify_grid(m, win, width, height, cfg)
+    (i0, j0), (i1, j1) = g.pixel_of(-1j), g.pixel_of(1j)
+    assert (g.labels[j0, i0], g.ids[j0, i0]) == (ATTRACTED, 0)
+    assert (g.labels[j1, i1], g.ids[j1, i1]) == (ATTRACTED, 1)
+
+
+UNMIRRORED_CASES = {
+    "complex-constant": (custom_map("(sub (mul (add 0.5 (mul 0.01 i)) z) (div 0.5 z))",
+                                    declared_poles=[0j]), SQUARE, OrbitConfig()),
+    "complex-parameter": (custom_map("(sub (mul c z) (div 0.5 z))", {"c": 0.5 + 0.01j},
+                                     declared_poles=[0j]), SQUARE, OrbitConfig()),
+    "asymmetric-window": (custom_map(NEWTON_I, declared_poles=[0j]),
+                          ComplexBox(-2.0, 2.0, -2.0, 2.5), OrbitConfig()),
+    "off-axis-ladder": (custom_map(NEWTON_I, declared_poles=[0j]), SQUARE,
+                        OrbitConfig(stations=(StationSpec(base=0.25j, step=1.0),))),
+    "off-axis-pole": (custom_map(NEWTON_I, declared_poles=[0j, 3j]), SQUARE, OrbitConfig()),
+}
+
+
+@pytest.mark.parametrize("case", UNMIRRORED_CASES)
+def test_rasters_without_mirror_symmetry_classify_every_pixel(monkeypatch, case):
+    m, win, cfg = UNMIRRORED_CASES[case]
+    assert not dynamics._mirrored(m, cfg, win)
+    seen = _count_evaluations(monkeypatch)
+    g = classify_grid(m, win, 32, 32, cfg)
+    evaluated = sum(seen)
+    seen.clear()
+    ref = classify_grid_reference(m, win, 32, 32, cfg)
+    assert evaluated == sum(seen)
+    assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
+    assert g.verdict_counts == ref.verdict_counts and g.retire_steps == ref.retire_steps
 
 
 def test_retire_steps_total_the_loop_verdicts_whatever_the_workers():
@@ -500,11 +582,15 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
 
     monkeypatch.setattr(dynamics, "ProcessPoolExecutor", InProcessPool)
     m = ex1()
-    win = ComplexBox(-0.05, 0.05, -0.05, 0.05)
+    # not symmetric about the real axis, so all 4 rows are classified
+    win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
     g = classify_grid(m, win, 4, 4, OrbitConfig(), workers=10_000)
     assert sizes == [min(4, os.cpu_count() or 1)]
     ref = classify_grid(m, win, 4, 4, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
+    # a mirrored window classifies its upper 2 rows: 2 ranges at most
+    classify_grid(m, ComplexBox(-0.05, 0.05, -0.05, 0.05), 4, 4, OrbitConfig(), workers=10_000)
+    assert sizes[1:] == [min(2, os.cpu_count() or 1)]
 
 
 def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch):

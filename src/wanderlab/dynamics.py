@@ -123,6 +123,7 @@ class StationSpec:
 # Track id of a streak on ladder k: its first corridor index + k * LADDER_STRIDE.
 LADDER_STRIDE = 2 ** 24
 _INDEX_LIMIT = 2 ** 23
+_OUTSIDE = 2 ** 30
 _MAX_LADDERS = 2 ** 31 // LADDER_STRIDE
 
 
@@ -258,15 +259,15 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     the first three in scan order.  The loop keeps at most ORBIT_BLOCK live
     orbits: their start positions, current points, and int32 state: the
     (2, s) counts, of short steps and of steps taken (the age), and the
-    (L, 3, s) streaks, per ladder the streak length with its first and
-    last corridor index (read only while the length is positive).  A step
-    updates the counts in place; all of them shrink, by one take of the
-    live orbits' positions, as orbits get verdicts, and an attracted or
-    drifting orbit leaves its value with its start position.  An orbit
-    retires as budget at age cfg.max_iter, and once half the block or less
-    is live the next start points, sliced out of zs, fill it again.  Each
-    verdict is a pure function of its start point, so the block size
-    changes no output.
+    (L, 2, s) streaks, per ladder the streak length and the last corridor
+    index (a streak advances one index per step, so it began at
+    last - length + 1).  A step updates the counts in place; all of them
+    shrink, by one take of the live orbits' positions, as orbits get
+    verdicts, and an attracted or drifting orbit leaves its value with its
+    start position.  An orbit retires as budget at age cfg.max_iter, and
+    once half the block or less is live the next start points, sliced out
+    of zs, fill it again.  Each verdict is a pure function of its start
+    point, so the block size changes no output.
 
     The histogram counts retired orbits per verdict code (row) and log2
     bucket of the step they retired at (column k: steps 2**k to
@@ -283,7 +284,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     start = np.zeros(0, dtype=np.intp)
     z = np.zeros(0, dtype=np.complex128)
     counts = np.zeros((2, 0), dtype=np.int32)
-    streaks = np.zeros((len(cfg.stations), 3, 0), dtype=np.int32)
+    streaks = np.zeros((len(cfg.stations), 2, 0), dtype=np.int32)
     admitted = 0
 
     while start.size or admitted < n:
@@ -291,7 +292,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
             k = min(ORBIT_BLOCK - start.size, n - admitted)
             new_start = np.arange(admitted, admitted + k)
             new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
-            new_streaks = np.zeros((len(cfg.stations), 3, k), dtype=np.int32)
+            new_streaks = np.zeros((len(cfg.stations), 2, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
             _ladders_step(ladders, new_z, new_streaks, np.ones(k, dtype=bool), new_start,
                           verdict, drifted)
@@ -400,29 +401,28 @@ def _ladders_step(ladders, z, streaks, alive, start, verdict, drifted):
         k = done[:, cols].argmax(axis=0)
         fin = sel[cols]
         verdict[start[fin]] = _V_DRIFTING
-        drifted.append((start[fin], sub[k, 1, cols] + ladders.offset[k]))
+        run, last = sub[k, 0, cols], sub[k, 1, cols]
+        drifted.append((start[fin], last - run + 1 + ladders.offset[k]))
         alive[fin] = False
 
 
 def _station_update(ladders: _Ladders, cur, state):
     """One step of every ladder for the points cur; state holds their
-    (L, 3, len(cur)) int32 rows (streak length, first index, last index)
-    per ladder and is updated in place.  Returns the (L, len(cur)) mask of
-    streaks that reached their ladder's streak length."""
-    run, first, last = state[:, 0], state[:, 1], state[:, 2]
+    (L, 2, len(cur)) int32 rows (streak length, last index) per ladder and
+    is updated in place.  Returns the (L, len(cur)) mask of streaks that
+    reached their ladder's streak length."""
+    run, last = state[:, 0], state[:, 1]
     approx = np.round((cur.real - ladders.base.real) / ladders.step)
     centers = ladders.base + approx * ladders.step
     inside = np.abs(cur - centers) < ladders.radius
     inside &= approx >= ladders.min_index
     inside &= np.abs(approx) < _INDEX_LIMIT
-    idx = np.where(inside, approx, 0.0).astype(np.int32)
-    advancing = idx == last + 1
-    advancing &= run > 0
-    advancing &= inside
+    # outside every corridor: an index that no last + 1 can equal
+    idx = np.where(inside, approx, _OUTSIDE).astype(np.int32)
     # advancing: run + 1; else inside: 1; else 0
-    run *= advancing
+    last += 1
+    run *= idx == last
     run += inside
-    np.copyto(first, idx, where=~advancing)
     last[...] = idx
     return run >= ladders.streak
 

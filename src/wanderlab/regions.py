@@ -1,10 +1,11 @@
 """Plane-set algebra over a small closed vocabulary.
 
-Disks, annuli, axis-aligned rectangles, half-strips, and their unions and
-differences.  Each shape answers three questions about an axis-aligned box:
-is the box certainly inside, certainly disjoint, or undecided.  Both box
-tests are conservative — a *true* answer is a guarantee, a *false* answer
-only means "could not tell at this box size" and invites subdivision.
+Disks, axis-aligned rectangles, half-strips, and their unions and
+differences; an annulus is a disk minus a disk (`annulus`).  Each shape
+answers three questions about an axis-aligned box: is the box certainly
+inside, certainly disjoint, or undecided.  Both box tests are
+conservative — a *true* answer is a guarantee, a *false* answer only
+means "could not tell at this box size" and invites subdivision.
 They take a batch of boxes (`Boxes`; one box is a batch of one) and
 answer with one bool per box; unions and differences combine their parts'
 answers with | and &.  `ball_inside` asks whether the points within a
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .numerics import ComplexBox, _out_hi, _out_lo, box_inflate, box_mag, box_mig
-
-_INF = math.inf
 
 
 class UnboundedRegionError(ValueError):
@@ -64,6 +63,14 @@ class Region:
         Used as the floor of modulus lower bounds on boxes that straddle
         the region boundary (where the box minimum alone degenerates to 0).
         The default 0.0 is always sound.
+        """
+        return 0.0
+
+    def inner_gap(self, p: complex) -> float:
+        """Certified lower bound for inf{ |z - p| : z not in region }.
+
+        A difference takes its subtrahend's gap as a distance floor.  The
+        default 0.0 is always sound.
         """
         return 0.0
 
@@ -108,53 +115,10 @@ class Disk(Region):
         d = _out_lo(abs(complex(p) - self.center), ulps=3)
         return max(0.0, _out_lo(d - self.radius))
 
-
-@dataclass(frozen=True)
-class Annulus(Region):
-    """r_in <= |z - center| <= r_out (closed, the default) or both strict."""
-
-    center: complex
-    r_in: float
-    r_out: float
-    closed: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_in <= self.r_out):
-            raise ValueError("annulus radii must satisfy 0 <= r_in <= r_out")
-        object.__setattr__(self, "center", complex(self.center))
-
-    def contains(self, z: complex) -> bool:
-        d = abs(complex(z) - self.center)
-        if self.closed:
-            return self.r_in <= d <= self.r_out
-        return self.r_in < d < self.r_out
-
-    def box_inside(self, b):
-        lo = box_mig(b, self.center)
-        hi = box_mag(b, self.center)
-        if self.closed:
-            return (lo >= self.r_in) & (hi <= self.r_out)
-        return (lo > self.r_in) & (hi < self.r_out)
-
-    def box_disjoint(self, b):
-        lo = box_mig(b, self.center)
-        hi = box_mag(b, self.center)
-        if self.closed:
-            return (hi < self.r_in) | (lo > self.r_out)
-        return (hi <= self.r_in) | (lo >= self.r_out)
-
-    def bounding_box(self) -> ComplexBox:
-        return _cover(self.center, self.r_out)
-
-    def min_dist_bound(self, p: complex) -> float:
-        d = abs(complex(p) - self.center)
-        if d < self.r_in:
-            gap = self.r_in - _out_hi(d, ulps=3)
-        elif d > self.r_out:
-            gap = _out_lo(d, ulps=3) - self.r_out
-        else:
-            gap = 0.0
-        return max(0.0, _out_lo(gap))
+    def inner_gap(self, p: complex) -> float:
+        # rounded up here, for the same reason; outside the disk it is 0
+        d = _out_hi(abs(complex(p) - self.center), ulps=3)
+        return max(0.0, _out_lo(self.radius - d))
 
 
 @dataclass(frozen=True)
@@ -260,5 +224,13 @@ class Difference(Region):
         return self.minuend.bounding_box()
 
     def min_dist_bound(self, p: complex) -> float:
-        # sound because the difference is a subset of the minuend
-        return self.minuend.min_dist_bound(p)
+        # sound because the difference lies inside the minuend and outside
+        # the subtrahend
+        return max(self.minuend.min_dist_bound(p), self.subtrahend.inner_gap(p))
+
+
+def annulus(center: complex, r_in: float, r_out: float, closed: bool = True) -> Difference:
+    """r_in <= |z - center| <= r_out (closed, the default) or both strict."""
+    if not (0.0 <= r_in <= r_out):
+        raise ValueError("annulus radii must satisfy 0 <= r_in <= r_out")
+    return Difference(Disk(center, r_out, closed), Disk(center, r_in, not closed))

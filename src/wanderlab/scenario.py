@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -60,7 +61,7 @@ from .maps import (
 )
 from .numerics import ComplexBox
 from .pixmap import render_pixmap
-from .regions import Annulus, Difference, Disk, HalfStrip, Region, Union
+from .regions import Difference, Disk, HalfStrip, Region, Union, annulus
 from .topology import connectivity, connectivity_monotonicity_check, label_components, surrounds
 
 SCENARIO_SCHEMA = "scenario/1"
@@ -294,7 +295,7 @@ class _Doc:
             return body.build(Disk, body.complex("center"), body.number("radius"),
                               closed=body.boolean("closed", None))
         if kind == "annulus":
-            return body.build(Annulus, body.complex("center"), body.number("r_in"),
+            return body.build(annulus, body.complex("center"), body.number("r_in"),
                               body.number("r_out"), closed=body.boolean("closed", None))
         # a box is a half-strip whose left edge is required
         re_lo = body.number("re_lo", -math.inf if kind == "half_strip" else _REQUIRED)
@@ -518,12 +519,13 @@ def _run_params_identity(rd, ctx):
     res_sin = abs(lam * math.sin(a) - 2.0 * math.pi)
     res_cos = abs(1.0 + lam * math.cos(a))
     ok = res_sin < tol and res_cos < tol
-    # quoted constants are truncated, not rounded: match within one unit
-    # in the last quoted decimal place
+    # quoted constants are truncated, not rounded: the value lies within one
+    # unit in the last quoted decimal place above the quote
     for key, value in (("expect_a", a), ("expect_lambda", lam)):
         quoted = rd.number(key, None)
         if quoted is not None:
-            ok = ok and abs(value - quoted) < 1e-3
+            unit = 10.0 ** min(0, Decimal(repr(quoted)).as_tuple().exponent)
+            ok = ok and 0.0 <= value - quoted < unit
     out = {"a": a, "lambda": lam, "sin_residual": res_sin, "cos_residual": res_cos}
     ctx["env"].setdefault("a_star", a)
     ctx["env"].setdefault("lambda_star", lam)

@@ -57,7 +57,7 @@ from wanderlab.numerics import (
     box_sin,
     box_sub,
 )
-from wanderlab.regions import Annulus, Difference, Disk, HalfStrip
+from wanderlab.regions import Difference, Disk, HalfStrip, annulus
 from wanderlab.topology import (
     connectivity,
     connectivity_monotonicity_check,
@@ -113,7 +113,7 @@ def test_criterion_2_ex1_core_certificates(verdict):
         tail = certify_inequality(
             ExprBound(custom_map("(mul 2 (sub (sub (exp z) 1) z))")),
             PowerBound(2.0, 2),
-            Annulus(0j, 2.0 ** -20, 1.0),
+            annulus(0j, 2.0 ** -20, 1.0),
             cmp="<",
         )
         assert tail.proved
@@ -122,7 +122,7 @@ def test_criterion_2_ex1_core_certificates(verdict):
                                params={"eps": EPS1, "a": A1},
                                declared_poles=(complex(A1),))
         rim = certify_inequality(ExprBound(pole_term), ConstBound(A1 / 4.0),
-                                 Annulus(complex(A1), A1 / 2.0, 0.5), cmp="<=")
+                                 annulus(complex(A1), A1 / 2.0, 0.5), cmp="<=")
         assert rim.proved
 
 

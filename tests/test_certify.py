@@ -52,7 +52,7 @@ from wanderlab.numerics import (
     box_mag,
     box_mig,
 )
-from wanderlab.regions import Annulus, Difference, Disk
+from wanderlab.regions import Difference, Disk, annulus
 
 A1 = 2.0 ** -6
 EPS1 = 2.0 ** -16
@@ -256,8 +256,8 @@ _POLE_TERM = custom_map("(div eps (sub (exp z) (exp a)))",
 
 
 @pytest.mark.parametrize("rhs, region, budget, verdict", [
-    (ConstBound(A1 / 4), Annulus(complex(A1), A1 / 2, 0.5, closed=True), Budget(), "proved"),
-    (PowerBound(0.5, 1, complex(A1)), Annulus(complex(A1), A1 / 4, 0.05, closed=True),
+    (ConstBound(A1 / 4), annulus(complex(A1), A1 / 2, 0.5, closed=True), Budget(), "proved"),
+    (PowerBound(0.5, 1, complex(A1)), annulus(complex(A1), A1 / 4, 0.05, closed=True),
      Budget(50_000, 3), "inconclusive"),
 ], ids=["proved", "depth"])
 def test_inequality_engine_matches_depth_first_oracle(rhs, region, budget, verdict):
@@ -312,7 +312,7 @@ def test_series_remainder_inequality():
     # plain rectangle evaluation cannot close at small |z|
     lhs = ExprBound(custom_map("(sub (sub (exp z) 1) z)"), label="|exp(z)-1-z|")
     rhs = PowerBound(2.0, 2, label="2|z|^2")
-    region = Annulus(0j, 2.0 ** -20, 1.0, closed=True)
+    region = annulus(0j, 2.0 ** -20, 1.0, closed=True)
     cert = certify_inequality(lhs, rhs, region, cmp="<")
     assert cert.proved
     assert cert.stats["boxes_examined"] <= 1_000_000
@@ -325,7 +325,7 @@ def test_lower_bound_inequality_with_region_floor():
     # 2|z| through the region floor, as the raw box distance to 0 collapses
     # on boxes that straddle the rim
     f = ExprBound(custom_map("(sub (exp z) 1)"), label="|e^z - 1|")
-    region = Annulus(0j, 2.0 ** -20, 0.5, closed=True)
+    region = annulus(0j, 2.0 ** -20, 0.5, closed=True)
     assert certify_inequality(f, PowerBound(0.5, 1, label="|z|/2"), region, cmp=">=").proved
     assert certify_inequality(f, PowerBound(2.0, 1, label="2|z|"), region, cmp="<").proved
 
@@ -346,7 +346,7 @@ def test_taylor_form_is_what_proves_eq_4_1():
     # image of the left side meets 0 on every box near the origin, so alone it
     # stays inconclusive where ExprBound proves the claim
     m = custom_map("(mul 2 (sub (sub (exp z) 1) z))")
-    region = Annulus(0j, 2.0 ** -20, 1.0, closed=True)
+    region = annulus(0j, 2.0 ** -20, 1.0, closed=True)
     budget = Budget(20_000)
     natural = certify_inequality(_NaturalBound(m), PowerBound(2.0, 2), region, budget)
     assert natural.verdict == "inconclusive" and natural.stats["budget_exhausted"]
@@ -379,7 +379,7 @@ def test_pole_term_inequality():
     m = custom_map("(div eps (sub (exp z) (exp a)))",
                    params={"eps": EPS1, "a": A1}, declared_poles=(complex(A1),))
     cert = certify_inequality(ExprBound(m), ConstBound(A1 / 4),
-                              Annulus(complex(A1), A1 / 2, 0.5, closed=True),
+                              annulus(complex(A1), A1 / 2, 0.5, closed=True),
                               cmp="<=")
     assert cert.proved
 

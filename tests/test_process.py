@@ -2,10 +2,12 @@
 
 OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads; wanderlab
 sets it (unless the caller did) before its first numpy import.  That is
-safe only because wanderlab itself makes no BLAS call.
+safe only because wanderlab itself makes no BLAS call.  Beside that scan
+sits a second one: every top-level name of src/wanderlab is read somewhere.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +70,28 @@ def test_wanderlab_makes_no_blas_call():
             elif isinstance(node, ast.MatMult):
                 found.append((path.name, 0, "@"))
     assert found == []
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_top_level_name_is_read():
+    # a name whose only occurrence is its definition is dead code; the
+    # _run_* executors are found by prefix, and box_cos waits for a cos row
+    # in maps.OPS
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted((SRC / "wanderlab").glob("*.py"))}
+    everything = "\n".join(texts.values())
+    dead = [(file, name) for file, text in texts.items()
+            for name in _top_level_names(ast.parse(text))
+            if not name.startswith("_run_") and name != "box_cos"
+            and len(re.findall(rf"\b{re.escape(name)}\b", everything)) < 2]
+    assert dead == []

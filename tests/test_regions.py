@@ -11,13 +11,13 @@ import pytest
 from oracles import encloses
 from wanderlab.numerics import Boxes, ComplexBox
 from wanderlab.regions import (
-    Annulus,
     Difference,
     Disk,
     HalfStrip,
     Region,
     UnboundedRegionError,
     Union,
+    annulus,
 )
 
 RNG = random.Random(77345)
@@ -30,7 +30,7 @@ def _random_region() -> Region:
         return Disk(c, RNG.uniform(0.1, 2.0), closed=RNG.random() < 0.5)
     if kind == 1:
         r_in = RNG.uniform(0.05, 1.0)
-        return Annulus(c, r_in, r_in + RNG.uniform(0.1, 1.5), closed=RNG.random() < 0.5)
+        return annulus(c, r_in, r_in + RNG.uniform(0.1, 1.5), closed=RNG.random() < 0.5)
     if kind == 2:
         x = RNG.uniform(-2, 1)
         y = RNG.uniform(-2, 1)
@@ -132,11 +132,11 @@ def test_open_vs_closed_disk_edges():
 
 
 def test_annulus_membership():
-    ann = Annulus(0j, 1.0, 2.0)
+    ann = annulus(0j, 1.0, 2.0)
     assert ann.contains(1.5)
     assert ann.contains(1.0) and ann.contains(2.0)  # closed by default
     assert not ann.contains(0.5) and not ann.contains(2.5)
-    open_ann = Annulus(0j, 1.0, 2.0, closed=False)
+    open_ann = annulus(0j, 1.0, 2.0, closed=False)
     assert not open_ann.contains(1.0)
     hole_box = ComplexBox(-0.2, 0.2, -0.2, 0.2)
     assert _disjoint(ann, hole_box)
@@ -180,7 +180,7 @@ def test_union_box_inside_conservative_but_usable():
 
 
 def test_min_dist_bound_annulus_hole():
-    ann = Annulus(0j, 0.5, 2.0)
+    ann = annulus(0j, 0.5, 2.0)
     f = ann.min_dist_bound(0j)
     assert 0.49 < f <= 0.5
     f2 = ann.min_dist_bound(3.0 + 0j)
@@ -194,7 +194,7 @@ def test_bounding_box_contains_exact_extreme_points():
     for _ in range(10_000):
         c = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         r = rng.uniform(0.0, 5.0)
-        for region in (Disk(c, r, closed=True), Annulus(c, 0.5 * r, r)):
+        for region in (Disk(c, r, closed=True), annulus(c, 0.5 * r, r)):
             bb = region.bounding_box()
             x, y, rr = Fraction(c.real), Fraction(c.imag), Fraction(r)
             assert Fraction(bb.re_lo) <= x - rr and x + rr <= Fraction(bb.re_hi)
@@ -222,7 +222,7 @@ def test_min_dist_bound_is_sound_near_the_rim():
             r_in = rng.uniform(0.1, 1.0)
             r_out = r_in + rng.uniform(0.1, 1.5)
             disk = Disk(c, r_out, closed=rng.random() < 0.5)
-            ann = Annulus(c, r_in, r_out, closed=rng.random() < 0.5)
+            ann = annulus(c, r_in, r_out, closed=rng.random() < 0.5)
             p = near(c, r_out, 1.0)
             d = exact_dist(p, c)
             assert disk.min_dist_bound(p) <= max(0, d - mpmath.mpf(r_out))
@@ -230,4 +230,13 @@ def test_min_dist_bound_is_sound_near_the_rim():
             q = near(c, r_in, -1.0)
             assert ann.min_dist_bound(q) <= max(0, mpmath.mpf(r_in) - exact_dist(q, c))
             checked += d > r_out
+            # an off-centre disk hole: the floor is sound at its rim and
+            # positive once a point is a little way into it
+            c2 = c + complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            holed = Difference(Disk(c, r_out + 1.0, closed=True), Disk(c2, r_in))
+            q = near(c2, r_in, -1.0)
+            assert holed.min_dist_bound(q) <= max(0, mpmath.mpf(r_in) - exact_dist(q, c2))
+            depth = r_in * rng.uniform(1e-3, 1.0)
+            q = c2 + (r_in - depth) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            assert 0 < holed.min_dist_bound(q) <= mpmath.mpf(r_in) - exact_dist(q, c2)
     assert checked > 2000

@@ -26,7 +26,7 @@ from wanderlab.dynamics import (
     StationSpec,
 )
 from wanderlab.numerics import ComplexBox
-from wanderlab.regions import Annulus, Disk, HalfStrip
+from wanderlab.regions import Disk, HalfStrip, annulus
 from wanderlab.scenario import (
     _EXECUTORS,
     REPORT_SCHEMA,
@@ -541,6 +541,16 @@ def test_minimal_items_pass(tmp_path):
     assert [row["id"] for row in report["items"] if not row["passed"]] == []
 
 
+@pytest.mark.parametrize("quoted, passed", [(1.728, True), (1.7, True), (1.729, False),
+                                            (1.72863, False)])
+def test_params_identity_quotes_are_truncations(tmp_path, quoted, passed):
+    # a* = 1.72862...: a quote matches when a* lies within one unit in its
+    # last decimal place above it
+    item = _item("params_identity", expect_a=quoted)
+    report = run_scenario(_write(tmp_path, "quote.json", dict(FIELDS, items=[item])))
+    assert report["items"][0]["passed"] is passed
+
+
 def test_inclusion_rows_say_what_decided_their_boxes(tmp_path):
     # ex5 = z e^z maps the closed disk of radius 0.1 into the disk of radius
     # 0.115 (|f| <= 0.1 e^0.1 < 0.1106), where the mean-value ball proves 4
@@ -800,7 +810,7 @@ def test_absent_orbit_fields_keep_constructor_defaults(tmp_path, orbit, want):
     ({"r": {"disk": {"center": 0.0, "radius": 1.0}}}, lambda rd: rd.region("r"),
      Disk(0j, 1.0)),
     ({"r": {"annulus": {"center": 0.0, "r_in": 1.0, "r_out": 2.0}}},
-     lambda rd: rd.region("r"), Annulus(0j, 1.0, 2.0)),
+     lambda rd: rd.region("r"), annulus(0j, 1.0, 2.0)),
     ({"r": {"half_strip": {"re_hi": 1.0, "im_lo": -1.0, "im_hi": 1.0}}},
      lambda rd: rd.region("r"), HalfStrip(-math.inf, 1.0, -1.0, 1.0)),
     ({"b": {"power": {"c": 1.0, "n": 2}}}, lambda rd: rd.bound("b").center, 0j),

@@ -37,6 +37,7 @@ Three engines share this module:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +60,10 @@ from .maps import (
 )
 from .numerics import (
     NONE,
-    OVERFLOW,
     POLE,
     Boxes,
     ComplexBox,
+    _first_code,
     _out_hi,
     _out_lo,
     box_mag,
@@ -321,10 +322,9 @@ def certify_inclusion(m: MeromorphicMap, source: Region, target: Region,
 # degenerates).
 # ---------------------------------------------------------------------------
 
-def _checked(values: np.ndarray, why=None) -> tuple[np.ndarray, np.ndarray]:
-    """values with their codes: why where set, else OVERFLOW where not finite."""
-    bad = (~np.isfinite(values)).astype(np.uint8) * OVERFLOW
-    return values, bad if why is None else np.where(why != NONE, why, bad)
+def _checked(values: np.ndarray, *why: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values with their codes: the first of why set, else OVERFLOW where not finite."""
+    return values, _first_code(np.isfinite(values), *why)
 
 
 class Bound:
@@ -415,27 +415,24 @@ class SumBound(Bound):
         self.label = label or " + ".join(p.label for p in parts)
 
     def upper(self, boxes, region):
-        total, why = 0.0, np.zeros(len(boxes.why), np.uint8)
-        for p in self.parts:
-            v, w = p.upper(boxes, region)
-            total = total + v
-            why = np.where(why != NONE, why, w)
-        return _checked(_out_hi(total, ulps=2), why)
+        values, whys = zip(*(p.upper(boxes, region) for p in self.parts))
+        return _checked(_out_hi(sum(values), ulps=2), *whys)
 
 
-_CMP = {
-    "<": lambda lo_rhs, hi_lhs: hi_lhs < lo_rhs,
-    "<=": lambda lo_rhs, hi_lhs: hi_lhs <= lo_rhs,
-}
+# cmp -> (how sup |small| must compare with inf |big|, whether lhs is big)
+_CMP = {"<": (operator.lt, False), "<=": (operator.le, False),
+        ">": (operator.lt, True), ">=": (operator.le, True)}
 
 
 def _inequality_test(small: Bound, big: Bound, region: Region, op: str):
-    decide = _CMP[op]
+    """The per-box test that sup |small| < inf |big|, or <= for a
+    non-strict op (its comparison in _CMP); small and big are in place."""
+    holds = _CMP[op][0]
 
     def test(boxes: Boxes):
         lo, why_lo = big.lower(boxes, region)
         hi, why_hi = small.upper(boxes, region)
-        return decide(lo, hi), np.where(why_lo != NONE, why_lo, why_hi)
+        return holds(hi, lo), _first_code(True, why_lo, why_hi)
     return test
 
 
@@ -443,17 +440,14 @@ def certify_inequality(lhs: Bound, rhs: Bound, region: Region, budget: Budget = 
                        cmp: str = "<") -> Certificate:
     """Prove |lhs| cmp |rhs| pointwise on the region.
 
-    cmp is one of <, <=, >, >=.  Internally everything reduces to
-    sup(lhs) < inf(rhs) per box (or the mirrored form), so a "proved"
+    cmp is one of <, <=, >, >=.  Per box it reduces to sup |small| < or <=
+    inf |big|, the sides and the strictness coming from _CMP, so a "proved"
     verdict certifies the pointwise claim.
     """
-    if cmp in ("<", "<="):
-        small, big, op = lhs, rhs, cmp
-    elif cmp in (">", ">="):
-        small, big, op = rhs, lhs, "<" if cmp == ">" else "<="
-    else:
+    if cmp not in _CMP:
         raise ValueError(f"unknown comparison {cmp!r}")
-    survivors, stats = _prove_on_region(region, _inequality_test(small, big, region, op),
+    small, big = (rhs, lhs) if _CMP[cmp][1] else (lhs, rhs)
+    survivors, stats = _prove_on_region(region, _inequality_test(small, big, region, cmp),
                                         budget)
     statement = {"kind": "inequality", "lhs": lhs.label, "cmp": cmp,
                  "rhs": rhs.label, "region": region}
@@ -485,8 +479,8 @@ def _circle_image(m: MeromorphicMap, center: complex, radius: float, n: int) -> 
 def _discrete_winding(curve: np.ndarray, w0: complex):
     rel = curve - w0
     dist = float(np.min(np.abs(rel)))
-    if dist <= 0.0:
-        return None, dist, math.pi
+    if dist <= 0.0:      # a sample on w0: a step of pi, so never valid
+        return 0, dist, math.pi
     steps = np.angle(np.roll(rel, -1) / rel)
     max_step = float(np.max(np.abs(steps)))
     total = float(np.sum(steps))
@@ -506,10 +500,9 @@ def winding_number(m: MeromorphicMap, circle: tuple[complex, float],
     n = WINDING_START_SAMPLES
     while True:
         winding, dist, max_step = _discrete_winding(_circle_image(m, center, radius, n), w0)
-        valid = winding is not None and dist > 0.0 and max_step < MAX_ARG_STEP
+        valid = max_step < MAX_ARG_STEP
         if valid or n >= WINDING_MAX_SAMPLES:
-            return WindingResult(winding if winding is not None else 0,
-                                 dist, max_step, n, valid)
+            return WindingResult(winding, dist, max_step, n, valid)
         n *= 2
 
 

@@ -90,10 +90,7 @@ def main(argv=None) -> int:
         if args.command == "suites":
             return list_suites()
         return _cmd_render(args)
-    except ScenarioError as e:
-        print(f"wanderlab: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ScenarioError, OSError) as e:
         print(f"wanderlab: {e}", file=sys.stderr)
         return 2
 

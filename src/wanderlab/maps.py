@@ -30,10 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
-    NONE,
-    OVERFLOW,
     Boxes,
     ComplexBox,
+    _first_code,
     _out_hi,
     box_add,
     box_div,
@@ -527,16 +526,14 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
 def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     """Rigorous enclosure of the image of each box of a batch.
 
-    A box with a reason code keeps it.  Otherwise its code is that of the
-    first step, in tape order, whose value has one: POLE where a division's
-    denominator box touches 0, OVERFLOW where an endpoint is inf or NaN.
-    That is the root's own code, as each op takes its first coded
-    argument's code and the tape is in post-order.
+    A box with a reason code keeps it, else takes the root's code
+    (numerics._first_code), which is that of the first step in tape order
+    whose value has one.
     """
     n = len(b.why)
     with np.errstate(all="ignore"):
         out = _run(m, _BOX, b, lambda v: Boxes.point(v, n))
-    return out._replace(why=np.where(b.why != NONE, b.why, out.why))
+    return out._replace(why=_first_code(True, b.why, out.why))
 
 
 def _centres(b: Boxes) -> tuple[Boxes, np.ndarray]:
@@ -548,16 +545,6 @@ def _centres(b: Boxes) -> tuple[Boxes, np.ndarray]:
         return c, box_mag(box_sub(b, c))
 
 
-def _ball(fc: Boxes, radius: np.ndarray, *parts: Boxes) -> tuple[Boxes, np.ndarray]:
-    """fc with the first code set among fc and parts, else OVERFLOW where
-    radius is not finite; and radius."""
-    why = fc.why
-    for p in parts:
-        why = np.where(why != NONE, why, p.why)
-    why = np.where((why == NONE) & ~np.isfinite(radius), OVERFLOW, why)
-    return fc._replace(why=why), radius
-
-
 def eval_mean_value_ball(m: MeromorphicMap, dm: MeromorphicMap,
                          b: Boxes) -> tuple[Boxes, np.ndarray]:
     """Mean-value enclosure of the image of each box of a batch.
@@ -565,15 +552,15 @@ def eval_mean_value_ball(m: MeromorphicMap, dm: MeromorphicMap,
     dm is derivative(m).  With c the centre of a box X and r >= |z - c| on
     it, f(z) lies within sup_X |f'| r of f(c), as the segment from c to z
     lies in X.  Returns the boxes of f(c) and those radii, rounded up.  A
-    box's code is the first one set on f(c) or f'(X), else OVERFLOW where its
-    radius is not finite; a code set on f'(X) also means f may have a pole
-    in X, where the form fails.
+    box's code comes from f(c), f'(X) and the radius (numerics._first_code);
+    a code set on f'(X) also means f may have a pole in X, where the form
+    fails.
     """
     c, r = _centres(b)
     fc, d1 = eval_map_box(m, c), eval_map_box(dm, b)
     with np.errstate(all="ignore"):
         radius = _out_hi(box_mag(d1) * r)
-    return _ball(fc, radius, d1)
+    return fc._replace(why=_first_code(np.isfinite(radius), fc.why, d1.why)), radius
 
 
 def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
@@ -583,15 +570,15 @@ def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
     dm and d2m are derivative(m) and derivative(dm).  With c the centre of a
     box X and r >= |z - c| on it, f(z) lies within
     |f'(c)| r + sup_X |f''| r^2 / 2 of f(c).  Returns the boxes of f(c) and
-    those radii, rounded up.  A box's code is the first one set among f(c),
-    f'(c) and f''(X), else OVERFLOW where its radius is not finite; a code
-    set on f''(X) also means f may have a pole in X, where the form fails.
+    those radii, rounded up.  A box's code comes from f(c), f'(c), f''(X)
+    and the radius (numerics._first_code); a code set on f''(X) also means
+    f may have a pole in X, where the form fails.
     """
     c, r = _centres(b)
     fc, d1, d2 = eval_map_box(m, c), eval_map_box(dm, c), eval_map_box(d2m, b)
     with np.errstate(all="ignore"):
         radius = _out_hi(_out_hi(box_mag(d1) * r) + 0.5 * _out_hi(box_mag(d2) * _out_hi(r * r)))
-    return _ball(fc, radius, d1, d2)
+    return fc._replace(why=_first_code(np.isfinite(radius), fc.why, d1.why, d2.why)), radius
 
 
 # ---------------------------------------------------------------------------

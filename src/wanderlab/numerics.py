@@ -24,10 +24,12 @@ and becomes NaN inward; NaN stays NaN.
 Each op is written once, over arrays.  A batch of n boxes (`Boxes`) is four
 float64 endpoint arrays plus one reason code per box: NONE, POLE (a
 reciprocal of a box that touches 0) or OVERFLOW (an endpoint that is inf
-or NaN).  An op's result carries, per box, the first code set among its
-arguments, else its own, so an expression evaluated in post-order carries
-the code of its first failing step; endpoints of a box with a code are
-unspecified.  The `box_*` ops take and return `Boxes` only; a single box
+or NaN).  One rule, `_first_code`, picks every code, here and in the map
+and certificate layers: the first code set among the inputs, else
+OVERFLOW where the value is not finite.  An op's inputs are its arguments
+(then a reciprocal's POLE), so an expression evaluated in post-order
+carries the code of its first failing step; endpoints of a box with a code
+are unspecified.  The `box_*` ops take and return `Boxes` only; a single box
 is a batch of one (`Boxes.of([box])`).  `ComplexBox` is the plain record
 of one rectangle, for raster windows and region bounding boxes.
 Intervals of the `iv_*` layer are (lo, hi) pairs of arrays or of floats.
@@ -222,10 +224,8 @@ class ComplexBox:
     im_hi: float
 
     def __post_init__(self):
-        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):
-            raise ValueError(f"inverted box bounds: {self}")
-        if any(math.isnan(v) for v in (self.re_lo, self.re_hi, self.im_lo, self.im_hi)):
-            raise ValueError("NaN box bound")
+        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):   # NaN too
+            raise ValueError(f"box bounds must satisfy lo <= hi and not be NaN: {self}")
 
     def hull(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(min(self.re_lo, other.re_lo), max(self.re_hi, other.re_hi),
@@ -264,17 +264,24 @@ class Boxes(NamedTuple):
         return Boxes(re, re, im, im, np.zeros(n, np.uint8))
 
 
+def _first_code(finite, *codes) -> np.ndarray:
+    """Per box, the first of the code arrays whose entry is set, else
+    OVERFLOW where finite is false, else NONE.  Every reason code of a
+    result is chosen by this rule."""
+    why = np.logical_not(finite).astype(np.uint8) * OVERFLOW
+    for code in reversed(codes):
+        why = np.where(code != NONE, code, why)
+    return why
+
+
 def _result(re, im, *args: Boxes, pole=None) -> Boxes:
-    """An op's output boxes.  Each box's code is that of the first argument
-    with one set, else POLE where pole, else OVERFLOW where an endpoint is
-    not finite."""
+    """An op's output boxes, coded by _first_code from the arguments' codes
+    and then POLE where pole."""
     finite = np.isfinite(re[0]) & np.isfinite(re[1]) & np.isfinite(im[0]) & np.isfinite(im[1])
-    why = (~finite).astype(np.uint8) * OVERFLOW
+    codes = [x.why for x in args]
     if pole is not None:
-        why = np.where(pole, POLE, why)
-    for x in reversed(args):
-        why = np.where(x.why != NONE, x.why, why)
-    return Boxes(re[0], re[1], im[0], im[1], why)
+        codes.append(pole.astype(np.uint8) * POLE)
+    return Boxes(re[0], re[1], im[0], im[1], _first_code(finite, *codes))
 
 
 # ---------------------------------------------------------------------------

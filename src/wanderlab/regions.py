@@ -15,6 +15,7 @@ so the cover they start from contains the exact region.
 
 The open/closed flag matters at the certificate layer: proving an image
 lands in an *open* disk needs strict inequalities on the box bounds.
+`_within` and `_apart` own that choice for every shape.
 """
 from __future__ import annotations
 
@@ -28,6 +29,19 @@ from .numerics import ComplexBox, _out_hi, _out_lo, box_inflate, box_mag, box_mi
 
 class UnboundedRegionError(ValueError):
     """A bounding box was requested for a region of infinite extent."""
+
+
+def _within(closed: bool):
+    """How a point or box end compares with a boundary it must not cross:
+    <= for a closed set, < for an open one."""
+    return operator.le if closed else operator.lt
+
+
+def _apart(closed: bool):
+    """How a box end compares with a boundary it lies beyond, for the box to
+    miss the set: > for a closed set, >= for an open one.  A positive
+    comparison, not the negation of an inside test, so NaN is never apart."""
+    return operator.gt if closed else operator.ge
 
 
 def _cover(center: complex, r: float) -> ComplexBox:
@@ -89,22 +103,19 @@ class Disk(Region):
         object.__setattr__(self, "center", complex(self.center))
 
     def contains(self, z: complex) -> bool:
-        d = abs(complex(z) - self.center)
-        return d <= self.radius if self.closed else d < self.radius
+        return _within(self.closed)(abs(complex(z) - self.center), self.radius)
 
     def box_inside(self, b):
-        m = box_mag(b, self.center)
-        return m <= self.radius if self.closed else m < self.radius
+        return _within(self.closed)(box_mag(b, self.center), self.radius)
 
     def box_disjoint(self, b):
-        m = box_mig(b, self.center)
-        return m > self.radius if self.closed else m >= self.radius
+        return _apart(self.closed)(box_mig(b, self.center), self.radius)
 
     def ball_inside(self, centres, radius):
         # the ball's points lie within box_mag + radius of the centre, which
         # is tighter than the box_mag of the inflated box
-        m = _out_hi(box_mag(centres, self.center) + radius)
-        return m <= self.radius if self.closed else m < self.radius
+        return _within(self.closed)(_out_hi(box_mag(centres, self.center) + radius),
+                                    self.radius)
 
     def bounding_box(self) -> ComplexBox:
         return _cover(self.center, self.radius)
@@ -140,26 +151,19 @@ class HalfStrip(Region):
             raise ValueError("inverted strip bounds")
 
     def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if self.closed:
-            return (self.re_lo <= z.real <= self.re_hi
-                    and self.im_lo <= z.imag <= self.im_hi)
-        return (self.re_lo < z.real < self.re_hi
-                and self.im_lo < z.imag < self.im_hi)
+        z, within = complex(z), _within(self.closed)
+        return (within(self.re_lo, z.real) and within(z.real, self.re_hi)
+                and within(self.im_lo, z.imag) and within(z.imag, self.im_hi))
 
     def box_inside(self, b):
-        if self.closed:
-            return ((self.re_lo <= b.re_lo) & (b.re_hi <= self.re_hi)
-                    & (self.im_lo <= b.im_lo) & (b.im_hi <= self.im_hi))
-        return ((self.re_lo < b.re_lo) & (b.re_hi < self.re_hi)
-                & (self.im_lo < b.im_lo) & (b.im_hi < self.im_hi))
+        within = _within(self.closed)
+        return (within(self.re_lo, b.re_lo) & within(b.re_hi, self.re_hi)
+                & within(self.im_lo, b.im_lo) & within(b.im_hi, self.im_hi))
 
     def box_disjoint(self, b):
-        if self.closed:
-            return ((b.re_hi < self.re_lo) | (b.re_lo > self.re_hi)
-                    | (b.im_hi < self.im_lo) | (b.im_lo > self.im_hi))
-        return ((b.re_hi <= self.re_lo) | (b.re_lo >= self.re_hi)
-                | (b.im_hi <= self.im_lo) | (b.im_lo >= self.im_hi))
+        apart = _apart(self.closed)
+        return (apart(self.re_lo, b.re_hi) | apart(b.re_lo, self.re_hi)
+                | apart(self.im_lo, b.im_hi) | apart(b.im_lo, self.im_hi))
 
     def bounding_box(self) -> ComplexBox:
         if math.isinf(self.re_lo) or math.isinf(self.re_hi) \

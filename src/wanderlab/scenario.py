@@ -93,7 +93,6 @@ class Scenario:
     resolution: tuple[int, int] | None
     orbit: OrbitConfig
     items: list
-    path: str
 
 
 def bundled_scenarios() -> dict:
@@ -146,7 +145,7 @@ def load_scenario(ref) -> Scenario:
                         spec.obj, spec.map(params) if spec.obj else None, params,
                         None if window is None else ComplexBox(*(float(v) for v in window)),
                         None if resolution is None else tuple(resolution),
-                        _decode_orbit(top), items, where)
+                        _decode_orbit(top), items)
     top.finish()
     return scenario
 
@@ -590,8 +589,10 @@ def _read_raster(rd, ctx):
         cfg = rd.build(replace, cfg, max_iter=ctx["max_iter"])
     classify = partial(classify_grid, m, scenario.window, *scenario.resolution, cfg,
                        workers=ctx["threads"])
-    return (classify, rd.each("match", _read_match, []), rd.boolean("monotonicity", False),
-            rd.string("render", None))
+    matches, monotonicity = rd.each("match", _read_match, []), rd.boolean("monotonicity", False)
+    render = rd.value("render", lambda v: isinstance(v, str) and v not in ("", "..")
+                      and Path(v).name == v, "a bare file name", None)
+    return classify, matches, monotonicity, render
 
 
 def _select_component(cm, grid, kind, p, where) -> int:

@@ -384,6 +384,18 @@ def test_pole_term_inequality():
     assert cert.proved
 
 
+@pytest.mark.parametrize("rhs, cmp, verdict", [
+    (1.0, "<=", "proved"), (1.0, ">=", "proved"),
+    (1.0, "<", "inconclusive"), (1.0, ">", "inconclusive"),
+    (2.0, "<", "proved"), (2.0, ">", "inconclusive"),
+    (0.5, ">", "proved"), (0.5, "<", "inconclusive"),
+])
+def test_inequality_direction_and_strictness(rhs, cmp, verdict):
+    cert = certify_inequality(ConstBound(1.0), ConstBound(rhs), Disk(0j, 1.0, closed=True),
+                              Budget(300, 2), cmp=cmp)
+    assert cert.verdict == verdict
+
+
 def test_inequality_rejects_unknown_cmp():
     with pytest.raises(ValueError):
         certify_inequality(ConstBound(1.0), ConstBound(2.0), Disk(0j, 1.0),

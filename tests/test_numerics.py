@@ -13,11 +13,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import encloses, nextafter_out_hi, nextafter_out_lo
 from wanderlab.numerics import (
     NONE,
+    OVERFLOW,
     POLE,
     Boxes,
     ComplexBox,
+    _first_code,
     _out_hi,
     _out_lo,
+    _result,
     box_add,
     box_cos,
     box_div,
@@ -126,6 +129,39 @@ def test_recip_point_box():
 
 def test_recip_of_zero_straddling_box_is_pole():
     assert box_recip(Boxes.of([ComplexBox(-1.0, 1.0, -1.0, 1.0)])).why[0] == POLE
+
+
+# one box a row: the codes of two arguments a and b, whether the op met a
+# pole, whether its endpoints are finite, and the code the box must get
+_CODE_TABLE = [
+    (NONE, NONE, False, True, NONE),
+    (NONE, NONE, False, False, OVERFLOW),
+    (NONE, NONE, True, False, POLE),          # a pole outranks overflow
+    (NONE, OVERFLOW, True, True, OVERFLOW),   # an argument's code outranks a pole
+    (NONE, POLE, False, False, POLE),         # and overflow
+    (POLE, OVERFLOW, False, True, POLE),      # the first argument's code wins
+    (OVERFLOW, POLE, True, True, OVERFLOW),
+]
+
+
+def test_first_code_precedence():
+    a, b, pole, finite, want = (np.array(col) for col in zip(*_CODE_TABLE))
+    a, b = a.astype(np.uint8), b.astype(np.uint8)
+    assert _first_code(finite, a, b, pole.astype(np.uint8) * POLE).tolist() == want.tolist()
+    assert _first_code(finite).tolist() == np.where(finite, NONE, OVERFLOW).tolist()
+    # an op's result: its arguments' codes, then POLE, then OVERFLOW
+    ends = np.where(finite, 1.0, math.inf)
+    args = [Boxes(ends, ends, ends, ends, why) for why in (a, b)]
+    got = _result((ends, ends), (ends, ends), *args, pole=pole).why
+    assert got.dtype == np.uint8 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("coord", range(4))
+def test_complex_box_rejects_a_nan_bound(coord):
+    ends = [0.0, 1.0, 0.0, 1.0]
+    ends[coord] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        ComplexBox(*ends)
 
 
 def test_div_composes():

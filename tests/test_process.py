@@ -72,6 +72,15 @@ def test_wanderlab_makes_no_blas_call():
     assert found == []
 
 
+def test_each_box_rule_has_one_owner():
+    # numerics._first_code picks every reason code, and regions._within and
+    # _apart make every open-or-closed comparison
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted((SRC / "wanderlab").glob("*.py"))}
+    assert [name for name, text in texts.items() if "!= NONE" in text] == ["numerics.py"]
+    assert "if self.closed" not in texts["regions.py"]
+
+
 def _top_level_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

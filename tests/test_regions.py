@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import encloses
@@ -129,6 +130,31 @@ def test_open_vs_closed_disk_edges():
     # with any representable margin both tests decide
     assert _inside(d_closed, ComplexBox(0.0, 1.0 - 1e-9, 0.0, 0.0))
     assert _disjoint(d_open, ComplexBox(1.0 + 1e-9, 2.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_half_strip_boxes_touching_an_edge(closed):
+    # boxes that touch each edge exactly, from within and from outside: the
+    # edge belongs to the closed strip only, and these ends are exact
+    strip = HalfStrip(0.0, 1.0, 0.0, 1.0, closed=closed)
+    within = [ComplexBox(0.0, 0.5, 0.25, 0.75), ComplexBox(0.5, 1.0, 0.25, 0.75),
+              ComplexBox(0.25, 0.75, 0.0, 0.5), ComplexBox(0.25, 0.75, 0.5, 1.0)]
+    outside = [ComplexBox(-0.5, 0.0, 0.25, 0.75), ComplexBox(1.0, 1.5, 0.25, 0.75),
+               ComplexBox(0.25, 0.75, -0.5, 0.0), ComplexBox(0.25, 0.75, 1.0, 1.5)]
+    assert strip.box_inside(Boxes.of(within)).tolist() == [closed] * 4
+    assert strip.box_disjoint(Boxes.of(outside)).tolist() == [not closed] * 4
+    assert [strip.contains(z) for z in (0.5j, 1.0 + 0.5j, 0.5, 0.5 + 1.0j)] == [closed] * 4
+
+
+@pytest.mark.parametrize("region", [HalfStrip(0.0, 1.0, 0.0, 1.0, closed=True),
+                                    HalfStrip(0.0, 1.0, 0.0, 1.0, closed=False),
+                                    Disk(0j, 1.0, closed=True), Disk(0j, 1.0)],
+                         ids=["closed-strip", "open-strip", "closed-disk", "open-disk"])
+def test_a_nan_box_is_neither_inside_nor_disjoint(region):
+    # disjointness is a comparison of its own, not the negation of an inside test
+    nan = np.full(1, math.nan)
+    b = Boxes(nan, nan, nan, nan, np.zeros(1, np.uint8))
+    assert not region.box_inside(b)[0] and not region.box_disjoint(b)[0]
 
 
 def test_annulus_membership():

@@ -754,16 +754,27 @@ def test_unread_match_field_is_config_error(tmp_path, capsys):
     ({"match": [{"component": {"contains": [-0.015625, 0.0]},
                  "expect_connectivity": "two"}]}, "tiny-img.match[0].expect_connectivity"),
     ({"match": [{"component": {"contains": "origin"}}]}, "tiny-img.match[0].component.contains"),
+    # an image goes into the report's directory, under a bare file name
+    ({"render": "{tmp}/escaped.ppm"}, "tiny-img.render"),
+    ({"render": "../escaped.ppm"}, "tiny-img.render"),
+    ({"render": "sub/escaped.ppm"}, "tiny-img.render"),
+    ({"render": ".."}, "tiny-img.render"),
+    ({"render": ""}, "tiny-img.render"),
 ], ids=["unknown-field", "unknown-field-and-failing-selector", "text-render",
-        "text-monotonicity", "text-connectivity", "text-anchor"])
+        "text-monotonicity", "text-connectivity", "text-anchor", "absolute-render",
+        "parent-render", "nested-render", "dotdot-render", "empty-render"])
 @pytest.mark.parametrize("command", ["run", "render"])
 def test_cli_malformed_raster_item_is_config_error(tmp_path, capsys, command, extra, path):
-    # run and render read a raster item the same way, before classifying
+    # run and render read a raster item the same way, before classifying;
+    # the report would go to work/, so an image name leaving it lands in tmp_path
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    extra = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in extra.items()}
     item = dict(TINY_RASTER["items"][0], **extra)
     scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, items=[item]))
-    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert main([command, scenario, "--out", str(work / "out"), "--threads", "1"]) == 2
     assert f'"{path}"' in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "tiny.ppm").exists()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "r.json"]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -36,7 +36,7 @@ def list_suites(stream=None) -> int:
 
 def _cmd_run(args) -> int:
     out_path = Path(args.out) if args.out else None
-    out_dir = out_path.parent if out_path else Path.cwd()
+    out_dir = out_path.parent if out_path else None
     report = run_scenario(args.scenario, out_dir=out_dir, threads=args.threads,
                           budget_boxes=args.budget_boxes, max_iter=args.max_iter)
     text = json.dumps(report, indent=2) + "\n"

@@ -64,14 +64,15 @@ from .maps import (
     Node,
     derivative,
     eval_map,
+    eval_map_box,
     eval_map_vec,
     group_roots,
     minus,
     newton_roots,
     seed_grid,
 )
-from .numerics import ComplexBox
-from .regions import Region
+from .numerics import NONE, Boxes, ComplexBox
+from .regions import Disk, Region
 
 # raster label codes
 UNRESOLVED = 0
@@ -186,20 +187,16 @@ def find_fixed_point(m: MeromorphicMap, seed_region: Region) -> FixedPointReport
 
 
 def track_wandering(m: MeromorphicMap, z0: complex, station_centers,
-                    station_radius: float, n_max: int) -> list[bool]:
-    """Entry n: is the n-th orbit point within station_radius of centers[n]?
-
-    Pole hits propagate — a wandering certificate is meaningless past one.
-    """
-    centers = [complex(c) for c in station_centers]
-    if n_max > len(centers):
-        raise ValueError(f"need {n_max} station centers, got {len(centers)}")
+                    station_radius: float) -> list[bool]:
+    """Entry n: does the box image of z0 under f^n (eval_map_box n times on
+    its point box) have code NONE and lie in the open disk of station_radius
+    about centers[n]?  A code once set stays set: after a pole hit, False."""
+    b = Boxes.point(z0, 1)
     out = []
-    z = complex(z0)
-    for n in range(n_max):
-        out.append(abs(z - centers[n]) < station_radius)
-        if n + 1 < n_max:
-            z = eval_map(m, z)  # PoleHitError propagates
+    for n, center in enumerate(station_centers):
+        if n:
+            b = eval_map_box(m, b)
+        out.append(bool(b.why[0] == NONE and Disk(center, station_radius).box_inside(b)[0]))
     return out
 
 

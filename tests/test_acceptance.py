@@ -137,7 +137,7 @@ def test_criterion_3_ex1_dynamics(verdict):
         assert abs(eval_map(m, TWO_PI * 1j) - 2.0 * TWO_PI * 1j) < A1 / 2.0
 
         centers = [TWO_PI * 1j * 2.0 ** n for n in range(11)]
-        flags = track_wandering(m, TWO_PI * 1j, centers, A1 / 2.0, len(centers))
+        flags = track_wandering(m, TWO_PI * 1j, centers, A1 / 2.0)
         assert flags == [True] * 11
 
 

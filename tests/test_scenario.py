@@ -25,6 +25,7 @@ from wanderlab.dynamics import (
     RasterGrid,
     StationSpec,
 )
+from wanderlab.maps import eval_map
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk, HalfStrip, annulus
 from wanderlab.scenario import (
@@ -148,6 +149,9 @@ def test_tiny_scenario_passes_and_round_trips(tmp_path):
     report = run_scenario(_write(tmp_path, "tiny.json", TINY))
     assert report["all_passed"] is True
     assert [row["id"] for row in report["items"]] == ["rh-ok", "unit-image"]
+    # ex5 at 1 into B(e, 1e-9) proves on the point's root cells, no deeper
+    unit = report["items"][1]["result"]
+    assert unit["verdict"] == "proved" and unit["boxes_examined"] <= 4 and unit["max_depth"] == 0
     assert all("elapsed" not in row for row in report["items"])
     timings = report["timings"]
     assert list(timings["items"]) == ["rh-ok", "unit-image"]
@@ -202,11 +206,44 @@ def test_raster_render_writes_image(tmp_path):
     assert sum(counts.values()) == 16 * 12
 
 
+def test_point_image_fails_when_the_rim_is_within_rounding(tmp_path):
+    # the float image of 2*pi*i lies 1e-17 inside the rim of a disk about
+    # 4*pi*i, so a float distance test passes; the outward-rounded image of
+    # the point crosses the rim, and the claim stays unproved at depth 0
+    doc = json.loads(bundled_scenarios()["ex1-core"].read_text())
+    item, = (item for item in doc["items"] if item["kind"] == "point_image")
+    center = complex(*item["target"]["center"])
+    distance = abs(eval_map(load_scenario("ex1-core").map, complex(*item["z"])) - center)
+    assert distance < distance + 1e-17
+    doc["items"] = [dict(item, target=dict(item["target"], radius=distance + 1e-17))]
+    row = run_scenario(_write(tmp_path, "rim.json", doc))["items"][0]
+    assert row["passed"] is False
+    res = row["result"]
+    assert res["verdict"] == "inconclusive"
+    assert res["boxes_examined"] <= 4 and res["max_depth"] == 0
+
+
+def test_derived_block_holds_what_items_publish(tmp_path):
+    # a map parameter is not a derived constant; a published eps shadows
+    # the map's eps in later items
+    doc = {"schema": "scenario/1", "name": "eps-shadow",
+           "map": {"family": "ex2", "params": {"eps": 1e-4}},
+           "items": [{"id": "constants", "kind": "derived_constants"},
+                     {"id": "echo", "kind": "track", "z0": [0.0, 0.0], "radius": "$eps",
+                      "centers": {"arithmetic": {"base": [0.0, 0.0], "step": [1.0, 0.0],
+                                                 "count": 1}}}]}
+    report = run_scenario(_write(tmp_path, "eps.json", doc))
+    constants, echo = (row["result"] for row in report["items"])
+    assert report["derived"] == {k: constants[k] for k in ("r1", "eps", "rho_g", "r2")}
+    assert echo["radius"] == constants["eps"] == 1e-5
+
+
 # --- bundled suites -----------------------------------------------------------
 
 def test_ex1_core_passes(tmp_path):
     report = run_scenario("ex1-core", out_dir=tmp_path)
     assert report["all_passed"] is True
+    assert "derived" not in report   # its eps is a map parameter
     assert (tmp_path / "ex1-core.ppm").read_bytes().startswith(b"P6\n128 128\n255\n")
 
 
@@ -402,6 +439,15 @@ def test_cli_run_stdout_and_failure_exit(tmp_path, capsys):
     assert main(["run", scenario]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["all_passed"] is False
+
+
+def test_cli_run_without_out_writes_no_image(tmp_path, capsys, monkeypatch):
+    scenario = _write(tmp_path, "r.json", TINY_RASTER)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", scenario, "--threads", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert all("image" not in row["result"] for row in report["items"])
 
 
 def test_cli_run_missing_scenario_is_config_error(tmp_path, capsys):
@@ -908,6 +954,17 @@ def test_benchmark_probe_builds_the_bundled_maps(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     probe = runpy.run_path(str(BENCH / "probe.py"))
     probe["build"](BENCH.parent, sorted(bundled_scenarios()))
+
+
+def test_benchmark_check_passes_the_bundled_reports(monkeypatch, ex2_report):
+    # bench/worker.py's check compares every bundled row with the verdicts
+    # and headline values bench/reference.json pins
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = runpy.run_path(str(BENCH / "worker.py"))
+    reference = json.loads(worker["REFERENCE"].read_text(encoding="utf-8"))["items"]
+    reports = [ex2_report[0] if name == "ex2-core" else run_scenario(name, threads=2)
+               for name in sorted(bundled_scenarios())]
+    assert worker["check"](reports, reference) == (26, [])
 
 
 def test_benchmark_tracer_keeps_what_its_metrics_read(tmp_path):

@@ -6,8 +6,8 @@ Three engines share this module:
   pointwise modulus inequalities on K — conservative tests only, so a
   "proved" verdict is a guarantee up to the soundness of the rectangle
   arithmetic.  The engine is breadth-first: it tests one frontier level
-  at a time, in slices of at most SLICE boxes, each slice four endpoint
-  arrays run through the batched box arithmetic in one pass.  A box fails
+  at a time, in slices of at most SLICE boxes, each slice one endpoint
+  block run through the batched box arithmetic in one pass.  A box fails
   when the test does not hold on it or its reason code is set (pole: its
   image touches a pole; overflow: an endpoint went inf or NaN), and a
   failing box below the depth limit contributes its four quarters to the
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,15 +150,17 @@ def _root_edges(lo: float, hi: float) -> np.ndarray:
 def _root_cells(bb: ComplexBox) -> np.ndarray:
     """The cells between the distinct root edges of bb (ROOT_GRID x
     ROOT_GRID of them unless bb is a few ulps wide or high), row by row, as
-    a (4, n) endpoint array."""
+    a (4, n) endpoint array: rows re_lo, im_lo, re_hi, im_hi, a Boxes
+    block flattened."""
     xs, ys = _root_edges(bb.re_lo, bb.re_hi), _root_edges(bb.im_lo, bb.im_hi)
     nx, ny = xs.size - 1, ys.size - 1
-    return np.stack([np.tile(xs[:-1], ny), np.tile(xs[1:], ny),
-                     np.repeat(ys[:-1], nx), np.repeat(ys[1:], nx)])
+    return np.stack([np.tile(xs[:-1], ny), np.repeat(ys[:-1], nx),
+                     np.tile(xs[1:], ny), np.repeat(ys[1:], nx)])
 
 
 def _batch(ends: np.ndarray) -> Boxes:
-    return Boxes(*ends, np.zeros(ends.shape[1], np.uint8))
+    """The boxes of a (4, n) endpoint array, as a view, with no codes set."""
+    return Boxes(ends.reshape(2, 2, -1), np.zeros(ends.shape[1], np.uint8))
 
 
 def _failing(ends: np.ndarray, region: Region, test) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +208,8 @@ def _prove_on_region(region: Region, test, budget: Budget):
                 spill += 4 * max(0, ends.shape[1] - parents)
                 # quarters reversed, parent by parent: the order a depth-first
                 # stack would pop them
-                kids = np.stack(box_quarters(*ends[:, :parents]))[:, :, ::-1].reshape(4, -1)
+                re_lo, re_hi, im_lo, im_hi = box_quarters(*ends[[0, 2, 1, 3], :parents])
+                kids = np.stack([re_lo, im_lo, re_hi, im_hi])[:, :, ::-1].reshape(4, -1)
                 children.append(kids)
                 kept += kids.shape[1]
             if exhausted:
@@ -239,17 +243,17 @@ def _finish(statement: dict, survivors, stats) -> Certificate:
         k = FRONTIER_KEEP - len(frontier)
         frontier += [{"re_lo": re_lo, "re_hi": re_hi, "im_lo": im_lo, "im_hi": im_hi,
                       "depth": depth, "reason": _REASONS[w]}
-                     for (re_lo, re_hi, im_lo, im_hi), w in zip(ends[:, :k].T.tolist(), why[:k])]
+                     for (re_lo, im_lo, re_hi, im_hi), w in zip(ends[:, :k].T.tolist(), why[:k])]
     return Certificate(statement, verdict, frontier, stats)
 
 
 def _midpoints(ends) -> np.ndarray:
-    """The centre of each box of a (4, n) endpoint array or a Boxes batch."""
-    return 0.5 * (ends[0] + ends[1]) + 0.5j * (ends[2] + ends[3])
+    """The centre of each box of a (4, n) endpoint array."""
+    return 0.5 * (ends[0] + ends[2]) + 0.5j * (ends[1] + ends[3])
 
 
 def _points(zs: np.ndarray) -> Boxes:
-    return _batch(np.stack([zs.real, zs.real, zs.imag, zs.imag]))
+    return _batch(np.stack([zs.real, zs.imag, zs.real, zs.imag]))
 
 
 def _sampled_escape(m: MeromorphicMap, source: Region, target: Region) -> list | None:
@@ -282,10 +286,10 @@ def _inclusion_test(m: MeromorphicMap, source: Region, target: Region, centred: 
         ok = target.box_inside(image)
         idx = np.flatnonzero(~ok & (image.why == NONE)) if dm is not None else ()
         if len(idx):
-            wc, bad = eval_map_vec(m, _midpoints([e[idx] for e in boxes]))
+            wc, bad = eval_map_vec(m, _midpoints(boxes.ends.reshape(4, -1)[:, idx]))
             idx = idx[~bad & target.box_inside(_points(wc))]
         if len(idx):
-            fc, radius = eval_mean_value_ball(m, dm, Boxes(*(e[idx] for e in boxes)))
+            fc, radius = eval_mean_value_ball(m, dm, boxes.select(idx))
             won = idx[(fc.why == NONE) & target.ball_inside(fc, radius)]
             ok[won] = True
             centred.append(won.size)
@@ -358,8 +362,7 @@ class ExprBound(Bound):
         v = natural(image)
         near = (image.why == NONE) & (box_mig(image) == 0.0)
         if near.any():
-            fc, radius = eval_taylor_ball(self.map, *self.derivatives,
-                                          Boxes(*(e[near] for e in boxes)))
+            fc, radius = eval_taylor_ball(self.map, *self.derivatives, boxes.select(near))
             v[near] = np.where(fc.why == NONE, tighter(v[near], taylor(fc, radius)), v[near])
         return _checked(v, image.why)
 
@@ -578,7 +581,8 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     candidate in search order: its kind ("r1", "rho_g" or "r2"), its value
     times 1024 (per_1024), and either the certificate's verdict,
     boxes_examined and max_depth, or refuted_by "sample" with the sampled
-    value.
+    value.  `candidate_seconds` has the seconds each candidate took, witness
+    included, one per trail entry; they stay out of the deterministic trail.
 
     r1:    largest radius on the dyadic grid, at most 1/8, such that
            |g'(z)| <= 1/4 is certified on the closed disk |z| <= r1:
@@ -603,6 +607,16 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     dg = derivative(g)
     certificates: list[Certificate] = []
     trail: list[dict] = []
+    seconds: list[float] = []
+
+    def timed(ok):
+        """ok, appending the seconds of each call (one trail entry) to seconds."""
+        def run(num: int) -> bool:
+            t0 = time.perf_counter()
+            holds = ok(num)
+            seconds.append(time.perf_counter() - t0)
+            return holds
+        return run
 
     def candidate(kind: str, num: int, witness: float | None, certify, *args, **kwargs) -> bool:
         """Decide a candidate: refuted by a sampled witness, else by its certificate."""
@@ -624,7 +638,7 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
                          ExprBound(dg, label="|g'(z)|"), ConstBound(0.25, label="1/4"),
                          Disk(0j, r, closed=True), cmp="<=")
 
-    r1 = _bisect(r1_ok, 0, R1_CAP_NUM + 1) / DYADIC_GRID
+    r1 = _bisect(timed(r1_ok), 0, R1_CAP_NUM + 1) / DYADIC_GRID
     if r1 == 0.0:
         raise ArithmeticError("no contraction radius certified on the grid")
 
@@ -642,16 +656,20 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
                          g, station, Disk(complex(four_pi), rho))
 
     top = int(r1 * DYADIC_GRID)             # rho_g < r1 or the station leaks
-    if not rho_ok(top):
+    if not timed(rho_ok)(top):
         raise ArithmeticError("station image does not certify below r1")
-    rho_g = _bisect(rho_ok, top, 0) / DYADIC_GRID
+    rho_g = _bisect(timed(rho_ok), top, 0) / DYADIC_GRID
 
     # add the worst pole term over all stations n >= 1 and certify end-to-end
     pole_weight = eps / (two_pi - r1)
     r2_num = math.ceil((rho_g + pole_weight) * DYADIC_GRID)
     r2 = r2_num / DYADIC_GRID
-    if not candidate("r2", r2_num, None, certify_inclusion, build_family("ex2", {"eps": eps}),
-                     station, Disk(complex(four_pi), r2)):
+
+    def r2_ok(num: int) -> bool:
+        return candidate("r2", num, None, certify_inclusion, build_family("ex2", {"eps": eps}),
+                         station, Disk(complex(four_pi), r2))
+
+    if not timed(r2_ok)(r2_num):
         raise ArithmeticError("full station contraction did not certify")
 
     return {
@@ -663,6 +681,7 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
         "station_cert": certificates[-1],
         "certificates": certificates,
         "trail": trail,
+        "candidate_seconds": seconds,
         "periodicity_note": (
             "g(z + 2*pi) = g(z) + 2*pi shifts the certified first-station "
             "inclusion to every station; the pole term at station n has "

@@ -526,21 +526,26 @@ def eval_map_vec(m: MeromorphicMap, zs: np.ndarray) -> tuple[np.ndarray, np.ndar
 def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     """Rigorous enclosure of the image of each box of a batch.
 
-    A box with a reason code keeps it, else takes the root's code
-    (numerics._first_code), which is that of the first step in tape order
-    whose value has one.
+    Constants and parameters enter as point boxes of width 1 that broadcast
+    against the batch.  A box with a reason code keeps it, else takes the
+    root's code (numerics._first_code), which is that of the first step in
+    tape order whose value has one.
     """
-    n = len(b.why)
     with np.errstate(all="ignore"):
-        out = _run(m, _BOX, b, lambda v: Boxes.point(v, n))
+        out = _run(m, _BOX, b, Boxes.point)
+    n = len(b.why)
+    if out.ends.shape[-1] != n:         # an expression without z
+        out = Boxes(np.repeat(out.ends, n, axis=-1), np.repeat(out.why, n))
+    if not np.count_nonzero(b.why):
+        return out
     return out._replace(why=_first_code(True, b.why, out.why))
 
 
 def _centres(b: Boxes) -> tuple[Boxes, np.ndarray]:
     """The point box at the centre c of each box X of a batch, with X's
     code, and an upper bound r of |z - c| on X."""
-    re, im = 0.5 * (b.re_lo + b.re_hi), 0.5 * (b.im_lo + b.im_hi)
-    c = Boxes(re, re, im, im, b.why)
+    mid = 0.5 * (b.ends[0] + b.ends[1])
+    c = Boxes(np.stack([mid, mid]), b.why)
     with np.errstate(all="ignore"):
         return c, box_mag(box_sub(b, c))
 

@@ -543,6 +543,7 @@ def _run_derived_constants(rd, ctx):
     out = {k: derived[k] for k in ("r1", "eps", "rho_g", "r2", "pole_weight_first_station")}
     out["station_cert"] = _cert_result(derived["station_cert"])
     out["trail"] = derived["trail"]
+    ctx["candidate_seconds"] = derived["candidate_seconds"]
     out["periodicity_note"] = derived["periodicity_note"]
     return ok, out
 
@@ -688,7 +689,7 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
     ctx = _make_ctx(scenario, threads, budget_boxes, max_iter, out_dir)
     t0 = time.perf_counter()
-    rows, seconds = [], {}
+    rows, seconds, candidates = [], {}, {}
     for item in scenario.items:
         rd = _Doc(item, ctx["env"], item["id"])
         ident, kind = rd.string("id"), rd.string("kind")
@@ -705,6 +706,8 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
         else:
             rd.finish()
         seconds[ident] = time.perf_counter() - t1
+        if "candidate_seconds" in ctx:
+            candidates[ident] = ctx.pop("candidate_seconds")
         rows.append({"id": ident, "kind": kind, "passed": bool(passed), "result": result})
     report = {
         "schema": REPORT_SCHEMA,
@@ -714,6 +717,8 @@ def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
         "items": rows,
         "timings": {"total": time.perf_counter() - t0, "items": seconds},
     }
+    if candidates:
+        report["timings"]["candidates"] = candidates
     if ctx["derived"]:
         report["derived"] = ctx["derived"]
     return report

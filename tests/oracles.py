@@ -1,6 +1,8 @@
 """Slow reference implementations and exact checks that cross-check the library in tests."""
+import math
 import tracemalloc
 from collections import deque
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -16,14 +18,25 @@ from wanderlab.dynamics import (
     LADDER_STRIDE,
 )
 from wanderlab.maps import eval_map_vec
-from wanderlab.numerics import NONE, Boxes, ComplexBox, PoleIntersect, box_quarters
+from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, PoleIntersect, box_quarters
+
+
+def rows(b: Boxes) -> tuple:
+    """The endpoint arrays of a batch: re_lo, re_hi, im_lo, im_hi."""
+    return b.re_lo, b.re_hi, b.im_lo, b.im_hi
+
+
+def boxes_of(re_lo, re_hi, im_lo, im_hi, why=None) -> Boxes:
+    """The batch with these endpoint arrays, and no codes unless why is given."""
+    ends = np.array([[re_lo, im_lo], [re_hi, im_hi]], dtype=np.float64)
+    return Boxes(ends, np.zeros(ends.shape[-1], np.uint8) if why is None else why)
 
 
 def encloses(b: Boxes, z, atol=0.0) -> np.ndarray:
     """Per box i of the batch and point z[i, j]: is the point inside the
     box widened by atol, and is the box's reason code unset?"""
     z = np.asarray(z, dtype=np.complex128)
-    re_lo, re_hi, im_lo, im_hi = (e[:, None] for e in b[:4])
+    re_lo, re_hi, im_lo, im_hi = (e[:, None] for e in rows(b))
     return ((b.why == NONE)[:, None]
             & (re_lo - atol <= z.real) & (z.real <= re_hi + atol)
             & (im_lo - atol <= z.imag) & (z.imag <= im_hi + atol))
@@ -40,6 +53,15 @@ def nextafter_out_hi(x, ulps: int = 1):
     """Reference outward rounding: ulps steps of np.nextafter toward +inf."""
     for _ in range(ulps):
         x = np.nextafter(x, np.inf)
+    return x
+
+
+def nextafter_step(x, ulps: int, s=None):
+    """Reference for numerics._step: the lo ends of the interval array x
+    stepped ulps floats down by np.nextafter and the hi ends up, in place."""
+    for _ in range(ulps):
+        np.nextafter(x[0], -np.inf, out=x[0])
+        np.nextafter(x[1], np.inf, out=x[1])
     return x
 
 
@@ -154,7 +176,8 @@ def prove_on_region_reference(region, test, budget):
     the order found, and the stats, as wanderlab.certify._prove_on_region
     does.
     """
-    stack = [ComplexBox(*cell) for cell in _root_cells(region.bounding_box()).T.tolist()]
+    stack = [ComplexBox(re_lo, re_hi, im_lo, im_hi)
+             for re_lo, im_lo, re_hi, im_hi in _root_cells(region.bounding_box()).T.tolist()]
     stack.reverse()
     depths = [0] * len(stack)
     examined = 0
@@ -321,3 +344,257 @@ def classify_grid_reference(m, window, width, height, cfg):
     full = dynamics._classify_rows((m, cfg, window, width, height, 0, height))
     with mock.patch.object(dynamics, "_classify_ranges", lambda *args: full):
         return dynamics.classify_grid(m, window, width, height, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The per-part box arithmetic: every op over four endpoint arrays, built from
+# a real interval layer of (lo, hi) pairs.  wanderlab.numerics' block ops
+# must give the same codes, and the same endpoint bits wherever the code is
+# NONE (see test_blocks.py).
+# ---------------------------------------------------------------------------
+
+_WIDTH_INFLATE = 2.0 ** -41
+_TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+_HALF_ULP = 2.0 ** -53 * (1.0 + 2.0 ** -52)
+_TINY = 2.0 ** -1074
+
+
+class PartBoxes(NamedTuple):
+    """A batch of boxes as four endpoint arrays and a uint8 reason code per box."""
+
+    re_lo: np.ndarray
+    re_hi: np.ndarray
+    im_lo: np.ndarray
+    im_hi: np.ndarray
+    why: np.ndarray
+
+    @property
+    def re(self):
+        return (self.re_lo, self.re_hi)
+
+    @property
+    def im(self):
+        return (self.im_lo, self.im_hi)
+
+
+def part_boxes(b: Boxes) -> PartBoxes:
+    return PartBoxes(b.re_lo.copy(), b.re_hi.copy(), b.im_lo.copy(), b.im_hi.copy(), b.why.copy())
+
+
+def part_point(z: complex, n: int) -> PartBoxes:
+    z = complex(z)
+    re, im = np.full(n, z.real), np.full(n, z.imag)
+    return PartBoxes(re, re, im, im, np.zeros(n, np.uint8))
+
+
+def _part_out_lo(x, ulps: int = 1):
+    for _ in range(ulps):
+        step = np.abs(x)
+        step *= _HALF_ULP
+        step += _TINY
+        x = x - step
+    return x
+
+
+def _part_out_hi(x, ulps: int = 1):
+    for _ in range(ulps):
+        step = np.abs(x)
+        step *= _HALF_ULP
+        step += _TINY
+        x = x + step
+    return x
+
+
+def _part_widen(lo, hi, ulps: int = 1):
+    pad = (hi - lo) * _WIDTH_INFLATE
+    return _part_out_lo(lo - pad, ulps), _part_out_hi(hi + pad, ulps)
+
+
+def iv_add(a, b):
+    return _part_widen(a[0] + b[0], a[1] + b[1])
+
+
+def iv_sub(a, b):
+    return _part_widen(a[0] - b[1], a[1] - b[0])
+
+
+def iv_neg(a):
+    return (-a[1], -a[0])
+
+
+def iv_mul(a, b):
+    p0 = a[0] * b[0]
+    p1 = a[0] * b[1]
+    p2 = a[1] * b[0]
+    p3 = a[1] * b[1]
+    return _part_widen(np.minimum(np.minimum(p0, p1), np.minimum(p2, p3)),
+                       np.maximum(np.maximum(p0, p1), np.maximum(p2, p3)))
+
+
+def iv_sq(a):
+    lo, hi = a
+    pos, neg = lo >= 0.0, hi <= 0.0
+    m = np.maximum(-lo, hi)
+    return _part_widen(np.where(pos, lo * lo, np.where(neg, hi * hi, 0.0)),
+                       np.where(pos, hi * hi, np.where(neg, lo * lo, m * m)))
+
+
+def iv_recip(a):
+    """1 / interval.  Raises PoleIntersect when any interval reaches zero."""
+    lo, hi = a
+    if np.any((lo <= 0.0) & (0.0 <= hi)):
+        raise PoleIntersect("interval straddles zero")
+    return _part_widen(1.0 / hi, 1.0 / lo)
+
+
+def iv_exp(a):
+    return _part_widen(np.exp(a[0]), np.exp(a[1]), ulps=2)
+
+
+def iv_cosh(a):
+    lo, hi = a
+    top = np.cosh(np.maximum(-lo, hi))
+    bot = np.where((lo <= 0.0) & (0.0 <= hi), 1.0,
+                   np.cosh(np.minimum(np.abs(lo), np.abs(hi))))
+    return _part_widen(bot, top, ulps=2)
+
+
+def iv_sinh(a):
+    return _part_widen(np.sinh(a[0]), np.sinh(a[1]), ulps=2)
+
+
+def _trig_range(a, fn, peak: float):
+    """Range of sin (peak = pi/2) or cos (peak = 0) over [lo, hi]: the
+    endpoint values, with 1 where floor((hi + s - c) / 2pi) >=
+    ceil((lo - s - c) / 2pi) for c = peak, and -1 for c = peak - pi; s is 4
+    ulps of max(|lo|, |hi|, 2pi).  Intervals 2pi or wider, or with an end
+    past 1e15, get [-1, 1]."""
+    lo, hi = a
+    wide = (hi - lo >= _TWO_PI) | (np.abs(lo) > 1e15) | (np.abs(hi) > 1e15)
+    f_lo, f_hi = fn(lo), fn(hi)
+    s = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), _TWO_PI))
+    up, down = hi + s, lo - s
+
+    def meets(c):
+        return np.floor((up - c) / _TWO_PI) >= np.ceil((down - c) / _TWO_PI)
+
+    top = np.where(meets(peak), 1.0, np.maximum(f_lo, f_hi))
+    bot = np.where(meets(peak - math.pi), -1.0, np.minimum(f_lo, f_hi))
+    vlo, vhi = _part_widen(bot, top, ulps=2)
+    return (np.where(wide, -1.0, np.maximum(vlo, -1.0)),
+            np.where(wide, 1.0, np.minimum(vhi, 1.0)))
+
+
+def iv_sin(a):
+    return _trig_range(a, np.sin, _HALF_PI)
+
+
+def iv_cos(a):
+    return _trig_range(a, np.cos, 0.0)
+
+
+def _part_first_code(finite, *codes) -> np.ndarray:
+    why = np.logical_not(finite).astype(np.uint8) * OVERFLOW
+    for code in reversed(codes):
+        why = np.where(code != NONE, code, why)
+    return why
+
+
+def _part_result(re, im, *args: PartBoxes, pole=None) -> PartBoxes:
+    finite = np.isfinite(re[0]) & np.isfinite(re[1]) & np.isfinite(im[0]) & np.isfinite(im[1])
+    codes = [x.why for x in args]
+    if pole is not None:
+        codes.append(pole.astype(np.uint8) * POLE)
+    return PartBoxes(re[0], re[1], im[0], im[1], _part_first_code(finite, *codes))
+
+
+def part_box_add(a, b):
+    return _part_result(iv_add(a.re, b.re), iv_add(a.im, b.im), a, b)
+
+
+def part_box_sub(a, b):
+    return _part_result(iv_sub(a.re, b.re), iv_sub(a.im, b.im), a, b)
+
+
+def part_box_neg(a):
+    return _part_result(iv_neg(a.re), iv_neg(a.im), a)
+
+
+def part_box_mul(a, b):
+    return _part_result(iv_sub(iv_mul(a.re, b.re), iv_mul(a.im, b.im)),
+                        iv_add(iv_mul(a.re, b.im), iv_mul(a.im, b.re)), a, b)
+
+
+def part_box_recip(a):
+    d = iv_add(iv_sq(a.re), iv_sq(a.im))
+    pole = d[0] <= 0.0
+    inv = iv_recip((np.where(pole, 1.0, d[0]), np.where(pole, 1.0, d[1])))
+    return _part_result(iv_mul(a.re, inv), iv_neg(iv_mul(a.im, inv)), a, pole=pole)
+
+
+def part_box_div(a, b):
+    return part_box_mul(a, part_box_recip(b))
+
+
+def part_box_exp(a):
+    r = iv_exp(a.re)
+    return _part_result(iv_mul(r, iv_cos(a.im)), iv_mul(r, iv_sin(a.im)), a)
+
+
+def part_box_sin(a):
+    return _part_result(iv_mul(iv_sin(a.re), iv_cosh(a.im)),
+                        iv_mul(iv_cos(a.re), iv_sinh(a.im)), a)
+
+
+def part_box_cos(a):
+    return _part_result(iv_mul(iv_cos(a.re), iv_cosh(a.im)),
+                        iv_neg(iv_mul(iv_sin(a.re), iv_sinh(a.im))), a)
+
+
+def part_box_pow_int(a, n: int):
+    acc = a
+    for _ in range(n - 1):
+        acc = part_box_mul(acc, a)
+    return acc
+
+
+def part_box_inflate(a, r):
+    return _part_result((_part_out_lo(a.re_lo - r), _part_out_hi(a.re_hi + r)),
+                        (_part_out_lo(a.im_lo - r), _part_out_hi(a.im_hi + r)), a)
+
+
+def part_box_mag(b, center: complex = 0j) -> np.ndarray:
+    c = complex(center)
+    dx = np.maximum(np.abs(b.re_lo - c.real), np.abs(b.re_hi - c.real))
+    dy = np.maximum(np.abs(b.im_lo - c.imag), np.abs(b.im_hi - c.imag))
+    return _part_out_hi(np.hypot(_part_out_hi(dx), _part_out_hi(dy)), ulps=2)
+
+
+def part_box_mig(b, center: complex = 0j) -> np.ndarray:
+    c = complex(center)
+    dx = np.where((b.re_lo <= c.real) & (c.real <= b.re_hi), 0.0,
+                  np.minimum(np.abs(b.re_lo - c.real), np.abs(b.re_hi - c.real)))
+    dy = np.where((b.im_lo <= c.imag) & (c.imag <= b.im_hi), 0.0,
+                  np.minimum(np.abs(b.im_lo - c.imag), np.abs(b.im_hi - c.imag)))
+    return np.maximum(0.0, _part_out_lo(np.hypot(dx, dy), ulps=3))
+
+
+PART_OPS = {"box_add": part_box_add, "box_sub": part_box_sub, "box_mul": part_box_mul,
+            "box_div": part_box_div, "box_neg": part_box_neg, "box_exp": part_box_exp,
+            "box_sin": part_box_sin, "box_pow_int": part_box_pow_int}
+
+
+def eval_map_box_reference(m, b: Boxes) -> PartBoxes:
+    """wanderlab.maps.eval_map_box run on the per-part ops, with every
+    constant lifted to n copies of its point box."""
+    x = part_boxes(b)
+    n = len(x.why)
+    vals = [x]
+    with np.errstate(all="ignore"):
+        for name, value in m.tape.leaves:
+            vals.append(part_point(value if name is None else complex(m.params[name]), n))
+        for op, args, data, _ in m.tape.steps:
+            vals.append(PART_OPS[op.box](*(vals[i] for i in args), *data))
+    out = vals[-1]
+    return out._replace(why=_part_first_code(True, x.why, out.why))

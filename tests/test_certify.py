@@ -137,7 +137,7 @@ def test_point_source_is_covered_by_its_distinct_root_cells():
                              Disk(4j * math.pi, 1 / 128))
     assert cert.proved
     assert cert.stats["boxes_examined"] <= 4
-    assert _root_cells(ComplexBox(1.0, 1.0, 2.0, 2.0)).T.tolist() == [[1.0, 1.0, 2.0, 2.0]]
+    assert _root_cells(ComplexBox(1.0, 1.0, 2.0, 2.0)).T.tolist() == [[1.0, 2.0, 1.0, 2.0]]
 
 
 def test_budget_exhaustion_examines_level_order():

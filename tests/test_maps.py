@@ -14,7 +14,7 @@ import pytest
 
 import wanderlab.maps
 import wanderlab.numerics
-from oracles import encloses, nextafter_out_hi, nextafter_out_lo
+from oracles import boxes_of, encloses, nextafter_out_hi, nextafter_out_lo, nextafter_step, rows
 from wanderlab.maps import (
     OPS,
     MeromorphicMap,
@@ -317,17 +317,17 @@ def test_box_eval_batch_matches_single_boxes(m, probes):
     for i, b in enumerate(boxes):
         alone = eval_map_box(m, Boxes.of([b])._replace(why=codes[i:i + 1]))
         assert alone.why[0] == batch.why[i]
-        assert (np.array([e[0] for e in alone[:4]]).tobytes()
-                == np.array([e[i] for e in batch[:4]]).tobytes())
+        assert (np.array([e[0] for e in rows(alone)]).tobytes()
+                == np.array([e[i] for e in rows(batch)]).tobytes())
     if m.declared_poles:
         assert (batch.why == POLE).any()
 
 
 def _round_by_nextafter(monkeypatch) -> set[str]:
-    """Put the np.nextafter reference rounding in place of _out_lo and
-    _out_hi in every wanderlab module that imports them; their names."""
-    ours = {name: getattr(wanderlab.numerics, name) for name in ("_out_lo", "_out_hi")}
-    ref = {"_out_lo": nextafter_out_lo, "_out_hi": nextafter_out_hi}
+    """Put the np.nextafter reference rounding in place of _out_lo, _out_hi
+    and _step in every wanderlab module that imports them; their names."""
+    ours = {name: getattr(wanderlab.numerics, name) for name in ("_out_lo", "_out_hi", "_step")}
+    ref = {"_out_lo": nextafter_out_lo, "_out_hi": nextafter_out_hi, "_step": nextafter_step}
     patched = set()
     for mod in [m for name, m in sys.modules.items() if name.startswith("wanderlab")]:
         for name, fn in ours.items():
@@ -370,7 +370,7 @@ def test_box_arithmetic_is_bit_identical_under_nextafter_rounding(monkeypatch):
         if isinstance(a, Boxes):
             assert a.why.tobytes() == b.why.tobytes()
             codes |= {int(w) for w in a.why}
-            a, b = np.stack(a[:4]), np.stack(b[:4])
+            a, b = a.ends, b.ends
         # bit for bit, but for the sign of a NaN (an OVERFLOW box's end)
         a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
         assert a.tobytes() == b.tobytes()
@@ -381,7 +381,7 @@ def test_eval_in_point_box():
     for m in _families():
         zs = np.array([_safe_point(m) for _ in range(50)])
         values = np.array([[eval_map(m, z)] for z in zs])
-        out = eval_map_box(m, Boxes(zs.real, zs.real, zs.imag, zs.imag, np.zeros(50, np.uint8)))
+        out = eval_map_box(m, boxes_of(zs.real, zs.real, zs.imag, zs.imag))
         assert encloses(out, values, atol=1e-11 * (1.0 + np.abs(values))).all()
 
 
@@ -517,7 +517,7 @@ def test_taylor_ball_encloses_samples(name):
                       + [complex(rng.uniform(b.re_lo, b.re_hi), rng.uniform(b.im_lo, b.im_hi))])
     fc, radius = eval_taylor_ball(m, derivative(m), derivative(derivative(m)), Boxes.of(boxes))
     assert (fc.why == NONE).all()
-    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in fc[:4])   # floats compare exactly
+    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in rows(fc))   # floats compare exactly
     with mpmath.workdps(80):
         for i, zs in enumerate(points):
             for z in zs:
@@ -565,7 +565,7 @@ def test_mean_value_ball_encloses_samples_and_codes_poles(name):
     assert (fc.why == NONE).sum() >= 40
     if m.declared_poles:
         assert any(holds_pole)
-    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in fc[:4])
+    re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in rows(fc))
     with mpmath.workdps(40):
         for i, b in enumerate(boxes):
             if fc.why[i] != NONE:

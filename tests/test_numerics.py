@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import encloses, nextafter_out_hi, nextafter_out_lo
+from oracles import boxes_of, encloses, nextafter_out_hi, nextafter_out_lo, rows
 from wanderlab.numerics import (
     NONE,
     OVERFLOW,
@@ -18,9 +18,14 @@ from wanderlab.numerics import (
     Boxes,
     ComplexBox,
     _first_code,
+    _mul,
     _out_hi,
     _out_lo,
+    _ranges,
+    _recip,
     _result,
+    _sq,
+    _step,
     box_add,
     box_cos,
     box_div,
@@ -34,16 +39,6 @@ from wanderlab.numerics import (
     box_recip,
     box_sin,
     box_sub,
-    iv_add,
-    iv_cos,
-    iv_cosh,
-    iv_exp,
-    iv_mul,
-    iv_recip,
-    iv_sin,
-    iv_sinh,
-    iv_sq,
-    iv_sub,
 )
 
 RNG = random.Random(20260815)
@@ -118,7 +113,7 @@ def test_recip_encloses_samples():
     assert pole.any()
     assert ((out.why == POLE) == pole).all()
     assert (box_mig(batch)[pole] == 0.0).all()
-    _assert_encloses(Boxes(*(e[~pole] for e in out)), values, "box_recip")
+    _assert_encloses(out.select(~pole), values, "box_recip")
 
 
 def test_recip_point_box():
@@ -151,8 +146,8 @@ def test_first_code_precedence():
     assert _first_code(finite).tolist() == np.where(finite, NONE, OVERFLOW).tolist()
     # an op's result: its arguments' codes, then POLE, then OVERFLOW
     ends = np.where(finite, 1.0, math.inf)
-    args = [Boxes(ends, ends, ends, ends, why) for why in (a, b)]
-    got = _result((ends, ends), (ends, ends), *args, pole=pole).why
+    args = [boxes_of(ends, ends, ends, ends, why) for why in (a, b)]
+    got = _result(boxes_of(ends, ends, ends, ends).ends, *args, pole=pole).why
     assert got.dtype == np.uint8 and got.tolist() == want.tolist()
 
 
@@ -182,17 +177,32 @@ def test_pow_int_encloses_samples():
         _assert_encloses(box_pow_int(Boxes.of(boxes), n), values, f"pow{n}")
 
 
+# Per function, where numerics._ranges puts its range: whether with cosh
+# and sinh (else with exp), and in which column.
+_RANGE_OF = {"sin": (True, 0), "cos": (True, 1), "cosh": (True, 2), "sinh": (True, 3),
+             "exp": (False, 2)}
+
+
+def _range(name, lo, hi):
+    """The range of the function name over each interval [lo, hi]: (lo, hi) arrays."""
+    hyperbolic, column = _RANGE_OF[name]
+    x = np.array([np.atleast_1d(lo), np.atleast_1d(hi)], dtype=np.float64)
+    with np.errstate(all="ignore"):     # cosh and sinh overflow beside sin and cos at 1e3
+        out = _ranges(x, x, hyperbolic)[:, column]
+    return out[0], out[1]
+
+
 def test_trig_interval_hits_extrema():
     # interval spanning pi/2 must report sin range reaching 1
-    lo, hi = iv_sin((1.0, 2.0))
-    assert hi == 1.0
-    assert lo <= math.sin(1.0)
-    lo, hi = iv_cos((3.0, 3.3))
-    assert lo == -1.0
+    lo, hi = _range("sin", 1.0, 2.0)
+    assert hi[0] == 1.0
+    assert lo[0] <= math.sin(1.0)
+    lo, hi = _range("cos", 3.0, 3.3)
+    assert lo[0] == -1.0
 
 
 def test_trig_interval_huge_argument_falls_back():
-    assert iv_sin((1e16, 1e16 + 1.0)) == (-1.0, 1.0)
+    assert [e.tolist() for e in _range("sin", 1e16, 1e16 + 1.0)] == [[-1.0], [1.0]]
 
 
 def test_mag_mig_bounds():
@@ -204,7 +214,7 @@ def test_mag_mig_bounds():
 
 def test_quarters_cover_box():
     b = ComplexBox(-1.0, 2.0, 0.5, 3.5)
-    quads = Boxes(*box_quarters(b.re_lo, b.re_hi, b.im_lo, b.im_hi), np.zeros(4, np.uint8))
+    quads = boxes_of(*box_quarters(b.re_lo, b.re_hi, b.im_lo, b.im_hi))
     assert len(quads.why) == 4
     for _ in range(200):
         z = _sample(b)
@@ -220,10 +230,10 @@ def test_inclusion_monotone_under_subdivision():
     boxes = Boxes.of([_random_box(scale=1.0) for _ in range(200)])
     parent = box_exp(boxes)
     grown = box_inflate(parent, 1e-13 * (1.0 + box_mag(parent)))
-    quarters = box_quarters(*boxes[:4])
-    child = box_exp(Boxes(*(q.reshape(-1) for q in quarters), np.zeros(800, np.uint8)))
+    quarters = box_quarters(*rows(boxes))
+    child = box_exp(boxes_of(*(q.reshape(-1) for q in quarters)))
     assert (child.why == NONE).all() and (parent.why == NONE).all()
-    assert _within(child, Boxes(*(np.repeat(e, 4) for e in grown))).all()
+    assert _within(child, Boxes(np.repeat(grown.ends, 4, axis=-1), np.repeat(grown.why, 4))).all()
 
 
 @pytest.mark.parametrize("op, name", [(box_exp, "exp"), (box_sin, "sin"), (box_cos, "cos")])
@@ -233,13 +243,13 @@ def test_transcendental_ops_enclose_exact_images(op, name):
     rng = np.random.default_rng(20261020)
     lo = rng.uniform(-2.0, 2.0, (2, 1000))
     hi = lo + rng.uniform(0.0, 1.5, (2, 1000))
-    out = op(Boxes(lo[0], hi[0], lo[1], hi[1], np.zeros(1000, np.uint8)))
+    out = op(boxes_of(lo[0], hi[0], lo[1], hi[1]))
     assert (out.why == NONE).all()
     xs, ys = (np.clip(rng.uniform(a[:, None], b[:, None], (1000, 10)), a[:, None], b[:, None])
               for a, b in zip(lo, hi))
     exact = getattr(mpmath, name)
     escapes = 0
-    ends = np.stack(out[:4], axis=1).tolist()
+    ends = np.stack(rows(out), axis=1).tolist()
     with mpmath.workdps(40):
         for (re_lo, re_hi, im_lo, im_hi), row_x, row_y in zip(ends, xs.tolist(), ys.tolist()):
             for x, y in zip(row_x, row_y):
@@ -274,23 +284,40 @@ def _exact_mul(a, b):
     return min(corners), max(corners)
 
 
-@pytest.mark.parametrize("op, arity, exact", [
-    (iv_add, 2, lambda a, b: (a[0] + b[0], a[1] + b[1])),
-    (iv_sub, 2, lambda a, b: (a[0] - b[1], a[1] - b[0])),
-    (iv_mul, 2, _exact_mul),
-    (iv_sq, 1, lambda a: _exact_sq(*a)),
-    (iv_recip, 1, lambda a: (1 / a[1], 1 / a[0])),
+def _real_part(op):
+    """op on boxes whose parts are both the given intervals, as an interval op:
+    the real part's ends of the result."""
+    def on_intervals(*args):
+        out = op(*(boxes_of(a[0], a[1], a[0], a[1]) for a in args))
+        return out.re_lo, out.re_hi
+    return on_intervals
+
+
+def _interval_op(op):
+    """A block interval helper as an op on (lo, hi) arrays."""
+    def on_intervals(*args):
+        out = op(*args)
+        return out[0], out[1]
+    return on_intervals
+
+
+@pytest.mark.parametrize("op, arity, exact, nonzero", [
+    (_real_part(box_add), 2, lambda a, b: (a[0] + b[0], a[1] + b[1]), False),
+    (_real_part(box_sub), 2, lambda a, b: (a[0] - b[1], a[1] - b[0]), False),
+    (_interval_op(_mul), 2, _exact_mul, False),
+    (_interval_op(_sq), 1, lambda a: _exact_sq(*a), False),
+    (_interval_op(_recip), 1, lambda a: (1 / a[1], 1 / a[0]), True),
 ], ids=["add", "sub", "mul", "sq", "recip"])
-def test_interval_ops_round_strictly_outward(op, arity, exact):
+def test_interval_ops_round_strictly_outward(op, arity, exact, nonzero):
     # each endpoint against the exact rational result: outward rounding
     # pads every endpoint, so even exactly representable results move out
     rng = np.random.default_rng(20261021)
-    args = [_endpoint_intervals(rng, 2000, nonzero=op is iv_recip) for _ in range(arity)]
-    lo, hi = op(*(tuple(a) for a in args))
-    rows = zip(*(a.T.tolist() for a in args))
-    for k, (got_lo, got_hi, row) in enumerate(zip(lo.tolist(), hi.tolist(), rows)):
-        want_lo, want_hi = exact(*((Fraction(x), Fraction(y)) for x, y in row))
-        assert Fraction(got_lo) < want_lo and want_hi < Fraction(got_hi), (k, row)
+    args = [_endpoint_intervals(rng, 2000, nonzero=nonzero) for _ in range(arity)]
+    lo, hi = op(*args)
+    cases = zip(*(a.T.tolist() for a in args))
+    for k, (got_lo, got_hi, case) in enumerate(zip(lo.tolist(), hi.tolist(), cases)):
+        want_lo, want_hi = exact(*((Fraction(x), Fraction(y)) for x, y in case))
+        assert Fraction(got_lo) < want_lo and want_hi < Fraction(got_hi), (k, case)
 
 
 @pytest.mark.parametrize("name, lo, hi", [
@@ -351,14 +378,14 @@ def _near_extrema(mpmath):
             np.concatenate([ends[j].ravel(), ends.ravel() + 0.5, ends.ravel()]))
 
 
-@pytest.mark.parametrize("op, name, reach", [
-    (iv_exp, "exp", 700.0),
-    (iv_sin, "sin", 1e3),
-    (iv_cos, "cos", 1e3),
-    (iv_cosh, "cosh", 700.0),
-    (iv_sinh, "sinh", 700.0),
+@pytest.mark.parametrize("name, reach", [
+    ("exp", 700.0),
+    ("sin", 1e3),
+    ("cos", 1e3),
+    ("cosh", 700.0),
+    ("sinh", 700.0),
 ], ids=["exp", "sin", "cos", "cosh", "sinh"])
-def test_transcendental_ops_round_strictly_outward(op, name, reach):
+def test_transcendental_ops_round_strictly_outward(name, reach):
     # each endpoint against the 40-digit range: point and one-ulp intervals
     # get no width padding, so only the ulp steps move them outward; sin and
     # cos bounds clamped to exactly +-1 may touch the range; sin and cos also
@@ -374,7 +401,7 @@ def test_transcendental_ops_round_strictly_outward(op, name, reach):
     if name in ("sin", "cos"):
         near_lo, near_hi = _near_extrema(mpmath)
         lo, hi = np.concatenate([lo, near_lo]), np.concatenate([hi, near_hi])
-    out_lo, out_hi = op((lo, hi))
+    out_lo, out_hi = _range(name, lo, hi)
     clamp = 1.0 if name in ("sin", "cos") else math.inf
     with mpmath.workdps(40):
         for k, (a, b, got_lo, got_hi) in enumerate(
@@ -456,6 +483,10 @@ def _rounding_edges() -> np.ndarray:
     return np.concatenate([edges, -edges, [np.inf, -np.inf, np.nan]])
 
 
+def _bits(x: np.ndarray) -> bytes:
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 def _check_rounding(xs: np.ndarray) -> None:
     finite = np.isfinite(xs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,6 +503,13 @@ def _check_rounding(xs: np.ndarray) -> None:
                 for x, g in zip(xs[:8], got[:8]):
                     y = np.float64(mine(float(x), k))
                     assert y.tobytes() == g.tobytes() or np.isnan(y) and np.isnan(g)
+            # the block step moves lo down and hi up as the two scalar steps
+            # do, bit for bit (up to a NaN's sign); a step down on -x is the
+            # step up on x negated, bit for bit but for the sign of a zero
+            block = _step(np.stack([xs, xs]), k)
+            assert _bits(block[0]) == _bits(_out_lo(xs, k)), k
+            assert _bits(block[1]) == _bits(_out_hi(xs, k)), k
+            assert _bits(-_out_lo(-xs, k) + 0.0) == _bits(_out_hi(xs, k) + 0.0), k
 
 
 def test_outward_rounding_on_the_edges_of_the_format():

@@ -104,3 +104,20 @@ def test_every_top_level_name_is_read():
             if not name.startswith("_run_") and name != "box_cos"
             and len(re.findall(rf"\b{re.escape(name)}\b", everything)) < 2]
     assert dead == []
+
+
+def test_box_arithmetic_has_one_layer():
+    # the block ops are the only box arithmetic: no module defines a per-part
+    # interval op (iv_*), and every box column of maps.OPS names a box_* op
+    # of numerics, which maps binds as itself
+    from wanderlab import maps, numerics
+
+    per_part = [(path.name, name) for path in sorted((SRC / "wanderlab").glob("*.py"))
+                for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+                if name.startswith("iv_")]
+    assert per_part == [] and not [name for name in vars(numerics) if name.startswith("iv_")]
+    block_ops = {name for name in vars(numerics) if name.startswith("box_")}
+    for word, op in maps.OPS.items():
+        if op.box:
+            assert op.box in block_ops, word
+            assert getattr(maps, op.box) is getattr(numerics, op.box), word

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import encloses
+from oracles import boxes_of, encloses
 from wanderlab.numerics import Boxes, ComplexBox
 from wanderlab.regions import (
     Difference,
@@ -153,7 +153,7 @@ def test_half_strip_boxes_touching_an_edge(closed):
 def test_a_nan_box_is_neither_inside_nor_disjoint(region):
     # disjointness is a comparison of its own, not the negation of an inside test
     nan = np.full(1, math.nan)
-    b = Boxes(nan, nan, nan, nan, np.zeros(1, np.uint8))
+    b = boxes_of(nan, nan, nan, nan)
     assert not region.box_inside(b)[0] and not region.box_disjoint(b)[0]
 
 

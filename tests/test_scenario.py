@@ -390,6 +390,17 @@ def test_constant_search_trail_is_reported(ex2_report, ex2_constants):
         k: row["result"]["station_cert"][k] for k in ("verdict", "boxes_examined", "max_depth")}
 
 
+def test_constant_search_times_each_candidate_outside_the_trail(ex2_report):
+    # one seconds entry per trail entry, in the timings block only
+    report = ex2_report[0]
+    row, = (row for row in report["items"] if row["kind"] == "derived_constants")
+    timings = report["timings"]
+    assert list(timings["candidates"]) == [row["id"]]
+    seconds = timings["candidates"][row["id"]]
+    assert len(seconds) == len(row["result"]["trail"])
+    assert all(0.0 <= s <= timings["items"][row["id"]] for s in seconds)
+
+
 # --- command-line front end ---------------------------------------------------
 
 def test_cli_suites_lists_bundles_and_anchors(capsys):

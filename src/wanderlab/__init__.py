@@ -10,12 +10,11 @@ import os
 # its idle worker threads then sleep instead of spinning for ~0.1 s of CPU.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .numerics import ComplexBox, PoleIntersect
+from .numerics import ComplexBox
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComplexBox",
-    "PoleIntersect",
     "__version__",
 ]

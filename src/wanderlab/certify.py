@@ -11,10 +11,14 @@ Three engines share this module:
   when the test does not hold on it or its reason code is set (pole: its
   image touches a pole; overflow: an endpoint went inf or NaN), and a
   failing box below the depth limit contributes its four quarters to the
-  next level, parent by parent and in reversed box_quarters order.  Within a
-  depth the boxes thus keep depth-first pre-order, so when no budget runs
-  out the examined set, boxes_examined, max_depth, the survivors and the
-  frontier equal those of a depth-first walk (kept in tests/oracles.py).
+  next level, parent by parent and in reversed box_quarters order, unless
+  its midpoint is one of its endpoints in both parts (floats hold no
+  narrower box): then it survives at its depth with its reason, as at the
+  depth limit, so a point source stops at depth 0.
+  Within a depth the boxes keep depth-first pre-order, so when no budget
+  runs out the examined set, boxes_examined, max_depth, the survivors (in
+  order, if all at one depth) and the frontier equal those of a
+  depth-first walk (kept in tests/oracles.py).
   When the budget runs out, the examined boxes are the first max_boxes in
   level order; on that last level the failing examined boxes survive with
   their reasons, before the unexamined ones, which survive as "budget"
@@ -173,6 +177,14 @@ def _failing(ends: np.ndarray, region: Region, test) -> tuple[np.ndarray, np.nda
     return ends[:, fail], why[fail]
 
 
+def _unsplittable(ends: np.ndarray) -> np.ndarray:
+    """The boxes of a (4, n) endpoint array whose midpoint, as box_quarters
+    computes it, is one of their endpoints in both parts: floats hold no
+    narrower box."""
+    mid = 0.5 * (ends[:2] + ends[2:])
+    return ((mid == ends[:2]) | (mid == ends[2:])).all(axis=0)
+
+
 def _prove_on_region(region: Region, test, budget: Budget):
     """Prove `test` on every box of an adaptive cover of the region.
 
@@ -204,6 +216,10 @@ def _prove_on_region(region: Region, test, budget: Budget):
                 if last:
                     survivors.append((ends, depth, why))
                     continue
+                stuck = _unsplittable(ends)
+                if stuck.any():
+                    survivors.append((ends[:, stuck], depth, why[stuck]))
+                    ends = ends[:, ~stuck]
                 parents = max(0, -(-(cap - kept) // 4))
                 spill += 4 * max(0, ends.shape[1] - parents)
                 # quarters reversed, parent by parent: the order a depth-first
@@ -571,13 +587,13 @@ def _bisect(ok, good: int, bad: int) -> int:
     return good
 
 
-def derive_ex2_constants(max_boxes: int | None = None) -> dict:
+def derive_ex2_constants() -> dict:
     """Derive and certify the station constants of the ex2 family.
 
     Every certificate, the final one too, gets one budget: 300,000 boxes to
-    depth 20, or max_boxes boxes to depth 20.  A candidate that a sampled
-    witness refutes runs no certificate; otherwise its certificate decides
-    it and joins `certificates`, in search order.  `trail` has one entry per
+    depth 20.  A candidate that a sampled witness refutes runs no
+    certificate; otherwise its certificate decides it and joins
+    `certificates`, in search order.  `trail` has one entry per
     candidate in search order: its kind ("r1", "rho_g" or "r2"), its value
     times 1024 (per_1024), and either the certificate's verdict,
     boxes_examined and max_depth, or refuted_by "sample" with the sampled
@@ -602,7 +618,7 @@ def derive_ex2_constants(max_boxes: int | None = None) -> dict:
     Deterministic by construction: fixed grids, fixed search order, fixed
     budgets — re-runs reproduce identical floats.
     """
-    budget = Budget(300_000 if max_boxes is None else max_boxes, max_depth=20)
+    budget = Budget(300_000, max_depth=20)
     g = ex2_g_map()
     dg = derivative(g)
     certificates: list[Certificate] = []

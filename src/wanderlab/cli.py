@@ -1,7 +1,9 @@
-"""Command-line front end: run scenarios, list bundled suites, render images.
+"""Command-line front end: run a scenario, list the bundled suites.
 
-Exit codes: 0 when every item with an expected verdict matched, 1 when
-any item mismatched, 2 on scenario parse/config errors.
+The document sets every budget; `run --out` writes the report and, beside
+it, each raster image the document names.  Exit codes: 0 when every item
+with an expected verdict matched, 1 when any item mismatched, 2 on
+scenario parse/config errors.
 """
 from __future__ import annotations
 
@@ -11,13 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .scenario import (
-    ScenarioError,
-    bundled_scenarios,
-    load_scenario,
-    render_scenario_raster,
-    run_scenario,
-)
+from .scenario import ScenarioError, bundled_scenarios, load_scenario, run_scenario
 
 __all__ = ["main", "entry", "list_suites"]
 
@@ -37,22 +33,13 @@ def list_suites(stream=None) -> int:
 def _cmd_run(args) -> int:
     out_path = Path(args.out) if args.out else None
     out_dir = out_path.parent if out_path else None
-    report = run_scenario(args.scenario, out_dir=out_dir, threads=args.threads,
-                          budget_boxes=args.budget_boxes, max_iter=args.max_iter)
+    report = run_scenario(args.scenario, out_dir=out_dir, threads=args.threads)
     text = json.dumps(report, indent=2) + "\n"
     if out_path:
         out_path.write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
     return 0 if report["all_passed"] else 1
-
-
-def _cmd_render(args) -> int:
-    info = render_scenario_raster(args.scenario, args.out, threads=args.threads,
-                                  max_iter=args.max_iter)
-    print(f"wrote {info['path']} ({info['width']}x{info['height']})",
-          file=sys.stderr)
-    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,21 +51,12 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario and emit a JSON report")
     run.add_argument("scenario", help="scenario path or bundled name")
-    run.add_argument("--out", help="write the report here instead of stdout")
+    run.add_argument("--out", help="write the report here instead of stdout, "
+                     "and the raster images beside it")
     run.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="raster worker processes (default: available cores)")
-    run.add_argument("--budget-boxes", type=int, default=None,
-                     help="override certificate box budgets")
-    run.add_argument("--max-iter", type=int, default=None,
-                     help="override orbit iteration budget")
 
     sub.add_parser("suites", help="list bundled scenarios and their items")
-
-    render = sub.add_parser("render", help="render a scenario's raster to a P6 pixmap")
-    render.add_argument("scenario", help="scenario path or bundled name")
-    render.add_argument("--out", required=True, help="output image path")
-    render.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    render.add_argument("--max-iter", type=int, default=None)
     return parser
 
 
@@ -87,9 +65,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "suites":
-            return list_suites()
-        return _cmd_render(args)
+        return list_suites()
     except (ScenarioError, OSError) as e:
         print(f"wanderlab: {e}", file=sys.stderr)
         return 2

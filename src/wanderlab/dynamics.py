@@ -191,7 +191,7 @@ def track_wandering(m: MeromorphicMap, z0: complex, station_centers,
     """Entry n: does the box image of z0 under f^n (eval_map_box n times on
     its point box) have code NONE and lie in the open disk of station_radius
     about centers[n]?  A code once set stays set: after a pole hit, False."""
-    b = Boxes.point(z0, 1)
+    b = Boxes.point(z0)
     out = []
     for n, center in enumerate(station_centers):
         if n:

@@ -88,10 +88,6 @@ NONE, POLE, OVERFLOW = 0, 1, 2  # reason codes of a box in a batch
 _CODES = np.arange(3, dtype=np.uint8)
 
 
-class PoleIntersect(ArithmeticError):
-    """A reciprocal was requested of a box whose modulus range reaches zero."""
-
-
 def _out_lo(x, ulps: int = 1):
     """x stepped ulps floats down, each step x - (|x| H + 2^-1074) (see the
     module docstring); x is an array or a float."""
@@ -315,13 +311,13 @@ class Boxes(NamedTuple):
                      np.zeros(len(ends), np.uint8))
 
     @staticmethod
-    def point(z: complex, n: int = 1) -> "Boxes":
-        """n copies of the point box at z."""
+    def point(z: complex) -> "Boxes":
+        """The point box at z, a batch of one."""
         z = complex(z)
-        ends = np.empty((2, 2, n))
+        ends = np.empty((2, 2, 1))
         ends[:, 0] = z.real
         ends[:, 1] = z.imag
-        return Boxes(ends, np.zeros(n, np.uint8))
+        return Boxes(ends, np.zeros(1, np.uint8))
 
 
 def _first_code(finite, *codes) -> np.ndarray:

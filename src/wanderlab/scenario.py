@@ -19,9 +19,8 @@ import math
 import sys
 import time
 from collections import ChainMap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -330,11 +329,10 @@ class _Doc:
         return self.build(custom_map, self.string("expr"), params=params,
                           declared_poles=poles)
 
-    def budget(self, boxes=None) -> Budget:
-        """The optional "budget" object; boxes (--budget-boxes) overrides max_boxes."""
+    def budget(self) -> Budget:
+        """The optional "budget" object."""
         spec = self.child("budget", {})
-        max_boxes = spec.integer("max_boxes", None, floor=1)
-        return spec.build(Budget, max_boxes=max_boxes if boxes is None else boxes,
+        return spec.build(Budget, max_boxes=spec.integer("max_boxes", None, floor=1),
                           max_depth=spec.integer("max_depth", None, floor=0))
 
     def finish(self) -> None:
@@ -393,14 +391,14 @@ def _expected_verdict(cert, expect):
 def _run_inclusion(rd, ctx):
     m = _item_map(rd, ctx)
     source, target = rd.region("source"), rd.region("target")
-    budget = rd.budget(ctx["budget_boxes"])
+    budget = rd.budget()
     expect = rd.string("expect", "proved", choices=_VERDICTS)
     return _expected_verdict(certify_inclusion(m, source, target, budget), expect)
 
 
 def _run_inequality(rd, ctx):
     lhs, rhs, region = rd.bound("lhs"), rd.bound("rhs"), rd.region("region")
-    budget = rd.budget(ctx["budget_boxes"])
+    budget = rd.budget()
     cmp = rd.string("cmp", "<", choices=("<", "<=", ">", ">="))
     expect = rd.string("expect", "proved", choices=_VERDICTS)
     return _expected_verdict(certify_inequality(lhs, rhs, region, budget, cmp=cmp), expect)
@@ -489,9 +487,7 @@ def _run_point_image(rd, ctx):
     z = rd.complex("z")
     target = rd.child("target")
     center, radius = target.complex("center"), target.positive("radius")
-    # a point's root cells are a few ulps wide: splitting cannot tighten its image
-    cert = certify_inclusion(m, Disk(z, 0.0, closed=True), Disk(center, radius),
-                             Budget(max_depth=0))
+    cert = certify_inclusion(m, Disk(z, 0.0, closed=True), Disk(center, radius))
     return cert.proved, _cert_result(cert)
 
 
@@ -533,10 +529,7 @@ def _run_params_identity(rd, ctx):
 
 
 def _run_derived_constants(rd, ctx):
-    boxes = ctx["budget_boxes"]
-    if boxes is not None:
-        rd.build(Budget, max_boxes=boxes)   # --budget-boxes below 1 is a config error
-    derived = derive_ex2_constants(max_boxes=boxes)
+    derived = derive_ex2_constants()
     ok = (derived["station_cert"].proved and 0.0 < derived["r1"] < 0.5
           and ex2_admissible(derived["eps"], derived["r1"]))
     ctx["derived"].update((k, derived[k]) for k in ("r1", "eps", "rho_g", "r2"))
@@ -577,25 +570,6 @@ def _read_match(matches, i) -> tuple:
             match.complex("hole_contains", None))
 
 
-def _read_raster(rd, ctx):
-    """Every field of a raster item, read before its grid is classified so
-    that `run` and `render` reject the same items: the classification still
-    to run, the match rows, the monotonicity flag and the image name."""
-    scenario = ctx["scenario"]
-    for key in ("window", "resolution"):
-        if getattr(scenario, key) is None:
-            raise ScenarioError("required field is missing", key)
-    m, cfg = _item_map(rd, ctx), scenario.orbit
-    if ctx["max_iter"] is not None:
-        cfg = rd.build(replace, cfg, max_iter=ctx["max_iter"])
-    classify = partial(classify_grid, m, scenario.window, *scenario.resolution, cfg,
-                       workers=ctx["threads"])
-    matches, monotonicity = rd.each("match", _read_match, []), rd.boolean("monotonicity", False)
-    render = rd.value("render", lambda v: isinstance(v, str) and v not in ("", "..")
-                      and Path(v).name == v, "a bare file name", None)
-    return classify, matches, monotonicity, render
-
-
 def _select_component(cm, grid, kind, p, where) -> int:
     if kind == "contains":
         i, j = grid.pixel_of(p)
@@ -612,9 +586,19 @@ def _select_component(cm, grid, kind, p, where) -> int:
 
 
 def _run_raster(rd, ctx):
-    classify, matches, monotonicity, render = _read_raster(rd, ctx)
+    # every field is read and checked before the grid is classified, so a
+    # bad field is a config error that costs no classification
+    scenario = ctx["scenario"]
+    for key in ("window", "resolution"):
+        if getattr(scenario, key) is None:
+            raise ScenarioError("required field is missing", key)
+    m = _item_map(rd, ctx)
+    matches, monotonicity = rd.each("match", _read_match, []), rd.boolean("monotonicity", False)
+    render = rd.value("render", lambda v: isinstance(v, str) and v not in ("", "..")
+                      and Path(v).name == v, "a bare file name", None)
     rd.finish()
-    grid = classify()
+    grid = classify_grid(m, scenario.window, *scenario.resolution, scenario.orbit,
+                         workers=ctx["threads"])
     cm = label_components(grid)
     ok, rows, matched_ids = True, [], []
     for selector, behavior, exact, at_least, hole in matches:
@@ -657,37 +641,15 @@ def _run_raster(rd, ctx):
 _EXECUTORS = {name[5:]: fn for name, fn in globals().items() if name.startswith("_run_")}
 
 
-def _make_ctx(scenario: Scenario, threads, budget_boxes, max_iter, out_dir) -> dict:
-    # published values shadow the map parameters, which do not shadow the constants
-    derived = {}
-    return {"scenario": scenario, "derived": derived,
-            "env": ChainMap(derived, {**scenario.params, **_CONSTANTS}),
-            "threads": max(1, int(threads)), "budget_boxes": budget_boxes,
-            "max_iter": max_iter, "out_dir": None if out_dir is None else Path(out_dir)}
-
-
-def render_scenario_raster(ref, out_path, threads: int = 1, max_iter=None) -> dict:
-    """Classify and render the first raster item of a scenario.  The item is
-    read and checked as `run` reads it; its matches are not evaluated."""
-    scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
-    items = [it for it in scenario.items if it["kind"] == "raster"]
-    if not items:
-        raise ScenarioError("scenario declares no raster item", scenario.name)
-    ctx = _make_ctx(scenario, threads, None, max_iter, None)
-    rd = _Doc(items[0], ctx["env"], items[0]["id"])
-    rd.seen.update(("id", "kind"))   # load checked the id, and the kind is "raster"
-    classify = _read_raster(rd, ctx)[0]
-    rd.finish()
-    grid = classify()
-    render_pixmap(grid, out_path)
-    return {"width": grid.width, "height": grid.height, "path": str(out_path)}
-
-
-def run_scenario(ref, out_dir=None, threads: int = 1, budget_boxes=None,
-                 max_iter=None) -> dict:
+def run_scenario(ref, out_dir=None, threads: int = 1) -> dict:
     """Execute a scenario (path, bundled name, or Scenario) into a report."""
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
-    ctx = _make_ctx(scenario, threads, budget_boxes, max_iter, out_dir)
+    # published values shadow the map parameters, which do not shadow the constants
+    derived = {}
+    ctx = {"scenario": scenario, "derived": derived,
+           "env": ChainMap(derived, {**scenario.params, **_CONSTANTS}),
+           "threads": max(1, int(threads)),
+           "out_dir": None if out_dir is None else Path(out_dir)}
     t0 = time.perf_counter()
     rows, seconds, candidates = [], {}, {}
     for item in scenario.items:

@@ -18,7 +18,11 @@ from wanderlab.dynamics import (
     LADDER_STRIDE,
 )
 from wanderlab.maps import eval_map_vec
-from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, PoleIntersect, box_quarters
+from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, box_quarters
+
+
+class PoleIntersect(ArithmeticError):
+    """A reciprocal was requested of a box whose modulus range reaches zero."""
 
 
 def rows(b: Boxes) -> tuple:
@@ -206,7 +210,10 @@ def prove_on_region_reference(region, test, budget):
             reason = "pole"
         except OverflowError:
             reason = "overflow"
-        if depth >= budget.max_depth or exhausted:
+        # a box whose midpoint is an endpoint in both parts cannot be split
+        one_float = (0.5 * (box.re_lo + box.re_hi) in (box.re_lo, box.re_hi)
+                     and 0.5 * (box.im_lo + box.im_hi) in (box.im_lo, box.im_hi))
+        if depth >= budget.max_depth or exhausted or one_float:
             survivors.append((box, depth, reason))
             continue
         for child in zip(*box_quarters(box.re_lo, box.re_hi, box.im_lo, box.im_hi)):

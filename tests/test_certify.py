@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import certificate_reference
+from oracles import PoleIntersect, certificate_reference
 from wanderlab.certify import (
     WINDING_MAX_SAMPLES,
     Bound,
@@ -48,7 +48,6 @@ from wanderlab.numerics import (
     POLE,
     Boxes,
     ComplexBox,
-    PoleIntersect,
     box_mag,
     box_mig,
 )
@@ -194,7 +193,9 @@ _STATION = Disk(complex(_TWO_PI), 40 / 1024, closed=True)   # B(2pi, r1), closed
      "inconclusive"),
     # g'(2pi) = 0: the mean-value ball proves boxes the natural image does not
     (ex2_g_map(), _STATION, Disk(complex(2.0 * _TWO_PI), 10 / 1024), Budget(), "proved"),
-], ids=["proved", "depth", "pole", "overflow", "centred"])
+    # a point's root cells are ulp-wide: no split, no depth limit needed
+    (ex1(), Disk(1j * _TWO_PI, 0.0, closed=True), Disk(0.3, 0.01), Budget(), "inconclusive"),
+], ids=["proved", "depth", "pole", "overflow", "centred", "point"])
 def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, verdict):
     cert = certify_inclusion(m, source, target, budget)
     statement = {"kind": "inclusion", "family": m.family_id,
@@ -206,6 +207,16 @@ def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, 
     assert not ref.stats["budget_exhausted"]
     assert ref.verdict == verdict
     assert cert == ref
+
+
+def test_point_source_stops_at_depth_0():
+    # ex1 maps 2*pi*i far from 0.3: the claim fails on each ulp-wide root
+    # cell, which survives at depth 0, as its quarters would only repeat it
+    cert = certify_inclusion(ex1(), Disk(1j * _TWO_PI, 0.0, closed=True), Disk(0.3, 0.01))
+    assert cert.verdict == "inconclusive"
+    assert cert.stats["boxes_examined"] == cert.stats["survivors"] == 4
+    assert cert.stats["max_depth"] == 0 and not cert.stats["budget_exhausted"]
+    assert {(f["depth"], f["reason"]) for f in cert.frontier} == {(0, "undecided")}
 
 
 def _natural_inclusion(m, target):

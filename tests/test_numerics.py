@@ -117,7 +117,7 @@ def test_recip_encloses_samples():
 
 
 def test_recip_point_box():
-    out = box_recip(Boxes.point(0.5 + 0.5j, 1))
+    out = box_recip(Boxes.point(0.5 + 0.5j))
     _assert_encloses(out, [[1.0 - 1.0j]], "recip(0.5+0.5i)")
     assert max(out.re_hi - out.re_lo, out.im_hi - out.im_lo) < 1e-12
 
@@ -160,7 +160,7 @@ def test_complex_box_rejects_a_nan_bound(coord):
 
 
 def test_div_composes():
-    out = box_div(Boxes.point(2.0 + 1.0j, 1), Boxes.point(1.0 - 1.0j, 1))
+    out = box_div(Boxes.point(2.0 + 1.0j), Boxes.point(1.0 - 1.0j))
     _assert_encloses(out, [[(2.0 + 1.0j) / (1.0 - 1.0j)]], "box_div")
 
 

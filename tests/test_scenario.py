@@ -1,4 +1,5 @@
 """Scenario loading, execution, report shape, CLI exit codes, pixmap bytes."""
+import argparse
 import cmath
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import wanderlab
-from wanderlab import pixmap
+from wanderlab import cli, pixmap
 from wanderlab import scenario as scenario_module
 from wanderlab.certify import Budget
 from wanderlab.cli import main
@@ -39,6 +40,9 @@ from wanderlab.scenario import (
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the commands that take a scenario document: each rejects a malformed one
+READERS = ["run"]
 
 TINY = {
     "schema": "scenario/1",
@@ -472,18 +476,15 @@ def test_cli_run_bad_schema_is_config_error(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-def test_cli_render_writes_pixmap(tmp_path, capsys):
-    scenario = _write(tmp_path, "r.json", TINY_RASTER)
-    out = tmp_path / "img.ppm"
-    assert main(["render", scenario, "--out", str(out), "--threads", "1"]) == 0
-    assert out.read_bytes().startswith(b"P6\n16 12\n255\n")
-    assert "16x12" in capsys.readouterr().err
-
-
-def test_cli_render_requires_a_raster_item(tmp_path, capsys):
-    scenario = _write(tmp_path, "t.json", TINY)
-    assert main(["render", scenario, "--out", str(tmp_path / "x.ppm")]) == 2
-    assert "raster" in capsys.readouterr().err
+def test_cli_surface_is_run_and_suites():
+    # the document sets every budget and iteration limit; run --out writes
+    # every image
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["run", "suites"]
+    options = {name: sorted(o for a in parser._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, parser in sub.choices.items()}
+    assert options == {"run": ["--out", "--threads"], "suites": []}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -492,7 +493,7 @@ def test_cli_render_requires_a_raster_item(tmp_path, capsys):
     ("resolution", [0, 8]),
     ("window", None),
 ], ids=["inverted-window", "short-window", "zero-resolution", "missing-window"])
-@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("command", READERS)
 def test_cli_malformed_raster_is_config_error(tmp_path, capsys, command, field, value):
     scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, **{field: value}))
     assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
@@ -513,21 +514,13 @@ def test_cli_malformed_raster_is_config_error(tmp_path, capsys, command, field, 
     ({"stations": "left"}, "stations"),
 ], ids=["zero-max-iter", "text-max-iter", "zero-cycle-window", "nan-escape", "nan-tol",
         "zero-step", "inf-step", "nan-radius", "nan-base", "text-stations"])
-@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("command", READERS)
 def test_cli_invalid_orbit_is_config_error(tmp_path, capsys, command, orbit, field):
     scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, orbit=orbit))
     assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert "orbit" in err and field in err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "render"])
-def test_cli_zero_max_iter_override_is_config_error(tmp_path, capsys, command):
-    scenario = _write(tmp_path, "r.json", TINY_RASTER)
-    assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1",
-                 "--max-iter", "0"]) == 2
-    assert "max_iter" in capsys.readouterr().err
 
 
 # --- field decoding: every document value is read, checked and used ------------
@@ -756,20 +749,11 @@ def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     ({"family": "ex5", "parms": {}}, "map.parms"),
 ], ids=["unknown-family", "param-out-of-range", "missing-param", "unparsable-expr",
         "text-param", "huge-int-param", "non-object-map", "unread-map-field"])
-@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("command", READERS)
 def test_cli_malformed_map_is_config_error(tmp_path, capsys, command, spec, path):
     scenario = _write(tmp_path, "bad.json", dict(TINY_RASTER, map=spec))
     assert main([command, scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert f'"{path}"' in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("kind", ["inclusion", "inequality", "derived_constants"])
-def test_cli_zero_budget_boxes_is_config_error(tmp_path, capsys, kind):
-    scenario = _write(tmp_path, "b.json", dict(FIELDS, items=[_item(kind)]))
-    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1",
-                 "--budget-boxes", "0"]) == 2
-    assert f'"{kind}-item' in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -820,10 +804,10 @@ def test_unread_match_field_is_config_error(tmp_path, capsys):
 ], ids=["unknown-field", "unknown-field-and-failing-selector", "text-render",
         "text-monotonicity", "text-connectivity", "text-anchor", "absolute-render",
         "parent-render", "nested-render", "dotdot-render", "empty-render"])
-@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("command", READERS)
 def test_cli_malformed_raster_item_is_config_error(tmp_path, capsys, command, extra, path):
-    # run and render read a raster item the same way, before classifying;
-    # the report would go to work/, so an image name leaving it lands in tmp_path
+    # run reads every field of a raster item before classifying; the report
+    # would go to work/, so an image name leaving it lands in tmp_path
     work = tmp_path / "work"
     (work / "sub").mkdir(parents=True)
     extra = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in extra.items()}
@@ -874,7 +858,6 @@ def test_absent_orbit_fields_keep_constructor_defaults(tmp_path, orbit, want):
     ({}, lambda rd: rd.budget(), Budget()),
     ({"budget": {}}, lambda rd: rd.budget(), Budget()),
     ({"budget": {"max_depth": 3}}, lambda rd: rd.budget(), Budget(max_depth=3)),
-    ({}, lambda rd: rd.budget(5), Budget(max_boxes=5)),
     ({"r": {"disk": {"center": 0.0, "radius": 1.0}}}, lambda rd: rd.region("r"),
      Disk(0j, 1.0)),
     ({"r": {"annulus": {"center": 0.0, "r_in": 1.0, "r_out": 2.0}}},
@@ -882,8 +865,8 @@ def test_absent_orbit_fields_keep_constructor_defaults(tmp_path, orbit, want):
     ({"r": {"half_strip": {"re_hi": 1.0, "im_lo": -1.0, "im_hi": 1.0}}},
      lambda rd: rd.region("r"), HalfStrip(-math.inf, 1.0, -1.0, 1.0)),
     ({"b": {"power": {"c": 1.0, "n": 2}}}, lambda rd: rd.bound("b").center, 0j),
-], ids=["no-budget", "empty-budget", "depth-only", "boxes-override", "disk", "annulus",
-        "half-strip", "power-center"])
+], ids=["no-budget", "empty-budget", "depth-only", "disk", "annulus", "half-strip",
+        "power-center"])
 def test_absent_item_fields_keep_constructor_defaults(doc, read, want):
     rd = _Doc(doc, {}, "item")
     assert read(rd) == want
@@ -892,7 +875,7 @@ def test_absent_item_fields_keep_constructor_defaults(doc, read, want):
 
 def test_unread_orbit_field_is_config_error(tmp_path, capsys):
     scenario = _write(tmp_path, "r.json", dict(TINY_RASTER, orbit={"max_iters": 10}))
-    assert main(["render", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert '"orbit.max_iters"' in capsys.readouterr().err
 
 
@@ -976,6 +959,20 @@ def test_benchmark_check_passes_the_bundled_reports(monkeypatch, ex2_report):
     reports = [ex2_report[0] if name == "ex2-core" else run_scenario(name, threads=2)
                for name in sorted(bundled_scenarios())]
     assert worker["check"](reports, reference) == (26, [])
+
+
+def test_benchmark_worker_runs_a_document_as_the_benchmark_does(tmp_path, monkeypatch):
+    # bench/worker.py's run_pass reads each run's "ref", "threads" and
+    # "out_dir" and passes them on to run_scenario
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = runpy.run_path(str(BENCH / "worker.py"))
+    out = tmp_path / "out"
+    out.mkdir()
+    run = {"ref": _write(tmp_path, "r.json", TINY_RASTER), "threads": 1, "out_dir": str(out)}
+    _, (report,) = worker["run_pass"](scenario_module, [run])
+    assert report["all_passed"] is True and "error" not in report["items"][0]["result"]
+    assert json.loads((out / "tiny-raster.json").read_text()) == report
+    assert (out / "tiny.ppm").read_bytes().startswith(b"P6\n16 12\n255\n")
 
 
 def test_benchmark_tracer_keeps_what_its_metrics_read(tmp_path):

@@ -8,6 +8,7 @@ scenario parse/config errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -33,6 +34,9 @@ def list_suites(stream=None) -> int:
 def _cmd_run(args) -> int:
     out_path = Path(args.out) if args.out else None
     out_dir = out_path.parent if out_path else None
+    if out_dir is not None and not out_dir.is_dir():
+        # fail before the first item runs, not when the report is written
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(out_dir))
     report = run_scenario(args.scenario, out_dir=out_dir, threads=args.threads)
     text = json.dumps(report, indent=2) + "\n"
     if out_path:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -472,6 +471,9 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     if len(tasks) == 1:
         parts = [_classify_rows(t) for t in axis_task + tasks]
     else:
+        # imported here, so that a process that forks no pool does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its processes up front: no more than the ranges or cores
         with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             # map submits every task at once: the axis row runs here meanwhile

@@ -11,7 +11,12 @@ into a post-order tape in which equal subtrees share one slot, and one
 interpreter runs the tape for vectorized numpy (rasters, winding
 samples, Newton; a point is a batch of one) and rigorous rectangle
 enclosure of box batches (certificates).  It looks the ops up by name in
-this module when an evaluation starts, so a map holds no function.
+this module when an evaluation starts, so a map holds no function.  The
+tape puts the steps that read no z first, and they are folded: a map's
+first evaluation in a backend column reads its parameters, lifts its
+leaves and runs those steps, and the values stay on the map, so every
+later evaluation in that column runs only the steps that read z.  A map's
+params are thus read at its first evaluation; nothing changes them after.
 Division nodes identify the pole locus; each bundled family also declares
 its exact poles so orbit code can bail out deterministically near them.
 
@@ -301,6 +306,10 @@ class MeromorphicMap:
     declared_poles: tuple
     family_id: str
     tape: Tape = field(init=False, repr=False, compare=False)
+    # per backend column: the leaves' and z-free steps' values once _run has
+    # folded them, else None; one key per column from the start, so filling
+    # one never resizes the dict while a process pool pickles the map
+    known: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family_id not in FAMILY_IDS:
@@ -309,6 +318,7 @@ class MeromorphicMap:
                            tuple(complex(p) for p in self.declared_poles))
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "tape", _compile(self.expr))
+        object.__setattr__(self, "known", dict.fromkeys((_VEC, _BOX)))
 
     def pole_snap_radius(self, pole: complex) -> float:
         return POLE_SNAP_RELATIVE * (1.0 + abs(pole))
@@ -408,9 +418,12 @@ def ex2_g_map() -> MeromorphicMap:
 # ---------------------------------------------------------------------------
 
 class Tape(NamedTuple):
-    """Slot 0 is the variable, then one slot per leaf, then one per step."""
+    """Slot 0 is the variable, then one slot per leaf, then one per step,
+    the steps that read no z first.  A step is (op row, argument slots,
+    data, slots last read here)."""
     leaves: tuple  # (parameter name, None) or (None, constant value)
-    steps: tuple   # (op row, argument slots, data, slots last read here)
+    fixed: tuple   # the steps that read no z
+    steps: tuple   # the steps that read z
 
 
 def _const_key(v: complex):
@@ -419,9 +432,11 @@ def _const_key(v: complex):
 
 
 def _compile(expr: Node) -> Tape:
-    """Post-order tape of expr in which equal subtrees share one slot."""
+    """Post-order tape of expr in which equal subtrees share one slot, with
+    the steps that read no z moved first (a stable partition)."""
     slots = {("z", (), None): 0}
     leaves, steps = [], []
+    reads_z = {0}   # slot 0 and the steps that read z
 
     def visit(n: Node) -> int:
         # Steps get provisional slots -1, -2, ... until the leaves are counted.
@@ -429,7 +444,9 @@ def _compile(expr: Node) -> Tape:
         key = (n.op, args, _const_key(n.data) if n.op == "const" else n.data)
         if key not in slots:
             if args:
-                slots[key] = -1 - len(steps)
+                slots[key] = slot = -1 - len(steps)
+                if not reads_z.isdisjoint(args):
+                    reads_z.add(slot)
                 steps.append((OPS[n.op], args, () if n.data is None else (n.data,)))
             else:
                 slots[key] = 1 + len(leaves)
@@ -437,32 +454,50 @@ def _compile(expr: Node) -> Tape:
         return slots[key]
 
     visit(expr)
-    n = len(leaves)
-    steps = [(op, tuple(s if s >= 0 else n - s for s in args), data) for op, args, data in steps]
+    order = sorted(range(len(steps)), key=lambda j: -1 - j in reads_z)
+    fixed = len(steps) + 1 - len(reads_z)
+    slot = [0] * len(steps)
+    for k, j in enumerate(order):
+        slot[j] = 1 + len(leaves) + k
+    steps = [(op, tuple(s if s >= 0 else slot[-1 - s] for s in args), data)
+             for op, args, data in map(steps.__getitem__, order)]
     # Freeing each slot after its last read keeps numpy temporaries as short-lived
     # as in a recursive walk.
     last = {s: j for j, (_, args, _) in enumerate(steps) for s in args}
-    return Tape(tuple(leaves), tuple((op, args, data, tuple({s for s in args if last[s] == j}))
-                                     for j, (op, args, data) in enumerate(steps)))
+    steps = [(op, args, data, tuple({s for s in args if last[s] == j}))
+             for j, (op, args, data) in enumerate(steps)]
+    return Tape(tuple(leaves), tuple(steps[:fixed]), tuple(steps[fixed:]))
 
 
 _VEC, _BOX = (Op._fields.index(c) for c in ("vec", "box"))
 
 
 def _run(m: MeromorphicMap, column: int, x, lift):
-    """Value of m at x in one backend column; lift makes a constant's value."""
-    ns, params = globals(), m.params
-    vals = [x]
-    for name, value in m.tape.leaves:
-        vals.append(lift(value if name is None else complex(params[name])))
-    for op, args, data, dead in m.tape.steps:
+    """Value of m at x in one backend column; lift makes a constant's value.
+
+    The first call in a column reads m.params, lifts the leaves and runs
+    the steps that read no z; m.known keeps those values, and every call
+    starts from them and runs only the steps that read z."""
+    known = m.known[column]
+    if known is None:
+        leaves = (lift(value if name is None else complex(m.params[name]))
+                  for name, value in m.tape.leaves)
+        known = m.known[column] = _steps(column, [None, *leaves], m.tape.fixed)[1:]
+    return _steps(column, [x, *known], m.tape.steps)[-1]
+
+
+def _steps(column: int, vals: list, steps: tuple) -> list:
+    """vals with the values of steps appended, each slot dropped after its
+    last read."""
+    ns = globals()
+    for op, args, data, dead in steps:
         if len(args) == 2:
             vals.append(ns[op[column]](vals[args[0]], vals[args[1]]))
         else:
             vals.append(ns[op[column]](vals[args[0]], *data))
         for i in dead:
             vals[i] = None
-    return vals[-1]
+    return vals
 
 
 _DIV_FLOOR = 1e-300  # treat true underflow of a denominator as a pole hit
@@ -529,7 +564,9 @@ def eval_map_box(m: MeromorphicMap, b: Boxes) -> Boxes:
     Constants and parameters enter as point boxes of width 1 that broadcast
     against the batch.  A box with a reason code keeps it, else takes the
     root's code (numerics._first_code), which is that of the first step in
-    tape order whose value has one.
+    tape order whose value has one.  The result may share its arrays with
+    b or with m's folded values (a map without z on a batch of one), so
+    callers do not write into it.
     """
     with np.errstate(all="ignore"):
         out = _run(m, _BOX, b, Boxes.point)
@@ -672,26 +709,37 @@ def seed_grid(box: ComplexBox, n: int) -> np.ndarray:
 
 
 def newton_roots(m: MeromorphicMap, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's method for m(z) = 0 from every seed at once.
+    """Newton's method for m(z) = 0 from every seed of a sequence at once.
 
     Returns (points, residuals): where each seed ended, and |m(z)| there.
     A seed whose iterate eval_map_vec flags, or where m' falls under the
-    pole floor, stops and gets an infinite residual.
+    pole floor, stops and gets an infinite residual.  Each of the
+    NEWTON_STEPS steps runs only the seeds still moving: a seed whose step
+    leaves its float64 bits as they were (a stopped seed's step is 0)
+    would start its next step from the same point, so its point and
+    residual are final.  A zero whose sign flips counts as moving.  The
+    loop ends when no seed moves.
     """
     dm = derivative(m)
     zs = np.array(seeds, dtype=np.complex128)
     alive = np.ones(zs.shape, dtype=bool)
+    moving = np.arange(zs.size)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            vals, bad1 = eval_map_vec(m, zs)
-            dvals, bad2 = eval_map_vec(dm, zs)
+            z = zs[moving]
+            vals, bad1 = eval_map_vec(m, z)
+            dvals, bad2 = eval_map_vec(dm, z)
             bad = bad1 | bad2 | (np.abs(dvals) < _DIV_FLOOR)
-            alive &= ~bad
-            step = np.where(alive, vals / np.where(bad, 1.0, dvals), 0.0)
+            live = alive[moving] & ~bad
+            alive[moving] = live
+            step = np.where(live, vals / np.where(bad, 1.0, dvals), 0.0)
             step_size = np.abs(step)
             clip = step_size > NEWTON_CLIP
             step = np.where(clip, step * (NEWTON_CLIP / np.where(clip, step_size, 1.0)), step)
-            zs = zs - step
+            zs[moving] = new = z - step
+            moving = moving[(new.view(np.uint64) != z.view(np.uint64)).reshape(-1, 2).any(axis=1)]
+            if not moving.size:
+                break
     vals, bad = eval_map_vec(m, zs)
     return zs, np.where(alive & ~bad, np.abs(vals), np.inf)
 

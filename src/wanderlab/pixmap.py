@@ -18,20 +18,24 @@ BLACK = (0, 0, 0)
 BLUES = ((38, 139, 210), (83, 104, 229), (129, 169, 247), (58, 80, 190))
 GREENS = ((64, 160, 43), (104, 194, 70), (148, 216, 98), (42, 122, 68))
 
+# One row per pixel code: gray, red, black, the blues by basin id and the
+# greens by track id.
+_PALETTE = np.array((GRAY, RED, BLACK, *BLUES, *GREENS), dtype=np.uint8)
+_BLOCK_ROWS = 32  # take widens the codes to intp: one block of rows at a time
+
 
 def render_bytes(grid: RasterGrid) -> bytes:
     h, w = grid.labels.shape
-    img = np.empty((h, w, 3), dtype=np.uint8)
-    img[:] = GRAY
-    for label, colors in ((ATTRACTED, BLUES), (DRIFTING, GREENS)):
+    code = np.zeros((h, w), dtype=np.uint8)
+    for label, first, colors in ((ATTRACTED, 3, BLUES), (DRIFTING, 3 + len(BLUES), GREENS)):
         sel = grid.labels == label
-        if sel.any():
-            idx = np.mod(grid.ids[sel], len(colors))
-            img[sel] = np.asarray(colors, dtype=np.uint8)[idx]
-    img[grid.labels == POLE_ADJACENT] = RED
-    img[grid.labels == JULIA_SUSPECT] = BLACK
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    return header + img[::-1].tobytes()
+        code[sel] = first + np.mod(grid.ids[sel], len(colors))
+    code[grid.labels == POLE_ADJACENT] = 1
+    code[grid.labels == JULIA_SUSPECT] = 2
+    top_down = code[::-1]
+    blocks = (_PALETTE.take(top_down[r:r + _BLOCK_ROWS], axis=0).tobytes()
+              for r in range(0, h, _BLOCK_ROWS))
+    return b"".join([f"P6\n{w} {h}\n255\n".encode("ascii"), *blocks])
 
 
 def render_pixmap(grid: RasterGrid, path) -> None:

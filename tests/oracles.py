@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 
-from wanderlab import dynamics
+from wanderlab import dynamics, maps
 from wanderlab.certify import FRONTIER_KEEP, Certificate, _root_cells
 from wanderlab.dynamics import (
     _V_ATTRACTED,
@@ -17,7 +17,7 @@ from wanderlab.dynamics import (
     _V_POLE,
     LADDER_STRIDE,
 )
-from wanderlab.maps import eval_map_vec
+from wanderlab.maps import OPS, derivative, eval_map_vec
 from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, box_quarters
 
 
@@ -261,6 +261,42 @@ def group_estimates_reference(fixed, tol):
             firsts.append(fp)
         group_of.append(k)
     return firsts, group_of
+
+
+def newton_roots_reference(m, seeds):
+    """wanderlab.maps.newton_roots as a fixed loop: every seed runs all
+    NEWTON_STEPS steps, settled or not."""
+    dm = derivative(m)
+    zs = np.array(seeds, dtype=np.complex128)
+    alive = np.ones(zs.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(maps.NEWTON_STEPS):
+            vals, bad1 = eval_map_vec(m, zs)
+            dvals, bad2 = eval_map_vec(dm, zs)
+            bad = bad1 | bad2 | (np.abs(dvals) < maps._DIV_FLOOR)
+            alive &= ~bad
+            step = np.where(alive, vals / np.where(bad, 1.0, dvals), 0.0)
+            step_size = np.abs(step)
+            clip = step_size > maps.NEWTON_CLIP
+            step = np.where(clip, step * (maps.NEWTON_CLIP / np.where(clip, step_size, 1.0)), step)
+            zs = zs - step
+    vals, bad = eval_map_vec(m, zs)
+    return zs, np.where(alive & ~bad, np.abs(vals), np.inf)
+
+
+def run_unfolded(m, column, x, lift):
+    """wanderlab.maps._run without its tape: a recursive walk of m.expr
+    that reads m.params and lifts every leaf, and runs every node, on each
+    call."""
+    def value(n):
+        if n.op == "z":
+            return x
+        if not n.args:
+            return lift(complex(m.params[n.data]) if n.op == "param" else n.data)
+        data = () if n.data is None else (n.data,)
+        return getattr(maps, OPS[n.op][column])(*map(value, n.args), *data)
+
+    return value(m.expr)
 
 
 def orbit_verdicts_reference(m, zs, cfg):
@@ -601,7 +637,7 @@ def eval_map_box_reference(m, b: Boxes) -> PartBoxes:
     with np.errstate(all="ignore"):
         for name, value in m.tape.leaves:
             vals.append(part_point(value if name is None else complex(m.params[name]), n))
-        for op, args, data, _ in m.tape.steps:
+        for op, args, data, _ in (*m.tape.fixed, *m.tape.steps):
             vals.append(PART_OPS[op.box](*(vals[i] for i in args), *data))
     out = vals[-1]
     return out._replace(why=_part_first_code(True, x.why, out.why))

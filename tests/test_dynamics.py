@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import pickle
@@ -576,7 +577,7 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     m = ex1()
     # not symmetric about the real axis, so all 4 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
@@ -608,7 +609,7 @@ def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch):
             task_bytes.extend(len(pickle.dumps(t)) for t in tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)

@@ -14,7 +14,16 @@ import pytest
 
 import wanderlab.maps
 import wanderlab.numerics
-from oracles import boxes_of, encloses, nextafter_out_hi, nextafter_out_lo, nextafter_step, rows
+from oracles import (
+    boxes_of,
+    encloses,
+    newton_roots_reference,
+    nextafter_out_hi,
+    nextafter_out_lo,
+    nextafter_step,
+    rows,
+    run_unfolded,
+)
 from wanderlab.maps import (
     OPS,
     MeromorphicMap,
@@ -33,7 +42,10 @@ from wanderlab.maps import (
     eval_taylor_ball,
     ex2_admissible,
     ex2_g_map,
+    minus,
+    newton_roots,
     parse_expr,
+    seed_grid,
     solve_ex2_params,
     to_sexpr,
 )
@@ -401,16 +413,116 @@ def test_vec_constant_map_keeps_input_shape():
 
 def test_box_eval_shares_subtrees_and_looks_ops_up_per_call(monkeypatch):
     # derivative(ex1) holds exp(z) three times and exp(a) once; the tape
-    # evaluates each once, through the box_exp bound in wanderlab.maps now
+    # evaluates each once, through the box_exp bound in wanderlab.maps now,
+    # and exp(a), which reads no z, only at a map's first evaluation
     calls = []
     box_exp = wanderlab.maps.box_exp
-    dm = derivative(build_family("ex1", {"a": A1, "eps": EPS1}))
+    family = build_family("ex1", {"a": A1, "eps": EPS1})
     b = Boxes.of([_centered(0.5 + 0.5j, 0.01)])
-    want = eval_map_box(dm, b)
+    want = eval_map_box(derivative(family), b)
     monkeypatch.setattr(wanderlab.maps, "box_exp",
                         lambda x: calls.append(x) or box_exp(x))
-    assert all(np.array_equal(x, y) for x, y in zip(eval_map_box(dm, b), want))
-    assert len(calls) == 2
+    dm = derivative(family)
+    for n_calls in (2, 1):
+        calls.clear()
+        assert all(np.array_equal(x, y) for x, y in zip(eval_map_box(dm, b), want))
+        assert len(calls) == n_calls
+
+
+def _fold_inputs() -> list[MeromorphicMap]:
+    """Every bundled family and g, their first two derivatives, and a map
+    of constants only."""
+    maps = _families() + [ex2_g_map()]
+    firsts = [derivative(m) for m in maps]
+    return (maps + firsts + [derivative(m) for m in firsts]
+            + [custom_map("(add (mul 2 (exp (add 1 i))) (sin pi))")])
+
+
+@pytest.mark.parametrize("m", _fold_inputs(), ids=lambda m: to_sexpr(m.expr)[:40])
+def test_folded_evaluation_matches_the_unfolded_walk(m, monkeypatch):
+    # a fresh map folds its z-free steps at its first evaluation in each
+    # column, and reads the fold after; both give the walk's bits and codes
+    boxes = Boxes.of(_mixed_boxes(random.Random(28), 64))
+    zs = np.array([complex(b.re_lo, b.im_hi) for b in _mixed_boxes(random.Random(29), 64)])
+    with monkeypatch.context() as patch:
+        patch.setattr(wanderlab.maps, "_run", run_unfolded)
+        want_box, want_vec = eval_map_box(m, boxes), eval_map_vec(m, zs)
+    assert m.known == dict.fromkeys(m.known)
+    for _ in range(2):
+        got_box, got_vec = eval_map_box(m, boxes), eval_map_vec(m, zs)
+        assert got_box.ends.tobytes() == want_box.ends.tobytes()
+        assert np.array_equal(got_box.why, want_box.why)
+        assert got_vec[0].tobytes() == want_vec[0].tobytes()
+        assert np.array_equal(got_vec[1], want_vec[1])
+        assert None not in m.known.values()
+
+
+def test_z_free_steps_come_first_on_the_tape():
+    # each step reads slots filled before it; the steps that read no z come
+    # first, and each later one reads z or a step that does
+    for m in _fold_inputs():
+        tape = m.tape
+        first_z = 1 + len(tape.leaves) + len(tape.fixed)
+        for j, (_, args, _, _) in enumerate(tape.fixed + tape.steps):
+            assert max(args) < 1 + len(tape.leaves) + j
+        assert all(0 < s for _, args, _, _ in tape.fixed for s in args)
+        assert all(any(s == 0 or s >= first_z for s in args) for _, args, _, _ in tape.steps)
+    ex1 = build_family("ex1", {"a": A1, "eps": EPS1}).tape
+    assert [op.box for op, _, _, _ in ex1.fixed] == ["box_exp"]
+    constants = custom_map("(add (mul 2 (exp (add 1 i))) (sin pi))").tape
+    assert len(constants.fixed) == 5 and constants.steps == ()
+
+
+def _newton_cases():
+    """The bundled suites' Newton calls: ex1's fixed-point seeds, ex2's
+    Lemma 4.1(c) preimage grid and ex5's parabolic fixed-point seeds."""
+    def inside(c, r, n):
+        return [z for z in seed_grid(_centered(c, r), n) if abs(z - c) < r]
+
+    return {
+        "ex1-fixed-point": (minus(build_family("ex1", {"a": A1, "eps": EPS1}), Node("z")),
+                            inside(0j, 2.0 ** -7, 11)),
+        "ex2-lemma-4.1c": (minus(build_family("ex2", {"eps": EPS2}),
+                                 Node("const", data=complex(2 * math.pi))),
+                           seed_grid(_centered(0j, 0.05), 25)),
+        "ex5-parabolic": (minus(build_family("ex5"), Node("z")), inside(0j, 0.1, 11)),
+    }
+
+
+def test_newton_stops_settled_seeds_with_the_fixed_loop_bits(monkeypatch):
+    # a seed leaves the batch once a step leaves its bits as they were; the
+    # points and residuals are those of every seed running all 60 steps
+    calls = {}
+    eval_vec = wanderlab.maps.eval_map_vec
+
+    def counted(m, zs):
+        calls[case] = calls.get(case, 0) + 1
+        return eval_vec(m, zs)
+
+    monkeypatch.setattr(wanderlab.maps, "eval_map_vec", counted)
+    infinite = 0
+    for case, (m, seeds) in _newton_cases().items():
+        want_z, want_r = newton_roots_reference(m, seeds)
+        got_z, got_r = newton_roots(m, seeds)
+        assert got_z.tobytes() == want_z.tobytes(), case
+        assert got_r.tobytes() == want_r.tobytes(), case
+        infinite += np.isinf(want_r).sum()
+    # ex1's seeds all settle within a few steps, some of ex2's grid seeds
+    # still move at step 60, and some of ex2's and ex5's seeds go bad
+    assert calls["ex1-fixed-point"] < 2 * 20 + 1
+    assert calls["ex2-lemma-4.1c"] == 2 * 60 + 1
+    assert infinite > 0
+
+
+def test_newton_counts_a_zero_whose_sign_flips_as_moving():
+    # Newton on f(z) = z from -0 - 0i: the first step turns the real zero
+    # to +0, and only the second the imaginary one; stopping the seed at
+    # the first step, where new == old, would leave -0 there
+    m = custom_map("z")
+    want_z, want_r = newton_roots_reference(m, [complex(-0.0, -0.0)])
+    got_z, got_r = newton_roots(m, [complex(-0.0, -0.0)])
+    assert got_z.tobytes() == want_z.tobytes() == np.zeros(1, np.complex128).tobytes()
+    assert got_r.tobytes() == want_r.tobytes()
 
 
 def test_constants_share_slots_only_when_bit_identical():

@@ -39,20 +39,32 @@ print(repr(seen[0]))
 """
 
 
-def _timeout_at_numpy_import(preset):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    if preset is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    done = subprocess.run([sys.executable, "-c", _PROBE],
+def _fresh_python(code, env):
+    """The standard output of code run in a fresh interpreter that imports
+    wanderlab from SRC, with env as its environment."""
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
 
+def _timeout_at_numpy_import(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    return _fresh_python(_PROBE, env)
+
+
 @pytest.mark.parametrize("preset, seen", [(None, "'4'"), ("20", "'20'")])
 def test_openblas_thread_timeout_is_set_before_numpy_loads(preset, seen):
     assert _timeout_at_numpy_import(preset) == seen
+
+
+def test_scenario_import_leaves_the_raster_pool_out():
+    # dynamics imports concurrent.futures only where a raster forks its pool
+    probe = "import sys, wanderlab.scenario; print('concurrent.futures.process' in sys.modules)"
+    assert _fresh_python(probe, os.environ) == "False"
 
 
 _BLAS_ATTRS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}

@@ -465,6 +465,17 @@ def test_cli_run_without_out_writes_no_image(tmp_path, capsys, monkeypatch):
     assert all("image" not in row["result"] for row in report["items"])
 
 
+def test_cli_run_into_a_missing_directory_fails_before_any_item(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert main(["run", "ex2-core", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wanderlab: ") and str(tmp_path / "missing") in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_run_missing_scenario_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.json")]) == 2
     assert "wanderlab:" in capsys.readouterr().err

@@ -268,19 +268,15 @@ def _midpoints(ends) -> np.ndarray:
     return 0.5 * (ends[0] + ends[2]) + 0.5j * (ends[1] + ends[3])
 
 
-def _points(zs: np.ndarray) -> Boxes:
-    return _batch(np.stack([zs.real, zs.imag, zs.real, zs.imag]))
-
-
 def _sampled_escape(m: MeromorphicMap, source: Region, target: Region) -> list | None:
     """The first root-cell centre in the source whose float image is
     certainly outside the target, as [re, im], or None.  Such a point shows
     the claim false in floats, so no certificate can prove it."""
     zs = _midpoints(_root_cells(source.bounding_box()))
-    zs = zs[source.box_inside(_points(zs))]
+    zs = zs[source.box_inside(Boxes.point(zs))]
     ws, bad = eval_map_vec(m, zs)
     zs, ws = zs[~bad], ws[~bad]
-    out = np.flatnonzero(target.box_disjoint(_points(ws)))
+    out = np.flatnonzero(target.box_disjoint(Boxes.point(ws)))
     return [float(zs[out[0]].real), float(zs[out[0]].imag)] if out.size else None
 
 
@@ -295,17 +291,16 @@ def _inclusion_test(m: MeromorphicMap, source: Region, target: Region, centred: 
     the number of such boxes of each batch.
     """
     escape = _sampled_escape(m, source, target)
-    dm = derivative(m) if escape is None else None
 
     def test(boxes: Boxes):
         image = eval_map_box(m, boxes)
         ok = target.box_inside(image)
-        idx = np.flatnonzero(~ok & (image.why == NONE)) if dm is not None else ()
+        idx = np.flatnonzero(~ok & (image.why == NONE)) if escape is None else ()
         if len(idx):
             wc, bad = eval_map_vec(m, _midpoints(boxes.ends.reshape(4, -1)[:, idx]))
-            idx = idx[~bad & target.box_inside(_points(wc))]
+            idx = idx[~bad & target.box_inside(Boxes.point(wc))]
         if len(idx):
-            fc, radius = eval_mean_value_ball(m, dm, boxes.select(idx))
+            fc, radius = eval_mean_value_ball(m, boxes.select(idx))
             won = idx[(fc.why == NONE) & target.ball_inside(fc, radius)]
             ok[won] = True
             centred.append(won.size)
@@ -369,8 +364,6 @@ class ExprBound(Bound):
 
     def __init__(self, m: MeromorphicMap, label: str | None = None):
         self.map = m
-        dm = derivative(m)
-        self.derivatives = (dm, derivative(dm))
         self.label = label or "|f(z)|"
 
     def _bound(self, boxes, natural, taylor, tighter):
@@ -378,7 +371,7 @@ class ExprBound(Bound):
         v = natural(image)
         near = (image.why == NONE) & (box_mig(image) == 0.0)
         if near.any():
-            fc, radius = eval_taylor_ball(self.map, *self.derivatives, boxes.select(near))
+            fc, radius = eval_taylor_ball(self.map, boxes.select(near))
             v[near] = np.where(fc.why == NONE, tighter(v[near], taylor(fc, radius)), v[near])
         return _checked(v, image.why)
 

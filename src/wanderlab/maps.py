@@ -310,6 +310,8 @@ class MeromorphicMap:
     # folded them, else None; one key per column from the start, so filling
     # one never resizes the dict while a process pool pickles the map
     known: dict = field(init=False, repr=False, compare=False)
+    # f' once derivative(m) has built it, else None; set from the start, so vars(m) never grows
+    prime: MeromorphicMap | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family_id not in FAMILY_IDS:
@@ -319,6 +321,7 @@ class MeromorphicMap:
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "tape", _compile(self.expr))
         object.__setattr__(self, "known", dict.fromkeys((_VEC, _BOX)))
+        object.__setattr__(self, "prime", None)
 
     def pole_snap_radius(self, pole: complex) -> float:
         return POLE_SNAP_RELATIVE * (1.0 + abs(pole))
@@ -587,11 +590,10 @@ def _centres(b: Boxes) -> tuple[Boxes, np.ndarray]:
         return c, box_mag(box_sub(b, c))
 
 
-def eval_mean_value_ball(m: MeromorphicMap, dm: MeromorphicMap,
-                         b: Boxes) -> tuple[Boxes, np.ndarray]:
+def eval_mean_value_ball(m: MeromorphicMap, b: Boxes) -> tuple[Boxes, np.ndarray]:
     """Mean-value enclosure of the image of each box of a batch.
 
-    dm is derivative(m).  With c the centre of a box X and r >= |z - c| on
+    f' is derivative(m).  With c the centre of a box X and r >= |z - c| on
     it, f(z) lies within sup_X |f'| r of f(c), as the segment from c to z
     lies in X.  Returns the boxes of f(c) and those radii, rounded up.  A
     box's code comes from f(c), f'(X) and the radius (numerics._first_code);
@@ -599,25 +601,25 @@ def eval_mean_value_ball(m: MeromorphicMap, dm: MeromorphicMap,
     fails.
     """
     c, r = _centres(b)
-    fc, d1 = eval_map_box(m, c), eval_map_box(dm, b)
+    fc, d1 = eval_map_box(m, c), eval_map_box(derivative(m), b)
     with np.errstate(all="ignore"):
         radius = _out_hi(box_mag(d1) * r)
     return fc._replace(why=_first_code(np.isfinite(radius), fc.why, d1.why)), radius
 
 
-def eval_taylor_ball(m: MeromorphicMap, dm: MeromorphicMap, d2m: MeromorphicMap,
-                     b: Boxes) -> tuple[Boxes, np.ndarray]:
+def eval_taylor_ball(m: MeromorphicMap, b: Boxes) -> tuple[Boxes, np.ndarray]:
     """Second-order Taylor enclosure of the image of each box of a batch.
 
-    dm and d2m are derivative(m) and derivative(dm).  With c the centre of a
-    box X and r >= |z - c| on it, f(z) lies within
+    f' and f'' are derivative(m) and derivative(derivative(m)).  With c the
+    centre of a box X and r >= |z - c| on it, f(z) lies within
     |f'(c)| r + sup_X |f''| r^2 / 2 of f(c).  Returns the boxes of f(c) and
     those radii, rounded up.  A box's code comes from f(c), f'(c), f''(X)
     and the radius (numerics._first_code); a code set on f''(X) also means
     f may have a pole in X, where the form fails.
     """
     c, r = _centres(b)
-    fc, d1, d2 = eval_map_box(m, c), eval_map_box(dm, c), eval_map_box(d2m, b)
+    fc, d1 = eval_map_box(m, c), eval_map_box(derivative(m), c)
+    d2 = eval_map_box(derivative(derivative(m)), b)
     with np.errstate(all="ignore"):
         radius = _out_hi(_out_hi(box_mag(d1) * r) + 0.5 * _out_hi(box_mag(d2) * _out_hi(r * r)))
     return fc._replace(why=_first_code(np.isfinite(radius), fc.why, d1.why, d2.why)), radius
@@ -682,10 +684,14 @@ def _diff(n: Node) -> Node:
 def derivative(m: MeromorphicMap) -> MeromorphicMap:
     """Symbolic derivative sharing the parameter table and pole set.
 
-    Division rules only ever square existing denominators, so the pole
-    locus is unchanged (orders may grow).
+    Built at the first call and kept on m, so every later call returns the
+    same map, its folded values included.  Division rules only ever square
+    existing denominators, so the pole locus is unchanged (orders may grow).
     """
-    return MeromorphicMap(_diff(m.expr), m.params, m.declared_poles, m.family_id)
+    if m.prime is None:
+        object.__setattr__(m, "prime", MeromorphicMap(_diff(m.expr), m.params,
+                                                      m.declared_poles, m.family_id))
+    return m.prime
 
 
 # ---------------------------------------------------------------------------

@@ -311,13 +311,13 @@ class Boxes(NamedTuple):
                      np.zeros(len(ends), np.uint8))
 
     @staticmethod
-    def point(z: complex) -> "Boxes":
-        """The point box at z, a batch of one."""
-        z = complex(z)
-        ends = np.empty((2, 2, 1))
+    def point(z: complex | np.ndarray) -> "Boxes":
+        """The point boxes at the zs of an array, or at one z, no codes set."""
+        z = np.asarray(z, dtype=np.complex128).reshape(-1)
+        ends = np.empty((2, 2, z.size))
         ends[:, 0] = z.real
         ends[:, 1] = z.imag
-        return Boxes(ends, np.zeros(1, np.uint8))
+        return Boxes(ends, np.zeros(z.size, np.uint8))
 
 
 def _first_code(finite, *codes) -> np.ndarray:

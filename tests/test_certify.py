@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import wanderlab.maps
 from oracles import PoleIntersect, certificate_reference
 from wanderlab.certify import (
     WINDING_MAX_SAMPLES,
@@ -20,6 +21,7 @@ from wanderlab.certify import (
     certify_inclusion,
     certify_inequality,
     count_zeros_inside,
+    derive_ex2_constants,
     locate_preimages,
     riemann_hurwitz_check,
     winding_number,
@@ -376,7 +378,7 @@ def test_expr_bound_keeps_the_rectangle_bound_where_the_taylor_form_has_a_code(t
     boxes = Boxes.of([box])
     image = eval_map_box(m, boxes)
     assert image.why[0] == NONE and box_mig(image)[0] == 0.0   # where the rule runs
-    fc, _ = eval_taylor_ball(m, derivative(m), derivative(derivative(m)), boxes)
+    fc, _ = eval_taylor_ball(m, boxes)
     assert fc.why[0] == code
     bound, region = ExprBound(m), Disk(0j, 2.0)
     hi, why_hi = bound.upper(boxes, region)
@@ -573,3 +575,21 @@ def test_derived_constants_deterministic(ex2_constants):
     c2 = again.derive_ex2_constants()
     for key in ("r1", "eps", "rho_g", "r2", "pole_weight_first_station"):
         assert c2[key] == ex2_constants[key]
+
+
+def test_constant_search_builds_four_derivatives(monkeypatch):
+    # g', g'', g''' (the Taylor form of |g'|) and the full map's f' (the
+    # mean-value ball of r2), each derived once: a derivative is one
+    # outermost maps._diff call, and its map keeps it for every certificate
+    diff, depth, built = wanderlab.maps._diff, [0], [0]
+
+    def counted(n):
+        built[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return diff(n)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(wanderlab.maps, "_diff", counted)
+    derive_ex2_constants()
+    assert built[0] == 4

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
+import pickle
 import random
 import runpy
 import sys
@@ -320,7 +321,10 @@ def _mixed_boxes(rng: random.Random, n: int) -> list[ComplexBox]:
         "coded-input-without-z"])
 def test_box_eval_batch_matches_single_boxes(m, probes):
     # a box's enclosure and reason code do not depend on the batch around it;
-    # each probe box, given its input code, gets the code wanted
+    # each probe box, given its input code, gets the code wanted.  A coded
+    # box's NaN ends are unspecified (NaN + NaN takes its sign and payload
+    # from its place in the batch), so for a coded box only the NaN positions
+    # and the other ends' bits are compared
     boxes = _mixed_boxes(random.Random(9001), 1000) + [b for b, _, _ in probes]
     codes = np.array([NONE] * 1000 + [code for _, code, _ in probes], np.uint8)
     batch = eval_map_box(m, Boxes.of(boxes)._replace(why=codes))
@@ -329,8 +333,11 @@ def test_box_eval_batch_matches_single_boxes(m, probes):
     for i, b in enumerate(boxes):
         alone = eval_map_box(m, Boxes.of([b])._replace(why=codes[i:i + 1]))
         assert alone.why[0] == batch.why[i]
-        assert (np.array([e[0] for e in rows(alone)]).tobytes()
-                == np.array([e[i] for e in rows(batch)]).tobytes())
+        got, want = (np.array([e[k] for e in rows(x)]) for x, k in ((alone, 0), (batch, i)))
+        if batch.why[i] != NONE:
+            assert (np.isnan(got) == np.isnan(want)).all()
+            got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))
+        assert got.tobytes() == want.tobytes()
     if m.declared_poles:
         assert (batch.why == POLE).any()
 
@@ -366,8 +373,8 @@ def test_box_arithmetic_is_bit_identical_under_nextafter_rounding(monkeypatch):
     def run():
         out = [eval_map_box(m, boxes) for m in maps]
         for m in (ex2, g):
-            out += eval_taylor_ball(m, derivative(m), derivative(derivative(m)), boxes)
-            out += eval_mean_value_ball(m, derivative(m), boxes)
+            out += eval_taylor_ball(m, boxes)
+            out += eval_mean_value_ball(m, boxes)
         with np.errstate(all="ignore"):
             out += [box_inflate(boxes, radius), box_mag(boxes, two_pi), box_mig(boxes, two_pi),
                     box_mag(boxes), box_mig(boxes)]
@@ -414,18 +421,19 @@ def test_vec_constant_map_keeps_input_shape():
 def test_box_eval_shares_subtrees_and_looks_ops_up_per_call(monkeypatch):
     # derivative(ex1) holds exp(z) three times and exp(a) once; the tape
     # evaluates each once, through the box_exp bound in wanderlab.maps now,
-    # and exp(a), which reads no z, only at a map's first evaluation
+    # and exp(a), which reads no z, only at a map's first evaluation;
+    # derivative() keeps f' on its map, so the patched run takes the
+    # derivative of a second ex1, which nothing has evaluated yet
     calls = []
     box_exp = wanderlab.maps.box_exp
-    family = build_family("ex1", {"a": A1, "eps": EPS1})
     b = Boxes.of([_centered(0.5 + 0.5j, 0.01)])
-    want = eval_map_box(derivative(family), b)
+    want = eval_map_box(derivative(build_family("ex1", {"a": A1, "eps": EPS1})), b)
     monkeypatch.setattr(wanderlab.maps, "box_exp",
                         lambda x: calls.append(x) or box_exp(x))
-    dm = derivative(family)
-    for n_calls in (2, 1):
+    fresh = derivative(build_family("ex1", {"a": A1, "eps": EPS1}))
+    for n_calls in (2, 1, 1):
         calls.clear()
-        assert all(np.array_equal(x, y) for x, y in zip(eval_map_box(dm, b), want))
+        assert all(np.array_equal(x, y) for x, y in zip(eval_map_box(fresh, b), want))
         assert len(calls) == n_calls
 
 
@@ -594,6 +602,35 @@ def test_derivative_keeps_pole_set():
         eval_map(dm, 0.0)
 
 
+def test_derivative_is_built_once_per_map():
+    # the map keeps f', so f' and f'' are the same maps at every call, and
+    # neither derivative nor evaluation adds an attribute: the raster pool
+    # pickles maps in a feeder thread while the axis row evaluates
+    m = build_family("ex2", {"eps": EPS2})
+    names = set(vars(m))
+    assert derivative(m) is derivative(m)
+    assert derivative(derivative(m)) is derivative(derivative(m))
+    b = Boxes.of([_centered(0.5 + 0.5j, 0.01)])
+    eval_taylor_ball(m, b)
+    eval_mean_value_ball(m, b)
+    eval_map_vec(derivative(m), np.array([0.5 + 0.5j]))
+    for f in (m, derivative(m), derivative(derivative(m))):
+        assert set(vars(f)) == names
+
+
+def test_pickled_map_keeps_its_derivative(monkeypatch):
+    # a map whose f' is built and folded round-trips through pickle with
+    # f' on it: nothing is derived again, and f' evaluates bit for bit
+    m = build_family("ex1", {"a": A1, "eps": EPS1})
+    b = Boxes.of([_centered(0.5 + 0.5j, 0.01), _centered(-1.0 + 2.0j, 0.25)])
+    want = eval_map_box(derivative(m), b)
+    again = pickle.loads(pickle.dumps(m))
+    monkeypatch.setattr(wanderlab.maps, "_diff", None)
+    got = eval_map_box(derivative(again), b)
+    assert derivative(again) is derivative(again)
+    assert got.ends.tobytes() == want.ends.tobytes() and got.why.tolist() == want.why.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Second-order Taylor enclosures.
 # ---------------------------------------------------------------------------
@@ -627,7 +664,7 @@ def test_taylor_ball_encloses_samples(name):
         boxes.append(b)
         points.append([complex(re, im) for re in (b.re_lo, b.re_hi) for im in (b.im_lo, b.im_hi)]
                       + [complex(rng.uniform(b.re_lo, b.re_hi), rng.uniform(b.im_lo, b.im_hi))])
-    fc, radius = eval_taylor_ball(m, derivative(m), derivative(derivative(m)), Boxes.of(boxes))
+    fc, radius = eval_taylor_ball(m, Boxes.of(boxes))
     assert (fc.why == NONE).all()
     re_lo, re_hi, im_lo, im_hi = (e.tolist() for e in rows(fc))   # floats compare exactly
     with mpmath.workdps(80):
@@ -670,7 +707,7 @@ def test_mean_value_ball_encloses_samples_and_codes_poles(name):
         else:
             c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         boxes.append(_centered(c, half))
-    fc, radius = eval_mean_value_ball(m, derivative(m), Boxes.of(boxes))
+    fc, radius = eval_mean_value_ball(m, Boxes.of(boxes))
     holds_pole = [any(b.re_lo <= p.real <= b.re_hi and b.im_lo <= p.imag <= b.im_hi
                       for p in m.declared_poles) for b in boxes]
     assert all(fc.why[i] != NONE for i, hit in enumerate(holds_pole) if hit)

@@ -120,6 +120,14 @@ def test_recip_point_box():
     out = box_recip(Boxes.point(0.5 + 0.5j))
     _assert_encloses(out, [[1.0 - 1.0j]], "recip(0.5+0.5i)")
     assert max(out.re_hi - out.re_lo, out.im_hi - out.im_lo) < 1e-12
+    # an array is a batch of point boxes, one per z, each as the single z's
+    zs = np.array([0.5 + 0.5j, complex(-0.0, 2.0), complex(3.0, -0.0)])
+    batch = Boxes.point(zs)
+    assert batch.why.tolist() == [NONE] * 3
+    assert batch.ends.tobytes() == np.stack([zs.real, zs.imag] * 2).tobytes()
+    for i, z in enumerate(zs):
+        assert batch.select([i]).ends.tobytes() == Boxes.point(z).ends.tobytes()
+    _assert_encloses(box_recip(batch), (1.0 / zs)[:, None], "recip of a point batch")
 
 
 def test_recip_of_zero_straddling_box_is_pole():

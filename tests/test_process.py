@@ -93,6 +93,18 @@ def test_each_box_rule_has_one_owner():
     assert "if self.closed" not in texts["regions.py"]
 
 
+def test_no_function_takes_a_derivative_map():
+    # maps.derivative owns f': a form that needs f' or f'' derives it from
+    # the map it encloses, so no caller can pass the derivative of another
+    found = [(path.name, node.lineno, arg.arg)
+             for path in sorted((SRC / "wanderlab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+             if arg.arg in ("dm", "d2m")]
+    assert found == []
+
+
 def _top_level_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

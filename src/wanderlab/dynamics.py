@@ -10,11 +10,12 @@ escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and admits
 the next start points whenever half the block or less is left, so its
 working memory does not grow with the number of points: per point it
 holds a uint8 verdict, and per attracted or drifting orbit the value it
-retired with.  A step updates the live orbits' state in place and steps
-every station ladder in one vectorized pass; the map's guards, the pole
-snap and the escape and retirement bookkeeping allocate only at steps
-where they fire.  Each orbit's retirement step also lands in a log2
-histogram per verdict.
+retired with.  A step updates the live orbits' int32 state block in place
+and steps every station ladder in one vectorized pass, testing each
+distinct ladder band once; the map's guards, the pole snap and the
+escape and retirement bookkeeping allocate only at steps where they fire,
+and one take compacts the state at a step where orbits retire.  Each
+orbit's retirement step also lands in a log2 histogram per verdict.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
@@ -22,8 +23,10 @@ region, and `classify_grid` once from the first estimate of every
 attraction basin met in scan order (`maps.group_roots` groups the
 estimates; a basin confirms at residual at most 1e-12; the pixels of a
 basin that does not confirm fall back to the budget verdict).
-`classify_grid` cuts the rows of a window into one contiguous range per
-worker; each range builds its pixel centers a block at a time from their
+`classify_grid` cuts the rows of a window into contiguous ranges, one per
+worker but no more than there are rows or orbit blocks of pixels, so a
+raster of one block or less is classified in-process; each range builds
+its pixel centers a block at a time, whole rows broadcast, from their
 row and column coordinates, runs the orbit machine over them and returns
 its verdicts with the fixed-point estimates of its attracted pixels and
 the track ids of its drifting ones only, and its retirement histogram.
@@ -242,8 +245,11 @@ class _GridPoints:
         return self.xs.size * self.ys.size
 
     def __getitem__(self, s: slice) -> np.ndarray:
-        row, col = np.divmod(np.arange(s.start, s.stop), self.xs.size)
-        return self.xs[col] + 1j * self.ys[row]
+        # every row the slice touches, broadcast whole, then cut to the slice
+        w = self.xs.size
+        r0, r1 = s.start // w, -(-s.stop // w)
+        rows = self.xs + 1j * self.ys[r0:r1, None]
+        return rows.ravel()[s.start - r0 * w:s.stop - r0 * w]
 
 
 def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
@@ -253,17 +259,18 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     Returns (verdict codes, the fixed-point estimates of the attracted
     orbits, the track ids of the drifting ones, the retirement histogram),
     the first three in scan order.  The loop keeps at most ORBIT_BLOCK live
-    orbits: their start positions, current points, and int32 state: the
-    (2, s) counts, of short steps and of steps taken (the age), and the
-    (L, 2, s) streaks, per ladder the streak length and the last corridor
-    index (a streak advances one index per step, so it began at
-    last - length + 1).  A step updates the counts in place; all of them
-    shrink, by one take of the live orbits' positions, as orbits get
-    verdicts, and an attracted or drifting orbit leaves its value with its
-    start position.  An orbit retires as budget at age cfg.max_iter, and
-    once half the block or less is live the next start points, sliced out
-    of zs, fill it again.  Each verdict is a pure function of its start
-    point, so the block size changes no output.
+    orbits: their start positions, current points, and one int32 state
+    block of 2 + 2L rows: the count of short steps in a row, the age (steps
+    taken), per ladder the streak length, and per ladder the corridor index
+    that would advance the streak (the last index + 1, so a streak began at
+    that index minus its length).  A step updates the state in place, and
+    at a step where orbits get verdicts one take of the live orbits'
+    positions compacts the start positions, the points and the block; an
+    attracted or drifting orbit leaves its value with its start position.
+    An orbit retires as budget at age cfg.max_iter, and once half the block
+    or less is live the next start points, sliced out of zs, fill it again.
+    Each verdict is a pure function of its start point, so the block size
+    changes no output.
 
     The histogram counts retired orbits per verdict code (row) and log2
     bucket of the step they retired at (column k: steps 2**k to
@@ -276,11 +283,11 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     buckets = cfg.max_iter.bit_length()
     retired = np.zeros(len(_VERDICT_NAMES) * buckets, dtype=np.int64)
     ladders = _Ladders.of(cfg.stations)
+    rows = 2 + 2 * len(cfg.stations)
 
     start = np.zeros(0, dtype=np.intp)
     z = np.zeros(0, dtype=np.complex128)
-    counts = np.zeros((2, 0), dtype=np.int32)
-    streaks = np.zeros((len(cfg.stations), 2, 0), dtype=np.int32)
+    state = np.zeros((rows, 0), dtype=np.int32)
     admitted = 0
 
     while start.size or admitted < n:
@@ -288,53 +295,55 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
             k = min(ORBIT_BLOCK - start.size, n - admitted)
             new_start = np.arange(admitted, admitted + k)
             new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
-            new_streaks = np.zeros((len(cfg.stations), 2, k), dtype=np.int32)
+            new_state = np.zeros((rows, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
-            _ladders_step(ladders, new_z, new_streaks, np.ones(k, dtype=bool), new_start,
-                          verdict, drifted)
+            _ladders_step(ladders, new_z, new_state[2:], None, new_start, verdict, drifted)
             start = np.concatenate([start, new_start])
             z = np.concatenate([z, new_z])
-            counts = np.concatenate([counts, np.zeros((2, k), dtype=np.int32)], axis=1)
-            streaks = np.concatenate([streaks, new_streaks], axis=2)
+            state = np.concatenate([state, new_state], axis=1)
             admitted += k
         nxt, bad = eval_map_vec(m, z)
-        esc = np.abs(nxt) > cfg.escape_radius
-        esc |= bad
-        alive = ~esc
-        # index arrays, not boolean masks, select the orbits that retire:
-        # a mask gathers several times slower when its bits are scattered
-        escaped = np.flatnonzero(esc)
-        if escaped.size:
-            verdict[start[escaped]] = _V_ESCAPED
-            if m.declared_poles and bad.any():
+        # the orbits that retire at this step, or None while none does;
+        # index arrays, not boolean masks, select them: a mask gathers
+        # several times slower when its bits are scattered
+        gone = np.abs(nxt) > cfg.escape_radius
+        gone |= bad
+        if np.count_nonzero(gone):
+            verdict[start[gone.nonzero()[0]]] = _V_ESCAPED
+            if m.declared_poles and np.count_nonzero(bad):
                 # eval_map_vec flags a point in a pole's snap zone: a pole
                 # hit, not an escape
-                flagged = np.flatnonzero(bad)
+                flagged = bad.nonzero()[0]
                 verdict[start[flagged[m.in_pole_snap(z[flagged])]]] = _V_POLE
-        consec, age = counts
-        consec += 1
+        else:
+            gone = None
+        counts = state[:2]     # short steps in a row, and the age
+        counts += 1
+        consec = state[0]
         consec *= np.abs(nxt - z) < cfg.attract_tol
         conv = consec >= cfg.cycle_window
-        if conv.any():
-            conv &= alive          # an escaping orbit is not attracted
-            verdict[start[conv]] = _V_ATTRACTED
-            attracted.append((start[conv], nxt[conv]))
-            alive &= ~conv
+        if np.count_nonzero(conv):
+            if gone is not None:
+                np.greater(conv, gone, out=conv)   # an escaping orbit is not attracted
+            now = conv.nonzero()[0]
+            verdict[start[now]] = _V_ATTRACTED
+            attracted.append((start[now], nxt[now]))
+            gone = conv if gone is None else np.logical_or(gone, conv, out=gone)
         z = nxt
-        _ladders_step(ladders, z, streaks, alive, start, verdict, drifted)
-        age += 1
+        gone = _ladders_step(ladders, z, state[2:], gone, start, verdict, drifted)
         # orbits are admitted in order and compaction keeps it, so the
         # first live orbit is the oldest
+        age = state[1]
         if age[0] >= cfg.max_iter:
-            alive &= age < cfg.max_iter
-        if not alive.all():
-            gone = np.flatnonzero(~alive)
-            steps = np.frexp(age[gone])[1] - 1
-            retired += np.bincount(verdict[start[gone]].astype(np.intp) * buckets + steps,
+            old = age >= cfg.max_iter
+            gone = old if gone is None else np.logical_or(gone, old, out=gone)
+        if gone is not None:
+            now = gone.nonzero()[0]
+            steps = np.frexp(age[now])[1] - 1
+            retired += np.bincount(verdict[start[now]].astype(np.intp) * buckets + steps,
                                    minlength=retired.size)
-            keep = np.flatnonzero(alive)
-            start, z = start.take(keep), z.take(keep)
-            counts, streaks = counts.take(keep, axis=1), streaks.take(keep, axis=2)
+            keep = np.logical_not(gone, out=gone).nonzero()[0]
+            start, z, state = start.take(keep), z.take(keep), state.take(keep, axis=1)
     return (verdict, _in_scan_order(attracted), _in_scan_order(drifted),
             retired.reshape(len(_VERDICT_NAMES), buckets))
 
@@ -351,75 +360,102 @@ class _Ladders(NamedTuple):
     base: np.ndarray       # complex128
     step: np.ndarray
     radius: np.ndarray
-    min_index: np.ndarray  # float64, compared with rounded corridor indices
+    # float64 max(min_index, 1 - _INDEX_LIMIT): index >= lo and
+    # index < _INDEX_LIMIT hold when index >= min_index and |index| < _INDEX_LIMIT
+    lo: np.ndarray
     streak: np.ndarray     # int32
     offset: np.ndarray     # int32 (L,): k * LADDER_STRIDE, added to a track id
+    bands: tuple           # the distinct (Im base, radius) pairs of the ladders
 
     @classmethod
     def of(cls, stations) -> _Ladders | None:
         if not stations:
             return None
 
-        def col(attr, dtype):
-            return np.array([[getattr(st, attr)] for st in stations], dtype=dtype)
+        def col(values, dtype):
+            return np.array([[v] for v in values], dtype=dtype)
 
-        return cls(col("base", np.complex128), col("step", np.float64),
-                   col("radius", np.float64), col("min_index", np.float64),
-                   col("streak", np.int32),
-                   np.arange(len(stations), dtype=np.int32) * LADDER_STRIDE)
+        return cls(col((st.base for st in stations), np.complex128),
+                   col((st.step for st in stations), np.float64),
+                   col((st.radius for st in stations), np.float64),
+                   col((max(st.min_index, 1 - _INDEX_LIMIT) for st in stations), np.float64),
+                   col((st.streak for st in stations), np.int32),
+                   np.arange(len(stations), dtype=np.int32) * LADDER_STRIDE,
+                   tuple(dict.fromkeys((st.base.imag, st.radius) for st in stations)))
 
 
-def _ladders_step(ladders, z, streaks, alive, start, verdict, drifted):
-    """One step of every ladder at once on the orbits still alive; a
-    completed streak records the orbit as drifting, appends its start
-    position and track id to drifted, and clears its alive flag.  When
-    streaks on several ladders complete at the same step, the first
-    declared ladder wins.
+def _ladders_step(ladders, z, streaks, gone, start, verdict, drifted):
+    """One step of every ladder at once on the orbits that do not retire at
+    this step: gone marks those that do, or is None when none does.  A
+    completed streak records the orbit as drifting and appends its start
+    position and track id to drifted.  When streaks on several ladders
+    complete at the same step, the first declared ladder wins.  streaks is
+    the (2L, s) int32 ladder part of the state block, updated in place.
+    Returns gone with the drifting orbits marked (a new mask if it was None
+    and some orbit drifts).
 
     A point off a ladder's band |Im z - Im base| < radius is outside all
     its corridors (the step is real), so only the points in some ladder's
     band or in some running streak are gathered and updated: the others
     keep streak length 0 on every ladder.  A gathered point off a ladder's
-    band gets streak length 0 there, which it had already.
+    band gets streak length 0 there, which it had already.  Ladders that
+    share a band test it once.
     """
     if ladders is None:
-        return
-    band = np.abs(z.imag - ladders.base.imag) < ladders.radius
-    band |= streaks[:, 0] > 0
-    band &= alive
-    sel = np.flatnonzero(band.any(axis=0))
-    sub = streaks.take(sel, axis=2)
-    done = _station_update(ladders, z[sel], sub)
-    streaks[:, :, sel] = sub
-    won = done.any(axis=0)
-    if won.any():
-        cols = np.flatnonzero(won)
+        return gone
+    im = z.imag
+    near = None
+    for b, r in ladders.bands:
+        # |y - 0.0| is |y|, bit for bit: a band on the real axis subtracts nothing
+        band = np.abs(im - b if b else im) < r
+        near = band if near is None else np.logical_or(near, band, out=near)
+    near |= np.logical_or.reduce(streaks[:len(ladders.streak)], axis=0)   # a running streak
+    if gone is not None:
+        np.greater(near, gone, out=near)
+    sel = near.nonzero()[0]
+    if not sel.size:
+        return gone
+    if sel.size == z.size:
+        sub = streaks
+        done = _station_update(ladders, z, sub)
+    else:
+        sub = streaks.take(sel, axis=1)
+        done = _station_update(ladders, z.take(sel), sub)
+        streaks[:, sel] = sub
+    if np.count_nonzero(done):
+        cols = np.logical_or.reduce(done, axis=0).nonzero()[0]
         k = done[:, cols].argmax(axis=0)
         fin = sel[cols]
         verdict[start[fin]] = _V_DRIFTING
-        run, last = sub[k, 0, cols], sub[k, 1, cols]
-        drifted.append((start[fin], last - run + 1 + ladders.offset[k]))
-        alive[fin] = False
+        run, want = sub[k, cols], sub[len(ladders.streak) + k, cols]
+        drifted.append((start[fin], want - run + ladders.offset[k]))
+        if gone is None:
+            gone = np.zeros(z.size, dtype=bool)
+        gone[fin] = True
+    return gone
 
 
-def _station_update(ladders: _Ladders, cur, state):
-    """One step of every ladder for the points cur; state holds their
-    (L, 2, len(cur)) int32 rows (streak length, last index) per ladder and
-    is updated in place.  Returns the (L, len(cur)) mask of streaks that
-    reached their ladder's streak length."""
-    run, last = state[:, 0], state[:, 1]
-    approx = np.round((cur.real - ladders.base.real) / ladders.step)
+def _station_update(ladders: _Ladders, cur, streaks):
+    """One step of every ladder for the points cur; streaks holds their
+    (2L, len(cur)) int32 rows, the streak lengths and then the indices
+    that advance them, per ladder, and is updated in place.  Returns the
+    (L, len(cur)) mask of streaks that reached their ladder's streak
+    length."""
+    run, want = streaks[:len(ladders.streak)], streaks[len(ladders.streak):]
+    approx = cur.real - ladders.base.real
+    approx /= ladders.step
+    np.rint(approx, out=approx)
     centers = ladders.base + approx * ladders.step
-    inside = np.abs(cur - centers) < ladders.radius
-    inside &= approx >= ladders.min_index
-    inside &= np.abs(approx) < _INDEX_LIMIT
-    # outside every corridor: an index that no last + 1 can equal
+    centers -= cur          # |centers - cur| is |cur - centers|, bit for bit
+    inside = np.abs(centers) < ladders.radius
+    inside &= approx >= ladders.lo
+    inside &= approx < _INDEX_LIMIT
+    # outside every corridor: an index that no advancing index can equal
     idx = np.where(inside, approx, _OUTSIDE).astype(np.int32)
     # advancing: run + 1; else inside: 1; else 0
-    last += 1
-    run *= idx == last
+    run *= idx == want
     run += inside
-    last[...] = idx
+    np.add(idx, 1, out=want)
     return run >= ladders.streak
 
 
@@ -456,15 +492,18 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     A mirrored raster (_mirrored) classifies only its rows height // 2 ..
     height - 1, the axis row included when the height is odd, and
     _reflect builds the rest.  The classified rows other than an axis row
-    are cut into min(workers, rows) contiguous ranges, run in-process when
-    there is one and through a process pool otherwise.  An axis row is a
+    are cut into min(workers, rows, ceil(their pixels / ORBIT_BLOCK))
+    contiguous ranges, run in-process when there is one and through a
+    process pool otherwise: a pool's start-up costs more than a range of
+    less than one orbit block saves (on ex1-core's 8,192 pixels, 37 ms of
+    CPU through two workers against 11 ms in-process).  An axis row is a
     range of its own, run in-process, because its orbits count once in the
     retirement histogram and every other classified orbit twice."""
     mirrored = _mirrored(m, cfg, window)
     top = height // 2 if mirrored else 0
     axis = mirrored and height % 2 == 1
     lo = top + axis
-    ranges = min(max(workers, 1), height - lo)
+    ranges = min(max(workers, 1), height - lo, -(-(height - lo) * width // ORBIT_BLOCK))
     tasks = [(m, cfg, window, width, height, lo + (height - lo) * i // ranges,
               lo + (height - lo) * (i + 1) // ranges) for i in range(ranges)]
     axis_task = [(m, cfg, window, width, height, top, top + 1)] if axis else []
@@ -547,8 +586,10 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     verdict boundary could read otherwise if classified itself.  The
     bundled rasters give the outputs of the full classification bit for bit.
 
-    The classified rows are cut into min(workers, rows) contiguous ranges, run
-    in-process when there is one and through a process pool otherwise.
+    The classified rows are cut into min(workers, rows, ceil(classified
+    pixels / ORBIT_BLOCK)) contiguous ranges, run in-process when there is
+    one and through a process pool otherwise, so a raster of one orbit
+    block or less forks no pool.
     Each range builds its start points a block at a time from its row and
     column coordinates and runs the orbit machine, which keeps at most
     ORBIT_BLOCK orbits live, so a worker's orbit state is bounded whatever

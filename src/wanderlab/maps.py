@@ -515,17 +515,17 @@ _NAN = complex(math.nan, math.nan)
 def _div_vec(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = num / den
     tiny = np.abs(den) < _DIV_FLOOR
-    return np.where(tiny, _NAN, out) if tiny.any() else out
+    return np.where(tiny, _NAN, out) if np.count_nonzero(tiny) else out
 
 
 def _exp_vec(w: np.ndarray) -> np.ndarray:
     huge = w.real > _EXP_CAP
-    return np.exp(np.where(huge, _NAN, w) if huge.any() else w)
+    return np.exp(np.where(huge, _NAN, w) if np.count_nonzero(huge) else w)
 
 
 def _sin_vec(w: np.ndarray) -> np.ndarray:
     huge = np.abs(w.imag) > _EXP_CAP
-    return np.sin(np.where(huge, _NAN, w) if huge.any() else w)
+    return np.sin(np.where(huge, _NAN, w) if np.count_nonzero(huge) else w)
 
 
 def eval_map(m: MeromorphicMap, z: complex) -> complex:

@@ -365,7 +365,8 @@ def _station_update_reference(z, st, k, active, run, run_start, prev_idx,
     cur = z[idx]
     approx = np.round((cur.real - st.base.real) / st.step).astype(np.int64)
     centers = st.base + approx * st.step
-    inside = (np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
+    inside = ((np.abs(cur - centers) < st.radius) & (approx >= st.min_index)
+              & (np.abs(approx) < 2 ** 23))
     advancing = inside & (approx == prev_idx[idx] + 1)
     fresh = inside & ~advancing
     run_new = np.where(advancing, run[idx] + 1, np.where(fresh, 1, 0))

@@ -286,6 +286,14 @@ THREE_LADDERS = (StationSpec(base=0.1 + 0j, step=1.0, radius=0.35, min_index=-10
                  StationSpec(base=0.4 + 0.3j, step=1.0, radius=0.2, min_index=-100, streak=6),
                  StationSpec(base=50j, step=-2.0, radius=0.1, min_index=-100, streak=3))
 
+SAME_IM_BASE = (StationSpec(base=0j, step=1.0, radius=0.2, min_index=-100, streak=4),
+                StationSpec(base=0.5 + 0j, step=1.0, radius=0.45, min_index=-100, streak=5))
+SHARED_BAND = (StationSpec(base=0j, step=1.0, radius=0.4, min_index=2, streak=3),
+               StationSpec(base=0.5 + 0j, step=1.0, radius=0.4, min_index=-1, streak=4))
+INDEX_LIMIT_LADDERS = (StationSpec(base=0j, step=1.0, radius=0.3, min_index=0, streak=4),
+                       StationSpec(base=2.0 ** 24 + 0j, step=1.0, radius=0.3,
+                                   min_index=-2 ** 30, streak=4))
+
 
 LOOP_CASES = {
     "ex2-grid-two-ladders": (build_family("ex2", {"eps": EPS2}),
@@ -314,6 +322,21 @@ LOOP_CASES = {
     "escape-at-the-last-step": (custom_map("(mul z 2)"),
                                 2.0 ** -np.array([6, 0, 5, 1, 7, 4, 6, 2, 3]) + 0j,
                                 OrbitConfig(max_iter=25)),
+    # two bands on the real axis, of radii 0.2 and 0.45: the points with
+    # 0.2 <= |Im z| < 0.45 are in the second ladder's band only
+    "one-im-base-two-radii": (custom_map("(add z 1)"),
+                              _grid_points(ComplexBox(-3.0, 3.0, -0.5, 0.5), 24, 10),
+                              OrbitConfig(max_iter=20, stations=SAME_IM_BASE)),
+    # one band, tested once, for two ladders whose streaks start at
+    # different least indices
+    "one-band-two-min-indices": (custom_map("(add z 1)"),
+                                 _grid_points(ComplexBox(-4.0, 2.0, -0.3, 0.3), 24, 6),
+                                 OrbitConfig(max_iter=20, stations=SHARED_BAND)),
+    # corridor indices crossing 2**23 on the first ladder and -2**23 on the
+    # second, which lie outside every corridor
+    "index-limit": (custom_map("(add z 1)"),
+                    _grid_points(ComplexBox(2.0 ** 23 - 8, 2.0 ** 23 + 8, -0.1, 0.1), 32, 2),
+                    OrbitConfig(max_iter=20, escape_radius=1e8, stations=INDEX_LIMIT_LADDERS)),
 }
 
 
@@ -385,7 +408,10 @@ MIRRORED_CASES = {
 
 
 @pytest.mark.parametrize("case", MIRRORED_CASES)
-def test_mirrored_raster_equals_the_full_classification(case):
+def test_mirrored_raster_equals_the_full_classification(monkeypatch, case):
+    # a block of at most half of each raster's classified pixels, so that
+    # 2 workers classify 2 ranges
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
     m, win, width, height, cfg = MIRRORED_CASES[case]
     assert dynamics._mirrored(m, cfg, win)
     ref = classify_grid_reference(m, win, width, height, cfg)
@@ -433,9 +459,11 @@ def test_rasters_without_mirror_symmetry_classify_every_pixel(monkeypatch, case)
     assert g.verdict_counts == ref.verdict_counts and g.retire_steps == ref.retire_steps
 
 
-def test_retire_steps_total_the_loop_verdicts_whatever_the_workers():
+def test_retire_steps_total_the_loop_verdicts_whatever_the_workers(monkeypatch):
     # the ranges' histograms add up to the same one for 1 and 3 workers,
-    # and each verdict's buckets add up to its pixels from the orbit loop
+    # and each verdict's buckets add up to its pixels from the orbit loop;
+    # the 3,200 classified pixels fill more than 3 blocks of 1,024, so 3 ranges
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 20.0, -2.6, 2.6)
@@ -547,7 +575,9 @@ def test_streak_resets_when_the_orbit_leaves_the_band():
     assert track.size == 0
 
 
-def test_grid_deterministic_and_worker_invariant():
+def test_grid_deterministic_and_worker_invariant(monkeypatch):
+    # the 864 classified pixels fill more than 3 blocks of 256, so 3 ranges
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 256)
     m = ex1()
     win = ComplexBox(-0.05, 0.05, -0.05, 0.05)
     g1 = classify_grid(m, win, 48, 36, OrbitConfig())
@@ -559,25 +589,70 @@ def test_grid_deterministic_and_worker_invariant():
     assert np.array_equal(g1.ids, g3.ids)
 
 
-def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
+class _RaisingPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a raster of one orbit block or less forks no pool")
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor that maps in-process and starts no process; it
+    logs each pool's max_workers and every task it maps."""
+    sizes: list = []
+    tasks: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.tasks.extend(tasks)
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "tasks", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+def test_raster_of_one_block_classifies_in_process(monkeypatch):
+    # 64 classified pixels fill one block of 64: one range, whatever the
+    # workers, and no pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RaisingPool)
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 64)
+    m = ex1()
+    # not symmetric about the real axis, so all 8 rows are classified
+    win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
+    g = classify_grid(m, win, 8, 8, OrbitConfig(), workers=2)
+    ref = classify_grid_reference(m, win, 8, 8, OrbitConfig())
+    assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
+    assert g.retire_steps == ref.retire_steps
+
+
+def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording_pool):
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 64)
+    m = ex1()
+    win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
+    g = classify_grid(m, win, 13, 5, OrbitConfig(), workers=2)
+    assert [t[5:] for t in recording_pool.tasks] == [(0, 2), (2, 5)]
+    ref = classify_grid_reference(m, win, 13, 5, OrbitConfig())
+    assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
+
+
+def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_pool):
     # the pool forks every worker up front, so a huge --threads must not
     # reach it; the fake maps in-process and starts no process
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    sizes = recording_pool.sizes
+    # a block of 4 pixels, so that each of the 4 rows fills one
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 4)
     m = ex1()
     # not symmetric about the real axis, so all 4 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
@@ -590,31 +665,17 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch):
     assert sizes[1:] == [min(2, os.cpu_count() or 1)]
 
 
-def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch):
+def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_pool):
     # a row task names its rows and builds its own pixel centers: no
     # per-pixel array crosses the pool
-    task_bytes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            task_bytes.extend(len(pickle.dumps(t)) for t in tasks)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # a block smaller than half of the 900 classified pixels: 2 ranges
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 256)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
     one = classify_grid(m, win, 90, 21, cfg, workers=1)
     two = classify_grid(m, win, 90, 21, cfg, workers=2)
+    task_bytes = [len(pickle.dumps(t)) for t in recording_pool.tasks]
     assert len(task_bytes) == 2 and max(task_bytes) < 4096
     assert np.array_equal(one.labels, two.labels) and np.array_equal(one.ids, two.ids)
     assert one.verdict_counts == two.verdict_counts

@@ -67,6 +67,15 @@ def test_scenario_import_leaves_the_raster_pool_out():
     assert _fresh_python(probe, os.environ) == "False"
 
 
+def test_small_raster_forks_no_pool_whatever_the_threads():
+    # ex1-core's raster classifies 8,192 pixels, a quarter of an orbit
+    # block: one range, classified in-process even with two threads
+    probe = ("import sys; from wanderlab.scenario import run_scenario; "
+             "run_scenario('ex1-core', threads=2); "
+             "print('concurrent.futures.process' in sys.modules)")
+    assert _fresh_python(probe, os.environ) == "False"
+
+
 _BLAS_ATTRS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 

@@ -6,16 +6,17 @@ shorter than `attract_tol`), escape past `escape_radius`, a hit on a
 declared pole, station drift, or the iteration budget.  Every point
 `eval_map_vec` flags escapes, unless it lies in a declared pole's snap
 zone, which is a pole hit; so a pole the map does not declare reads as
-escape to infinity.  It keeps at most ORBIT_BLOCK orbits live and admits
-the next start points whenever half the block or less is left, so its
-working memory does not grow with the number of points: per point it
-holds a uint8 verdict, and per attracted or drifting orbit the value it
-retired with.  A step updates the live orbits' int32 state block in place
-and steps every station ladder in one vectorized pass, testing each
-distinct ladder band once; the map's guards, the pole snap and the
-escape and retirement bookkeeping allocate only at steps where they fire,
-and one take compacts the state at a step where orbits retire.  Each
-orbit's retirement step also lands in a log2 histogram per verdict.
+escape to infinity.  It keeps at most ORBIT_BLOCK (2**14) orbits live
+and admits the next start points whenever half the block or less is
+left, so its working memory does not grow with the number of points: per
+point it holds a uint8 verdict, and per attracted or drifting orbit the
+value it retired with.  A step updates the live orbits' int32 state
+block in place and steps every station ladder in one vectorized pass,
+testing each distinct ladder band once; the map's guards, the pole snap
+and the escape and retirement bookkeeping allocate only at steps where
+they fire, and one take compacts the state at a step where orbits
+retire.  Each orbit's retirement step also lands in a log2 histogram per
+verdict.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
@@ -24,12 +25,13 @@ attraction basin met in scan order (`maps.group_roots` groups the
 estimates; a basin confirms at residual at most 1e-12; the pixels of a
 basin that does not confirm fall back to the budget verdict).
 `classify_grid` cuts the rows of a window into contiguous ranges, one per
-worker but no more than there are rows or orbit blocks of pixels, so a
-raster of one block or less is classified in-process; each range builds
-its pixel centers a block at a time, whole rows broadcast, from their
-row and column coordinates, runs the orbit machine over them and returns
-its verdicts with the fixed-point estimates of its attracted pixels and
-the track ids of its drifting ones only, and its retirement histogram.
+worker but no more than there are rows or RANGE_PIXELS (2**15) shares of
+pixels, so a raster of one share or less is classified in-process; each
+range builds its pixel centers a block at a time, whole rows broadcast,
+from their row and column coordinates, runs the orbit machine over them
+and returns its verdicts with the fixed-point estimates of its attracted
+pixels and the track ids of its drifting ones only, and its retirement
+histogram.
 A raster that is its own mirror image is classified in its upper half
 only: when every constant and parameter on the map's tape, every declared
 pole and every station ladder's base is real, and the window has
@@ -231,7 +233,10 @@ class RasterGrid:
         return i, j
 
 
-ORBIT_BLOCK = 2 ** 15   # the most orbits _orbit_verdicts keeps live at once
+ORBIT_BLOCK = 2 ** 14   # the most orbits _orbit_verdicts keeps live at once
+# _classify_ranges cuts no more ranges than there are shares of RANGE_PIXELS
+# classified pixels: a pool's start-up costs more than a smaller range saves
+RANGE_PIXELS = 2 ** 15
 
 
 class _GridPoints:
@@ -492,18 +497,21 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     A mirrored raster (_mirrored) classifies only its rows height // 2 ..
     height - 1, the axis row included when the height is odd, and
     _reflect builds the rest.  The classified rows other than an axis row
-    are cut into min(workers, rows, ceil(their pixels / ORBIT_BLOCK))
+    are cut into min(workers, rows, ceil(their pixels / RANGE_PIXELS))
     contiguous ranges, run in-process when there is one and through a
     process pool otherwise: a pool's start-up costs more than a range of
-    less than one orbit block saves (on ex1-core's 8,192 pixels, 37 ms of
-    CPU through two workers against 11 ms in-process).  An axis row is a
-    range of its own, run in-process, because its orbits count once in the
-    retirement histogram and every other classified orbit twice."""
+    less than RANGE_PIXELS saves (on ex1-core's 8,192 pixels, 37 ms of CPU
+    through two workers against 11 ms in-process, and on a 200x200 ex1
+    raster's 20,000, 41 ms against 18 ms).  The rule does not follow
+    ORBIT_BLOCK, which bounds a range's memory, not what it saves.  An axis
+    row is a range of its own, run in-process, because its orbits count
+    once in the retirement histogram and every other classified orbit
+    twice."""
     mirrored = _mirrored(m, cfg, window)
     top = height // 2 if mirrored else 0
     axis = mirrored and height % 2 == 1
     lo = top + axis
-    ranges = min(max(workers, 1), height - lo, -(-(height - lo) * width // ORBIT_BLOCK))
+    ranges = min(max(workers, 1), height - lo, -(-(height - lo) * width // RANGE_PIXELS))
     tasks = [(m, cfg, window, width, height, lo + (height - lo) * i // ranges,
               lo + (height - lo) * (i + 1) // ranges) for i in range(ranges)]
     axis_task = [(m, cfg, window, width, height, top, top + 1)] if axis else []
@@ -587,15 +595,15 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     bundled rasters give the outputs of the full classification bit for bit.
 
     The classified rows are cut into min(workers, rows, ceil(classified
-    pixels / ORBIT_BLOCK)) contiguous ranges, run in-process when there is
-    one and through a process pool otherwise, so a raster of one orbit
-    block or less forks no pool.
+    pixels / RANGE_PIXELS)) contiguous ranges, run in-process when there is
+    one and through a process pool otherwise, so a raster of RANGE_PIXELS
+    (2**15) classified pixels or less forks no pool.
     Each range builds its start points a block at a time from its row and
     column coordinates and runs the orbit machine, which keeps at most
-    ORBIT_BLOCK orbits live, so a worker's orbit state is bounded whatever
-    the resolution.  A range returns its uint8 verdicts and only the
-    fixed-point estimates of its attracted pixels and the track ids of its
-    drifting ones; its results are pure functions of its pixels, so the
+    ORBIT_BLOCK (2**14) orbits live, so a worker's orbit state is bounded
+    whatever the resolution.  A range returns its uint8 verdicts and only
+    the fixed-point estimates of its attracted pixels and the track ids of
+    its drifting ones; its results are pure functions of its pixels, so the
     merge is independent of worker count.  Every per-pixel array of the
     merge is uint8, bool or int32: the boundary pass compares verdicts and
     ids as two arrays.

@@ -630,7 +630,7 @@ def _run_raster(rd, ctx):
         path = ctx["out_dir"] / render
         render_pixmap(grid, path)
         out["image"] = str(path)
-    out["label_counts"] = {name: int((grid.labels == code).sum())
+    out["label_counts"] = {name: int(np.count_nonzero(grid.labels == code))
                            for code, name in enumerate(LABEL_NAMES)}
     out["verdict_counts"] = grid.verdict_counts
     out["retire_steps"] = grid.retire_steps

@@ -409,9 +409,9 @@ MIRRORED_CASES = {
 
 @pytest.mark.parametrize("case", MIRRORED_CASES)
 def test_mirrored_raster_equals_the_full_classification(monkeypatch, case):
-    # a block of at most half of each raster's classified pixels, so that
-    # 2 workers classify 2 ranges
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
+    # a range share of at most half of each raster's classified pixels, so
+    # that 2 workers classify 2 ranges
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 1024)
     m, win, width, height, cfg = MIRRORED_CASES[case]
     assert dynamics._mirrored(m, cfg, win)
     ref = classify_grid_reference(m, win, width, height, cfg)
@@ -462,8 +462,8 @@ def test_rasters_without_mirror_symmetry_classify_every_pixel(monkeypatch, case)
 def test_retire_steps_total_the_loop_verdicts_whatever_the_workers(monkeypatch):
     # the ranges' histograms add up to the same one for 1 and 3 workers,
     # and each verdict's buckets add up to its pixels from the orbit loop;
-    # the 3,200 classified pixels fill more than 3 blocks of 1,024, so 3 ranges
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
+    # the 3,200 classified pixels fill more than 3 shares of 1,024, so 3 ranges
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 1024)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 20.0, -2.6, 2.6)
@@ -576,8 +576,8 @@ def test_streak_resets_when_the_orbit_leaves_the_band():
 
 
 def test_grid_deterministic_and_worker_invariant(monkeypatch):
-    # the 864 classified pixels fill more than 3 blocks of 256, so 3 ranges
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 256)
+    # the 864 classified pixels fill more than 3 shares of 256, so 3 ranges
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
     m = ex1()
     win = ComplexBox(-0.05, 0.05, -0.05, 0.05)
     g1 = classify_grid(m, win, 48, 36, OrbitConfig())
@@ -591,7 +591,7 @@ def test_grid_deterministic_and_worker_invariant(monkeypatch):
 
 class _RaisingPool:
     def __init__(self, max_workers):
-        raise AssertionError("a raster of one orbit block or less forks no pool")
+        raise AssertionError("a raster of one range share or less forks no pool")
 
 
 class _RecordingPool:
@@ -624,10 +624,10 @@ def recording_pool(monkeypatch):
 
 
 def test_raster_of_one_block_classifies_in_process(monkeypatch):
-    # 64 classified pixels fill one block of 64: one range, whatever the
-    # workers, and no pool
+    # 64 classified pixels fill one range share of 64: one range, whatever
+    # the workers, and no pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RaisingPool)
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 64)
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 64)
     m = ex1()
     # not symmetric about the real axis, so all 8 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
@@ -638,7 +638,7 @@ def test_raster_of_one_block_classifies_in_process(monkeypatch):
 
 
 def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording_pool):
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 64)
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 64)
     m = ex1()
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
     g = classify_grid(m, win, 13, 5, OrbitConfig(), workers=2)
@@ -647,12 +647,43 @@ def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
 
 
+def test_ranges_follow_their_own_share_not_the_orbit_block(monkeypatch):
+    # with the default constants, a 200x200 ex1 raster's 20,000 classified
+    # pixels (its upper half) fill more than one orbit block but one range
+    # share: no pool under 2 workers, whose start-up would cost more CPU
+    # than the second range saves
+    assert dynamics.ORBIT_BLOCK < 100 * 200 <= dynamics.RANGE_PIXELS
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RaisingPool)
+    m, win = ex1(), load_scenario("ex1-core").window
+    assert dynamics._mirrored(m, OrbitConfig(), win)
+    g = classify_grid(m, win, 200, 200, OrbitConfig(), workers=2)
+    assert g.verdict_counts["attracted"] > 0
+
+
+def test_cor2_raster_cuts_two_ranges(monkeypatch, recording_pool):
+    # ex2-core's 1600x400 raster classifies its upper 200 rows, 320,000
+    # pixels, in two ranges under 2 workers; the ranges are recorded, and
+    # each classifies nothing: every pixel reads budget, with an empty
+    # retirement histogram
+    doc = load_scenario("ex2-core")
+
+    def budget_rows(task):
+        width, r0, r1 = task[3], task[5], task[6]
+        return (np.zeros((r1 - r0) * width, dtype=np.uint8), np.zeros(0, dtype=np.complex128),
+                np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+
+    monkeypatch.setattr(dynamics, "_classify_rows", budget_rows)
+    dynamics._classify_ranges(build_family("ex2", {"eps": EPS2}), doc.orbit, doc.window,
+                              *doc.resolution, workers=2)
+    assert [t[5:] for t in recording_pool.tasks] == [(200, 300), (300, 400)]
+
+
 def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_pool):
     # the pool forks every worker up front, so a huge --threads must not
     # reach it; the fake maps in-process and starts no process
     sizes = recording_pool.sizes
-    # a block of 4 pixels, so that each of the 4 rows fills one
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 4)
+    # a range share of 4 pixels, so that each of the 4 rows fills one
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 4)
     m = ex1()
     # not symmetric about the real axis, so all 4 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
@@ -668,8 +699,8 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_p
 def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_pool):
     # a row task names its rows and builds its own pixel centers: no
     # per-pixel array crosses the pool
-    # a block smaller than half of the 900 classified pixels: 2 ranges
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 256)
+    # a range share smaller than half of the 900 classified pixels: 2 ranges
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)

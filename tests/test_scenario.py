@@ -39,6 +39,8 @@ from wanderlab.scenario import (
     run_scenario,
 )
 
+from oracles import traced_peak
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the commands that take a scenario document: each rejects a malformed one
@@ -913,12 +915,17 @@ def _grid(labels, ids=None):
                       np.asarray(ids, dtype=np.int32))
 
 
-def test_render_bytes_all_unresolved():
-    data = pixmap.render_bytes(_grid(np.zeros((2, 2))))
+def _rendered(grid, path) -> bytes:
+    pixmap.render_pixmap(grid, path)
+    return path.read_bytes()
+
+
+def test_render_bytes_all_unresolved(tmp_path):
+    data = _rendered(_grid(np.zeros((2, 2))), tmp_path / "g.ppm")
     assert data == b"P6\n2 2\n255\n" + bytes(pixmap.GRAY) * 4
 
 
-def test_render_bytes_palette_and_row_flip():
+def test_render_bytes_palette_and_row_flip(tmp_path):
     # ids past the palette length wrap around: 5 -> BLUES[1], 7 -> GREENS[3]
     grid = _grid([[ATTRACTED, DRIFTING, ATTRACTED],
                   [POLE_ADJACENT, JULIA_SUSPECT, DRIFTING]],
@@ -927,12 +934,12 @@ def test_render_bytes_palette_and_row_flip():
     want = (b"P6\n3 2\n255\n"
             + bytes(pixmap.RED) + bytes(pixmap.BLACK) + bytes(pixmap.GREENS[3])
             + bytes(pixmap.BLUES[0]) + bytes(pixmap.GREENS[2]) + bytes(pixmap.BLUES[1]))
-    assert pixmap.render_bytes(grid) == want
+    assert _rendered(grid, tmp_path / "g.ppm") == want
 
 
-def test_palette_color_cycles():
+def test_palette_color_cycles(tmp_path):
     def color(label, ident):
-        data = pixmap.render_bytes(_grid([[label]], ids=[[ident]]))
+        data = _rendered(_grid([[label]], ids=[[ident]]), tmp_path / "g.ppm")
         return tuple(data[-3:])
 
     assert color(ATTRACTED, 0) == pixmap.BLUES[0]
@@ -943,13 +950,34 @@ def test_palette_color_cycles():
     assert color(0, 0) == pixmap.GRAY
 
 
-def test_render_bytes_deterministic():
+def test_render_bytes_deterministic(tmp_path):
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 5, size=(7, 9))
     ids = rng.integers(-1, 6, size=(7, 9))
-    a = pixmap.render_bytes(_grid(labels, ids))
-    b = pixmap.render_bytes(_grid(labels, ids))
+    a = _rendered(_grid(labels, ids), tmp_path / "a.ppm")
+    b = _rendered(_grid(labels, ids), tmp_path / "b.ppm")
     assert a == b
+
+
+def test_render_streams_the_image_in_blocks_of_rows(tmp_path):
+    # every label and id at random on ex2's 1600x400 grid: rendering holds
+    # one block of rows' codes and colors at a time, never a copy of the
+    # image (1.9 MB) or its codes, so it peaks below the labels' own bytes;
+    # the rows still run top-down, and a last block may be short
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 5, size=(400, 1600))
+    grid = _grid(labels, rng.integers(-1, 9, size=(400, 1600)))
+    path = tmp_path / "g.ppm"
+    _, peak = traced_peak(pixmap.render_pixmap, grid, path)
+    assert peak < grid.labels.nbytes
+    data = path.read_bytes()
+    assert len(data) == len(b"P6\n1600 400\n255\n") + 3 * grid.labels.size
+    # a block of rows of a 3x(B + 1) grid, then one more row
+    rows = pixmap._BLOCK_ROWS + 1
+    small = _grid(np.full((rows, 3), POLE_ADJACENT))
+    small.labels[0] = JULIA_SUSPECT
+    data = _rendered(small, tmp_path / "s.ppm")
+    assert data.endswith(bytes(pixmap.RED) * 3 + bytes(pixmap.BLACK) * 3)
 
 
 # --- the benchmark's use of the package -------------------------------------------

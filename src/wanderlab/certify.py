@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,30 +85,33 @@ SLICE = 4096                # boxes evaluated per batch of numpy calls
 PREIMAGE_SEEDS = 25         # Newton seeds per side of the preimage seed grid
 
 
-@dataclass(frozen=True)
 class Budget:
-    max_boxes: int = 1_000_000
-    max_depth: int = 24
+    __slots__ = ("max_boxes", "max_depth")
 
-    def __post_init__(self):
-        if self.max_boxes < 1 or self.max_depth < 0:
+    def __init__(self, max_boxes: int = 1_000_000, max_depth: int = 24):
+        if max_boxes < 1 or max_depth < 0:
             raise ValueError("budget must allow at least one box")
+        self.max_boxes, self.max_depth = max_boxes, max_depth
+
+    def __eq__(self, other):
+        if type(other) is not Budget:
+            return NotImplemented
+        return (self.max_boxes, self.max_depth) == (other.max_boxes, other.max_depth)
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     statement: dict
     verdict: str                     # "proved" | "inconclusive" | "pole_contact"
-    frontier: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    # the empty defaults are shared by every certificate that takes them
+    frontier: list = []
+    stats: dict = {}
 
     @property
     def proved(self) -> bool:
         return self.verdict == "proved"
 
 
-@dataclass(frozen=True)
-class WindingResult:
+class WindingResult(NamedTuple):
     winding: int
     min_distance: float
     max_arg_step: float

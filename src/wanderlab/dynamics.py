@@ -58,7 +58,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +95,6 @@ _VERDICT_NAMES = ((_V_ESCAPED, "escaped"), (_V_ATTRACTED, "attracted"),
                   (_V_DRIFTING, "drifting"), (_V_POLE, "pole"), (_V_BUDGET, "budget"))
 
 
-@dataclass(frozen=True)
 class StationSpec:
     """Arithmetic ladder of corridor disks B(base + step*n, radius), n >= min_index.
 
@@ -108,21 +106,30 @@ class StationSpec:
     different ladders never meet.
     """
 
-    base: complex = 0j
-    step: float = 2.0 * math.pi
-    radius: float = 0.5
-    min_index: int = 1
-    streak: int = 12
+    __slots__ = ("base", "step", "radius", "min_index", "streak")
 
-    def __post_init__(self):
-        if not cmath.isfinite(self.base):
-            raise ValueError(f"base must be finite, got {self.base!r}")
-        if not (math.isfinite(self.step) and self.step != 0.0):
-            raise ValueError(f"step must be finite and nonzero, got {self.step!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
-        if self.streak < 2:
-            raise ValueError(f"streak must be >= 2, got {self.streak!r}")
+    def __init__(self, base: complex = 0j, step: float = 2.0 * math.pi, radius: float = 0.5,
+                 min_index: int = 1, streak: int = 12):
+        if not cmath.isfinite(base):
+            raise ValueError(f"base must be finite, got {base!r}")
+        if not (math.isfinite(step) and step != 0.0):
+            raise ValueError(f"step must be finite and nonzero, got {step!r}")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+        if streak < 2:
+            raise ValueError(f"streak must be >= 2, got {streak!r}")
+        self.base, self.step, self.radius = base, step, radius
+        self.min_index, self.streak = min_index, streak
+
+    def __repr__(self):
+        return (f"StationSpec(base={self.base!r}, step={self.step!r}, radius={self.radius!r}, "
+                f"min_index={self.min_index!r}, streak={self.streak!r})")
+
+    def __eq__(self, other):
+        if type(other) is not StationSpec:
+            return NotImplemented
+        return ((self.base, self.step, self.radius, self.min_index, self.streak)
+                == (other.base, other.step, other.radius, other.min_index, other.streak))
 
 
 # Track id of a streak on ladder k: its first corridor index + k * LADDER_STRIDE.
@@ -132,34 +139,39 @@ _OUTSIDE = 2 ** 30
 _MAX_LADDERS = 2 ** 31 // LADDER_STRIDE
 
 
-@dataclass(frozen=True)
 class OrbitConfig:
     """Orbit budget and verdict thresholds; `stations` is a tuple of ladders,
     all updated at each step; the first declared wins a tie."""
 
-    max_iter: int = 500
-    escape_radius: float = 1e6
-    attract_tol: float = 1e-9
-    cycle_window: int = 8
-    stations: tuple[StationSpec, ...] = ()
+    __slots__ = ("max_iter", "escape_radius", "attract_tol", "cycle_window", "stations")
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        for name in ("escape_radius", "attract_tol"):
-            value = getattr(self, name)
+    def __init__(self, max_iter: int = 500, escape_radius: float = 1e6,
+                 attract_tol: float = 1e-9, cycle_window: int = 8,
+                 stations: tuple[StationSpec, ...] = ()):
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+        for name, value in (("escape_radius", escape_radius), ("attract_tol", attract_tol)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.cycle_window < 1:
-            raise ValueError(f"cycle_window must be >= 1, got {self.cycle_window!r}")
-        if not (isinstance(self.stations, tuple) and len(self.stations) <= _MAX_LADDERS
-                and all(isinstance(st, StationSpec) for st in self.stations)):
+        if cycle_window < 1:
+            raise ValueError(f"cycle_window must be >= 1, got {cycle_window!r}")
+        if not (isinstance(stations, tuple) and len(stations) <= _MAX_LADDERS
+                and all(isinstance(st, StationSpec) for st in stations)):
             raise ValueError(f"stations must be a tuple of at most {_MAX_LADDERS} "
-                             f"StationSpec, got {self.stations!r}")
+                             f"StationSpec, got {stations!r}")
+        self.max_iter, self.escape_radius, self.attract_tol = max_iter, escape_radius, attract_tol
+        self.cycle_window, self.stations = cycle_window, stations
+
+    def __eq__(self, other):
+        if type(other) is not OrbitConfig:
+            return NotImplemented
+        return ((self.max_iter, self.escape_radius, self.attract_tol, self.cycle_window,
+                 self.stations)
+                == (other.max_iter, other.escape_radius, other.attract_tol, other.cycle_window,
+                    other.stations))
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     location: complex
     residual: float
     multiplier: complex
@@ -208,19 +220,18 @@ def track_wandering(m: MeromorphicMap, z0: complex, station_centers,
 # Grid classification.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RasterGrid:
+class RasterGrid(NamedTuple):
     window: ComplexBox
     width: int
     height: int
     labels: np.ndarray        # uint8 (height, width), codes above
     ids: np.ndarray           # int32 (height, width), basin/track id or -1
     # pixels per orbit verdict before the suspect overlay, and "boundary":
-    # pixels the 4-neighbour pass marks suspect
-    verdict_counts: dict = field(default_factory=dict)
+    # pixels the 4-neighbour pass marks suspect (the empty default is shared)
+    verdict_counts: dict = {}
     # per orbit-loop verdict, orbits per log2 bucket of the step they
     # retired at ("1", "2-3", "4-7", ...); empty buckets are left out
-    retire_steps: dict = field(default_factory=dict)
+    retire_steps: dict = {}
 
     def pixel_of(self, z: complex) -> tuple[int, int]:
         z = complex(z)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
 from operator import add as _plus, mul as _times, neg as _negate, pow as _power, sub as _minus
 from typing import NamedTuple
 
@@ -299,29 +298,25 @@ _TREES = {name: parse_expr(text) for name, text in {
 }.items()}
 
 
-@dataclass(frozen=True)
 class MeromorphicMap:
-    expr: Node
-    params: dict
-    declared_poles: tuple
-    family_id: str
-    tape: Tape = field(init=False, repr=False, compare=False)
-    # per backend column: the leaves' and z-free steps' values once _run has
-    # folded them, else None; one key per column from the start, so filling
-    # one never resizes the dict while a process pool pickles the map
-    known: dict = field(init=False, repr=False, compare=False)
-    # f' once derivative(m) has built it, else None; set from the start, so vars(m) never grows
-    prime: MeromorphicMap | None = field(init=False, repr=False, compare=False)
+    # A slotted map has no instance dict, so setting known or prime never
+    # grows one while a process pool pickles the map in its feeder thread.
+    __slots__ = ("expr", "params", "declared_poles", "family_id", "tape", "known", "prime")
 
-    def __post_init__(self):
-        if self.family_id not in FAMILY_IDS:
-            raise ValueError(f"unknown family id {self.family_id!r}")
-        object.__setattr__(self, "declared_poles",
-                           tuple(complex(p) for p in self.declared_poles))
-        object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "tape", _compile(self.expr))
-        object.__setattr__(self, "known", dict.fromkeys((_VEC, _BOX)))
-        object.__setattr__(self, "prime", None)
+    def __init__(self, expr: Node, params: dict, declared_poles: tuple, family_id: str):
+        if family_id not in FAMILY_IDS:
+            raise ValueError(f"unknown family id {family_id!r}")
+        self.expr = expr
+        self.declared_poles = tuple(complex(p) for p in declared_poles)
+        self.params = dict(params)
+        self.family_id = family_id
+        self.tape: Tape = _compile(expr)
+        # per backend column: the leaves' and z-free steps' values once _run has
+        # folded them, else None; one key per column from the start, so filling
+        # one never resizes this dict while a process pool pickles the map
+        self.known = dict.fromkeys((_VEC, _BOX))
+        # f' once derivative(m) has built it, else None
+        self.prime: MeromorphicMap | None = None
 
     def pole_snap_radius(self, pole: complex) -> float:
         return POLE_SNAP_RELATIVE * (1.0 + abs(pole))
@@ -689,8 +684,7 @@ def derivative(m: MeromorphicMap) -> MeromorphicMap:
     existing denominators, so the pole locus is unchanged (orders may grow).
     """
     if m.prime is None:
-        object.__setattr__(m, "prime", MeromorphicMap(_diff(m.expr), m.params,
-                                                      m.declared_poles, m.family_id))
+        m.prime = MeromorphicMap(_diff(m.expr), m.params, m.declared_poles, m.family_id)
     return m.prime
 
 

@@ -60,7 +60,6 @@ strides; a reversed view only meets exact operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -268,18 +267,25 @@ def box_quarters(re_lo, re_hi, im_lo, im_hi):
             np.stack([im, im, im_hi, im_hi], axis=-1))
 
 
-@dataclass(frozen=True)
 class ComplexBox:
     """Axis-aligned rectangle { x + i y : re_lo <= x <= re_hi, im_lo <= y <= im_hi }."""
 
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
+    __slots__ = ("re_lo", "re_hi", "im_lo", "im_hi")
 
-    def __post_init__(self):
-        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):   # NaN too
+    def __init__(self, re_lo: float, re_hi: float, im_lo: float, im_hi: float):
+        self.re_lo, self.re_hi, self.im_lo, self.im_hi = re_lo, re_hi, im_lo, im_hi
+        if not (re_lo <= re_hi and im_lo <= im_hi):   # NaN too
             raise ValueError(f"box bounds must satisfy lo <= hi and not be NaN: {self}")
+
+    def __repr__(self):
+        return (f"ComplexBox(re_lo={self.re_lo!r}, re_hi={self.re_hi!r}, "
+                f"im_lo={self.im_lo!r}, im_hi={self.im_hi!r})")
+
+    def __eq__(self, other):
+        if type(other) is not ComplexBox:
+            return NotImplemented
+        return ((self.re_lo, self.re_hi, self.im_lo, self.im_hi)
+                == (other.re_lo, other.re_hi, other.im_lo, other.im_hi))
 
     def hull(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(min(self.re_lo, other.re_lo), max(self.re_hi, other.re_hi),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 from .numerics import ComplexBox, _out_hi, _out_lo, box_inflate, box_mag, box_mig
@@ -50,8 +49,15 @@ def _cover(center: complex, r: float) -> ComplexBox:
                       _out_lo(center.imag - r), _out_hi(center.imag + r))
 
 
-@dataclass(frozen=True)
 class Region:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        """Shapes of one class with equal fields (parts compare in turn)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
     def contains(self, z: complex) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -89,18 +95,15 @@ class Region:
         return 0.0
 
 
-@dataclass(frozen=True)
 class Disk(Region):
     """|z - center| < radius (open, the default) or <= radius (closed)."""
 
-    center: complex
-    radius: float
-    closed: bool = False
+    __slots__ = ("center", "radius", "closed")
 
-    def __post_init__(self):
-        if not self.radius >= 0.0:   # NaN too
-            raise ValueError(f"disk radius must be >= 0, got {self.radius!r}")
-        object.__setattr__(self, "center", complex(self.center))
+    def __init__(self, center: complex, radius: float, closed: bool = False):
+        if not radius >= 0.0:   # NaN too
+            raise ValueError(f"disk radius must be >= 0, got {radius!r}")
+        self.center, self.radius, self.closed = complex(center), radius, closed
 
     def contains(self, z: complex) -> bool:
         return _within(self.closed)(abs(complex(z) - self.center), self.radius)
@@ -132,7 +135,6 @@ class Disk(Region):
         return max(0.0, _out_lo(self.radius - d))
 
 
-@dataclass(frozen=True)
 class HalfStrip(Region):
     """Axis-aligned strip re_lo <= Re z <= re_hi, im_lo <= Im z <= im_hi.
 
@@ -140,15 +142,14 @@ class HalfStrip(Region):
     inequality is strict, which models the interior of the closed strip.
     """
 
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-    closed: bool = True
+    __slots__ = ("re_lo", "re_hi", "im_lo", "im_hi", "closed")
 
-    def __post_init__(self):
-        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):
+    def __init__(self, re_lo: float, re_hi: float, im_lo: float, im_hi: float,
+                 closed: bool = True):
+        if not (re_lo <= re_hi and im_lo <= im_hi):
             raise ValueError("inverted strip bounds")
+        self.re_lo, self.re_hi, self.im_lo, self.im_hi = re_lo, re_hi, im_lo, im_hi
+        self.closed = closed
 
     def contains(self, z: complex) -> bool:
         z, within = complex(z), _within(self.closed)
@@ -178,14 +179,13 @@ class HalfStrip(Region):
         return max(0.0, _out_lo(math.hypot(dx, dy), ulps=3))
 
 
-@dataclass(frozen=True)
 class Union(Region):
-    parts: tuple[Region, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, *parts: Region):
         if not parts:
             raise ValueError("empty union")
-        object.__setattr__(self, "parts", tuple(parts))
+        self.parts = parts
 
     def contains(self, z: complex) -> bool:
         return any(p.contains(z) for p in self.parts)
@@ -208,12 +208,13 @@ class Union(Region):
         return min(part.min_dist_bound(p) for part in self.parts)
 
 
-@dataclass(frozen=True)
 class Difference(Region):
     """minuend with the subtrahend removed."""
 
-    minuend: Region
-    subtrahend: Region
+    __slots__ = ("minuend", "subtrahend")
+
+    def __init__(self, minuend: Region, subtrahend: Region):
+        self.minuend, self.subtrahend = minuend, subtrahend
 
     def contains(self, z: complex) -> bool:
         return self.minuend.contains(z) and not self.subtrahend.contains(z)

@@ -19,10 +19,10 @@ import math
 import sys
 import time
 from collections import ChainMap
-from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class ScenarioError(ValueError):
         self.where = where
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A scenario whose top level load_scenario decoded once: `map` (None if
     the document has none) built from `params`, the raw `map_spec`, and
     `window` and `resolution` (None if absent; a raster needs both).  Items

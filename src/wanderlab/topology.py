@@ -22,7 +22,6 @@ bounds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -116,38 +115,33 @@ class OutOfWindow(ValueError):
     """The queried point lies outside the raster window."""
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     pixel_count: int
     touches_border: bool
     behavior_label: tuple  # ("attracted" | "drifting", basin/track id)
     bbox: tuple            # (row_lo, row_hi, col_lo, col_hi), half-open
 
 
-@dataclass(frozen=True)
-class ComponentMap:
+class ComponentMap(NamedTuple):
     grid: RasterGrid
     labels: np.ndarray                     # int32, 0 = non-candidate pixel
     component_table: dict
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     representative_pixel: tuple            # (i, j) of the first hole pixel
     pixel_count: int
     contains: tuple                        # flagged points falling in this hole
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     component_id: int
     hole_count: int
     connectivity: int
     holes: tuple
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     sequence: tuple                        # (component_id, connectivity) pairs
     non_increasing: bool
     skipped: tuple                         # border-touching ids left out

@@ -604,10 +604,11 @@ def test_derivative_keeps_pole_set():
 
 def test_derivative_is_built_once_per_map():
     # the map keeps f', so f' and f'' are the same maps at every call, and
-    # neither derivative nor evaluation adds an attribute: the raster pool
-    # pickles maps in a feeder thread while the axis row evaluates
+    # neither derivative nor evaluation adds an attribute or a folded-value
+    # key: the raster pool pickles maps in a feeder thread while the axis row
+    # evaluates, and a slotted map has no instance dict to grow
     m = build_family("ex2", {"eps": EPS2})
-    names = set(vars(m))
+    columns = set(m.known)
     assert derivative(m) is derivative(m)
     assert derivative(derivative(m)) is derivative(derivative(m))
     b = Boxes.of([_centered(0.5 + 0.5j, 0.01)])
@@ -615,7 +616,7 @@ def test_derivative_is_built_once_per_map():
     eval_mean_value_ball(m, b)
     eval_map_vec(derivative(m), np.array([0.5 + 0.5j]))
     for f in (m, derivative(m), derivative(derivative(m))):
-        assert set(vars(f)) == names
+        assert not hasattr(f, "__dict__") and set(f.known) == columns
 
 
 def test_pickled_map_keeps_its_derivative(monkeypatch):
@@ -625,6 +626,7 @@ def test_pickled_map_keeps_its_derivative(monkeypatch):
     b = Boxes.of([_centered(0.5 + 0.5j, 0.01), _centered(-1.0 + 2.0j, 0.25)])
     want = eval_map_box(derivative(m), b)
     again = pickle.loads(pickle.dumps(m))
+    assert again.prime is not None and again.prime.expr == m.prime.expr
     monkeypatch.setattr(wanderlab.maps, "_diff", None)
     got = eval_map_box(derivative(again), b)
     assert derivative(again) is derivative(again)

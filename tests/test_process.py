@@ -4,9 +4,14 @@ OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads; wanderlab
 sets it (unless the caller did) before its first numpy import.  That is
 safe only because wanderlab itself makes no BLAS call.  Beside that scan
 sits a second one: every top-level name of src/wanderlab is read somewhere.
+Importing wanderlab loads neither the raster pool nor `dataclasses`: the
+records are NamedTuples and slotted classes, whose errors, equality and
+pickling are pinned here.
 """
 import ast
+import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,6 +20,10 @@ from pathlib import Path
 import pytest
 
 import wanderlab
+from wanderlab.dynamics import OrbitConfig, StationSpec
+from wanderlab.maps import MeromorphicMap, Node
+from wanderlab.numerics import ComplexBox
+from wanderlab.regions import HalfStrip, Union
 
 SRC = Path(wanderlab.__file__).resolve().parents[1]
 
@@ -61,9 +70,12 @@ def test_openblas_thread_timeout_is_set_before_numpy_loads(preset, seen):
     assert _timeout_at_numpy_import(preset) == seen
 
 
-def test_scenario_import_leaves_the_raster_pool_out():
-    # dynamics imports concurrent.futures only where a raster forks its pool
-    probe = "import sys, wanderlab.scenario; print('concurrent.futures.process' in sys.modules)"
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses"],
+                         ids=["raster-pool", "dataclasses"])
+def test_scenario_import_leaves_out(module):
+    # dynamics imports concurrent.futures only where a raster forks its pool,
+    # and no record is a dataclass, whose decoration execs generated methods
+    probe = f"import sys, wanderlab.scenario; print({module!r} in sys.modules)"
     assert _fresh_python(probe, os.environ) == "False"
 
 
@@ -91,6 +103,41 @@ def test_wanderlab_makes_no_blas_call():
             elif isinstance(node, ast.MatMult):
                 found.append((path.name, 0, "@"))
     assert found == []
+
+
+# Records are NamedTuples or slotted classes with a hand-written __init__:
+# each keeps its validation errors, word for word
+_STATION_REPR = ("StationSpec(base=0j, step=6.283185307179586, radius=0.5, min_index=1, "
+                 "streak=12)")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ComplexBox(1.0, 0.0, 0.0, 1.0), "box bounds must satisfy lo <= hi and not be "
+     "NaN: ComplexBox(re_lo=1.0, re_hi=0.0, im_lo=0.0, im_hi=1.0)"),
+    (lambda: StationSpec(streak=1), "streak must be >= 2, got 1"),
+    (lambda: StationSpec(base=complex(math.nan, 0.0)), "base must be finite, got (nan+0j)"),
+    (lambda: OrbitConfig(attract_tol=-1.0), "attract_tol must be finite and > 0, got -1.0"),
+    (lambda: OrbitConfig(stations=[StationSpec()]),
+     f"stations must be a tuple of at most 128 StationSpec, got [{_STATION_REPR}]"),
+    (lambda: HalfStrip(0.0, 1.0, 1.0, 0.0), "inverted strip bounds"),
+    (lambda: Union(), "empty union"),
+    (lambda: MeromorphicMap(Node("z"), {}, (), "ex9"), "unknown family id 'ex9'"),
+], ids=["box", "station-streak", "station-base", "orbit-tol", "orbit-stations", "strip",
+        "union", "map-family"])
+def test_record_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("record", [
+    ComplexBox(-1.0, 2.0, -0.5, 0.5),
+    OrbitConfig(max_iter=7, stations=(StationSpec(), StationSpec(step=-1.0, min_index=-3))),
+], ids=["box", "orbit"])
+def test_pickled_record_stays_equal(record):
+    # the raster pool sends the window and the orbit settings to its workers
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record and again is not record
 
 
 def test_each_box_rule_has_one_owner():

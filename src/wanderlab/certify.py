@@ -100,7 +100,6 @@ class Budget:
 
 
 class Certificate(NamedTuple):
-    statement: dict
     verdict: str                     # "proved" | "inconclusive" | "pole_contact"
     # the empty defaults are shared by every certificate that takes them
     frontier: list = []
@@ -250,7 +249,7 @@ def _prove_on_region(region: Region, test, budget: Budget):
     return survivors, stats
 
 
-def _finish(statement: dict, survivors, stats) -> Certificate:
+def _finish(survivors, stats) -> Certificate:
     if not stats["survivors"]:
         verdict = "proved"
     elif any((why == POLE).any() for _, _, why in survivors):
@@ -263,7 +262,7 @@ def _finish(statement: dict, survivors, stats) -> Certificate:
         frontier += [{"re_lo": re_lo, "re_hi": re_hi, "im_lo": im_lo, "im_hi": im_hi,
                       "depth": depth, "reason": _REASONS[w]}
                      for (re_lo, im_lo, re_hi, im_hi), w in zip(ends[:, :k].T.tolist(), why[:k])]
-    return Certificate(statement, verdict, frontier, stats)
+    return Certificate(verdict, frontier, stats)
 
 
 def _midpoints(ends) -> np.ndarray:
@@ -324,9 +323,7 @@ def certify_inclusion(m: MeromorphicMap, source: Region, target: Region,
     test, escape = _inclusion_test(m, source, target, centred)
     survivors, stats = _prove_on_region(source, test, budget)
     stats.update(centred_boxes=sum(centred), sampled_escape=escape)
-    statement = {"kind": "inclusion", "family": m.family_id,
-                 "source": source, "target": target}
-    return _finish(statement, survivors, stats)
+    return _finish(survivors, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +343,11 @@ def _checked(values: np.ndarray, *why: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class Bound:
-    label = "bound"
-
     def upper(self, boxes: Boxes, region: Region) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError(f"{self.label} has no certified upper bound")
+        raise NotImplementedError(f"{type(self).__name__} has no certified upper bound")
 
     def lower(self, boxes: Boxes, region: Region) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError(f"{self.label} has no certified lower bound")
+        raise NotImplementedError(f"{type(self).__name__} has no certified lower bound")
 
 
 class ExprBound(Bound):
@@ -365,9 +360,8 @@ class ExprBound(Bound):
     rectangle bound.
     """
 
-    def __init__(self, m: MeromorphicMap, label: str | None = None):
+    def __init__(self, m: MeromorphicMap):
         self.map = m
-        self.label = label or "|f(z)|"
 
     def _bound(self, boxes, natural, taylor, tighter):
         image = eval_map_box(self.map, boxes)
@@ -388,11 +382,10 @@ class ExprBound(Bound):
 
 
 class ConstBound(Bound):
-    def __init__(self, c: float, label: str | None = None):
+    def __init__(self, c: float):
         if not c >= 0.0:   # NaN too
             raise ValueError("modulus bounds are nonnegative")
         self.c = float(c)
-        self.label = label or repr(c)
 
     def upper(self, boxes, region):
         return _checked(np.full(len(boxes.why), self.c))
@@ -404,13 +397,12 @@ class ConstBound(Bound):
 class PowerBound(Bound):
     """c * |z - center|^n; the lower bound uses the region distance floor."""
 
-    def __init__(self, c: float, n: int, center: complex = 0j, label: str | None = None):
+    def __init__(self, c: float, n: int, center: complex = 0j):
         if not (c >= 0.0 and n >= 0):   # NaN too
             raise ValueError("need c >= 0 and power n >= 0")
         self.c = float(c)
         self.n = int(n)
         self.center = complex(center)
-        self.label = label or f"{c}*|z|^{n}"
 
     def upper(self, boxes, region):
         return _checked(_out_hi(self.c * box_mag(boxes, self.center) ** self.n, ulps=2))
@@ -423,11 +415,10 @@ class PowerBound(Bound):
 class SumBound(Bound):
     """Triangle-inequality upper bound |u + v| <= |u| + |v|; upper-only."""
 
-    def __init__(self, *parts: Bound, label: str | None = None):
+    def __init__(self, *parts: Bound):
         if not parts:
             raise ValueError("empty sum")
         self.parts = parts
-        self.label = label or " + ".join(p.label for p in parts)
 
     def upper(self, boxes, region):
         values, whys = zip(*(p.upper(boxes, region) for p in self.parts))
@@ -464,9 +455,7 @@ def certify_inequality(lhs: Bound, rhs: Bound, region: Region, budget: Budget = 
     small, big = (rhs, lhs) if _CMP[cmp][1] else (lhs, rhs)
     survivors, stats = _prove_on_region(region, _inequality_test(small, big, region, cmp),
                                         budget)
-    statement = {"kind": "inequality", "lhs": lhs.label, "cmp": cmp,
-                 "rhs": rhs.label, "region": region}
-    return _finish(statement, survivors, stats)
+    return _finish(survivors, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +522,8 @@ def count_zeros_inside(m: MeromorphicMap, circle: tuple[complex, float],
 def locate_preimages(m: MeromorphicMap, w0: complex, search_region: Region,
                      expected: int) -> list[complex]:
     """Newton refinement of f(z) = w0 from a seed grid over the region's
-    bounding box (PREIMAGE_SEEDS a side); distinct roots only.
+    bounding box (PREIMAGE_SEEDS a side); distinct roots whose point box
+    is inside the region only.
 
     Raises CountMismatch when the deduplicated root count differs from
     `expected` — the argument-principle count is the caller's oracle.
@@ -541,7 +531,7 @@ def locate_preimages(m: MeromorphicMap, w0: complex, search_region: Region,
     zs, residual = newton_roots(minus(m, Node("const", data=complex(w0))),
                                 seed_grid(search_region.bounding_box(), PREIMAGE_SEEDS))
     zs = zs[residual < 1e-10]
-    zs = zs[np.array([search_region.contains(z) for z in zs], dtype=bool)]
+    zs = zs[search_region.box_inside(Boxes.point(zs))]
     roots = sorted(group_roots(zs, 1e-6)[0], key=lambda r: (r.real, r.imag))
     if len(roots) != expected:
         raise CountMismatch(len(roots), expected, roots)
@@ -647,7 +637,7 @@ def derive_ex2_constants() -> dict:
         r = num / DYADIC_GRID
         sup = _sampled_sup(dg, 0j, r)
         return candidate("r1", num, sup if sup > 0.25 else None, certify_inequality,
-                         ExprBound(dg, label="|g'(z)|"), ConstBound(0.25, label="1/4"),
+                         ExprBound(dg), ConstBound(0.25),
                          Disk(0j, r, closed=True), cmp="<=")
 
     r1 = _bisect(timed(r1_ok), 0, R1_CAP_NUM + 1) / DYADIC_GRID

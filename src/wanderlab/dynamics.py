@@ -189,12 +189,13 @@ FIXED_POINT_SEEDS = 11   # Newton seeds per side of the fixed-point seed grid
 
 
 def find_fixed_point(m: MeromorphicMap, seed_region: Region) -> FixedPointReport:
-    """Newton from a seed grid; the point with the least residual, at most
-    1e-12, inside the region wins (the first in scan order on a tie)."""
-    seeds = [z for z in seed_grid(seed_region.bounding_box(), FIXED_POINT_SEEDS)
-             if seed_region.contains(z)]
-    zs, residual = newton_roots(minus(m, Node("z")), seeds)
-    residual[np.array([not seed_region.contains(z) for z in zs], dtype=bool)] = np.inf
+    """Newton from the seed-grid points inside the region; the point with
+    the least residual, at most 1e-12, inside the region wins (the first in
+    scan order on a tie).  Inside is the region's test of the point box."""
+    seeds = seed_grid(seed_region.bounding_box(), FIXED_POINT_SEEDS)
+    zs, residual = newton_roots(minus(m, Node("z")),
+                                seeds[seed_region.box_inside(Boxes.point(seeds))])
+    residual[~seed_region.box_inside(Boxes.point(zs))] = np.inf
     if not (residual <= 1e-12).any():
         raise NotFound("no seed converged to a fixed point in the region")
     k = int(np.argmin(residual))

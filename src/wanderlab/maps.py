@@ -285,8 +285,6 @@ def _literal(v) -> str:
 # The map container and the bundled families.
 # ---------------------------------------------------------------------------
 
-FAMILY_IDS = ("ex1", "ex2", "ex5", "ex3_model", "ex4_model", "custom")
-
 # Each bundled family's tree, and g (see ex2_g_map).
 _TREES = {name: parse_expr(text) for name, text in {
     "ex1": "(add (sub (add 2 (mul 2 z)) (mul 2 (exp z))) (div eps (sub (exp z) (exp a))))",
@@ -301,15 +299,12 @@ _TREES = {name: parse_expr(text) for name, text in {
 class MeromorphicMap:
     # A slotted map has no instance dict, so setting known or prime never
     # grows one while a process pool pickles the map in its feeder thread.
-    __slots__ = ("expr", "params", "declared_poles", "family_id", "tape", "known", "prime")
+    __slots__ = ("expr", "params", "declared_poles", "tape", "known", "prime")
 
-    def __init__(self, expr: Node, params: dict, declared_poles: tuple, family_id: str):
-        if family_id not in FAMILY_IDS:
-            raise ValueError(f"unknown family id {family_id!r}")
+    def __init__(self, expr: Node, params: dict, declared_poles: tuple):
         self.expr = expr
         self.declared_poles = tuple(complex(p) for p in declared_poles)
         self.params = dict(params)
-        self.family_id = family_id
         self.tape: Tape = _compile(expr)
         # per backend column: the leaves' and z-free steps' values once _run has
         # folded them, else None; one key per column from the start, so filling
@@ -354,7 +349,7 @@ def _reject(cond: bool, message: str) -> None:
         raise ParamConstraintViolation(message)
 
 
-def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
+def build_family(family: str, params: dict | None = None) -> MeromorphicMap:
     """Construct and validate one of the bundled families.
 
     ex1: 2 + 2z - 2e^z + eps/(e^z - e^a),  0 < a < 1/32, 0 < eps <= a^2/16
@@ -365,7 +360,7 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
     """
     p = dict(params or {})
 
-    if family_id == "ex1":
+    if family == "ex1":
         a = float(p.pop("a"))
         eps = float(p.pop("eps"))
         _reject(bool(p), f"unknown ex1 params {sorted(p)}")
@@ -373,32 +368,32 @@ def build_family(family_id: str, params: dict | None = None) -> MeromorphicMap:
         _reject(not (0.0 < eps <= a * a / 16.0),
                 f"requires 0 < eps <= a^2/16, got eps={eps}")
         table, poles = {"a": a, "eps": eps}, (complex(a),)
-    elif family_id == "ex2":
+    elif family == "ex2":
         eps = float(p.pop("eps"))
         _reject(bool(p), f"unknown ex2 params {sorted(p)}")
         _reject(not ex2_admissible(eps), f"requires 0 < eps < 1/144, got eps={eps}")
         a, lam = solve_ex2_params()
         table, poles = {"eps": eps, "a": a, "lam": lam}, (0j,)
-    elif family_id == "ex5":
+    elif family == "ex5":
         _reject(bool(p), f"ex5 takes no params, got {sorted(p)}")
         table, poles = {}, ()
-    elif family_id in ("ex3_model", "ex4_model"):
+    elif family in ("ex3_model", "ex4_model"):
         eps = float(p.pop("eps"))
-        _reject(bool(p), f"unknown {family_id} params {sorted(p)}")
+        _reject(bool(p), f"unknown {family} params {sorted(p)}")
         _reject(not eps > 0.0, f"requires eps > 0, got {eps}")
         table, poles = {"eps": eps}, (0j,)
-        if family_id == "ex4_model":
+        if family == "ex4_model":
             table["sqrt_eps"] = math.sqrt(eps)
     else:
-        raise ParamConstraintViolation(f"unknown family id {family_id!r}")
-    return MeromorphicMap(_TREES[family_id], table, poles, family_id)
+        raise ParamConstraintViolation(f"unknown family id {family!r}")
+    return MeromorphicMap(_TREES[family], table, poles)
 
 
 def custom_map(expr_text: str, params: dict | None = None,
                declared_poles: tuple | list = ()) -> MeromorphicMap:
     """Map from prefix expression text; the caller must declare the poles."""
     expr = parse_expr(expr_text)
-    return MeromorphicMap(expr, dict(params or {}), tuple(declared_poles), "custom")
+    return MeromorphicMap(expr, dict(params or {}), tuple(declared_poles))
 
 
 def ex2_g_map() -> MeromorphicMap:
@@ -408,7 +403,7 @@ def ex2_g_map() -> MeromorphicMap:
     certificates, none of which involve the eps/z pole term.
     """
     a, lam = solve_ex2_params()
-    return MeromorphicMap(_TREES["g"], {"a": a, "lam": lam}, (), "custom")
+    return MeromorphicMap(_TREES["g"], {"a": a, "lam": lam}, ())
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +679,7 @@ def derivative(m: MeromorphicMap) -> MeromorphicMap:
     existing denominators, so the pole locus is unchanged (orders may grow).
     """
     if m.prime is None:
-        m.prime = MeromorphicMap(_diff(m.expr), m.params, m.declared_poles, m.family_id)
+        m.prime = MeromorphicMap(_diff(m.expr), m.params, m.declared_poles)
     return m.prime
 
 
@@ -694,7 +689,7 @@ def derivative(m: MeromorphicMap) -> MeromorphicMap:
 
 def minus(m: MeromorphicMap, rhs: Node) -> MeromorphicMap:
     """The map f - rhs, with f's parameters and poles: Newton on it solves f = rhs."""
-    return MeromorphicMap(Node("sub", (m.expr, rhs)), m.params, m.declared_poles, m.family_id)
+    return MeromorphicMap(Node("sub", (m.expr, rhs)), m.params, m.declared_poles)
 
 
 NEWTON_STEPS = 60

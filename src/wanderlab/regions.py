@@ -8,10 +8,12 @@ conservative — a *true* answer is a guarantee, a *false* answer only
 means "could not tell at this box size" and invites subdivision.
 They take a batch of boxes (`Boxes`; one box is a batch of one) and
 answer with one bool per box; unions and differences combine their parts'
-answers with | and &.  `ball_inside` asks whether the points within a
-radius of each box are certainly inside: a disk tests box_mag + radius,
-every other shape the inflated box.  Bounding boxes are rounded outward,
-so the cover they start from contains the exact region.
+answers with | and &.  A point is a zero-width box (`Boxes.point`), so
+the box tests are the only membership rule: a point within rounding of a
+disk's rim is neither inside nor disjoint.  `ball_inside` asks whether
+the points within a radius of each box are certainly inside: a disk tests
+box_mag + radius, every other shape the inflated box.  Bounding boxes are
+rounded outward, so the cover they start from contains the exact region.
 
 The open/closed flag matters at the certificate layer: proving an image
 lands in an *open* disk needs strict inequalities on the box bounds.
@@ -31,7 +33,7 @@ class UnboundedRegionError(ValueError):
 
 
 def _within(closed: bool):
-    """How a point or box end compares with a boundary it must not cross:
+    """How a box end compares with a boundary it must not cross:
     <= for a closed set, < for an open one."""
     return operator.le if closed else operator.lt
 
@@ -57,9 +59,6 @@ class Region:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def contains(self, z: complex) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def box_inside(self, b):  # pragma: no cover - abstract
         """Per box of the batch b: certainly inside?"""
@@ -105,9 +104,6 @@ class Disk(Region):
             raise ValueError(f"disk radius must be >= 0, got {radius!r}")
         self.center, self.radius, self.closed = complex(center), radius, closed
 
-    def contains(self, z: complex) -> bool:
-        return _within(self.closed)(abs(complex(z) - self.center), self.radius)
-
     def box_inside(self, b):
         return _within(self.closed)(box_mag(b, self.center), self.radius)
 
@@ -151,11 +147,6 @@ class HalfStrip(Region):
         self.re_lo, self.re_hi, self.im_lo, self.im_hi = re_lo, re_hi, im_lo, im_hi
         self.closed = closed
 
-    def contains(self, z: complex) -> bool:
-        z, within = complex(z), _within(self.closed)
-        return (within(self.re_lo, z.real) and within(z.real, self.re_hi)
-                and within(self.im_lo, z.imag) and within(z.imag, self.im_hi))
-
     def box_inside(self, b):
         within = _within(self.closed)
         return (within(self.re_lo, b.re_lo) & within(b.re_hi, self.re_hi)
@@ -187,9 +178,6 @@ class Union(Region):
             raise ValueError("empty union")
         self.parts = parts
 
-    def contains(self, z: complex) -> bool:
-        return any(p.contains(z) for p in self.parts)
-
     def box_inside(self, b):
         # conservative: a box covered jointly by two parts but by neither
         # alone reports False and gets subdivided
@@ -215,9 +203,6 @@ class Difference(Region):
 
     def __init__(self, minuend: Region, subtrahend: Region):
         self.minuend, self.subtrahend = minuend, subtrahend
-
-    def contains(self, z: complex) -> bool:
-        return self.minuend.contains(z) and not self.subtrahend.contains(z)
 
     def box_inside(self, b):
         return self.minuend.box_inside(b) & self.subtrahend.box_disjoint(b)

@@ -377,7 +377,7 @@ def _cert_result(cert) -> dict:
     out = {"verdict": cert.verdict, "boxes_examined": int(stats["boxes_examined"]),
            "max_depth": int(stats["max_depth"]), "survivors": int(stats["survivors"]),
            "budget_exhausted": bool(stats["budget_exhausted"])}
-    if cert.statement["kind"] == "inclusion":
+    if "centred_boxes" in stats:
         out["centred_boxes"] = int(stats["centred_boxes"])
         out["sampled_escape"] = stats["sampled_escape"]
     return out
@@ -463,19 +463,13 @@ def _run_preimages(rd, ctx):
 def _run_fixed_point(rd, ctx):
     m = _item_map(rd, ctx)
     region = rd.region("region")
-    max_residual = rd.positive("max_residual", 1e-12)
-    max_abs = rd.positive("max_abs", None)
     attracting = rd.boolean("expect_attracting", None)
     modulus = rd.positive("expect_multiplier_modulus", None, zero=True)
     tol = None if modulus is None else rd.positive("tolerance", 1e-9)
     rep = find_fixed_point(m, region)
     out = {"location": [rep.location.real, rep.location.imag], "residual": rep.residual,
            "multiplier_modulus": abs(rep.multiplier), "attracting": rep.attracting}
-    ok = rep.residual <= max_residual
-    if max_abs is not None:
-        ok = ok and abs(rep.location) < max_abs
-    if attracting is not None:
-        ok = ok and rep.attracting == attracting
+    ok = attracting is None or rep.attracting == attracting
     if modulus is not None:
         ok = ok and abs(abs(rep.multiplier) - modulus) < tol
     return ok, out

@@ -1,5 +1,6 @@
 """Slow reference implementations and exact checks that cross-check the library in tests."""
 import math
+import operator
 import tracemalloc
 from collections import deque
 from typing import NamedTuple
@@ -19,6 +20,7 @@ from wanderlab.dynamics import (
 )
 from wanderlab.maps import OPS, derivative, eval_map_vec
 from wanderlab.numerics import NONE, OVERFLOW, POLE, Boxes, ComplexBox, box_quarters
+from wanderlab.regions import Difference, Disk, HalfStrip, Union
 
 
 class PoleIntersect(ArithmeticError):
@@ -229,7 +231,38 @@ def prove_on_region_reference(region, test, budget):
     return survivors, stats
 
 
-def certificate_reference(statement, region, test, budget):
+def _dyadic(*xs: float) -> list[int]:
+    """The finite floats xs as integers over one common power of two: exact,
+    so sums, products and comparisons of them are exact rational ones."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    top = max(d.bit_length() for _, d in ratios)
+    return [n << (top - d.bit_length()) for n, d in ratios]
+
+
+def contains_exact(region, z) -> bool:
+    """Exact membership of the float point z: a disk compares the squared
+    distance with r^2 in exact rationals (as `_dyadic` integers, which
+    Fraction would give too, several times slower), a strip compares its
+    floats as they are (exact, and -inf compares too), and unions and
+    differences combine their parts."""
+    z = complex(z)
+    if isinstance(region, Disk):
+        within = operator.le if region.closed else operator.lt
+        x, y, cx, cy, r = _dyadic(z.real, z.imag, region.center.real, region.center.imag,
+                                  region.radius)
+        return within((x - cx) ** 2 + (y - cy) ** 2, r * r)
+    if isinstance(region, HalfStrip):
+        within = operator.le if region.closed else operator.lt
+        return (within(region.re_lo, z.real) and within(z.real, region.re_hi)
+                and within(region.im_lo, z.imag) and within(z.imag, region.im_hi))
+    if isinstance(region, Union):
+        return any(contains_exact(p, z) for p in region.parts)
+    if isinstance(region, Difference):
+        return contains_exact(region.minuend, z) and not contains_exact(region.subtrahend, z)
+    raise TypeError(f"no exact membership for {type(region).__name__}")
+
+
+def certificate_reference(region, test, budget):
     """The Certificate the depth-first engine gives for test on region."""
     survivors, stats = prove_on_region_reference(region, test, budget)
     if not survivors:
@@ -243,7 +276,7 @@ def certificate_reference(statement, region, test, budget):
          "depth": d, "reason": r}
         for b, d, r in survivors[:FRONTIER_KEEP]
     ]
-    return Certificate(statement, verdict, frontier, stats)
+    return Certificate(verdict, frontier, stats)
 
 
 def group_estimates_reference(fixed, tol):

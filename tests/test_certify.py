@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wanderlab.maps
-from oracles import PoleIntersect, certificate_reference
+from oracles import PoleIntersect, certificate_reference, contains_exact
 from wanderlab.certify import (
     WINDING_MAX_SAMPLES,
     Bound,
@@ -200,11 +200,9 @@ _STATION = Disk(complex(_TWO_PI), 40 / 1024, closed=True)   # B(2pi, r1), closed
 ], ids=["proved", "depth", "pole", "overflow", "centred", "point"])
 def test_inclusion_engine_matches_depth_first_oracle(m, source, target, budget, verdict):
     cert = certify_inclusion(m, source, target, budget)
-    statement = {"kind": "inclusion", "family": m.family_id,
-                 "source": source, "target": target}
     centred = []
     test, escape = _inclusion_test(m, source, target, centred)
-    ref = certificate_reference(statement, source, _single_box(test), budget)
+    ref = certificate_reference(source, _single_box(test), budget)
     ref.stats.update(centred_boxes=sum(centred), sampled_escape=escape)
     assert not ref.stats["budget_exhausted"]
     assert ref.verdict == verdict
@@ -231,8 +229,7 @@ def _natural_inclusion(m, target):
 
 def _natural_certificate(m, source, target, budget):
     survivors, stats = _prove_on_region(source, _natural_inclusion(m, target), budget)
-    return _finish({"kind": "inclusion", "family": m.family_id,
-                    "source": source, "target": target}, survivors, stats)
+    return _finish(survivors, stats)
 
 
 def test_mean_value_form_is_what_proves_rho_g():
@@ -258,8 +255,8 @@ def test_sample_gate_leaves_false_claims_to_the_natural_test(k):
     cert = certify_inclusion(g, _STATION, target, budget)
     escape = cert.stats.pop("sampled_escape")
     assert cert.stats.pop("centred_boxes") == 0
-    assert _STATION.contains(complex(*escape))
-    assert not target.contains(eval_map(g, complex(*escape)))
+    assert contains_exact(_STATION, complex(*escape))
+    assert not contains_exact(target, eval_map(g, complex(*escape)))
     assert cert == _natural_certificate(g, _STATION, target, budget)
     assert cert.verdict == "inconclusive"
 
@@ -276,10 +273,8 @@ _POLE_TERM = custom_map("(div eps (sub (exp z) (exp a)))",
 def test_inequality_engine_matches_depth_first_oracle(rhs, region, budget, verdict):
     lhs = ExprBound(_POLE_TERM)
     cert = certify_inequality(lhs, rhs, region, budget, cmp="<=")
-    statement = {"kind": "inequality", "lhs": lhs.label, "cmp": "<=",
-                 "rhs": rhs.label, "region": region}
-    ref = certificate_reference(statement, region,
-                                _single_box(_inequality_test(lhs, rhs, region, "<=")), budget)
+    ref = certificate_reference(region, _single_box(_inequality_test(lhs, rhs, region, "<=")),
+                                budget)
     assert not ref.stats["budget_exhausted"]
     assert ref.verdict == verdict
     assert cert == ref
@@ -305,7 +300,7 @@ def test_proved_inclusion_is_sound_on_samples():
     checked = 0
     while checked < 2000:
         z = complex(rng.uniform(-2 * A1, 2 * A1), rng.uniform(-2 * A1, 2 * A1))
-        if not source.contains(z):
+        if not contains_exact(source, z):
             continue
         assert abs(eval_map(m, z)) < A1 / 2
         checked += 1
@@ -323,8 +318,8 @@ def test_proved_inclusion_monotone_in_target():
 def test_series_remainder_inequality():
     # |e^z - 1 - z| < 2 |z|^2 away from 0: the classic cancellation case a
     # plain rectangle evaluation cannot close at small |z|
-    lhs = ExprBound(custom_map("(sub (sub (exp z) 1) z)"), label="|exp(z)-1-z|")
-    rhs = PowerBound(2.0, 2, label="2|z|^2")
+    lhs = ExprBound(custom_map("(sub (sub (exp z) 1) z)"))
+    rhs = PowerBound(2.0, 2)
     region = annulus(0j, 2.0 ** -20, 1.0, closed=True)
     cert = certify_inequality(lhs, rhs, region, cmp="<")
     assert cert.proved
@@ -337,10 +332,10 @@ def test_lower_bound_inequality_with_region_floor():
     # through the Taylor form, as its image boxes meet 0 there, and that of
     # 2|z| through the region floor, as the raw box distance to 0 collapses
     # on boxes that straddle the rim
-    f = ExprBound(custom_map("(sub (exp z) 1)"), label="|e^z - 1|")
+    f = ExprBound(custom_map("(sub (exp z) 1)"))
     region = annulus(0j, 2.0 ** -20, 0.5, closed=True)
-    assert certify_inequality(f, PowerBound(0.5, 1, label="|z|/2"), region, cmp=">=").proved
-    assert certify_inequality(f, PowerBound(2.0, 1, label="2|z|"), region, cmp="<").proved
+    assert certify_inequality(f, PowerBound(0.5, 1), region, cmp=">=").proved
+    assert certify_inequality(f, PowerBound(2.0, 1), region, cmp="<").proved
 
 
 class _NaturalBound(Bound):
@@ -542,18 +537,19 @@ def test_derived_constants_pinned(ex2_constants):
 
 
 def test_constant_search_trail_pinned(ex2_constants):
-    """Every certificate the search runs, in order: kind, radius * 1024,
-    verdict and boxes; a sampled witness refutes every other candidate."""
-    trail = []
-    for c in ex2_constants["certificates"]:
-        s = c.statement
-        disk = s["region"] if s["kind"] == "inequality" else s["target"]
-        trail.append((s["kind"], disk.radius * 1024, c.verdict, c.stats["boxes_examined"]))
-    assert trail == [
-        ("inequality", 32, "proved", 256), ("inequality", 40, "proved", 1_456),
-        ("inclusion", 40, "proved", 256), ("inclusion", 20, "proved", 256),
-        ("inclusion", 10, "proved", 256), ("inclusion", 5, "proved", 3_304),
-        ("inclusion", 6, "proved", 320)]
+    """Every certificate the search runs, in order: the trail's kind, radius
+    * 1024, verdict and boxes; a sampled witness refutes every other
+    candidate."""
+    certified = [e for e in ex2_constants["trail"] if "refuted_by" not in e]
+    assert [(e["kind"], e["per_1024"], e["verdict"], e["boxes_examined"])
+            for e in certified] == [
+        ("r1", 32, "proved", 256), ("r1", 40, "proved", 1_456),
+        ("rho_g", 40, "proved", 256), ("rho_g", 20, "proved", 256),
+        ("rho_g", 10, "proved", 256), ("rho_g", 5, "proved", 3_304),
+        ("r2", 6, "proved", 320)]
+    assert [(e["verdict"], e["boxes_examined"], e["max_depth"]) for e in certified] == [
+        (c.verdict, c.stats["boxes_examined"], c.stats["max_depth"])
+        for c in ex2_constants["certificates"]]
     assert ex2_constants["certificates"][-1] is ex2_constants["station_cert"]
 
 

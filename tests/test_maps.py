@@ -68,14 +68,13 @@ EPS1 = 2.0 ** -16
 EPS2 = 1e-5
 
 
+# each bundled family's test parameters
+_FAMILY_PARAMS = {"ex1": {"a": A1, "eps": EPS1}, "ex2": {"eps": EPS2}, "ex5": None,
+                  "ex3_model": {"eps": 1e-5}, "ex4_model": {"eps": 1e-5}}
+
+
 def _families() -> list[MeromorphicMap]:
-    return [
-        build_family("ex1", {"a": A1, "eps": EPS1}),
-        build_family("ex2", {"eps": EPS2}),
-        build_family("ex5"),
-        build_family("ex3_model", {"eps": 1e-5}),
-        build_family("ex4_model", {"eps": 1e-5}),
-    ]
+    return [build_family(name, params) for name, params in _FAMILY_PARAMS.items()]
 
 
 def _safe_point(m: MeromorphicMap, scale: float = 2.0) -> complex:
@@ -210,12 +209,13 @@ _CLOSED_FORMS = {
 
 def test_vec_agrees_with_scalar():
     # scalar cmath values of the closed forms, not the tape
-    for m in _families():
+    for name, params in _FAMILY_PARAMS.items():
+        m = build_family(name, params)
         pts = np.array([_safe_point(m) for _ in range(500)])
         vals, bad = eval_map_vec(m, pts)
         assert not bad.any()
         for z, v in zip(pts, vals):
-            want = _CLOSED_FORMS[m.family_id](complex(z), m.params)
+            want = _CLOSED_FORMS[name](complex(z), m.params)
             assert abs(want - v) < 1e-12 * (1.0 + abs(v))
 
 
@@ -538,7 +538,7 @@ def test_constants_share_slots_only_when_bit_identical():
     assert math.copysign(1.0, eval_map(custom_map("(add -0.0 0.0)"), 1.0).real) == 1.0
     assert len(custom_map("(add 2.0 2.0)").tape.leaves) == 1
     nan = Node("const", data=complex(math.nan))
-    nan_map = MeromorphicMap(Node("add", (nan, nan)), {}, (), "custom")
+    nan_map = MeromorphicMap(Node("add", (nan, nan)), {}, ())
     assert len(nan_map.tape.leaves) == 2
 
 
@@ -788,7 +788,7 @@ def test_sexpr_roundtrip():
         reparsed = parse_expr(text)
         for _ in range(20):
             z = _safe_point(m)
-            m2 = MeromorphicMap(reparsed, m.params, m.declared_poles, m.family_id)
+            m2 = MeromorphicMap(reparsed, m.params, m.declared_poles)
             assert abs(eval_map(m, z) - eval_map(m2, z)) < 1e-13
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import boxes_of, encloses
+from oracles import boxes_of, contains_exact, encloses
 from wanderlab.numerics import Boxes, ComplexBox
 from wanderlab.regions import (
     Difference,
@@ -58,6 +58,23 @@ def _disjoint(region: Region, box: ComplexBox) -> bool:
     return bool(region.box_disjoint(Boxes.of([box]))[0])
 
 
+def _point_in(region: Region, z) -> bool:
+    """The library's membership of z: its point box is inside."""
+    return bool(region.box_inside(Boxes.point(z))[0])
+
+
+def _point_out(region: Region, z) -> bool:
+    """The library's non-membership of z: its point box is disjoint."""
+    return bool(region.box_disjoint(Boxes.point(z))[0])
+
+
+def _on_rim(region: Region, z) -> bool:
+    """The exact answer for a point on a disk's rim, where outward rounding
+    leaves the library's point box neither inside nor disjoint."""
+    assert not _point_in(region, z) and not _point_out(region, z)
+    return contains_exact(region, z)
+
+
 def test_box_tests_are_conservative():
     checked_inside = checked_disjoint = 0
     for _ in range(4000):
@@ -71,10 +88,10 @@ def test_box_tests_are_conservative():
             z = complex(RNG.uniform(box.re_lo, box.re_hi),
                         RNG.uniform(box.im_lo, box.im_hi))
             if inside:
-                assert region.contains(z), f"{region} claimed to contain {box}"
+                assert contains_exact(region, z), f"{region} claimed to contain {box}"
                 checked_inside += 1
             else:
-                assert not region.contains(z), f"{region} claimed disjoint from {box}"
+                assert not contains_exact(region, z), f"{region} claimed disjoint from {box}"
                 checked_disjoint += 1
     # make sure the sweep actually exercised both branches
     assert checked_inside > 1000 and checked_disjoint > 1000
@@ -93,7 +110,7 @@ def test_ball_inside_is_conservative():
         for _ in range(50):
             z = complex(RNG.uniform(box.re_lo, box.re_hi), RNG.uniform(box.im_lo, box.im_hi))
             z += radius * (1.0 - 1e-9) * cmath.exp(1j * RNG.uniform(0.0, 2.0 * math.pi))
-            assert region.contains(z), f"{region} claimed to contain {box} + {radius}"
+            assert contains_exact(region, z), f"{region} claimed to contain {box} + {radius}"
             checked += 1
     assert checked > 1000
 
@@ -104,24 +121,22 @@ def test_min_dist_bound_is_lower_bound():
         p = complex(RNG.uniform(-3, 3), RNG.uniform(-3, 3))
         floor = region.min_dist_bound(p)
         assert floor >= 0.0
-        # sample region members through rejection from its bounding box
+        # sample the bounding box: no member lies nearer p than the floor
+        # (the distance is tested first, as the exact membership costs more)
         bb = region.bounding_box()
-        hits = 0
         for _ in range(300):
             z = complex(RNG.uniform(bb.re_lo, bb.re_hi), RNG.uniform(bb.im_lo, bb.im_hi))
-            if region.contains(z):
-                hits += 1
-                assert abs(z - p) >= floor
-        if hits == 0:
-            continue
+            assert abs(z - p) >= floor or not contains_exact(region, z)
 
 
 def test_open_vs_closed_disk_edges():
     d_open = Disk(0j, 1.0)
     d_closed = Disk(0j, 1.0, closed=True)
-    # point membership is exact: the rim belongs only to the closed disk
-    assert not d_open.contains(1.0 + 0j)
-    assert d_closed.contains(1.0 + 0j)
+    # the rim belongs only to the closed disk; a point box on it is
+    # undecided under outward rounding, as any box touching the rim is
+    assert not _on_rim(d_open, 1.0 + 0j)
+    assert _on_rim(d_closed, 1.0 + 0j)
+    assert _point_in(d_open, 1.0 - 1e-9) and _point_out(d_closed, 1.0 + 1e-9)
     # boxes that touch the rim exactly are undecidable under outward
     # rounding — conservative on both sides, never wrong
     rim = ComplexBox(0.0, 1.0, 0.0, 0.0)
@@ -143,7 +158,9 @@ def test_half_strip_boxes_touching_an_edge(closed):
                ComplexBox(0.25, 0.75, -0.5, 0.0), ComplexBox(0.25, 0.75, 1.0, 1.5)]
     assert strip.box_inside(Boxes.of(within)).tolist() == [closed] * 4
     assert strip.box_disjoint(Boxes.of(outside)).tolist() == [not closed] * 4
-    assert [strip.contains(z) for z in (0.5j, 1.0 + 0.5j, 0.5, 0.5 + 1.0j)] == [closed] * 4
+    edges = Boxes.point(np.array([0.5j, 1.0 + 0.5j, 0.5, 0.5 + 1.0j]))
+    assert strip.box_inside(edges).tolist() == [closed] * 4
+    assert strip.box_disjoint(edges).tolist() == [not closed] * 4
 
 
 @pytest.mark.parametrize("region", [HalfStrip(0.0, 1.0, 0.0, 1.0, closed=True),
@@ -159,23 +176,23 @@ def test_a_nan_box_is_neither_inside_nor_disjoint(region):
 
 def test_annulus_membership():
     ann = annulus(0j, 1.0, 2.0)
-    assert ann.contains(1.5)
-    assert ann.contains(1.0) and ann.contains(2.0)  # closed by default
-    assert not ann.contains(0.5) and not ann.contains(2.5)
+    assert _point_in(ann, 1.5)
+    assert _on_rim(ann, 1.0) and _on_rim(ann, 2.0)  # closed by default
+    assert _point_out(ann, 0.5) and _point_out(ann, 2.5)
     open_ann = annulus(0j, 1.0, 2.0, closed=False)
-    assert not open_ann.contains(1.0)
+    assert not _on_rim(open_ann, 1.0)
     hole_box = ComplexBox(-0.2, 0.2, -0.2, 0.2)
     assert _disjoint(ann, hole_box)
 
 
 def test_half_strip_unbounded():
     strip = HalfStrip(-math.inf, 0.0, -math.pi / 2, math.pi / 2)
-    assert strip.contains(-1000.0)
-    assert not strip.contains(0.1)
+    assert _point_in(strip, -1000.0)
+    assert _point_out(strip, 0.1)
     with pytest.raises(UnboundedRegionError):
         strip.bounding_box()
     interior = HalfStrip(-math.inf, 0.0, -math.pi / 2, math.pi / 2, closed=False)
-    assert not interior.contains(0.0)
+    assert _point_out(interior, 0.0)   # a strip's edges compare exactly
     b = ComplexBox(-5.0, -1.0, -1.0, 1.0)
     assert _inside(interior, b)
     assert not _inside(interior, ComplexBox(-5.0, 0.0, -1.0, 1.0))  # touches Re=0
@@ -185,15 +202,15 @@ def test_difference_region_matches_set_semantics():
     # closed disk of radius 2a with the open disk B(a, a/2) removed
     a = 2.0 ** -6
     delta = Difference(Disk(0j, 2 * a, closed=True), Disk(complex(a, 0.0), a / 2))
-    assert delta.contains(0.0)
-    assert delta.contains(-2 * a)
-    assert not delta.contains(a)           # pole excised
-    assert delta.contains(a / 2)           # rim of the removed open disk stays
-    assert not delta.contains(2.5 * a)
+    assert _point_in(delta, 0.0)
+    assert _on_rim(delta, -2 * a)
+    assert _point_out(delta, a)            # pole excised
+    assert _on_rim(delta, a / 2)           # rim of the removed open disk stays
+    assert _point_out(delta, 2.5 * a)
     bb = delta.bounding_box()
     assert encloses(Boxes.of([bb]), [[2 * a, -2j * a]]).all()
     assert delta.min_dist_bound(0j) == 0.0  # 0 is a member
-    assert delta.subtrahend.contains(a)
+    assert _point_in(delta.subtrahend, a)
 
 
 def test_union_box_inside_conservative_but_usable():
@@ -266,3 +283,54 @@ def test_min_dist_bound_is_sound_near_the_rim():
             q = c2 + (r_in - depth) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             assert 0 < holed.min_dist_bound(q) <= mpmath.mpf(r_in) - exact_dist(q, c2)
     assert checked > 2000
+
+
+def _jitter(z: complex, rng: random.Random, ulps: int = 4) -> complex:
+    """z with each part moved by up to ulps units in its last place."""
+    return complex(z.real + rng.randint(-ulps, ulps) * math.ulp(z.real),
+                   z.imag + rng.randint(-ulps, ulps) * math.ulp(z.imag))
+
+
+def _circle(c: complex, r: float):
+    return lambda rng: c + r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _strip_edges(re_lo, re_hi, im_lo, im_hi):
+    def edge(rng):
+        x, y = rng.uniform(max(re_lo, re_hi - 4.0), re_hi), rng.uniform(im_lo, im_hi)
+        return rng.choice([complex(re_hi, y), complex(x, im_lo), complex(x, im_hi)]
+                          + ([complex(re_lo, y)] if math.isfinite(re_lo) else []))
+    return edge
+
+
+# per region kind: the regions, and the rims a point near one is drawn from
+_RIMS = {
+    "disk": ([Disk(0.3 + 0.7j, 0.9), Disk(0.3 + 0.7j, 0.9, closed=True), Disk(0j, 1.0)],
+             [_circle(0.3 + 0.7j, 0.9), _circle(0j, 1.0)]),
+    "half_strip": ([HalfStrip(-math.inf, 0.5, -0.25, 1.0),
+                    HalfStrip(-math.inf, 0.5, -0.25, 1.0, closed=False),
+                    HalfStrip(-0.1, 0.5, -0.25, 1.0, closed=False)],
+                   [_strip_edges(-math.inf, 0.5, -0.25, 1.0),
+                    _strip_edges(-0.1, 0.5, -0.25, 1.0)]),
+    "union": ([Union(Disk(0j, 1.0), Disk(1.5 + 0.2j, 0.75, closed=True))],
+              [_circle(0j, 1.0), _circle(1.5 + 0.2j, 0.75)]),
+    "difference": ([annulus(0.1 - 0.2j, 0.4, 1.3), annulus(0.1 - 0.2j, 0.4, 1.3, closed=False)],
+                   [_circle(0.1 - 0.2j, 0.4), _circle(0.1 - 0.2j, 1.3)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RIMS))
+def test_point_box_test_agrees_with_exact_membership_near_the_rim(kind):
+    # points within 4 ulps of a rim: the point box is never inside a region
+    # the point lies outside of, nor disjoint from one it lies in
+    regions, rims = _RIMS[kind]
+    rng = random.Random(20261021)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        z = _jitter(rng.choice(rims)(rng), rng)
+        for region in regions:
+            member = contains_exact(region, z)
+            seen[member] += 1
+            assert not (_point_in(region, z) and not member), (region, z)
+            assert not (_point_out(region, z) and member), (region, z)
+    assert min(seen.values()) > 500

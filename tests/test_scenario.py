@@ -26,7 +26,7 @@ from wanderlab.dynamics import (
     RasterGrid,
     StationSpec,
 )
-from wanderlab.maps import eval_map
+from wanderlab.maps import build_family, eval_map
 from wanderlab.numerics import ComplexBox
 from wanderlab.regions import Disk, HalfStrip, annulus
 from wanderlab.scenario import (
@@ -383,8 +383,8 @@ def test_constant_search_trail_is_reported(ex2_report, ex2_constants):
     certs = ex2_constants["certificates"]
     assert [(e["verdict"], e["boxes_examined"], e["max_depth"]) for e in certified] == [
         (c.verdict, c.stats["boxes_examined"], c.stats["max_depth"]) for c in certs]
-    disks = [c.statement.get("region") or c.statement["target"] for c in certs]
-    assert [e["per_1024"] for e in certified] == [d.radius * 1024 for d in disks]
+    assert [(e["kind"], e["per_1024"]) for e in certified] == [
+        (e["kind"], e["per_1024"]) for e in ex2_constants["trail"] if "refuted_by" not in e]
     for e in trail:
         if "refuted_by" in e:
             assert e["refuted_by"] == "sample" and set(e) == {"kind", "per_1024", "refuted_by",
@@ -699,9 +699,6 @@ def _disk(radius, **extra):
     (_item("point_image", z=-math.inf), "point_image-item.z"),
     (_item("fixed_point", expect_multiplier_modulus=7.0, tolerance=math.inf),
      "fixed_point-item.tolerance"),
-    (_item("fixed_point", max_residual=math.inf), "fixed_point-item.max_residual"),
-    (_item("fixed_point", max_residual=0.0), "fixed_point-item.max_residual"),
-    (_item("fixed_point", max_abs=math.inf), "fixed_point-item.max_abs"),
     (_item("fixed_point", expect_multiplier_modulus=-1.0),
      "fixed_point-item.expect_multiplier_modulus"),
     (_item("fixed_point", expect_multiplier_modulus=math.nan),
@@ -736,8 +733,7 @@ def _disk(radius, **extra):
         "fractional-count", "zero-count", "zero-radius-circle", "family-and-expr",
         "infinite-target-radius", "zero-target-radius", "infinite-track-radius",
         "nan-track-factor", "infinite-track-step", "nan-disk-center", "infinite-point-z",
-        "infinite-modulus-tolerance", "infinite-max-residual", "zero-max-residual",
-        "infinite-max-abs", "negative-multiplier-modulus", "nan-multiplier-modulus",
+        "infinite-modulus-tolerance", "negative-multiplier-modulus", "nan-multiplier-modulus",
         "infinite-multiplier-modulus", "negative-ray-end", "zero-ray-end", "nan-ray-end",
         "infinite-ray-end", "negative-preimage-count", "infinite-identity-tolerance",
         "negative-identity-tolerance",
@@ -748,6 +744,20 @@ def test_cli_malformed_item_is_config_error(tmp_path, capsys, item, path):
     scenario = _write(tmp_path, "bad.json", dict(FIELDS, items=[item]))
     assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert f'"{path}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [("max_residual", 1e-12), ("max_abs", 0.0078125)],
+                         ids=["max_residual", "max_abs"])
+def test_fixed_point_bounds_are_unknown_fields(tmp_path, capsys, field, value):
+    # a fixed point is found only at a residual <= 1e-12 and inside its
+    # region, so neither bound could fail a row: a document that sets one
+    # fails loudly and names it
+    scenario = _write(tmp_path, "bad.json",
+                      dict(FIELDS, items=[_item("fixed_point", **{field: value})]))
+    assert main(["run", scenario, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert (f'"fixed_point-item.{field}": unknown field: nothing reads it'
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -777,6 +787,18 @@ def test_unmatched_component_is_failed_row(tmp_path, capsys):
     assert main(["run", scenario, "--threads", "1"]) == 1
     row, = json.loads(capsys.readouterr().out)["items"]
     assert row["result"]["error"].startswith("LookupError: raster-item.match[0].component")
+
+
+def test_lower_side_sum_is_failed_row(tmp_path, capsys):
+    # a sum bounds from above only; as the rhs of < it needs a lower bound,
+    # which is a failed row that names the bound, not a config error
+    item = _item("inequality", lhs={"const": 1}, cmp="<",
+                 rhs={"sum": [{"const": 2.0}, {"power": {"c": 1.0, "n": 1}}]})
+    scenario = _write(tmp_path, "s.json", dict(FIELDS, items=[item]))
+    assert main(["run", scenario, "--threads", "1"]) == 1
+    row, = json.loads(capsys.readouterr().out)["items"]
+    assert row["passed"] is False
+    assert "SumBound has no certified lower bound" in row["result"]["error"]
 
 
 def test_invalid_winding_fails_its_rows(tmp_path):
@@ -848,7 +870,7 @@ def test_load_decodes_the_top_level_once(tmp_path):
     scenario = load_scenario(_write(tmp_path, "r.json", TINY_RASTER))
     assert scenario.map_spec == TINY_RASTER["map"]
     assert scenario.params == TINY_RASTER["map"]["params"]
-    assert scenario.map.family_id == "ex1"
+    assert scenario.map.expr == build_family("ex1", scenario.params).expr
     assert scenario.window == ComplexBox(-0.05, 0.05, -0.05, 0.05)
     assert scenario.resolution == (16, 12)
     assert scenario.orbit == OrbitConfig()

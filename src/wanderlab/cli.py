@@ -58,7 +58,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="write the report here instead of stdout, "
                      "and the raster images beside it")
     run.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="raster worker processes (default: available cores)")
+                     help="raster threads (default: available cores)")
 
     sub.add_parser("suites", help="list bundled scenarios and their items")
     return parser

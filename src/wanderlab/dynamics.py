@@ -25,10 +25,11 @@ attraction basin met in scan order (`maps.group_roots` groups the
 estimates; a basin confirms at residual at most 1e-12; the pixels of a
 basin that does not confirm fall back to the budget verdict).
 `classify_grid` cuts the rows of a window into contiguous ranges, one per
-worker but no more than there are rows or RANGE_PIXELS (2**15) shares of
-pixels, so a raster of one share or less is classified in-process; each
-range builds its pixel centers a block at a time, whole rows broadcast,
-from their row and column coordinates, runs the orbit machine over them
+worker but no more than there are rows or RANGE_PIXELS (2**16) shares of
+pixels, and runs them on threads, so a raster of one share or less is
+classified in the calling thread alone; each range builds its pixel
+centers a block at a time, whole rows broadcast, from their row and
+column coordinates, runs the orbit machine over them
 and returns its verdicts with the fixed-point estimates of its attracted
 pixels and the track ids of its drifting ones only, and its retirement
 histogram.
@@ -247,8 +248,9 @@ class RasterGrid(NamedTuple):
 
 ORBIT_BLOCK = 2 ** 14   # the most orbits _orbit_verdicts keeps live at once
 # _classify_ranges cuts no more ranges than there are shares of RANGE_PIXELS
-# classified pixels: a pool's start-up costs more than a smaller range saves
-RANGE_PIXELS = 2 ** 15
+# classified pixels: a second range pays a second orbit loop's per-step
+# overhead, which costs more than its thread saves on a smaller raster
+RANGE_PIXELS = 2 ** 16
 
 
 class _GridPoints:
@@ -510,15 +512,22 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     height - 1, the axis row included when the height is odd, and
     _reflect builds the rest.  The classified rows other than an axis row
     are cut into min(workers, rows, ceil(their pixels / RANGE_PIXELS))
-    contiguous ranges, run in-process when there is one and through a
-    process pool otherwise: a pool's start-up costs more than a range of
-    less than RANGE_PIXELS saves (on ex1-core's 8,192 pixels, 37 ms of CPU
-    through two workers against 11 ms in-process, and on a 200x200 ex1
-    raster's 20,000, 41 ms against 18 ms).  The rule does not follow
-    ORBIT_BLOCK, which bounds a range's memory, not what it saves.  An axis
-    row is a range of its own, run in-process, because its orbits count
-    once in the retirement histogram and every other classified orbit
-    twice."""
+    contiguous ranges, run in the calling thread when there is one and on a
+    thread pool otherwise.  The threads overlap where numpy's loops release
+    the GIL, complex sin above all, but each range runs an orbit loop of its
+    own and pays its per-step overhead again, so a split always costs CPU
+    and saves wall time only past about 70,000 classified pixels (medians
+    of 25 alternating rounds on 2 cores, one range against two threads:
+    ex1-core's 8,192 pixels 6 ms of CPU and wall against 15 ms of CPU and
+    11 ms wall; ex2 rasters of 65,000 pixels 41 ms against 61 ms and 48 ms,
+    and of 100,000, 84 ms against 93 ms and 75 ms).  The rule does not follow
+    ORBIT_BLOCK, which bounds a range's memory, not what it saves.  An
+    axis row is a range of its own, run in the calling thread, because its
+    orbits count once in the retirement histogram and every other
+    classified orbit twice.
+
+    The ranges share the map; maps._run says why its one write, the fold,
+    is safe across threads."""
     mirrored = _mirrored(m, cfg, window)
     top = height // 2 if mirrored else 0
     axis = mirrored and height % 2 == 1
@@ -530,11 +539,12 @@ def _classify_ranges(m, cfg, window, width, height, workers):
     if len(tasks) == 1:
         parts = [_classify_rows(t) for t in axis_task + tasks]
     else:
-        # imported here, so that a process that forks no pool does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here, so that a run that starts no thread does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
 
-        # the pool forks all its processes up front: no more than the ranges or cores
-        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+        # one thread per range, but no more than there are cores: the ranges
+        # overlap only where numpy's loops release the GIL
+        with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             # map submits every task at once: the axis row runs here meanwhile
             pending = pool.map(_classify_rows, tasks)
             parts = [_classify_rows(t) for t in axis_task] + list(pending)
@@ -607,12 +617,13 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     bundled rasters give the outputs of the full classification bit for bit.
 
     The classified rows are cut into min(workers, rows, ceil(classified
-    pixels / RANGE_PIXELS)) contiguous ranges, run in-process when there is
-    one and through a process pool otherwise, so a raster of RANGE_PIXELS
-    (2**15) classified pixels or less forks no pool.
+    pixels / RANGE_PIXELS)) contiguous ranges, run in the calling thread
+    when there is one and on a pool of at most os.cpu_count() threads
+    otherwise, so a raster of RANGE_PIXELS (2**16) classified pixels or
+    less starts no thread.
     Each range builds its start points a block at a time from its row and
     column coordinates and runs the orbit machine, which keeps at most
-    ORBIT_BLOCK (2**14) orbits live, so a worker's orbit state is bounded
+    ORBIT_BLOCK (2**14) orbits live, so a range's orbit state is bounded
     whatever the resolution.  A range returns its uint8 verdicts and only
     the fixed-point estimates of its attracted pixels and the track ids of
     its drifting ones; its results are pure functions of its pixels, so the

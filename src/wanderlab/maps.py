@@ -297,8 +297,7 @@ _TREES = {name: parse_expr(text) for name, text in {
 
 
 class MeromorphicMap:
-    # A slotted map has no instance dict, so setting known or prime never
-    # grows one while a process pool pickles the map in its feeder thread.
+    # a map holds these fields only: known and prime fill in at first use
     __slots__ = ("expr", "params", "declared_poles", "tape", "known", "prime")
 
     def __init__(self, expr: Node, params: dict, declared_poles: tuple):
@@ -307,8 +306,7 @@ class MeromorphicMap:
         self.params = dict(params)
         self.tape: Tape = _compile(expr)
         # per backend column: the leaves' and z-free steps' values once _run has
-        # folded them, else None; one key per column from the start, so filling
-        # one never resizes this dict while a process pool pickles the map
+        # folded them, else None
         self.known = dict.fromkeys((_VEC, _BOX))
         # f' once derivative(m) has built it, else None
         self.prime: MeromorphicMap | None = None
@@ -470,7 +468,11 @@ def _run(m: MeromorphicMap, column: int, x, lift):
 
     The first call in a column reads m.params, lifts the leaves and runs
     the steps that read no z; m.known keeps those values, and every call
-    starts from them and runs only the steps that read z."""
+    starts from them and runs only the steps that read z.  That fold is the
+    one write, and it is safe when threads share the map, as a raster's
+    ranges do: threads that fold at once each compute the same values from
+    the same map and use their own, and one dict item store replaces
+    another, so no thread reads a partial fold."""
     known = m.known[column]
     if known is None:
         leaves = (lift(value if name is None else complex(m.params[name]))

@@ -416,7 +416,7 @@ def _station_update_reference(z, st, k, active, run, run_start, prev_idx,
 
 def classify_grid_reference(m, window, width, height, cfg):
     """wanderlab.dynamics.classify_grid with every row of the window
-    classified in-process, as one range: the full-height path, which a
+    classified in the calling thread, as one range: the full-height path, which a
     mirrored raster skips.  The merge after it is classify_grid's own."""
     full = dynamics._classify_rows((m, cfg, window, width, height, 0, height))
     with mock.patch.object(dynamics, "_classify_ranges", lambda *args: full):

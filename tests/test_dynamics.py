@@ -1,7 +1,7 @@
 import concurrent.futures
 import math
 import os
-import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -507,7 +507,7 @@ def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
 
 def test_classify_grid_memory_per_pixel(monkeypatch):
     # beyond the labels and ids it returns, classifying the 256x256 ex2
-    # grid in-process holds about 4 bytes per pixel (uint8 verdicts and
+    # grid in one range holds about 4 bytes per pixel (uint8 verdicts and
     # bool masks) and the orbit block: no complex128 or int64 pixel array
     monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
     m = build_family("ex2", {"eps": EPS2})
@@ -591,12 +591,12 @@ def test_grid_deterministic_and_worker_invariant(monkeypatch):
 
 class _RaisingPool:
     def __init__(self, max_workers):
-        raise AssertionError("a raster of one range share or less forks no pool")
+        raise AssertionError("a raster of one range share or less starts no thread")
 
 
 class _RecordingPool:
-    """A ProcessPoolExecutor that maps in-process and starts no process; it
-    logs each pool's max_workers and every task it maps."""
+    """A ThreadPoolExecutor that maps in the calling thread and starts no
+    thread; it logs each pool's max_workers and every task it maps."""
     sizes: list = []
     tasks: list = []
 
@@ -619,14 +619,14 @@ class _RecordingPool:
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     return _RecordingPool
 
 
 def test_raster_of_one_block_classifies_in_process(monkeypatch):
     # 64 classified pixels fill one range share of 64: one range, whatever
     # the workers, and no pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RaisingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 64)
     m = ex1()
     # not symmetric about the real axis, so all 8 rows are classified
@@ -650,10 +650,10 @@ def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording
 def test_ranges_follow_their_own_share_not_the_orbit_block(monkeypatch):
     # with the default constants, a 200x200 ex1 raster's 20,000 classified
     # pixels (its upper half) fill more than one orbit block but one range
-    # share: no pool under 2 workers, whose start-up would cost more CPU
-    # than the second range saves
+    # share: no pool under 2 workers, whose second range would cost more
+    # CPU than it saves
     assert dynamics.ORBIT_BLOCK < 100 * 200 <= dynamics.RANGE_PIXELS
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RaisingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     m, win = ex1(), load_scenario("ex1-core").window
     assert dynamics._mirrored(m, OrbitConfig(), win)
     g = classify_grid(m, win, 200, 200, OrbitConfig(), workers=2)
@@ -679,8 +679,8 @@ def test_cor2_raster_cuts_two_ranges(monkeypatch, recording_pool):
 
 
 def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_pool):
-    # the pool forks every worker up front, so a huge --threads must not
-    # reach it; the fake maps in-process and starts no process
+    # map starts a thread per task up to the pool's size, so a huge
+    # --threads must not reach it; the fake starts no thread
     sizes = recording_pool.sizes
     # a range share of 4 pixels, so that each of the 4 rows fills one
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 4)
@@ -698,7 +698,7 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_p
 
 def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_pool):
     # a row task names its rows and builds its own pixel centers: no
-    # per-pixel array crosses the pool
+    # per-pixel array is handed to a range
     # a range share smaller than half of the 900 classified pixels: 2 ranges
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
     m = build_family("ex2", {"eps": EPS2})
@@ -706,12 +706,35 @@ def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
     one = classify_grid(m, win, 90, 21, cfg, workers=1)
     two = classify_grid(m, win, 90, 21, cfg, workers=2)
-    task_bytes = [len(pickle.dumps(t)) for t in recording_pool.tasks]
-    assert len(task_bytes) == 2 and max(task_bytes) < 4096
+    tasks = recording_pool.tasks
+    assert len(tasks) == 2 and not any(isinstance(v, np.ndarray) for t in tasks for v in t)
     assert np.array_equal(one.labels, two.labels) and np.array_equal(one.ids, two.ids)
     assert one.verdict_counts == two.verdict_counts
     assert one.verdict_counts["drifting"] > 0
     assert {1, LADDER_STRIDE} <= set(one.ids[one.labels == DRIFTING].tolist())
+
+
+def test_threads_sharing_a_fresh_map_classify_it_bit_for_bit(monkeypatch):
+    # 4 ranges of a 900-pixel ex2 raster on a pool capped at the cores share
+    # one map whose constants are not folded yet, so threads may fold them at
+    # once (maps._run); a short switch interval interleaves them often, and
+    # each round starts from a fresh map
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
+    cfg = ex2_core_orbit()
+    win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
+    want = dynamics._classify_ranges(build_family("ex2", {"eps": EPS2}), cfg, win, 90, 21, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            m = build_family("ex2", {"eps": EPS2})
+            assert all(v is None for v in m.known.values())
+            got = dynamics._classify_ranges(m, cfg, win, 90, 21, 4)
+            # verdicts, fixed-point estimates, track ids and retirement histogram
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ex2_raster_headline(ex2_raster):

@@ -605,8 +605,7 @@ def test_derivative_keeps_pole_set():
 def test_derivative_is_built_once_per_map():
     # the map keeps f', so f' and f'' are the same maps at every call, and
     # neither derivative nor evaluation adds an attribute or a folded-value
-    # key: the raster pool pickles maps in a feeder thread while the axis row
-    # evaluates, and a slotted map has no instance dict to grow
+    # key: a slotted map has no instance dict to grow
     m = build_family("ex2", {"eps": EPS2})
     columns = set(m.known)
     assert derivative(m) is derivative(m)

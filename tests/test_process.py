@@ -4,9 +4,10 @@ OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads; wanderlab
 sets it (unless the caller did) before its first numpy import.  That is
 safe only because wanderlab itself makes no BLAS call.  Beside that scan
 sits a second one: every top-level name of src/wanderlab is read somewhere.
-Importing wanderlab loads neither the raster pool nor `dataclasses`: the
-records are NamedTuples and slotted classes, whose errors, equality and
-pickling are pinned here.
+Importing wanderlab loads neither the raster's thread pool nor
+`dataclasses` (the records are NamedTuples and slotted classes, whose
+errors, equality and pickling are pinned here), and a raster run loads no
+process machinery.
 """
 import ast
 import math
@@ -69,22 +70,34 @@ def test_openblas_thread_timeout_is_set_before_numpy_loads(preset, seen):
     assert _timeout_at_numpy_import(preset) == seen
 
 
-@pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses"],
+@pytest.mark.parametrize("module", ["concurrent.futures", "dataclasses"],
                          ids=["raster-pool", "dataclasses"])
 def test_scenario_import_leaves_out(module):
-    # dynamics imports concurrent.futures only where a raster forks its pool,
-    # and no record is a dataclass, whose decoration execs generated methods
+    # dynamics imports concurrent.futures only where a raster starts its
+    # thread pool, and no record is a dataclass, whose decoration execs
+    # generated methods
     probe = f"import sys, wanderlab.scenario; print({module!r} in sys.modules)"
     assert _fresh_python(probe, os.environ) == "False"
 
 
 def test_small_raster_forks_no_pool_whatever_the_threads():
-    # ex1-core's raster classifies 8,192 pixels, a quarter of an orbit
-    # block: one range, classified in-process even with two threads
+    # ex1-core's raster classifies 8,192 pixels, an eighth of a range share:
+    # one range, classified in the calling thread even with two threads, so
+    # the run imports no executor
     probe = ("import sys; from wanderlab.scenario import run_scenario; "
              "run_scenario('ex1-core', threads=2); "
-             "print('concurrent.futures.process' in sys.modules)")
-    assert _fresh_python(probe, os.environ) == "False"
+             "print([name for name in sys.modules if name.startswith('concurrent')])")
+    assert _fresh_python(probe, os.environ) == "[]"
+
+
+def test_raster_threads_load_no_process_machinery():
+    # ex2-core's Cor-2-raster cuts two ranges under two threads and runs
+    # them on a thread pool in this process: nothing loads multiprocessing
+    probe = ("import sys; from wanderlab.scenario import run_scenario; "
+             "run_scenario('ex2-core', threads=2); "
+             "print([name in sys.modules for name in ('concurrent.futures.thread', "
+             "'concurrent.futures.process', 'multiprocessing')])")
+    assert _fresh_python(probe, os.environ) == "[True, False, False]"
 
 
 _BLAS_ATTRS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
@@ -133,7 +146,8 @@ def test_record_validation_errors(make, message):
     OrbitConfig(max_iter=7, stations=(StationSpec(), StationSpec(step=-1.0, min_index=-3))),
 ], ids=["box", "orbit"])
 def test_pickled_record_stays_equal(record):
-    # the raster pool sends the window and the orbit settings to its workers
+    # a caller's own process pool may send a window or orbit settings to its
+    # workers: a slotted record pickles equal
     again = pickle.loads(pickle.dumps(record))
     assert again == record and again is not record
 

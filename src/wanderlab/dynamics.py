@@ -8,15 +8,15 @@ declared pole, station drift, or the iteration budget.  Every point
 zone, which is a pole hit; so a pole the map does not declare reads as
 escape to infinity.  It keeps at most ORBIT_BLOCK (2**14) orbits live
 and admits the next start points whenever half the block or less is
-left, so its working memory does not grow with the number of points: per
-point it holds a uint8 verdict, and per attracted or drifting orbit the
-value it retired with.  A step updates the live orbits' int32 state
-block in place and steps every station ladder in one vectorized pass,
-testing each distinct ladder band once; the map's guards, the pole snap
-and the escape and retirement bookkeeping allocate only at steps where
-they fire, and one take compacts the state at a step where orbits
-retire.  Each orbit's retirement step also lands in a log2 histogram per
-verdict.
+left, so its working memory does not grow with the number of points: it
+writes each point's uint8 verdict and int32 track id into arrays its
+caller hands it, and keeps the value each attracted orbit retired with.
+A step updates the live orbits' int32 state block in place and steps
+every station ladder in one vectorized pass, testing each distinct
+ladder band once; the map's guards, the pole snap and the escape and
+retirement bookkeeping allocate only at steps where they fire, and one
+take compacts the state at a step where orbits retire.  Each orbit's
+retirement step also lands in a log2 histogram per verdict.
 
 Fixed points come from the one Newton solver, `maps.newton_roots`, run
 on f(z) - z: `find_fixed_point` runs it once from a seed grid over a
@@ -24,24 +24,38 @@ region, and `classify_grid` once from the first estimate of every
 attraction basin met in scan order (`maps.group_roots` groups the
 estimates; a basin confirms at residual at most 1e-12; the pixels of a
 basin that does not confirm fall back to the budget verdict).
-`classify_grid` cuts the rows of a window into contiguous ranges, one per
-worker but no more than there are rows or RANGE_PIXELS (2**16) shares of
-pixels, and runs them on threads, so a raster of one share or less is
-classified in the calling thread alone; each range builds its pixel
-centers a block at a time, whole rows broadcast, from their row and
-column coordinates, runs the orbit machine over them
-and returns its verdicts with the fixed-point estimates of its attracted
-pixels and the track ids of its drifting ones only, and its retirement
-histogram.
-A raster that is its own mirror image is classified in its upper half
-only: when every constant and parameter on the map's tape, every declared
-pole and every station ladder's base is real, and the window has
-im_lo = -im_hi, f(conj z) = conj f(z) (Schwarz reflection), so rows
-height // 2 .. height - 1 are classified (the axis row too when the
-height is odd) and the rows below are those rows reversed, without the
-axis row, with the same verdicts and track ids and conjugate estimates.
-One merge over the ranges derives display labels, with uint8, bool and
-int32 pixel arrays only:
+
+`classify_grid` allocates a raster's uint8 verdicts and int32 ids once,
+and every range of rows writes its verdicts and track ids straight into
+its own rows of them.  The range rule: the classified rows other than an
+axis row are cut into min(workers, rows, ceil(their pixels /
+RANGE_PIXELS)) contiguous ranges, RANGE_PIXELS being 2**16, run in the
+calling thread when there is one and otherwise on a pool of at most
+os.cpu_count() threads, which need no lock because no two ranges share a
+row.  Each range builds its pixel centers a block at a time, whole rows
+broadcast, from their row and column coordinates, runs the orbit machine
+over them, and returns the fixed-point estimates of its attracted pixels
+in scan order and its retirement histogram.  Its results are pure
+functions of its pixels, so no output depends on the worker count.
+
+The mirror rule: a raster that is its own mirror image is classified in
+its upper half only.  When every constant and parameter on the map's
+tape, every declared pole and every station ladder's base is real, and
+the window has im_lo = -im_hi, f(conj z) = conj f(z) (Schwarz
+reflection), so rows height // 2 .. height - 1 are classified and the
+rows below are those rows reversed, without the axis row, with the same
+verdicts and track ids and conjugate estimates, which join the others in
+scan order before the basins are numbered.  With an odd height the
+axis row is classified too, as a range of its own in the calling thread,
+because its orbits count once in the retirement histogram and every
+other classified orbit twice.  The lower half is defined as the
+reflection: in floats a pixel center may differ from its mirror's
+negative in the last bits, so an orbit on a verdict boundary could read
+otherwise if classified itself; the bundled rasters give the outputs of
+the full classification bit for bit.
+
+From the verdicts and ids `classify_grid` derives display labels, with
+uint8, bool and int32 pixel arrays only:
 
 * attracted pixels carry a basin id (one id per confirmed fixed point),
 * station-hopping pixels carry a track id: the corridor index where the
@@ -249,7 +263,13 @@ class RasterGrid(NamedTuple):
 ORBIT_BLOCK = 2 ** 14   # the most orbits _orbit_verdicts keeps live at once
 # _classify_ranges cuts no more ranges than there are shares of RANGE_PIXELS
 # classified pixels: a second range pays a second orbit loop's per-step
-# overhead, which costs more than its thread saves on a smaller raster
+# overhead, so a split always costs CPU and saves wall time only past about
+# 70,000 classified pixels (medians of 25 alternating rounds on 2 cores, one
+# range against two threads: ex1-core's 8,192 pixels 6 ms of CPU and wall
+# against 15 ms of CPU and 11 ms wall; ex2 rasters of 65,000 pixels 41 ms
+# against 61 ms and 48 ms, and of 100,000, 84 ms against 93 ms and 75 ms).
+# The rule does not follow ORBIT_BLOCK, which bounds a range's memory, not
+# what it saves.
 RANGE_PIXELS = 2 ** 16
 
 
@@ -271,13 +291,14 @@ class _GridPoints:
         return rows.ravel()[s.start - r0 * w:s.stop - r0 * w]
 
 
-def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
+def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig, verdict, track):
     """Vectorized orbit state machine over a sequence of start points.
 
-    zs is an array, or anything with len() whose slices are arrays.
-    Returns (verdict codes, the fixed-point estimates of the attracted
-    orbits, the track ids of the drifting ones, the retirement histogram),
-    the first three in scan order.  The loop keeps at most ORBIT_BLOCK live
+    zs is an array, or anything with len() whose slices are arrays.  Every
+    point's verdict code goes into verdict (uint8) and its track id into
+    track (int32, -1 unless the orbit drifts), both 1-D of len(zs); returns
+    the fixed-point estimates of the attracted orbits in scan order and the
+    retirement histogram.  The loop keeps at most ORBIT_BLOCK live
     orbits: their start positions, current points, and one int32 state
     block of 2 + 2L rows: the count of short steps in a row, the age (steps
     taken), per ladder the streak length, and per ladder the corridor index
@@ -285,7 +306,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     that index minus its length).  A step updates the state in place, and
     at a step where orbits get verdicts one take of the live orbits'
     positions compacts the start positions, the points and the block; an
-    attracted or drifting orbit leaves its value with its start position.
+    attracted orbit leaves its estimate with its start position.
     An orbit retires as budget at age cfg.max_iter, and once half the block
     or less is live the next start points, sliced out of zs, fill it again.
     Each verdict is a pure function of its start point, so the block size
@@ -296,9 +317,9 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
     2**(k+1) - 1); it is filled only at steps where orbits retire.
     """
     n = len(zs)
-    verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
+    verdict.fill(_V_BUDGET)
+    track.fill(-1)
     attracted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128))]
-    drifted = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32))]
     buckets = cfg.max_iter.bit_length()
     retired = np.zeros(len(_VERDICT_NAMES) * buckets, dtype=np.int64)
     ladders = _Ladders.of(cfg.stations)
@@ -316,7 +337,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
             new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
             new_state = np.zeros((rows, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
-            _ladders_step(ladders, new_z, new_state[2:], None, new_start, verdict, drifted)
+            _ladders_step(ladders, new_z, new_state[2:], None, new_start, verdict, track)
             start = np.concatenate([start, new_start])
             z = np.concatenate([z, new_z])
             state = np.concatenate([state, new_state], axis=1)
@@ -349,7 +370,7 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
             attracted.append((start[now], nxt[now]))
             gone = conv if gone is None else np.logical_or(gone, conv, out=gone)
         z = nxt
-        gone = _ladders_step(ladders, z, state[2:], gone, start, verdict, drifted)
+        gone = _ladders_step(ladders, z, state[2:], gone, start, verdict, track)
         # orbits are admitted in order and compaction keeps it, so the
         # first live orbit is the oldest
         age = state[1]
@@ -363,14 +384,8 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig):
                                    minlength=retired.size)
             keep = np.logical_not(gone, out=gone).nonzero()[0]
             start, z, state = start.take(keep), z.take(keep), state.take(keep, axis=1)
-    return (verdict, _in_scan_order(attracted), _in_scan_order(drifted),
-            retired.reshape(len(_VERDICT_NAMES), buckets))
-
-
-def _in_scan_order(retired) -> np.ndarray:
-    """The values of (start positions, values) pairs, ordered by start position."""
-    where, values = (np.concatenate(c) for c in zip(*retired))
-    return values[np.argsort(where)]
+    where, fixed = (np.concatenate(c) for c in zip(*attracted))
+    return fixed[np.argsort(where)], retired.reshape(len(_VERDICT_NAMES), buckets)
 
 
 class _Ladders(NamedTuple):
@@ -403,11 +418,11 @@ class _Ladders(NamedTuple):
                    tuple(dict.fromkeys((st.base.imag, st.radius) for st in stations)))
 
 
-def _ladders_step(ladders, z, streaks, gone, start, verdict, drifted):
+def _ladders_step(ladders, z, streaks, gone, start, verdict, track):
     """One step of every ladder at once on the orbits that do not retire at
     this step: gone marks those that do, or is None when none does.  A
-    completed streak records the orbit as drifting and appends its start
-    position and track id to drifted.  When streaks on several ladders
+    completed streak writes the orbit's drifting verdict and its track id
+    at its start position.  When streaks on several ladders
     complete at the same step, the first declared ladder wins.  streaks is
     the (2L, s) int32 ladder part of the state block, updated in place.
     Returns gone with the drifting orbits marked (a new mask if it was None
@@ -447,7 +462,7 @@ def _ladders_step(ladders, z, streaks, gone, start, verdict, drifted):
         fin = sel[cols]
         verdict[start[fin]] = _V_DRIFTING
         run, want = sub[k, cols], sub[len(ladders.streak) + k, cols]
-        drifted.append((start[fin], want - run + ladders.offset[k]))
+        track[start[fin]] = want - run + ladders.offset[k]
         if gone is None:
             gone = np.zeros(z.size, dtype=bool)
         gone[fin] = True
@@ -478,16 +493,19 @@ def _station_update(ladders: _Ladders, cur, streaks):
     return run >= ladders.streak
 
 
-def _classify_rows(task):
-    """Orbit verdicts of raster rows r0 .. r1 - 1, with the fixed-point
-    estimates of the attracted pixels and the track ids of the drifting
-    ones, each in scan order: all the merge in classify_grid reads."""
-    m, cfg, window, width, height, r0, r1 = task
+def _classify_rows(m, cfg, window, verdict, ids, r0, r1):
+    """Classify raster rows r0 .. r1 - 1 in place: every pixel of those
+    rows of verdict and ids, the raster's (height, width) uint8 and int32
+    arrays, and nothing else.  Returns the fixed-point estimates of their
+    attracted pixels in scan order and their retirement histogram."""
+    height, width = verdict.shape
     dx = (window.re_hi - window.re_lo) / width
     dy = (window.im_hi - window.im_lo) / height
     xs = window.re_lo + (np.arange(width) + 0.5) * dx
     ys = window.im_lo + (np.arange(r0, r1) + 0.5) * dy
-    return _orbit_verdicts(m, _GridPoints(xs, ys), cfg)
+    # rows of a C-ordered array are contiguous: ravel gives views, not copies
+    return _orbit_verdicts(m, _GridPoints(xs, ys), cfg, verdict[r0:r1].ravel(),
+                           ids[r0:r1].ravel())
 
 
 def _mirrored(m: MeromorphicMap, cfg: OrbitConfig, window: ComplexBox) -> bool:
@@ -505,39 +523,27 @@ def _mirrored(m: MeromorphicMap, cfg: OrbitConfig, window: ComplexBox) -> bool:
             and all(st.base.imag == 0.0 for st in cfg.stations))
 
 
-def _classify_ranges(m, cfg, window, width, height, workers):
-    """_classify_rows over the whole raster, joined in scan order.
-
-    A mirrored raster (_mirrored) classifies only its rows height // 2 ..
-    height - 1, the axis row included when the height is odd, and
-    _reflect builds the rest.  The classified rows other than an axis row
-    are cut into min(workers, rows, ceil(their pixels / RANGE_PIXELS))
-    contiguous ranges, run in the calling thread when there is one and on a
-    thread pool otherwise.  The threads overlap where numpy's loops release
-    the GIL, complex sin above all, but each range runs an orbit loop of its
-    own and pays its per-step overhead again, so a split always costs CPU
-    and saves wall time only past about 70,000 classified pixels (medians
-    of 25 alternating rounds on 2 cores, one range against two threads:
-    ex1-core's 8,192 pixels 6 ms of CPU and wall against 15 ms of CPU and
-    11 ms wall; ex2 rasters of 65,000 pixels 41 ms against 61 ms and 48 ms,
-    and of 100,000, 84 ms against 93 ms and 75 ms).  The rule does not follow
-    ORBIT_BLOCK, which bounds a range's memory, not what it saves.  An
-    axis row is a range of its own, run in the calling thread, because its
-    orbits count once in the retirement histogram and every other
-    classified orbit twice.
-
-    The ranges share the map; maps._run says why its one write, the fold,
-    is safe across threads."""
+def _classify_ranges(m, cfg, window, verdict, ids, workers):
+    """Fill verdict and ids by _classify_rows over ranges of rows, under
+    the range and mirror rules of the module docstring; returns the
+    fixed-point estimates of the attracted pixels in scan order and the
+    retirement histogram.  The ranges share the map; maps._run says why its
+    one write, the fold, is safe across threads."""
+    height, width = verdict.shape
     mirrored = _mirrored(m, cfg, window)
     top = height // 2 if mirrored else 0
     axis = mirrored and height % 2 == 1
     lo = top + axis
     ranges = min(max(workers, 1), height - lo, -(-(height - lo) * width // RANGE_PIXELS))
-    tasks = [(m, cfg, window, width, height, lo + (height - lo) * i // ranges,
-              lo + (height - lo) * (i + 1) // ranges) for i in range(ranges)]
-    axis_task = [(m, cfg, window, width, height, top, top + 1)] if axis else []
+    tasks = [(lo + (height - lo) * i // ranges, lo + (height - lo) * (i + 1) // ranges)
+             for i in range(ranges)]
+    axis_task = [(top, top + 1)] if axis else []
+
+    def rows(task):
+        return _classify_rows(m, cfg, window, verdict, ids, *task)
+
     if len(tasks) == 1:
-        parts = [_classify_rows(t) for t in axis_task + tasks]
+        parts = [rows(t) for t in axis_task + tasks]
     else:
         # imported here, so that a run that starts no thread does not pay for it
         from concurrent.futures import ThreadPoolExecutor
@@ -546,33 +552,19 @@ def _classify_ranges(m, cfg, window, width, height, workers):
         # overlap only where numpy's loops release the GIL
         with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             # map submits every task at once: the axis row runs here meanwhile
-            pending = pool.map(_classify_rows, tasks)
-            parts = [_classify_rows(t) for t in axis_task] + list(pending)
-    *joined, retired = zip(*parts)
-    verdict, fixed, track = (c[0] if len(c) == 1 else np.concatenate(c) for c in joined)
+            pending = pool.map(rows, tasks)
+            parts = [rows(t) for t in axis_task] + list(pending)
+    fixed, retired = zip(*parts)
+    fixed = fixed[0] if len(fixed) == 1 else np.concatenate(fixed)
     if not mirrored:
-        return verdict, fixed, track, sum(retired)
-    retired = 2 * sum(retired) - (retired[0] if axis else 0)
-    return (*_reflect(verdict.reshape(-1, width), fixed, track, axis), retired)
-
-
-def _reflect(upper: np.ndarray, fixed: np.ndarray, track: np.ndarray, axis: bool):
-    """The verdicts, fixed-point estimates and track ids of a mirrored
-    raster in scan order, from those of its classified rows: upper holds
-    their (rows, width) verdicts, the axis row first when axis is set.  The
-    rows below are the classified ones reversed, the axis row left out;
-    a mirrored pixel keeps its verdict and track id, and its estimate is
-    the conjugate."""
-    def reversed_rows(values, code):
-        # the values of the rows that mirror, in reverse row order
-        per_row = np.count_nonzero(upper == code, axis=1)
-        rows = np.split(values, np.cumsum(per_row)[:-1])[axis:]
-        return np.concatenate(rows[::-1])
-
-    verdict = np.concatenate([upper[axis:][::-1], upper]).ravel()
-    fixed = np.concatenate([np.conj(reversed_rows(fixed, _V_ATTRACTED)), fixed])
-    track = np.concatenate([reversed_rows(track, _V_DRIFTING), track])
-    return verdict, fixed, track
+        return fixed, sum(retired)
+    verdict[:top] = verdict[lo:][::-1]
+    ids[:top] = ids[lo:][::-1]
+    # the estimates of the rows that mirror, conjugate, in reverse row order
+    per_row = np.count_nonzero(verdict[lo:] == _V_ATTRACTED, axis=1)
+    below = np.split(fixed[fixed.size - per_row.sum():], np.cumsum(per_row)[:-1])
+    fixed = np.concatenate([np.conj(np.concatenate(below[::-1])), fixed])
+    return fixed, 2 * sum(retired) - (retired[0] if axis else 0)
 
 
 def _basin_ids(m, cfg, verdict, attracted_fixed, ids):
@@ -601,46 +593,19 @@ def _behaviour_boundary(verdict, ids) -> np.ndarray:
 
 def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int,
                   cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
-    """Label every pixel center of the window; deterministic for fixed inputs.
-
-    One rule halves the work: when every constant and parameter on the
-    map's tape, every declared pole and every station ladder's base is real
-    and window.im_lo == -window.im_hi, the raster is its own mirror image in
-    the real axis, and only rows height // 2 .. height - 1 are classified
-    (with an odd height, the axis row among them).  The rows below are those
-    rows reversed, without the axis row: same verdicts and track ids, and
-    conjugate fixed-point estimates, put back in scan order before the
-    basins are numbered; retire_steps counts every reflected orbit.  The
-    lower half is defined as the reflection: in floats a pixel center may
-    differ from its mirror's negative in the last bits, so an orbit on a
-    verdict boundary could read otherwise if classified itself.  The
-    bundled rasters give the outputs of the full classification bit for bit.
-
-    The classified rows are cut into min(workers, rows, ceil(classified
-    pixels / RANGE_PIXELS)) contiguous ranges, run in the calling thread
-    when there is one and on a pool of at most os.cpu_count() threads
-    otherwise, so a raster of RANGE_PIXELS (2**16) classified pixels or
-    less starts no thread.
-    Each range builds its start points a block at a time from its row and
-    column coordinates and runs the orbit machine, which keeps at most
-    ORBIT_BLOCK (2**14) orbits live, so a range's orbit state is bounded
-    whatever the resolution.  A range returns its uint8 verdicts and only
-    the fixed-point estimates of its attracted pixels and the track ids of
-    its drifting ones; its results are pure functions of its pixels, so the
-    merge is independent of worker count.  Every per-pixel array of the
-    merge is uint8, bool or int32: the boundary pass compares verdicts and
-    ids as two arrays.
-    """
+    """Label every pixel center of the window; deterministic for fixed
+    inputs, whatever the workers.  The verdicts and ids are allocated here
+    once and filled in place by the row ranges (see the module docstring);
+    every per-pixel array is uint8, bool or int32, and the boundary pass
+    compares verdicts and ids as two arrays."""
     if width < 2 or height < 2:
         raise ValueError("need at least a 2x2 grid")
     dx = (window.re_hi - window.re_lo) / width
     dy = (window.im_hi - window.im_lo) / height
-    verdict, attracted_fixed, drifting_track, retired = _classify_ranges(m, cfg, window, width,
-                                                                         height, workers)
-    verdict = verdict.reshape(height, width)
-    ids = np.full((height, width), -1, dtype=np.int32)
+    verdict = np.empty((height, width), dtype=np.uint8)
+    ids = np.empty((height, width), dtype=np.int32)
+    attracted_fixed, retired = _classify_ranges(m, cfg, window, verdict, ids, workers)
     _basin_ids(m, cfg, verdict, attracted_fixed, ids)
-    ids[verdict == _V_DRIFTING] = drifting_track
     suspect = _behaviour_boundary(verdict, ids)
     counts = {name: int(np.count_nonzero(verdict == code)) for code, name in _VERDICT_NAMES}
     counts["boundary"] = int(np.count_nonzero(suspect))

@@ -598,7 +598,9 @@ def _run_raster(rd, ctx):
         cid = _select_component(cm, grid, *selector)
         matched_ids.append(cid)
         info = cm.component_table[cid]
-        rep = connectivity(cm, cid)
+        # a hole point is flagged, so that this one labelling tells whether
+        # one of the component's holes holds it
+        rep = connectivity(cm, cid, flagged_points=() if hole is None else (hole,))
         row = {"component": cid, "behavior": list(info.behavior_label),
                "pixel_count": info.pixel_count, "connectivity": rep.connectivity,
                "touches_border": info.touches_border}
@@ -606,7 +608,7 @@ def _run_raster(rd, ctx):
                 and (exact is None or rep.connectivity == exact)
                 and (at_least is None or rep.connectivity >= at_least))
         if hole is not None:
-            inside = surrounds(cm, cid, hole)
+            inside = any(h.contains for h in rep.holes)
             row["surrounds"] = inside
             good = good and inside
         row["passed"] = good

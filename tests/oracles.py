@@ -337,9 +337,7 @@ def orbit_verdicts_reference(m, zs, cfg):
     orbits out of n-sized arrays by np.nonzero and scatters them back, and
     each ladder keeps n-sized int64 streak state.  Returns the verdicts,
     the fixed-point estimates (nan where n/a) and the track ids (-1 where
-    n/a) of all points; wanderlab.dynamics._orbit_verdicts returns the
-    verdicts, the estimates of the attracted points and the track ids of
-    the drifting ones."""
+    n/a) of all points, as orbit_verdicts does."""
     n = zs.shape[0]
     z = zs.astype(np.complex128).copy()
     verdict = np.full(n, _V_BUDGET, dtype=np.uint8)
@@ -414,12 +412,28 @@ def _station_update_reference(z, st, k, active, run, run_start, prev_idx,
         active[sel] = False
 
 
+def orbit_verdicts(m, zs, cfg):
+    """wanderlab.dynamics._orbit_verdicts with its output arrays allocated
+    here, filled beforehand with values it never writes, so that an entry
+    it skips shows: the verdicts, the fixed-point estimates (nan where n/a)
+    and the track ids (-1 where n/a) of all points, and the retirement
+    histogram."""
+    verdict = np.full(len(zs), 255, dtype=np.uint8)
+    track = np.full(len(zs), -2, dtype=np.int32)
+    attracted, retired = dynamics._orbit_verdicts(m, zs, cfg, verdict, track)
+    fixed = np.full(len(zs), np.nan, dtype=attracted.dtype)
+    fixed[verdict == _V_ATTRACTED] = attracted
+    return verdict, fixed, track, retired
+
+
 def classify_grid_reference(m, window, width, height, cfg):
     """wanderlab.dynamics.classify_grid with every row of the window
     classified in the calling thread, as one range: the full-height path, which a
-    mirrored raster skips.  The merge after it is classify_grid's own."""
-    full = dynamics._classify_rows((m, cfg, window, width, height, 0, height))
-    with mock.patch.object(dynamics, "_classify_ranges", lambda *args: full):
+    mirrored raster skips.  The labelling after it is classify_grid's own."""
+    def one_range(m, cfg, window, verdict, ids, workers):
+        return dynamics._classify_rows(m, cfg, window, verdict, ids, 0, verdict.shape[0])
+
+    with mock.patch.object(dynamics, "_classify_ranges", one_range):
         return dynamics.classify_grid(m, window, width, height, cfg)
 
 

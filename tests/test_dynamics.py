@@ -36,6 +36,7 @@ from wanderlab.scenario import load_scenario
 from oracles import (
     classify_grid_reference,
     group_estimates_reference,
+    orbit_verdicts,
     orbit_verdicts_reference,
     traced_peak,
 )
@@ -62,14 +63,14 @@ def ex1():
     (custom_map("(div 1 z)"), 0j, OrbitConfig(), _V_ESCAPED),
 ], ids=["ex1-pole", "ex2-pole", "square-escape", "rotation-budget", "undeclared-pole"])
 def test_single_orbit_verdict(m, z0, cfg, expected):
-    verdict, fixed, track, _ = _orbit_verdicts(m, np.array([z0]), cfg)
+    verdict, fixed, track, _ = orbit_verdicts(m, np.array([z0]), cfg)
     assert verdict.tolist() == [expected]
-    assert fixed.size == track.size == 0
+    assert np.isnan(fixed).all() and (track == -1).all()
 
 
 def test_orbit_attracted_matches_fixed_point():
     m = ex1()
-    verdict, fixed, _, _ = _orbit_verdicts(m, np.array([0j]), OrbitConfig())
+    verdict, fixed, _, _ = orbit_verdicts(m, np.array([0j]), OrbitConfig())
     assert verdict.tolist() == [_V_ATTRACTED]
     rep = find_fixed_point(m, Disk(0j, A1 / 2))
     assert fixed[0] == rep.location
@@ -161,9 +162,12 @@ def test_pixel_center_of_roundtrip(monkeypatch):
     # the start points the classifier builds for two row ranges, in scan
     # order, map back to their own pixels
     window, width, height = ComplexBox(-1.0, 1.0, -1.0, 0.5), 8, 6
-    monkeypatch.setattr(dynamics, "_orbit_verdicts", lambda m, zs, cfg: zs[0:len(zs)])
+    monkeypatch.setattr(dynamics, "_orbit_verdicts",
+                        lambda m, zs, cfg, verdict, track: zs[0:len(zs)])
+    verdict = np.empty((height, width), dtype=np.uint8)
+    ids = np.empty((height, width), dtype=np.int32)
     centers = np.concatenate([
-        dynamics._classify_rows((custom_map("z"), OrbitConfig(), window, width, height, r0, r1))
+        dynamics._classify_rows(custom_map("z"), OrbitConfig(), window, verdict, ids, r0, r1)
         for r0, r1 in ((0, 4), (4, 6))])
     g = RasterGrid(window, width, height, np.zeros((height, width), dtype=np.uint8),
                    np.full((height, width), -1, dtype=np.int32))
@@ -353,11 +357,11 @@ def test_compacted_loop_matches_reference(monkeypatch, case, block):
         # such blocks take a Python step for every orbit or so: the two large
         # cases run on every k-th point, about 500 of them (ex1's pole included)
         zs = zs[::max(1, zs.size // 500)]
-    verdict, fixed, track, _ = _orbit_verdicts(m, zs, cfg)
+    verdict, fixed, track, _ = orbit_verdicts(m, zs, cfg)
     ref_verdict, ref_fixed, ref_track = orbit_verdicts_reference(m, zs, cfg)
     assert np.array_equal(verdict, ref_verdict)
-    assert np.array_equal(fixed, ref_fixed[ref_verdict == _V_ATTRACTED])
-    assert np.array_equal(track, ref_track[ref_verdict == _V_DRIFTING])
+    assert np.array_equal(fixed, ref_fixed, equal_nan=True)
+    assert np.array_equal(track, ref_track)
     assert fixed.dtype == np.complex128
     assert track.dtype == ref_track.dtype == np.int32
 
@@ -470,7 +474,8 @@ def test_retire_steps_total_the_loop_verdicts_whatever_the_workers(monkeypatch):
     one = classify_grid(m, win, 160, 40, cfg, workers=1)
     three = classify_grid(m, win, 160, 40, cfg, workers=3)
     assert one.retire_steps == three.retire_steps
-    verdict = dynamics._classify_ranges(m, cfg, win, 160, 40, 1)[0]
+    verdict = np.empty((40, 160), dtype=np.uint8)
+    dynamics._classify_ranges(m, cfg, win, verdict, np.empty((40, 160), dtype=np.int32), 1)
     assert ({name: sum(buckets.values()) for name, buckets in one.retire_steps.items()}
             == {name: int(np.count_nonzero(verdict == code))
                 for code, name in dynamics._VERDICT_NAMES})
@@ -484,7 +489,7 @@ def test_retire_steps_buckets_are_log2_of_the_step():
     # counting as attraction)
     zs = 2.0 ** -np.array([0, 3, 4, 11, 12, 43, 44, 90]) + 0j
     cfg = OrbitConfig(max_iter=100, attract_tol=1e-300)
-    retired = _orbit_verdicts(custom_map("(mul z 2)"), zs, cfg)[3]
+    retired = orbit_verdicts(custom_map("(mul z 2)"), zs, cfg)[3]
     assert retired.shape == (5, 7)
     assert retired[_V_ESCAPED].tolist() == [0, 0, 0, 0, 4, 2, 1]
     assert retired[_V_BUDGET].tolist() == [0, 0, 0, 0, 0, 0, 1]
@@ -501,20 +506,35 @@ def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     zs = _grid_points(ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256)
-    out, peak = traced_peak(_orbit_verdicts, m, zs, cfg)
+    verdict, track = np.empty(zs.size, dtype=np.uint8), np.empty(zs.size, dtype=np.int32)
+    out, peak = traced_peak(_orbit_verdicts, m, zs, cfg, verdict, track)
     assert peak - sum(a.nbytes for a in out) < 2 ** 20
 
 
-def test_classify_grid_memory_per_pixel(monkeypatch):
-    # beyond the labels and ids it returns, classifying the 256x256 ex2
-    # grid in one range holds about 4 bytes per pixel (uint8 verdicts and
-    # bool masks) and the orbit block: no complex128 or int64 pixel array
+def _classify_grid_extra_bytes(monkeypatch, workers) -> float:
+    """Bytes per pixel that classifying the 256x256 ex2 grid holds at its
+    peak beyond the labels and ids it returns, in blocks of 1,024 orbits."""
     monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
     m = build_family("ex2", {"eps": EPS2})
     g, peak = traced_peak(classify_grid, m, ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256,
-                          ex2_core_orbit())
+                          ex2_core_orbit(), workers)
     assert g.verdict_counts["drifting"] > 0
-    assert peak - g.labels.nbytes - g.ids.nbytes < 6 * 256 * 256
+    return (peak - g.labels.nbytes - g.ids.nbytes) / (256 * 256)
+
+
+def test_classify_grid_memory_per_pixel(monkeypatch):
+    # classifying the grid in one range holds about 4 bytes per pixel
+    # (uint8 verdicts and bool masks) and the orbit block: no complex128 or
+    # int64 pixel array
+    assert _classify_grid_extra_bytes(monkeypatch, 1) < 6
+
+
+def test_classify_grid_memory_per_pixel_in_two_ranges(monkeypatch):
+    # two ranges run two orbit loops at once beside the grid's verdicts and
+    # ids: 6.0 to 7.9 bytes per pixel in 30 runs on 2 cores, and a margin of
+    # 2 for the ways the threads interleave
+    monkeypatch.setattr(dynamics, "RANGE_PIXELS", 2 ** 14)
+    assert _classify_grid_extra_bytes(monkeypatch, 2) < 10
 
 
 def _straddling_estimates(n):
@@ -529,7 +549,8 @@ def _straddling_estimates(n):
 
 def _ex1_attracted_estimates():
     window = ComplexBox(-0.05, 0.05, -0.05, 0.05)
-    _, fixed, _, _ = dynamics._classify_rows((ex1(), OrbitConfig(), window, 64, 64, 0, 64))
+    verdict, ids = np.empty((64, 64), dtype=np.uint8), np.empty((64, 64), dtype=np.int32)
+    fixed, _ = dynamics._classify_rows(ex1(), OrbitConfig(), window, verdict, ids, 0, 64)
     assert fixed.size > 2000
     return fixed
 
@@ -547,7 +568,7 @@ def test_group_estimates_matches_reference(estimates):
 
 
 def test_ex1_seeded_points_reach_every_verdict():
-    verdict = _orbit_verdicts(ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),)))[0]
+    verdict = orbit_verdicts(ex1(), _ex1_points(), OrbitConfig(stations=(StationSpec(),)))[0]
     assert {_V_POLE, _V_ATTRACTED, _V_ESCAPED} <= set(verdict.tolist())
 
 
@@ -558,7 +579,7 @@ def test_overlapping_ladders_first_declared_wins():
     zs = _grid_points(ComplexBox(-3.4, 2.6, -0.1, 0.1), 6, 2)
 
     def tracks(*ladders):
-        verdict, _, track, _ = _orbit_verdicts(m, zs, OrbitConfig(max_iter=20, stations=ladders))
+        verdict, _, track, _ = orbit_verdicts(m, zs, OrbitConfig(max_iter=20, stations=ladders))
         assert (verdict == _V_DRIFTING).all()
         return track
 
@@ -569,10 +590,10 @@ def test_overlapping_ladders_first_declared_wins():
 
 
 def test_streak_resets_when_the_orbit_leaves_the_band():
-    verdict, _, track, _ = _orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
-                                        OrbitConfig(max_iter=12, stations=(GAP_LADDER,)))
+    verdict, _, track, _ = orbit_verdicts(custom_map(GAP_MAP), np.array([0j, 3.0 + 0j]),
+                                          OrbitConfig(max_iter=12, stations=(GAP_LADDER,)))
     assert verdict.tolist() == [_V_BUDGET, _V_BUDGET]
-    assert track.size == 0
+    assert (track == -1).all()
 
 
 def test_grid_deterministic_and_worker_invariant(monkeypatch):
@@ -642,7 +663,7 @@ def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording
     m = ex1()
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
     g = classify_grid(m, win, 13, 5, OrbitConfig(), workers=2)
-    assert [t[5:] for t in recording_pool.tasks] == [(0, 2), (2, 5)]
+    assert recording_pool.tasks == [(0, 2), (2, 5)]
     ref = classify_grid_reference(m, win, 13, 5, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
 
@@ -663,19 +684,21 @@ def test_ranges_follow_their_own_share_not_the_orbit_block(monkeypatch):
 def test_cor2_raster_cuts_two_ranges(monkeypatch, recording_pool):
     # ex2-core's 1600x400 raster classifies its upper 200 rows, 320,000
     # pixels, in two ranges under 2 workers; the ranges are recorded, and
-    # each classifies nothing: every pixel reads budget, with an empty
-    # retirement histogram
+    # each classifies nothing: every pixel of its rows reads budget, with an
+    # empty retirement histogram, and the mirror copies them to the rest
     doc = load_scenario("ex2-core")
 
-    def budget_rows(task):
-        width, r0, r1 = task[3], task[5], task[6]
-        return (np.zeros((r1 - r0) * width, dtype=np.uint8), np.zeros(0, dtype=np.complex128),
-                np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+    def budget_rows(m, cfg, window, verdict, ids, r0, r1):
+        verdict[r0:r1], ids[r0:r1] = _V_BUDGET, -1
+        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.int64)
 
     monkeypatch.setattr(dynamics, "_classify_rows", budget_rows)
+    width, height = doc.resolution
+    verdict = np.full((height, width), 255, dtype=np.uint8)
     dynamics._classify_ranges(build_family("ex2", {"eps": EPS2}), doc.orbit, doc.window,
-                              *doc.resolution, workers=2)
-    assert [t[5:] for t in recording_pool.tasks] == [(200, 300), (300, 400)]
+                              verdict, np.empty((height, width), dtype=np.int32), workers=2)
+    assert recording_pool.tasks == [(200, 300), (300, 400)]
+    assert (verdict == _V_BUDGET).all()
 
 
 def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_pool):
@@ -697,8 +720,8 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_p
 
 
 def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_pool):
-    # a row task names its rows and builds its own pixel centers: no
-    # per-pixel array is handed to a range
+    # a row task is its row bounds, two ints: the range builds its own pixel
+    # centers and writes into the grid's arrays, so nothing else is handed over
     # a range share smaller than half of the 900 classified pixels: 2 ranges
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
     m = build_family("ex2", {"eps": EPS2})
@@ -707,11 +730,28 @@ def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_
     one = classify_grid(m, win, 90, 21, cfg, workers=1)
     two = classify_grid(m, win, 90, 21, cfg, workers=2)
     tasks = recording_pool.tasks
-    assert len(tasks) == 2 and not any(isinstance(v, np.ndarray) for t in tasks for v in t)
+    assert len(tasks) == 2 and all(len(t) == 2 and all(type(v) is int for v in t)
+                                   for t in tasks)
     assert np.array_equal(one.labels, two.labels) and np.array_equal(one.ids, two.ids)
     assert one.verdict_counts == two.verdict_counts
     assert one.verdict_counts["drifting"] > 0
     assert {1, LADDER_STRIDE} <= set(one.ids[one.labels == DRIFTING].tolist())
+
+
+@pytest.mark.parametrize("r0, r1", [(0, 1), (2, 6), (6, 9)])
+def test_a_range_writes_every_pixel_of_its_rows_and_nothing_else(r0, r1):
+    # what lets the ranges' threads share the grid's arrays without a lock;
+    # 255 is no verdict code and -2 no id
+    m, cfg = build_family("ex2", {"eps": EPS2}), ex2_core_orbit()
+    verdict = np.full((9, 90), 255, dtype=np.uint8)
+    ids = np.full((9, 90), -2, dtype=np.int32)
+    dynamics._classify_rows(m, cfg, ComplexBox(-1.0, 8.0, -1.0, 1.0), verdict, ids, r0, r1)
+    mine = np.zeros(9, dtype=bool)
+    mine[r0:r1] = True
+    assert (verdict[~mine] == 255).all() and (ids[~mine] == -2).all()
+    assert set(verdict[mine].ravel().tolist()) <= {code for code, _ in dynamics._VERDICT_NAMES}
+    assert (ids[mine] >= -1).all()
+    assert np.array_equal(ids[mine] >= 0, verdict[mine] == _V_DRIFTING)
 
 
 def test_threads_sharing_a_fresh_map_classify_it_bit_for_bit(monkeypatch):
@@ -722,15 +762,21 @@ def test_threads_sharing_a_fresh_map_classify_it_bit_for_bit(monkeypatch):
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 256)
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
-    want = dynamics._classify_ranges(build_family("ex2", {"eps": EPS2}), cfg, win, 90, 21, 1)
+
+    def classify(m, workers):
+        verdict, ids = np.empty((21, 90), dtype=np.uint8), np.empty((21, 90), dtype=np.int32)
+        return (verdict, ids, *dynamics._classify_ranges(m, cfg, win, verdict, ids, workers))
+
+    want = classify(build_family("ex2", {"eps": EPS2}), 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
             m = build_family("ex2", {"eps": EPS2})
             assert all(v is None for v in m.known.values())
-            got = dynamics._classify_ranges(m, cfg, win, 90, 21, 4)
-            # verdicts, fixed-point estimates, track ids and retirement histogram
+            got = classify(m, 4)
+            # the grid's verdicts and ids, the fixed-point estimates and the
+            # retirement histogram
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     finally:

@@ -7,7 +7,7 @@ sits a second one: every top-level name of src/wanderlab is read somewhere.
 Importing wanderlab loads neither the raster's thread pool nor
 `dataclasses` (the records are NamedTuples and slotted classes, whose
 errors, equality and pickling are pinned here), and a raster run loads no
-process machinery.
+process machinery: its ranges write into the grid's arrays, with no merge.
 """
 import ast
 import math
@@ -98,6 +98,19 @@ def test_raster_threads_load_no_process_machinery():
              "print([name in sys.modules for name in ('concurrent.futures.thread', "
              "'concurrent.futures.process', 'multiprocessing')])")
     assert _fresh_python(probe, os.environ) == "[True, False, False]"
+
+
+def test_raster_ranges_write_into_the_grid():
+    # each range writes its verdicts and track ids into its own rows of the
+    # grid's arrays, so no function mirrors joined range results (_reflect)
+    # and none collects the drifting orbits in a list (drifted)
+    tree = ast.parse((SRC / "wanderlab" / "dynamics.py").read_text(encoding="utf-8"))
+    found = [(node.lineno, "_reflect") for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "_reflect"]
+    found += [(node.lineno, "drifted") for node in ast.walk(tree)
+              if isinstance(node, ast.arg) and node.arg == "drifted"
+              or isinstance(node, ast.Name) and node.id == "drifted"]
+    assert found == []
 
 
 _BLAS_ATTRS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wanderlab
-from wanderlab import cli, pixmap
+from wanderlab import cli, pixmap, topology
 from wanderlab import scenario as scenario_module
 from wanderlab.certify import Budget
 from wanderlab.cli import main
@@ -368,6 +368,31 @@ def test_ex2_core_report(ex2_report):
     assert steps["drifting"]["256-511"] > 0
     assert ([m["behavior"] for m in raster["result"]["matches"]]
             == [["drifting", 1], ["drifting", 1], ["drifting", 2], ["drifting", 3]])
+
+
+def test_a_hole_test_reads_the_connectivity_of_its_match(monkeypatch, ex2_raster):
+    # Cor-2-raster's first match asks whether a hole of its component holds
+    # 0, and the connectivity it reports answers: each matched component is
+    # labelled once by its match and once by the monotonicity check, and
+    # the selector's surrounds labels the one component whose bounding box
+    # holds 0 (the ex2_raster fixture stands in for classifying it again)
+    calls = {}
+    connectivity = scenario_module.connectivity
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return connectivity(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "connectivity", counting)
+    monkeypatch.setattr(topology, "connectivity", counting)
+    monkeypatch.setattr(scenario_module, "classify_grid", lambda *args, **kwargs: ex2_raster)
+    doc = load_scenario("ex2-core")
+    report = run_scenario(doc._replace(items=[item for item in doc.items
+                                              if item["id"] == "Cor-2-raster"]))
+    assert report["all_passed"] is True
+    assert report["items"][0]["result"]["matches"][0]["surrounds"] is True
+    assert calls == {"_run_raster": 4, "connectivity_monotonicity_check": 4, "surrounds": 1}
 
 
 def test_constant_search_trail_is_reported(ex2_report, ex2_constants):

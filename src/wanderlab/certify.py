@@ -101,9 +101,8 @@ class Budget:
 
 class Certificate(NamedTuple):
     verdict: str                     # "proved" | "inconclusive" | "pole_contact"
-    # the empty defaults are shared by every certificate that takes them
-    frontier: list = []
-    stats: dict = {}
+    frontier: list
+    stats: dict
 
     @property
     def proved(self) -> bool:

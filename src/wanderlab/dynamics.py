@@ -28,7 +28,7 @@ basin that does not confirm fall back to the budget verdict).
 `classify_grid` allocates a raster's uint8 verdicts and int32 ids once,
 and every range of rows writes its verdicts and track ids straight into
 its own rows of them.  The range rule: the classified rows other than an
-axis row are cut into min(workers, rows, ceil(their pixels /
+axis row are cut into min(threads, rows, ceil(their pixels /
 RANGE_PIXELS)) contiguous ranges, RANGE_PIXELS being 2**16, run in the
 calling thread when there is one and otherwise on a pool of at most
 os.cpu_count() threads, which need no lock because no two ranges share a
@@ -36,7 +36,7 @@ row.  Each range builds its pixel centers a block at a time, whole rows
 broadcast, from their row and column coordinates, runs the orbit machine
 over them, and returns the fixed-point estimates of its attracted pixels
 in scan order and its retirement histogram.  Its results are pure
-functions of its pixels, so no output depends on the worker count.
+functions of its pixels, so no output depends on the thread count.
 
 The mirror rule: a raster that is its own mirror image is classified in
 its upper half only.  When every constant and parameter on the map's
@@ -238,8 +238,6 @@ def track_wandering(m: MeromorphicMap, z0: complex, station_centers,
 
 class RasterGrid(NamedTuple):
     window: ComplexBox
-    width: int
-    height: int
     labels: np.ndarray        # uint8 (height, width), codes above
     ids: np.ndarray           # int32 (height, width), basin/track id or -1
     # pixels per orbit verdict before the suspect overlay, and "boundary":
@@ -248,6 +246,14 @@ class RasterGrid(NamedTuple):
     # per orbit-loop verdict, orbits per log2 bucket of the step they
     # retired at ("1", "2-3", "4-7", ...); empty buckets are left out
     retire_steps: dict = {}
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
 
     def pixel_of(self, z: complex) -> tuple[int, int]:
         z = complex(z)
@@ -337,15 +343,17 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig, verdict, track):
             new_z = np.asarray(zs[admitted:admitted + k], dtype=np.complex128)
             new_state = np.zeros((rows, k), dtype=np.int32)
             # a streak is at least 2 points long, so none completes here
-            _ladders_step(ladders, new_z, new_state[2:], None, new_start, verdict, track)
+            _ladders_step(ladders, new_z, new_state[2:], np.zeros(k, dtype=bool), new_start,
+                          verdict, track)
             start = np.concatenate([start, new_start])
             z = np.concatenate([z, new_z])
             state = np.concatenate([state, new_state], axis=1)
             admitted += k
         nxt, bad = eval_map_vec(m, z)
-        # the orbits that retire at this step, or None while none does;
-        # index arrays, not boolean masks, select them: a mask gathers
-        # several times slower when its bits are scattered
+        # the one mask of the orbits that retire at this step: escape sets
+        # it, and attraction, drift and age OR into it; index arrays, not
+        # boolean masks, select them: a mask gathers several times slower
+        # when its bits are scattered
         gone = np.abs(nxt) > cfg.escape_radius
         gone |= bad
         if np.count_nonzero(gone):
@@ -355,29 +363,25 @@ def _orbit_verdicts(m: MeromorphicMap, zs, cfg: OrbitConfig, verdict, track):
                 # hit, not an escape
                 flagged = bad.nonzero()[0]
                 verdict[start[flagged[m.in_pole_snap(z[flagged])]]] = _V_POLE
-        else:
-            gone = None
         counts = state[:2]     # short steps in a row, and the age
         counts += 1
         consec = state[0]
         consec *= np.abs(nxt - z) < cfg.attract_tol
         conv = consec >= cfg.cycle_window
         if np.count_nonzero(conv):
-            if gone is not None:
-                np.greater(conv, gone, out=conv)   # an escaping orbit is not attracted
+            np.greater(conv, gone, out=conv)   # an escaping orbit is not attracted
             now = conv.nonzero()[0]
             verdict[start[now]] = _V_ATTRACTED
             attracted.append((start[now], nxt[now]))
-            gone = conv if gone is None else np.logical_or(gone, conv, out=gone)
+            gone |= conv
         z = nxt
-        gone = _ladders_step(ladders, z, state[2:], gone, start, verdict, track)
+        _ladders_step(ladders, z, state[2:], gone, start, verdict, track)
         # orbits are admitted in order and compaction keeps it, so the
         # first live orbit is the oldest
         age = state[1]
         if age[0] >= cfg.max_iter:
-            old = age >= cfg.max_iter
-            gone = old if gone is None else np.logical_or(gone, old, out=gone)
-        if gone is not None:
+            gone |= age >= cfg.max_iter
+        if np.count_nonzero(gone):
             now = gone.nonzero()[0]
             steps = np.frexp(age[now])[1] - 1
             retired += np.bincount(verdict[start[now]].astype(np.intp) * buckets + steps,
@@ -420,13 +424,12 @@ class _Ladders(NamedTuple):
 
 def _ladders_step(ladders, z, streaks, gone, start, verdict, track):
     """One step of every ladder at once on the orbits that do not retire at
-    this step: gone marks those that do, or is None when none does.  A
-    completed streak writes the orbit's drifting verdict and its track id
-    at its start position.  When streaks on several ladders
-    complete at the same step, the first declared ladder wins.  streaks is
-    the (2L, s) int32 ladder part of the state block, updated in place.
-    Returns gone with the drifting orbits marked (a new mask if it was None
-    and some orbit drifts).
+    this step: the bool mask gone marks those that do, and the orbits that
+    drift join them.  A completed streak writes the orbit's drifting
+    verdict and its track id at its start position.  When streaks on
+    several ladders complete at the same step, the first declared ladder
+    wins.  streaks is the (2L, s) int32 ladder part of the state block,
+    updated in place.
 
     A point off a ladder's band |Im z - Im base| < radius is outside all
     its corridors (the step is real), so only the points in some ladder's
@@ -436,7 +439,7 @@ def _ladders_step(ladders, z, streaks, gone, start, verdict, track):
     share a band test it once.
     """
     if ladders is None:
-        return gone
+        return
     im = z.imag
     near = None
     for b, r in ladders.bands:
@@ -444,18 +447,13 @@ def _ladders_step(ladders, z, streaks, gone, start, verdict, track):
         band = np.abs(im - b if b else im) < r
         near = band if near is None else np.logical_or(near, band, out=near)
     near |= np.logical_or.reduce(streaks[:len(ladders.streak)], axis=0)   # a running streak
-    if gone is not None:
-        np.greater(near, gone, out=near)
+    np.greater(near, gone, out=near)
     sel = near.nonzero()[0]
     if not sel.size:
-        return gone
-    if sel.size == z.size:
-        sub = streaks
-        done = _station_update(ladders, z, sub)
-    else:
-        sub = streaks.take(sel, axis=1)
-        done = _station_update(ladders, z.take(sel), sub)
-        streaks[:, sel] = sub
+        return
+    sub = streaks.take(sel, axis=1)
+    done = _station_update(ladders, z.take(sel), sub)
+    streaks[:, sel] = sub
     if np.count_nonzero(done):
         cols = np.logical_or.reduce(done, axis=0).nonzero()[0]
         k = done[:, cols].argmax(axis=0)
@@ -463,10 +461,7 @@ def _ladders_step(ladders, z, streaks, gone, start, verdict, track):
         verdict[start[fin]] = _V_DRIFTING
         run, want = sub[k, cols], sub[len(ladders.streak) + k, cols]
         track[start[fin]] = want - run + ladders.offset[k]
-        if gone is None:
-            gone = np.zeros(z.size, dtype=bool)
         gone[fin] = True
-    return gone
 
 
 def _station_update(ladders: _Ladders, cur, streaks):
@@ -523,7 +518,7 @@ def _mirrored(m: MeromorphicMap, cfg: OrbitConfig, window: ComplexBox) -> bool:
             and all(st.base.imag == 0.0 for st in cfg.stations))
 
 
-def _classify_ranges(m, cfg, window, verdict, ids, workers):
+def _classify_ranges(m, cfg, window, verdict, ids, threads):
     """Fill verdict and ids by _classify_rows over ranges of rows, under
     the range and mirror rules of the module docstring; returns the
     fixed-point estimates of the attracted pixels in scan order and the
@@ -534,7 +529,7 @@ def _classify_ranges(m, cfg, window, verdict, ids, workers):
     top = height // 2 if mirrored else 0
     axis = mirrored and height % 2 == 1
     lo = top + axis
-    ranges = min(max(workers, 1), height - lo, -(-(height - lo) * width // RANGE_PIXELS))
+    ranges = min(max(threads, 1), height - lo, -(-(height - lo) * width // RANGE_PIXELS))
     tasks = [(lo + (height - lo) * i // ranges, lo + (height - lo) * (i + 1) // ranges)
              for i in range(ranges)]
     axis_task = [(top, top + 1)] if axis else []
@@ -592,9 +587,9 @@ def _behaviour_boundary(verdict, ids) -> np.ndarray:
 
 
 def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int,
-                  cfg: OrbitConfig = OrbitConfig(), workers: int = 1) -> RasterGrid:
+                  cfg: OrbitConfig = OrbitConfig(), threads: int = 1) -> RasterGrid:
     """Label every pixel center of the window; deterministic for fixed
-    inputs, whatever the workers.  The verdicts and ids are allocated here
+    inputs, whatever the threads.  The verdicts and ids are allocated here
     once and filled in place by the row ranges (see the module docstring);
     every per-pixel array is uint8, bool or int32, and the boundary pass
     compares verdicts and ids as two arrays."""
@@ -604,7 +599,7 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
     dy = (window.im_hi - window.im_lo) / height
     verdict = np.empty((height, width), dtype=np.uint8)
     ids = np.empty((height, width), dtype=np.int32)
-    attracted_fixed, retired = _classify_ranges(m, cfg, window, verdict, ids, workers)
+    attracted_fixed, retired = _classify_ranges(m, cfg, window, verdict, ids, threads)
     _basin_ids(m, cfg, verdict, attracted_fixed, ids)
     suspect = _behaviour_boundary(verdict, ids)
     counts = {name: int(np.count_nonzero(verdict == code)) for code, name in _VERDICT_NAMES}
@@ -628,7 +623,7 @@ def classify_grid(m: MeromorphicMap, window: ComplexBox, width: int, height: int
             for j in _cells_containing(p.imag, window.im_lo, dy, height):
                 labels[j, i] = POLE_ADJACENT
                 ids[j, i] = p_id
-    return RasterGrid(window, width, height, labels, ids, counts, _retire_steps(retired))
+    return RasterGrid(window, labels, ids, counts, _retire_steps(retired))
 
 
 def _retire_steps(retired: np.ndarray) -> dict:

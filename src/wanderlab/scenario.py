@@ -80,8 +80,8 @@ class Scenario(NamedTuple):
     """A scenario whose top level load_scenario decoded once: `map` (None if
     the document has none) built from `params`, the raw `map_spec`, and
     `window` and `resolution` (None if absent; a raster needs both).  Items
-    stay raw until they run: they may read values ("$r1") that earlier
-    items publish."""
+    stay raw, their id and kind checked, until they run: they may read
+    values ("$r1") that earlier items publish."""
 
     name: str
     description: str
@@ -131,6 +131,9 @@ def load_scenario(ref) -> Scenario:
         if item["id"] in seen:
             raise ScenarioError(f'duplicate item id {item["id"]!r}', where)
         seen.add(item["id"])
+        # a kind is checked here, so that a typo costs no earlier item's run
+        if not (isinstance(item["kind"], str) and item["kind"] in _EXECUTORS):
+            raise ScenarioError(f'unknown item kind {item["kind"]!r}', item["id"])
     spec = top.child("map", {})
     params = spec.params()
     window = top.value("window", lambda w: isinstance(w, list) and len(w) == 4
@@ -591,16 +594,17 @@ def _run_raster(rd, ctx):
                       and Path(v).name == v, "a bare file name", None)
     rd.finish()
     grid = classify_grid(m, scenario.window, *scenario.resolution, scenario.orbit,
-                         workers=ctx["threads"])
+                         threads=ctx["threads"])
     cm = label_components(grid)
-    ok, rows, matched_ids = True, [], []
+    ok, rows, reports = True, [], []
     for selector, behavior, exact, at_least, hole in matches:
         cid = _select_component(cm, grid, *selector)
-        matched_ids.append(cid)
         info = cm.component_table[cid]
         # a hole point is flagged, so that this one labelling tells whether
-        # one of the component's holes holds it
+        # one of the component's holes holds it; the monotonicity check
+        # reads the same report
         rep = connectivity(cm, cid, flagged_points=() if hole is None else (hole,))
+        reports.append(rep)
         row = {"component": cid, "behavior": list(info.behavior_label),
                "pixel_count": info.pixel_count, "connectivity": rep.connectivity,
                "touches_border": info.touches_border}
@@ -616,7 +620,7 @@ def _run_raster(rd, ctx):
         ok = ok and good
     out = {"matches": rows, "resolution": [grid.width, grid.height]}
     if monotonicity:
-        rep = connectivity_monotonicity_check(cm, matched_ids)
+        rep = connectivity_monotonicity_check(cm, reports)
         out["monotonicity"] = {"sequence": [list(pair) for pair in rep.sequence],
                                "non_increasing": rep.non_increasing,
                                "skipped": list(rep.skipped)}
@@ -650,9 +654,7 @@ def run_scenario(ref, out_dir=None, threads: int = 1) -> dict:
     for item in scenario.items:
         rd = _Doc(item, ctx["env"], item["id"])
         ident, kind = rd.string("id"), rd.string("kind")
-        executor = _EXECUTORS.get(kind)
-        if executor is None:
-            raise ScenarioError(f"unknown item kind {kind!r}", rd.path)
+        executor = _EXECUTORS[kind]
         t1 = time.perf_counter()
         try:
             passed, result = executor(rd, ctx)

@@ -136,8 +136,7 @@ class Hole(NamedTuple):
 
 class ConnectivityReport(NamedTuple):
     component_id: int
-    hole_count: int
-    connectivity: int
+    connectivity: int                      # len(holes) + 1
     holes: tuple
 
 
@@ -210,7 +209,7 @@ def connectivity(cm: ComponentMap, component_id: int,
             continue
         inside = tuple(p for p, k in owner if k == hid)
         holes.append(Hole((int(r.lo[f]) + i0, int(r.row[f]) + j0), int(count[hid]), inside))
-    return ConnectivityReport(component_id, len(holes), len(holes) + 1, tuple(holes))
+    return ConnectivityReport(component_id, len(holes) + 1, tuple(holes))
 
 
 def surrounds(cm: ComponentMap, component_id: int, p: complex) -> bool:
@@ -227,23 +226,23 @@ def surrounds(cm: ComponentMap, component_id: int, p: complex) -> bool:
     return any(hole.contains for hole in report.holes)
 
 
-def connectivity_monotonicity_check(cm: ComponentMap,
-                                    orbit_component_ids) -> MonotonicityReport:
-    """Connectivity along a tracked component sequence, with the
-    non-increasing flag over consecutive bounded components.
+def connectivity_monotonicity_check(cm: ComponentMap, reports) -> MonotonicityReport:
+    """Connectivity along a tracked component sequence, read from the
+    components' ConnectivityReports in order, with the non-increasing flag
+    over consecutive bounded components.
 
     Border-touching components are skipped with a warning — their raster
     connectivity is truncated by the window and proves nothing.
     """
     sequence = []
     skipped = []
-    for cid in orbit_component_ids:
-        info = cm.component_table[cid]
-        if info.touches_border:
+    for rep in reports:
+        cid = rep.component_id
+        if cm.component_table[cid].touches_border:
             warnings.warn(f"component {cid} touches the raster border; "
                           "skipped in the monotonicity check", stacklevel=2)
             skipped.append(cid)
             continue
-        sequence.append((cid, connectivity(cm, cid).connectivity))
+        sequence.append((cid, rep.connectivity))
     flag = all(a[1] >= b[1] for a, b in zip(sequence, sequence[1:]))
     return MonotonicityReport(tuple(sequence), flag, tuple(skipped))

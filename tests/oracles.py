@@ -430,7 +430,7 @@ def classify_grid_reference(m, window, width, height, cfg):
     """wanderlab.dynamics.classify_grid with every row of the window
     classified in the calling thread, as one range: the full-height path, which a
     mirrored raster skips.  The labelling after it is classify_grid's own."""
-    def one_range(m, cfg, window, verdict, ids, workers):
+    def one_range(m, cfg, window, verdict, ids, threads):
         return dynamics._classify_rows(m, cfg, window, verdict, ids, 0, verdict.shape[0])
 
     with mock.patch.object(dynamics, "_classify_ranges", one_range):

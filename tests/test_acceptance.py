@@ -215,15 +215,15 @@ def test_criterion_7_ex2_raster_topology(verdict, ex2_raster, ex2_components,
         assert any(0j in hole.contains for hole in rep0.holes)
         assert surrounds(cm, u0, 0j)
 
-        chain = [u0]
+        chain = [rep0]
         for n in (1, 2, 3):
             i, j = grid.pixel_of(complex(TWO_PI * n))
             cid = int(cm.labels[j, i])
             assert cid != 0
             assert cm.component_table[cid].behavior_label[0] == "drifting"
-            assert connectivity(cm, cid).connectivity == 1
-            chain.append(cid)
-        assert len(set(chain)) == 4
+            chain.append(connectivity(cm, cid))
+            assert chain[-1].connectivity == 1
+        assert len({rep.component_id for rep in chain}) == 4
 
         assert connectivity_monotonicity_check(cm, chain).non_increasing
 

@@ -169,7 +169,7 @@ def test_pixel_center_of_roundtrip(monkeypatch):
     centers = np.concatenate([
         dynamics._classify_rows(custom_map("z"), OrbitConfig(), window, verdict, ids, r0, r1)
         for r0, r1 in ((0, 4), (4, 6))])
-    g = RasterGrid(window, width, height, np.zeros((height, width), dtype=np.uint8),
+    g = RasterGrid(window, np.zeros((height, width), dtype=np.uint8),
                    np.full((height, width), -1, dtype=np.int32))
     assert ([g.pixel_of(z) for z in centers]
             == [(i, j) for j in range(height) for i in range(width)])
@@ -181,7 +181,7 @@ def test_pixel_center_of_roundtrip(monkeypatch):
                                complex(4.0, 1.5), complex(1.5, 4.0)])
 def test_pixel_of_rejects_points_within_a_pixel_outside(z):
     # flooring, not truncation toward zero: -0.5 is column -1, not 0
-    g = RasterGrid(ComplexBox(0.0, 4.0, 0.0, 4.0), 4, 4,
+    g = RasterGrid(ComplexBox(0.0, 4.0, 0.0, 4.0),
                    np.zeros((4, 4), dtype=np.uint8), np.full((4, 4), -1, dtype=np.int32))
     with pytest.raises(ValueError):
         g.pixel_of(z)
@@ -414,13 +414,13 @@ MIRRORED_CASES = {
 @pytest.mark.parametrize("case", MIRRORED_CASES)
 def test_mirrored_raster_equals_the_full_classification(monkeypatch, case):
     # a range share of at most half of each raster's classified pixels, so
-    # that 2 workers classify 2 ranges
+    # that 2 threads classify 2 ranges
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 1024)
     m, win, width, height, cfg = MIRRORED_CASES[case]
     assert dynamics._mirrored(m, cfg, win)
     ref = classify_grid_reference(m, win, width, height, cfg)
-    for workers in (1, 2):
-        g = classify_grid(m, win, width, height, cfg, workers=workers)
+    for threads in (1, 2):
+        g = classify_grid(m, win, width, height, cfg, threads=threads)
         assert np.array_equal(g.labels, ref.labels)
         assert np.array_equal(g.ids, ref.ids)
         assert g.verdict_counts == ref.verdict_counts
@@ -464,15 +464,15 @@ def test_rasters_without_mirror_symmetry_classify_every_pixel(monkeypatch, case)
 
 
 def test_retire_steps_total_the_loop_verdicts_whatever_the_workers(monkeypatch):
-    # the ranges' histograms add up to the same one for 1 and 3 workers,
+    # the ranges' histograms add up to the same one for 1 and 3 threads,
     # and each verdict's buckets add up to its pixels from the orbit loop;
     # the 3,200 classified pixels fill more than 3 shares of 1,024, so 3 ranges
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 1024)
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 20.0, -2.6, 2.6)
-    one = classify_grid(m, win, 160, 40, cfg, workers=1)
-    three = classify_grid(m, win, 160, 40, cfg, workers=3)
+    one = classify_grid(m, win, 160, 40, cfg, threads=1)
+    three = classify_grid(m, win, 160, 40, cfg, threads=3)
     assert one.retire_steps == three.retire_steps
     verdict = np.empty((40, 160), dtype=np.uint8)
     dynamics._classify_ranges(m, cfg, win, verdict, np.empty((40, 160), dtype=np.int32), 1)
@@ -511,13 +511,13 @@ def test_orbit_loop_memory_is_bounded_by_the_block(monkeypatch):
     assert peak - sum(a.nbytes for a in out) < 2 ** 20
 
 
-def _classify_grid_extra_bytes(monkeypatch, workers) -> float:
+def _classify_grid_extra_bytes(monkeypatch, threads) -> float:
     """Bytes per pixel that classifying the 256x256 ex2 grid holds at its
     peak beyond the labels and ids it returns, in blocks of 1,024 orbits."""
     monkeypatch.setattr(dynamics, "ORBIT_BLOCK", 1024)
     m = build_family("ex2", {"eps": EPS2})
     g, peak = traced_peak(classify_grid, m, ComplexBox(-1.0, 20.0, -2.6, 2.6), 256, 256,
-                          ex2_core_orbit(), workers)
+                          ex2_core_orbit(), threads)
     assert g.verdict_counts["drifting"] > 0
     return (peak - g.labels.nbytes - g.ids.nbytes) / (256 * 256)
 
@@ -603,7 +603,7 @@ def test_grid_deterministic_and_worker_invariant(monkeypatch):
     win = ComplexBox(-0.05, 0.05, -0.05, 0.05)
     g1 = classify_grid(m, win, 48, 36, OrbitConfig())
     g2 = classify_grid(m, win, 48, 36, OrbitConfig())
-    g3 = classify_grid(m, win, 48, 36, OrbitConfig(), workers=3)
+    g3 = classify_grid(m, win, 48, 36, OrbitConfig(), threads=3)
     assert np.array_equal(g1.labels, g2.labels)
     assert np.array_equal(g1.ids, g2.ids)
     assert np.array_equal(g1.labels, g3.labels)
@@ -646,13 +646,13 @@ def recording_pool(monkeypatch):
 
 def test_raster_of_one_block_classifies_in_process(monkeypatch):
     # 64 classified pixels fill one range share of 64: one range, whatever
-    # the workers, and no pool
+    # the threads, and no pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 64)
     m = ex1()
     # not symmetric about the real axis, so all 8 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
-    g = classify_grid(m, win, 8, 8, OrbitConfig(), workers=2)
+    g = classify_grid(m, win, 8, 8, OrbitConfig(), threads=2)
     ref = classify_grid_reference(m, win, 8, 8, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
     assert g.retire_steps == ref.retire_steps
@@ -662,7 +662,7 @@ def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording
     monkeypatch.setattr(dynamics, "RANGE_PIXELS", 64)
     m = ex1()
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
-    g = classify_grid(m, win, 13, 5, OrbitConfig(), workers=2)
+    g = classify_grid(m, win, 13, 5, OrbitConfig(), threads=2)
     assert recording_pool.tasks == [(0, 2), (2, 5)]
     ref = classify_grid_reference(m, win, 13, 5, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
@@ -671,19 +671,19 @@ def test_raster_of_one_block_and_a_pixel_takes_two_ranges(monkeypatch, recording
 def test_ranges_follow_their_own_share_not_the_orbit_block(monkeypatch):
     # with the default constants, a 200x200 ex1 raster's 20,000 classified
     # pixels (its upper half) fill more than one orbit block but one range
-    # share: no pool under 2 workers, whose second range would cost more
+    # share: no pool under 2 threads, whose second range would cost more
     # CPU than it saves
     assert dynamics.ORBIT_BLOCK < 100 * 200 <= dynamics.RANGE_PIXELS
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RaisingPool)
     m, win = ex1(), load_scenario("ex1-core").window
     assert dynamics._mirrored(m, OrbitConfig(), win)
-    g = classify_grid(m, win, 200, 200, OrbitConfig(), workers=2)
+    g = classify_grid(m, win, 200, 200, OrbitConfig(), threads=2)
     assert g.verdict_counts["attracted"] > 0
 
 
 def test_cor2_raster_cuts_two_ranges(monkeypatch, recording_pool):
     # ex2-core's 1600x400 raster classifies its upper 200 rows, 320,000
-    # pixels, in two ranges under 2 workers; the ranges are recorded, and
+    # pixels, in two ranges under 2 threads; the ranges are recorded, and
     # each classifies nothing: every pixel of its rows reads budget, with an
     # empty retirement histogram, and the mirror copies them to the rest
     doc = load_scenario("ex2-core")
@@ -696,7 +696,7 @@ def test_cor2_raster_cuts_two_ranges(monkeypatch, recording_pool):
     width, height = doc.resolution
     verdict = np.full((height, width), 255, dtype=np.uint8)
     dynamics._classify_ranges(build_family("ex2", {"eps": EPS2}), doc.orbit, doc.window,
-                              verdict, np.empty((height, width), dtype=np.int32), workers=2)
+                              verdict, np.empty((height, width), dtype=np.int32), threads=2)
     assert recording_pool.tasks == [(200, 300), (300, 400)]
     assert (verdict == _V_BUDGET).all()
 
@@ -710,12 +710,12 @@ def test_raster_pool_is_bounded_by_row_blocks_and_cores(monkeypatch, recording_p
     m = ex1()
     # not symmetric about the real axis, so all 4 rows are classified
     win = ComplexBox(-0.05, 0.05, -0.05, 0.06)
-    g = classify_grid(m, win, 4, 4, OrbitConfig(), workers=10_000)
+    g = classify_grid(m, win, 4, 4, OrbitConfig(), threads=10_000)
     assert sizes == [min(4, os.cpu_count() or 1)]
     ref = classify_grid(m, win, 4, 4, OrbitConfig())
     assert np.array_equal(g.labels, ref.labels) and np.array_equal(g.ids, ref.ids)
     # a mirrored window classifies its upper 2 rows: 2 ranges at most
-    classify_grid(m, ComplexBox(-0.05, 0.05, -0.05, 0.05), 4, 4, OrbitConfig(), workers=10_000)
+    classify_grid(m, ComplexBox(-0.05, 0.05, -0.05, 0.05), 4, 4, OrbitConfig(), threads=10_000)
     assert sizes[1:] == [min(2, os.cpu_count() or 1)]
 
 
@@ -727,8 +727,8 @@ def test_raster_row_tasks_are_small_and_worker_invariant(monkeypatch, recording_
     m = build_family("ex2", {"eps": EPS2})
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
-    one = classify_grid(m, win, 90, 21, cfg, workers=1)
-    two = classify_grid(m, win, 90, 21, cfg, workers=2)
+    one = classify_grid(m, win, 90, 21, cfg, threads=1)
+    two = classify_grid(m, win, 90, 21, cfg, threads=2)
     tasks = recording_pool.tasks
     assert len(tasks) == 2 and all(len(t) == 2 and all(type(v) is int for v in t)
                                    for t in tasks)
@@ -763,9 +763,9 @@ def test_threads_sharing_a_fresh_map_classify_it_bit_for_bit(monkeypatch):
     cfg = ex2_core_orbit()
     win = ComplexBox(-1.0, 8.0, -1.0, 1.0)
 
-    def classify(m, workers):
+    def classify(m, threads):
         verdict, ids = np.empty((21, 90), dtype=np.uint8), np.empty((21, 90), dtype=np.int32)
-        return (verdict, ids, *dynamics._classify_ranges(m, cfg, win, verdict, ids, workers))
+        return (verdict, ids, *dynamics._classify_ranges(m, cfg, win, verdict, ids, threads))
 
     want = classify(build_family("ex2", {"eps": EPS2}), 1)
     interval = sys.getswitchinterval()

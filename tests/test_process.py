@@ -113,6 +113,41 @@ def test_raster_ranges_write_into_the_grid():
     assert found == []
 
 
+def _second_statements(path, tree):
+    """(file, line, what) of each fact a raster states twice: a comparison
+    of the retirement mask gone with None (dynamics.py), a hole_count field
+    or attribute beside len(holes), a width or height field of RasterGrid
+    beside labels.shape, and a connectivity call inside
+    connectivity_monotonicity_check beside the match rows' reports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and path.name == "dynamics.py":
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Name) and x.id == "gone" for x in sides)
+                    and any(isinstance(x, ast.Constant) and x.value is None for x in sides)):
+                yield path.name, node.lineno, "gone vs None"
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+                and node.target.id == "hole_count":
+            yield path.name, node.lineno, "hole_count"
+        elif isinstance(node, ast.Attribute) and node.attr == "hole_count":
+            yield path.name, node.lineno, "hole_count"
+        elif isinstance(node, ast.ClassDef) and node.name == "RasterGrid":
+            yield from ((path.name, f.lineno, f"RasterGrid.{f.target.id}") for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                        and f.target.id in ("width", "height"))
+        elif isinstance(node, ast.FunctionDef) and node.name == "connectivity_monotonicity_check":
+            yield from ((path.name, call.lineno, "connectivity call") for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "connectivity")
+
+
+def test_a_raster_states_each_fact_once():
+    # one hole report per matched component, one retirement mask per orbit
+    # step, and the grid's size read from its arrays
+    found = [where for path in sorted((SRC / "wanderlab").glob("*.py"))
+             for where in _second_statements(path, ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 _BLAS_ATTRS = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 

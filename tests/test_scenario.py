@@ -131,6 +131,22 @@ def test_unknown_kind_raises(tmp_path):
         run_scenario(_write(tmp_path, "unk.json", payload))
 
 
+def test_load_rejects_an_unknown_kind_before_any_item_runs(tmp_path, monkeypatch):
+    # a typo in the second item's kind is found as the document loads, not
+    # after the first item has run
+    ran = []
+    for kind in _EXECUTORS:
+        monkeypatch.setitem(_EXECUTORS, kind, lambda rd, ctx: ran.append(rd.path))
+    payload = dict(TINY, items=[{"id": "first", "kind": "derived_constants"},
+                                {"id": "second", "kind": "inclusoin"}])
+    path = _write(tmp_path, "typo.json", payload)
+    for read in (load_scenario, run_scenario):
+        with pytest.raises(ScenarioError) as info:
+            read(path)
+        assert str(info.value) == '"second": unknown item kind \'inclusoin\''
+    assert ran == []
+
+
 def test_unresolved_reference_raises(tmp_path):
     item = {"id": "x", "kind": "point_image", "z": ["$nope", 0.0],
             "target": {"center": [0.0, 0.0], "radius": 1.0}}
@@ -373,9 +389,10 @@ def test_ex2_core_report(ex2_report):
 def test_a_hole_test_reads_the_connectivity_of_its_match(monkeypatch, ex2_raster):
     # Cor-2-raster's first match asks whether a hole of its component holds
     # 0, and the connectivity it reports answers: each matched component is
-    # labelled once by its match and once by the monotonicity check, and
-    # the selector's surrounds labels the one component whose bounding box
-    # holds 0 (the ex2_raster fixture stands in for classifying it again)
+    # labelled once, by its match, whose report the monotonicity check
+    # reads, and the selector's surrounds labels the one component whose
+    # bounding box holds 0 (the ex2_raster fixture stands in for
+    # classifying it again)
     calls = {}
     connectivity = scenario_module.connectivity
 
@@ -392,7 +409,7 @@ def test_a_hole_test_reads_the_connectivity_of_its_match(monkeypatch, ex2_raster
                                               if item["id"] == "Cor-2-raster"]))
     assert report["all_passed"] is True
     assert report["items"][0]["result"]["matches"][0]["surrounds"] is True
-    assert calls == {"_run_raster": 4, "connectivity_monotonicity_check": 4, "surrounds": 1}
+    assert calls == {"_run_raster": 4, "surrounds": 1}
 
 
 def test_constant_search_trail_is_reported(ex2_report, ex2_constants):
@@ -957,9 +974,7 @@ def _grid(labels, ids=None):
     labels = np.asarray(labels, dtype=np.uint8)
     if ids is None:
         ids = np.full(labels.shape, -1, dtype=np.int32)
-    h, w = labels.shape
-    return RasterGrid(ComplexBox(-1.0, 1.0, -1.0, 1.0), w, h, labels,
-                      np.asarray(ids, dtype=np.int32))
+    return RasterGrid(ComplexBox(-1.0, 1.0, -1.0, 1.0), labels, np.asarray(ids, dtype=np.int32))
 
 
 def _rendered(grid, path) -> bytes:

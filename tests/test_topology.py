@@ -35,8 +35,7 @@ def grid_of(mask, kind=DRIFTING, ids=None):
     h, w = mask.shape
     labels = np.where(mask, kind, 0).astype(np.uint8)
     id_arr = np.where(mask, 1 if ids is None else ids, -1).astype(np.int32)
-    return RasterGrid(ComplexBox(0.0, float(w), 0.0, float(h)), w, h,
-                      labels, id_arr)
+    return RasterGrid(ComplexBox(0.0, float(w), 0.0, float(h)), labels, id_arr)
 
 
 def shapes():
@@ -81,7 +80,7 @@ def test_different_behaviors_never_merge():
     ids = np.full((6, 6), -1, dtype=np.int32)
     ids[2, 2] = 0
     ids[2, 3] = 1
-    g = RasterGrid(ComplexBox(0.0, 6.0, 0.0, 6.0), 6, 6, labels, ids)
+    g = RasterGrid(ComplexBox(0.0, 6.0, 0.0, 6.0), labels, ids)
     cm = label_components(g)
     assert len(cm.component_table) == 2
     kinds = {info.behavior_label[0] for info in cm.component_table.values()}
@@ -157,7 +156,7 @@ def test_label_components_matches_per_behaviour_oracle():
                                      dtype=np.uint8), (h, w), p=[0.2, 0.35, 0.35, 0.1])
         behaving = (labels == ATTRACTED) | (labels == DRIFTING)
         ids = np.where(behaving, rng.integers(0, 3, (h, w)), -1).astype(np.int32)
-        grid = RasterGrid(ComplexBox(0.0, float(w), 0.0, float(h)), w, h, labels, ids)
+        grid = RasterGrid(ComplexBox(0.0, float(w), 0.0, float(h)), labels, ids)
         cm = label_components(grid)
         pieces = _components_reference(grid)
         assert list(cm.component_table) == list(range(1, len(pieces) + 1))
@@ -182,8 +181,8 @@ def test_synthetic_connectivities():
         cm = label_components(grid_of(mask))
         rep = connectivity(cm, 1)
         assert rep.connectivity == want
-        assert rep.hole_count == want - 1
-        assert rep.hole_count == count_holes_reference(mask)
+        assert len(rep.holes) == want - 1
+        assert len(rep.holes) == count_holes_reference(mask)
 
 
 def test_unknown_component_raises():
@@ -198,7 +197,7 @@ def test_hole_flag_attribution():
     cm = label_components(grid_of(punched))
     left, right = complex(15.5, 20.5), complex(26.5, 20.5)
     rep = connectivity(cm, 1, flagged_points=(left, right, complex(1.0, 1.0)))
-    assert rep.hole_count == 2
+    assert len(rep.holes) == 2
     found = sorted((p for hole in rep.holes for p in hole.contains),
                    key=lambda p: p.real)
     assert found == [left, right]
@@ -220,7 +219,7 @@ def _holes_match_full_grid(cm, cid):
     """The cropped report against the holes of the whole grid."""
     comp = cm.labels == cid
     rep = connectivity(cm, cid)
-    assert rep.hole_count == count_holes_reference(comp)
+    assert len(rep.holes) == count_holes_reference(comp)
     assert [(h.representative_pixel, h.pixel_count) for h in rep.holes] == holes_reference(comp)
     return rep
 
@@ -232,7 +231,7 @@ def test_hole_edge_meets_bounding_box():
     rep = _holes_match_full_grid(label_components(grid_of(ring)), 1)
     assert [(h.representative_pixel, h.pixel_count) for h in rep.holes] == [((4, 3), 12)]
     ring[2, 3] = False                  # a diagonal leak at the box corner
-    assert _holes_match_full_grid(label_components(grid_of(ring)), 1).hole_count == 0
+    assert _holes_match_full_grid(label_components(grid_of(ring)), 1).holes == ()
 
 
 def test_component_nested_in_a_hole():
@@ -243,9 +242,9 @@ def test_component_nested_in_a_hole():
     outer_id, inner_id = int(cm.labels[7, 20]), int(cm.labels[20, 20])
     assert {outer_id, inner_id} == {1, 2}
     rep = _holes_match_full_grid(cm, outer_id)
-    assert rep.hole_count == 1
+    assert len(rep.holes) == 1
     assert rep.holes[0].pixel_count == (~annulus[13:28, 13:28]).sum()
-    assert _holes_match_full_grid(cm, inner_id).hole_count == 0
+    assert _holes_match_full_grid(cm, inner_id).holes == ()
 
 
 @pytest.mark.parametrize("j, i", [(0, 4), (6, 4), (3, 0), (3, 9)],
@@ -311,7 +310,7 @@ def _two_component_map(conn_first: int) -> tuple:
 
 def test_monotonicity_flag_true():
     cm, ids = _two_component_map(2)
-    rep = connectivity_monotonicity_check(cm, ids)
+    rep = connectivity_monotonicity_check(cm, [connectivity(cm, cid) for cid in ids])
     assert rep.sequence == ((1, 2), (2, 1))
     assert rep.non_increasing
     assert rep.skipped == ()
@@ -319,7 +318,7 @@ def test_monotonicity_flag_true():
 
 def test_monotonicity_flag_false_on_increase():
     cm, ids = _two_component_map(2)
-    rep = connectivity_monotonicity_check(cm, list(reversed(ids)))
+    rep = connectivity_monotonicity_check(cm, [connectivity(cm, cid) for cid in reversed(ids)])
     assert rep.sequence == ((2, 1), (1, 2))
     assert not rep.non_increasing
 
@@ -334,7 +333,8 @@ def test_monotonicity_skips_border_touchers():
     other_id = next(cid for cid, info in cm.component_table.items()
                     if not info.touches_border)
     with pytest.warns(UserWarning, match="touches the raster border"):
-        rep = connectivity_monotonicity_check(cm, [border_id, other_id])
+        rep = connectivity_monotonicity_check(
+            cm, [connectivity(cm, border_id), connectivity(cm, other_id)])
     assert rep.skipped == (border_id,)
     assert rep.sequence == ((other_id, 1),)
     assert rep.non_increasing
@@ -352,8 +352,7 @@ def test_reference_counter_agrees_on_random_masks():
         cm = label_components(grid_of(mask))
         for cid in cm.component_table:
             comp_mask = cm.labels == cid
-            assert connectivity(cm, cid).hole_count == \
-                count_holes_reference(comp_mask)
+            assert len(connectivity(cm, cid).holes) == count_holes_reference(comp_mask)
 
 
 # --- headline raster ------------------------------------------------------------------
@@ -373,15 +372,15 @@ def test_ex2_station_components(ex2_raster, ex2_components):
     assert rep0.connectivity == 2
     assert rep0.holes[0].pixel_count == 2
     assert rep0.holes[0].contains == (0j,)
-    ids = [u0]
+    reports = [rep0]
     for n in (1, 2, 3):
         i, j = ex2_raster.pixel_of(complex(2.0 * math.pi * n))
         cid = int(cm.labels[j, i])
         assert cid > 0
-        assert connectivity(cm, cid).connectivity == 1
+        reports.append(connectivity(cm, cid))
+        assert reports[-1].connectivity == 1
         assert cm.component_table[cid].behavior_label == ("drifting", n)
-        ids.append(cid)
-    rep = connectivity_monotonicity_check(cm, ids)
+    rep = connectivity_monotonicity_check(cm, reports)
     assert rep.non_increasing
     assert rep.skipped == ()
     assert [c for _, c in rep.sequence] == [2, 1, 1, 1]
